@@ -18,26 +18,30 @@ configuration error, 2 no critical point found.
 
 import argparse
 import json
-import os
+import math
 import sys
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .core import AnchorSet, Objective, finite_difference_gradient, max_relative_gradient_error
-from .critical_set import (TestingPlan, default_domain_box, enumerate_critical_points)
-from .errors import ConfigError, InputError, NoCriticalPointError, NumericalError, SteinerError
+from .core import AnchorSet, Objective, max_relative_gradient_error
+from .critical_set import TestingPlan, default_domain_box, enumerate_critical_points
+from .errors import ConfigError, InputError, NoCriticalPointError, NumericalError
 from .flow import FlowConfig
 from .oracles import centroid, grid_search, weiszfeld
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, check_parameters, parameter_applies
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_CRITICAL_POINT = 2
 
-GRADCHECK_TOLERANCE = 1e-5
+# Exit code of each error a command reports; any other exception is a bug
+# and propagates with its traceback.
+EXIT_CODES = {InputError: EXIT_INPUT, ConfigError: EXIT_INPUT, FileNotFoundError: EXIT_INPUT,
+              NoCriticalPointError: EXIT_NO_CRITICAL_POINT,
+              NumericalError: EXIT_NO_CRITICAL_POINT}
 
-# Fault-injection hook so the failing path of gradcheck stays testable.
-CORRUPT_GRADIENT_ENV = "STEINER_GRADCHECK_CORRUPT"
+GRADCHECK_TOLERANCE = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -78,15 +82,15 @@ def _write_json(path, data: dict):
 # ---------------------------------------------------------------------------
 # Instance files.
 
+@dataclass(frozen=True, eq=False)
 class Instance:
     """Parsed instance file: anchors plus solver configuration."""
 
-    def __init__(self, dimension, anchors, potential, testing_plan=None, flow=None):
-        self.dimension = dimension
-        self.anchors = anchors
-        self.potential = potential
-        self.testing_plan = testing_plan
-        self.flow = flow
+    dimension: int
+    anchors: AnchorSet
+    potential: PotentialSpec
+    testing_plan: TestingPlan | None = None
+    flow: FlowConfig | None = None
 
 
 def _expect_object(value, field):
@@ -98,9 +102,13 @@ def _expect_object(value, field):
 def _expect_number(value, field):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{field}: expected a number")
-    if not np.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise InputError(f"{field}: not a finite number")
-    return float(value)
+    return number
 
 
 def _expect_int(value, field):
@@ -109,10 +117,80 @@ def _expect_int(value, field):
     return value
 
 
+def _expect_str(value, field):
+    if not isinstance(value, str):
+        raise InputError(f"{field}: expected a string")
+    return value
+
+
+def _expect_numbers(value, field):
+    if not isinstance(value, list) or not value:
+        raise InputError(f"{field}: expected a non-empty list")
+    return tuple(_expect_number(x, f"{field}[{j}]") for j, x in enumerate(value))
+
+
+def _expect_box(value, field):
+    if value is None:
+        return None
+    if not isinstance(value, list):
+        raise InputError(f"{field}: expected a list of [lo, hi] pairs")
+    pairs = []
+    for k, pair in enumerate(value):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise InputError(f"{field}[{k}]: expected [lo, hi]")
+        pairs.append(_expect_numbers(pair, f"{field}[{k}]"))
+    return tuple(pairs)
+
+
 def _reject_unknown(data, known, field):
     for key in data:
         if key not in known:
             raise InputError(f"{field}.{key}: unknown field")
+
+
+# The configuration sections of an instance: the dataclass each one builds,
+# and the JSON coercer of every field that is not a plain number. Field
+# names, order and defaults come from the dataclass itself.
+_SECTIONS = {
+    "potential": (PotentialSpec, {"kind": _expect_str, "weights": _expect_numbers}),
+    "testing_plan": (TestingPlan, {"strategy": _expect_str, "count": _expect_int,
+                                   "domain_box": _expect_box, "seed": _expect_int}),
+    "flow": (FlowConfig, {"max_steps": _expect_int}),
+}
+
+
+def _parse_section(raw, section):
+    """Validate one section's JSON object into its dataclass."""
+    cls, coercers = _SECTIONS[section]
+    raw = _expect_object(raw, section)
+    _reject_unknown(raw, {f.name for f in fields(cls)}, section)
+    kwargs = {}
+    for f in fields(cls):
+        path = f"{section}.{f.name}"
+        if f.name in raw:
+            kwargs[f.name] = coercers.get(f.name, _expect_number)(raw[f.name], path)
+        elif f.default is MISSING:
+            raise InputError(f"{path}: missing required field")
+    return cls(**kwargs)
+
+
+def _section_json(config) -> dict:
+    """A section dataclass as JSON data, fields in declaration order.
+
+    Fields that are ``None`` and potential parameters that the kind does
+    not read are left out.
+    """
+    kind = getattr(config, "kind", None)
+    data = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if value is not None and parameter_applies(f.name, kind):
+            data[f.name] = _as_lists(value)
+    return data
+
+
+def _as_lists(value):
+    return [_as_lists(v) for v in value] if isinstance(value, tuple) else value
 
 
 def parse_instance(data) -> Instance:
@@ -121,16 +199,14 @@ def parse_instance(data) -> Instance:
     Errors name the offending field, down to the anchor row index.
     """
     data = _expect_object(data, "instance")
-    _reject_unknown(data, {"dimension", "anchors", "potential", "testing_plan", "flow"},
-                    "instance")
-    if "dimension" not in data:
-        raise InputError("dimension: missing required field")
+    _reject_unknown(data, {"dimension", "anchors", *_SECTIONS}, "instance")
+    for name in ("dimension", "anchors", "potential"):
+        if name not in data:
+            raise InputError(f"{name}: missing required field")
     dimension = _expect_int(data["dimension"], "dimension")
     if dimension < 1:
         raise InputError(f"dimension: must be >= 1, got {dimension}")
 
-    if "anchors" not in data:
-        raise InputError("anchors: missing required field")
     rows = data["anchors"]
     if not isinstance(rows, list) or not rows:
         raise InputError("anchors: expected a non-empty list of coordinate rows")
@@ -145,69 +221,13 @@ def parse_instance(data) -> Instance:
                             for j, c in enumerate(row)])
     anchors = AnchorSet(parsed_rows)
 
-    if "potential" not in data:
-        raise InputError("potential: missing required field")
-    pot = _expect_object(data["potential"], "potential")
-    _reject_unknown(pot, {"kind", "p", "epsilon", "sigma", "weights"}, "potential")
-    if "kind" not in pot:
-        raise InputError("potential.kind: missing required field")
-    if not isinstance(pot["kind"], str):
-        raise InputError("potential.kind: expected a string")
-    kwargs = {}
-    for key in ("p", "epsilon", "sigma"):
-        if key in pot:
-            kwargs[key] = _expect_number(pot[key], f"potential.{key}")
-    if "weights" in pot:
-        w = pot["weights"]
-        if not isinstance(w, list) or not w:
-            raise InputError("potential.weights: expected a non-empty list")
-        kwargs["weights"] = tuple(
-            _expect_number(x, f"potential.weights[{j}]") for j, x in enumerate(w))
-    potential = PotentialSpec(pot["kind"], **kwargs)
-
-    plan = None
-    if "testing_plan" in data and data["testing_plan"] is not None:
-        tp = _expect_object(data["testing_plan"], "testing_plan")
-        _reject_unknown(tp, {"strategy", "count", "domain_box", "seed"}, "testing_plan")
-        plan_kwargs = {}
-        if "strategy" in tp:
-            if not isinstance(tp["strategy"], str):
-                raise InputError("testing_plan.strategy: expected a string")
-            plan_kwargs["strategy"] = tp["strategy"]
-        if "count" in tp:
-            plan_kwargs["count"] = _expect_int(tp["count"], "testing_plan.count")
-        if "seed" in tp:
-            plan_kwargs["seed"] = _expect_int(tp["seed"], "testing_plan.seed")
-        if "domain_box" in tp and tp["domain_box"] is not None:
-            box = tp["domain_box"]
-            if not isinstance(box, list) or len(box) != dimension:
-                raise InputError(
-                    f"testing_plan.domain_box: expected {dimension} [lo, hi] pairs")
-            parsed_box = []
-            for k, pair in enumerate(box):
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise InputError(f"testing_plan.domain_box[{k}]: expected [lo, hi]")
-                parsed_box.append((
-                    _expect_number(pair[0], f"testing_plan.domain_box[{k}][0]"),
-                    _expect_number(pair[1], f"testing_plan.domain_box[{k}][1]")))
-            plan_kwargs["domain_box"] = tuple(parsed_box)
-        plan = TestingPlan(**plan_kwargs)
-
-    flow_cfg = None
-    if "flow" in data and data["flow"] is not None:
-        fl = _expect_object(data["flow"], "flow")
-        fields = {"grad_tol", "max_steps", "initial_step", "armijo_c",
-                  "backtrack_factor", "min_step"}
-        _reject_unknown(fl, fields, "flow")
-        flow_kwargs = {}
-        for key in fields & set(fl):
-            if key == "max_steps":
-                flow_kwargs[key] = _expect_int(fl[key], "flow.max_steps")
-            else:
-                flow_kwargs[key] = _expect_number(fl[key], f"flow.{key}")
-        flow_cfg = FlowConfig(**flow_kwargs)
-
-    return Instance(dimension, anchors, potential, plan, flow_cfg)
+    potential = _parse_section(data["potential"], "potential")
+    check_parameters(potential.kind, data["potential"])
+    plan, flow = (_parse_section(data[s], s) if data.get(s) is not None else None
+                  for s in ("testing_plan", "flow"))
+    if plan is not None and plan.domain_box is not None and len(plan.domain_box) != dimension:
+        raise InputError(f"testing_plan.domain_box: expected {dimension} [lo, hi] pairs")
+    return Instance(dimension, anchors, potential, plan, flow)
 
 
 def load_instance(path) -> Instance:
@@ -221,47 +241,22 @@ def load_instance(path) -> Instance:
 
 def serialize_instance(inst: Instance) -> dict:
     """Inverse of :func:`parse_instance` on semantic content."""
-    pot = {"kind": inst.potential.kind}
-    if inst.potential.kind == "p_norm":
-        pot["p"] = inst.potential.p
-    if inst.potential.epsilon is not None:
-        pot["epsilon"] = inst.potential.epsilon
-    if inst.potential.kind == "gaussian_well":
-        pot["sigma"] = inst.potential.sigma
-    if inst.potential.weights is not None:
-        pot["weights"] = list(inst.potential.weights)
-    data = {
-        "dimension": inst.dimension,
-        "anchors": [list(row) for row in inst.anchors.points],
-        "potential": pot,
-    }
-    if inst.testing_plan is not None:
-        tp = {"strategy": inst.testing_plan.strategy, "count": inst.testing_plan.count,
-              "seed": inst.testing_plan.seed}
-        if inst.testing_plan.domain_box is not None:
-            tp["domain_box"] = [list(pair) for pair in inst.testing_plan.domain_box]
-        data["testing_plan"] = tp
-    if inst.flow is not None:
-        fc = inst.flow
-        data["flow"] = {"grad_tol": fc.grad_tol, "max_steps": fc.max_steps,
-                        "initial_step": fc.initial_step, "armijo_c": fc.armijo_c,
-                        "backtrack_factor": fc.backtrack_factor, "min_step": fc.min_step}
+    data = {"dimension": inst.dimension, "anchors": inst.anchors.points.tolist()}
+    for section in _SECTIONS:
+        config = getattr(inst, section)
+        if config is not None:
+            data[section] = _section_json(config)
     return data
 
 
 # ---------------------------------------------------------------------------
 # Shared command plumbing.
 
-def _potential_echo(spec: PotentialSpec) -> dict:
-    echo = {"kind": spec.kind}
-    if spec.kind == "p_norm":
-        echo["p"] = spec.p
-    echo["epsilon"] = spec.epsilon
-    if spec.kind == "gaussian_well":
-        echo["sigma"] = spec.sigma
-    if spec.weights is not None:
-        echo["weights"] = list(spec.weights)
-    return echo
+def _domain_box(plan, anchors):
+    """The plan's domain box, else the anchor bounding box with its margin."""
+    if plan is not None and plan.domain_box is not None:
+        return plan.domain_box
+    return default_domain_box(anchors)
 
 
 def _critical_point_json(cp) -> dict:
@@ -274,23 +269,14 @@ def cmd_solve(args) -> int:
     inst = load_instance(args.input)
     obj = Objective(inst.anchors, inst.potential)
 
-    plan = inst.testing_plan or TestingPlan()
-    overrides = {}
-    if args.strategy is not None:
-        overrides["strategy"] = args.strategy
-    if args.starts is not None:
-        overrides["count"] = args.starts
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        plan = TestingPlan(**{**plan.__dict__, **overrides})
-    if plan.domain_box is None:
-        plan = TestingPlan(strategy=plan.strategy, count=plan.count,
-                           domain_box=default_domain_box(obj.anchors), seed=plan.seed)
-
+    overrides = {key: value for key, value in
+                 (("strategy", args.strategy), ("count", args.starts), ("seed", args.seed))
+                 if value is not None}
+    plan = replace(inst.testing_plan or TestingPlan(), **overrides)
+    plan = replace(plan, domain_box=_domain_box(plan, obj.anchors))
     cfg = inst.flow or FlowConfig()
     if args.grad_tol is not None:
-        cfg = FlowConfig(**{**cfg.__dict__, "grad_tol": args.grad_tol})
+        cfg = replace(cfg, grad_tol=args.grad_tol)
 
     try:
         result = enumerate_critical_points(
@@ -310,14 +296,9 @@ def cmd_solve(args) -> int:
         "config_echo": {
             "dimension": obj.dimension,
             "n_anchors": obj.anchors.n,
-            "potential": _potential_echo(obj.potential),
-            "testing_plan": {"strategy": plan.strategy, "count": plan.count,
-                             "domain_box": [list(p) for p in plan.domain_box],
-                             "seed": plan.seed},
-            "flow": {"grad_tol": cfg.grad_tol, "max_steps": cfg.max_steps,
-                     "initial_step": cfg.initial_step, "armijo_c": cfg.armijo_c,
-                     "backtrack_factor": cfg.backtrack_factor,
-                     "min_step": cfg.min_step},
+            "potential": _section_json(obj.potential),
+            "testing_plan": _section_json(plan),
+            "flow": _section_json(cfg),
             "cluster_radius": args.cluster_radius,
             "threads": args.threads,
         },
@@ -332,18 +313,13 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     inst = load_instance(args.input)
     if args.method == "weiszfeld":
-        weights = inst.potential.weights if inst.potential.kind == "weighted_euclidean" else None
-        report = weiszfeld(inst.anchors, weights=weights, tol=args.tol,
+        report = weiszfeld(inst.anchors, weights=inst.potential.weights, tol=args.tol,
                            max_iter=args.max_iter)
     elif args.method == "centroid":
         report = centroid(inst.anchors)
     else:  # grid
         obj = Objective(inst.anchors, inst.potential)
-        if inst.testing_plan is not None and inst.testing_plan.domain_box is not None:
-            box = inst.testing_plan.domain_box
-        else:
-            box = default_domain_box(inst.anchors)
-        report = grid_search(obj, box, args.spacing)
+        report = grid_search(obj, _domain_box(inst.testing_plan, inst.anchors), args.spacing)
     _write_json(args.output, {
         "method": report.method,
         "location": list(report.location),
@@ -372,19 +348,7 @@ def run_gradcheck(obj: Objective, box, samples: int, h: float, seed: int) -> dic
     if len(points) < samples:
         raise ConfigError(
             "gradcheck: could not sample enough points away from the anchors")
-    points = np.array(points)
-
-    if os.environ.get(CORRUPT_GRADIENT_ENV):
-        max_err = 0.0
-        for p in points:
-            ga = obj.gradient(p)
-            ga = ga + 1e-3 * (1.0 + np.linalg.norm(ga))  # injected fault
-            gf = finite_difference_gradient(obj, p, h)
-            denom = max(np.linalg.norm(ga), np.linalg.norm(gf), 1e-5)
-            max_err = max(max_err, float(np.linalg.norm(ga - gf) / denom))
-    else:
-        max_err = max_relative_gradient_error(obj, points, h)
-
+    max_err = max_relative_gradient_error(obj, np.array(points), h)
     return {
         "samples": samples,
         "h": h,
@@ -400,10 +364,7 @@ def cmd_gradcheck(args) -> int:
     if args.samples < 1:
         raise InputError(f"samples: must be >= 1, got {args.samples}")
     obj = Objective(inst.anchors, inst.potential)
-    if inst.testing_plan is not None and inst.testing_plan.domain_box is not None:
-        box = inst.testing_plan.domain_box
-    else:
-        box = default_domain_box(inst.anchors)
+    box = _domain_box(inst.testing_plan, inst.anchors)
     h = args.h
     if h is None:
         lo, hi = np.array([b[0] for b in box]), np.array([b[1] for b in box])
@@ -463,22 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ConfigError) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NoCriticalPointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CRITICAL_POINT
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CRITICAL_POINT
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -39,6 +39,22 @@ def _require(cond, field, problem):
         raise ConfigError(f"potential.{field}: {problem}")
 
 
+# Parameters that one kind alone reads; every other kind rejects them.
+KIND_PARAMETERS = {"p": "p_norm", "sigma": "gaussian_well", "weights": "weighted_euclidean"}
+
+
+def parameter_applies(name: str, kind: str) -> bool:
+    """Whether potentials of ``kind`` read the spec field ``name``."""
+    return KIND_PARAMETERS.get(name, kind) == kind
+
+
+def check_parameters(kind: str, names) -> None:
+    """Raise ConfigError for the first of ``names`` that ``kind`` does not read."""
+    for name in names:
+        _require(parameter_applies(name, kind), name,
+                 f"only valid for the {KIND_PARAMETERS.get(name)} kind")
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Declarative choice of the per-anchor potential.
@@ -68,8 +84,7 @@ class PotentialSpec:
             _require(np.isfinite(self.sigma) and self.sigma > 0.0, "sigma",
                      f"well width must be finite and > 0, got {self.sigma}")
         if self.weights is not None:
-            _require(self.kind == "weighted_euclidean", "weights",
-                     "only valid for the weighted_euclidean kind")
+            check_parameters(self.kind, ["weights"])
             w = tuple(float(x) for x in self.weights)
             _require(len(w) >= 1, "weights", "must be non-empty when present")
             _require(all(np.isfinite(x) and x > 0.0 for x in w), "weights",

@@ -5,10 +5,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from steiner import InputError, weiszfeld
+from steiner import KINDS, InputError, Objective, SteinerError, weiszfeld
 from steiner.cli import (EXIT_INPUT, EXIT_NO_CRITICAL_POINT, EXIT_OK, load_instance,
                          main, parse_instance, serialize_instance)
+from steiner.critical_set import STRATEGIES
 
 RIGHT_TRIANGLE_INSTANCE = {
     "dimension": 2,
@@ -138,6 +141,207 @@ def test_solve_deterministic_output_bytes(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+# Instance sections and solve flags per case: one case per potential kind,
+# with and without testing_plan/flow, and one with every override flag.
+ECHO_CASES = {
+    "euclidean": ({"potential": {"kind": "euclidean"}}, []),
+    "p_norm": ({"potential": {"kind": "p_norm", "p": 3, "epsilon": 1e-6},
+                "testing_plan": {"strategy": "grid", "count": 4,
+                                 "domain_box": [[-1, 5], [-1, 4]], "seed": 1},
+                "flow": {"grad_tol": 1e-7, "max_steps": 2000}}, []),
+    "squared": ({"potential": {"kind": "squared"},
+                 "testing_plan": {"strategy": "uniform_random", "count": 3, "seed": 5}}, []),
+    "weighted_euclidean": ({"potential": {"kind": "weighted_euclidean",
+                                          "weights": [1, 2.5, 0.5]},
+                            "flow": {"armijo_c": 0.1, "backtrack_factor": 0.3}}, []),
+    "gaussian_well": ({"potential": {"kind": "gaussian_well", "sigma": 2},
+                       "testing_plan": {"strategy": "anchors_jittered", "seed": 2}}, []),
+    "overrides": ({k: RIGHT_TRIANGLE_INSTANCE[k] for k in ("potential", "testing_plan", "flow")},
+                  ["--starts", "4", "--strategy", "uniform_random", "--seed", "9",
+                   "--grad-tol", "1e-6", "--cluster-radius", "0.01", "--threads", "2"]),
+}
+
+# The tail of each result file from the config_echo key on, byte for byte.
+ECHO_GOLDEN = {
+    "euclidean": """\
+  "config_echo": {
+    "dimension": 2,
+    "n_anchors": 3,
+    "potential": {
+      "kind": "euclidean",
+      "epsilon": 5.0000000000000001e-09
+    },
+    "testing_plan": {
+      "strategy": "grid",
+      "count": 16,
+      "domain_box": [[-0.80000000000000004, 4.7999999999999998], [-0.60000000000000009, 3.6000000000000001]],
+      "seed": 0
+    },
+    "flow": {
+      "grad_tol": 9.9999999999999995e-07,
+      "max_steps": 10000,
+      "initial_step": 1,
+      "armijo_c": 0.25,
+      "backtrack_factor": 0.5,
+      "min_step": 1.0000000000000001e-18
+    },
+    "cluster_radius": null,
+    "threads": 1
+  }
+}
+""",
+    "p_norm": """\
+  "config_echo": {
+    "dimension": 2,
+    "n_anchors": 3,
+    "potential": {
+      "kind": "p_norm",
+      "p": 3,
+      "epsilon": 9.9999999999999995e-07
+    },
+    "testing_plan": {
+      "strategy": "grid",
+      "count": 4,
+      "domain_box": [[-1, 5], [-1, 4]],
+      "seed": 1
+    },
+    "flow": {
+      "grad_tol": 9.9999999999999995e-08,
+      "max_steps": 2000,
+      "initial_step": 1,
+      "armijo_c": 0.25,
+      "backtrack_factor": 0.5,
+      "min_step": 1.0000000000000001e-18
+    },
+    "cluster_radius": null,
+    "threads": 1
+  }
+}
+""",
+    "squared": """\
+  "config_echo": {
+    "dimension": 2,
+    "n_anchors": 3,
+    "potential": {
+      "kind": "squared",
+      "epsilon": 5.0000000000000001e-09
+    },
+    "testing_plan": {
+      "strategy": "uniform_random",
+      "count": 3,
+      "domain_box": [[-0.80000000000000004, 4.7999999999999998], [-0.60000000000000009, 3.6000000000000001]],
+      "seed": 5
+    },
+    "flow": {
+      "grad_tol": 9.9999999999999995e-07,
+      "max_steps": 10000,
+      "initial_step": 1,
+      "armijo_c": 0.25,
+      "backtrack_factor": 0.5,
+      "min_step": 1.0000000000000001e-18
+    },
+    "cluster_radius": null,
+    "threads": 1
+  }
+}
+""",
+    "weighted_euclidean": """\
+  "config_echo": {
+    "dimension": 2,
+    "n_anchors": 3,
+    "potential": {
+      "kind": "weighted_euclidean",
+      "epsilon": 5.0000000000000001e-09,
+      "weights": [1, 2.5, 0.5]
+    },
+    "testing_plan": {
+      "strategy": "grid",
+      "count": 16,
+      "domain_box": [[-0.80000000000000004, 4.7999999999999998], [-0.60000000000000009, 3.6000000000000001]],
+      "seed": 0
+    },
+    "flow": {
+      "grad_tol": 9.9999999999999995e-07,
+      "max_steps": 10000,
+      "initial_step": 1,
+      "armijo_c": 0.10000000000000001,
+      "backtrack_factor": 0.29999999999999999,
+      "min_step": 1.0000000000000001e-18
+    },
+    "cluster_radius": null,
+    "threads": 1
+  }
+}
+""",
+    "gaussian_well": """\
+  "config_echo": {
+    "dimension": 2,
+    "n_anchors": 3,
+    "potential": {
+      "kind": "gaussian_well",
+      "epsilon": 5.0000000000000001e-09,
+      "sigma": 2
+    },
+    "testing_plan": {
+      "strategy": "anchors_jittered",
+      "count": 16,
+      "domain_box": [[-0.80000000000000004, 4.7999999999999998], [-0.60000000000000009, 3.6000000000000001]],
+      "seed": 2
+    },
+    "flow": {
+      "grad_tol": 9.9999999999999995e-07,
+      "max_steps": 10000,
+      "initial_step": 1,
+      "armijo_c": 0.25,
+      "backtrack_factor": 0.5,
+      "min_step": 1.0000000000000001e-18
+    },
+    "cluster_radius": null,
+    "threads": 1
+  }
+}
+""",
+    "overrides": """\
+  "config_echo": {
+    "dimension": 2,
+    "n_anchors": 3,
+    "potential": {
+      "kind": "euclidean",
+      "epsilon": 5.0000000000000001e-09
+    },
+    "testing_plan": {
+      "strategy": "uniform_random",
+      "count": 4,
+      "domain_box": [[-0.80000000000000004, 4.7999999999999998], [-0.60000000000000009, 3.6000000000000001]],
+      "seed": 9
+    },
+    "flow": {
+      "grad_tol": 9.9999999999999995e-07,
+      "max_steps": 10000,
+      "initial_step": 1,
+      "armijo_c": 0.25,
+      "backtrack_factor": 0.5,
+      "min_step": 1.0000000000000001e-18
+    },
+    "cluster_radius": 0.01,
+    "threads": 2
+  }
+}
+""",
+}
+
+
+@pytest.mark.parametrize("name", list(ECHO_CASES))
+def test_solve_config_echo_bytes(tmp_path, name):
+    sections, flags = ECHO_CASES[name]
+    anchors = RIGHT_TRIANGLE_INSTANCE["anchors"]
+    inp = write_instance(tmp_path, {"dimension": 2, "anchors": anchors, **sections})
+    out = tmp_path / "result.json"
+    assert main(["solve", "--input", str(inp), "--output", str(out), *flags]) == EXIT_OK
+    text = out.read_bytes().decode()
+    assert text[text.index('  "config_echo": '):] == ECHO_GOLDEN[name]
+
+
 def test_oracle_centroid(tmp_path):
     inp = write_instance(tmp_path, {
         "dimension": 2,
@@ -220,7 +424,13 @@ def test_gradcheck_passes_and_reports(tmp_path):
 
 
 def test_gradcheck_detects_corrupted_gradient(tmp_path, monkeypatch):
-    monkeypatch.setenv("STEINER_GRADCHECK_CORRUPT", "1")
+    exact = Objective.gradient
+
+    def corrupted(self, point):
+        g = exact(self, point)
+        return g + 1e-3 * (1.0 + np.linalg.norm(g))
+
+    monkeypatch.setattr(Objective, "gradient", corrupted)
     inp = write_instance(tmp_path, RIGHT_TRIANGLE_INSTANCE)
     rep = tmp_path / "gradcheck.json"
     code = main(["gradcheck", "--input", str(inp), "--samples", "50",
@@ -246,11 +456,21 @@ def test_missing_input_file_is_input_error(tmp_path, capsys):
     (lambda d: d.update(extra=1), "instance.extra"),
     (lambda d: d.update(testing_plan={"strategy": "grid", "n": 3}), "testing_plan.n"),
     (lambda d: d.update(flow={"grad_tol": "tight"}), "flow.grad_tol"),
+    # Integers beyond the float range are not finite numbers.
+    pytest.param(lambda d: d["anchors"][0].__setitem__(0, 10 ** 400), "anchors[0][0]",
+                 id="huge-anchor-coordinate"),
+    pytest.param(lambda d: d.update(potential={"kind": "gaussian_well", "sigma": 10 ** 400}),
+                 "potential.sigma", id="huge-sigma"),
+    # A parameter the kind does not read would be lost by serialization.
+    pytest.param(lambda d: d.update(potential={"kind": "euclidean", "p": 3}), "potential.p",
+                 id="p-for-euclidean"),
+    pytest.param(lambda d: d.update(potential={"kind": "squared", "sigma": 2}),
+                 "potential.sigma", id="sigma-for-squared"),
 ])
 def test_parse_instance_field_errors(mutate, field):
     data = json.loads(json.dumps(RIGHT_TRIANGLE_INSTANCE))
     mutate(data)
-    with pytest.raises(Exception, match=re.escape(field)):
+    with pytest.raises(SteinerError, match=re.escape(field)):
         parse_instance(data)
 
 
@@ -268,6 +488,59 @@ def test_instance_round_trip_is_identity(tmp_path):
     }
     first = parse_instance(data)
     second = parse_instance(serialize_instance(first))
+    assert second.dimension == first.dimension
+    np.testing.assert_array_equal(second.anchors.points, first.anchors.points)
+    assert second.potential == first.potential
+    assert second.testing_plan == first.testing_plan
+    assert second.flow == first.flow
+
+
+_positive = hst.floats(min_value=1e-6, max_value=1e6)
+_coordinate = hst.floats(min_value=-1e6, max_value=1e6)
+
+
+@hst.composite
+def _instances(draw):
+    """Valid instance JSON: every kind, with optional plan, flow and box."""
+    dimension = draw(hst.integers(1, 3))
+    n = draw(hst.integers(1, 4))
+    row = hst.lists(_coordinate, min_size=dimension, max_size=dimension)
+    kind = draw(hst.sampled_from(KINDS))
+    potential = {"kind": kind, **draw(hst.fixed_dictionaries(
+        {}, optional={"epsilon": hst.floats(min_value=0.0, max_value=1.0)}))}
+    if kind == "p_norm":
+        potential.update(draw(hst.fixed_dictionaries(
+            {}, optional={"p": hst.floats(min_value=1.0, max_value=10.0)})))
+    if kind == "gaussian_well":
+        potential.update(draw(hst.fixed_dictionaries({}, optional={"sigma": _positive})))
+    if kind == "weighted_euclidean":
+        potential["weights"] = draw(hst.lists(_positive, min_size=n, max_size=n))
+    interval = hst.lists(_coordinate, min_size=2, max_size=2, unique=True).map(sorted)
+    plan = hst.fixed_dictionaries({}, optional={
+        "strategy": hst.sampled_from(STRATEGIES),
+        "count": hst.integers(1, 100),
+        "domain_box": hst.lists(interval, min_size=dimension, max_size=dimension),
+        "seed": hst.integers(0, 2 ** 64 - 1),
+    })
+    flow = hst.fixed_dictionaries({}, optional={
+        "grad_tol": _positive,
+        "max_steps": hst.integers(1, 10 ** 6),
+        "initial_step": hst.floats(min_value=1e-2, max_value=1e3),
+        "armijo_c": hst.floats(min_value=1e-3, max_value=0.999),
+        "backtrack_factor": hst.floats(min_value=1e-3, max_value=0.999),
+        "min_step": hst.floats(min_value=1e-18, max_value=1e-3),
+    })
+    return {"dimension": dimension,
+            "anchors": draw(hst.lists(row, min_size=n, max_size=n)),
+            "potential": potential,
+            **draw(hst.fixed_dictionaries({}, optional={"testing_plan": plan, "flow": flow}))}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=_instances())
+def test_instance_round_trip_property(data):
+    first = parse_instance(data)
+    second = parse_instance(json.loads(json.dumps(serialize_instance(first))))
     assert second.dimension == first.dimension
     np.testing.assert_array_equal(second.anchors.points, first.anchors.points)
     assert second.potential == first.potential
