@@ -29,7 +29,7 @@ from .critical_set import TestingPlan, default_domain_box, enumerate_critical_po
 from .errors import ConfigError, InputError, NoCriticalPointError, NumericalError
 from .flow import FlowConfig
 from .oracles import centroid, grid_search, weiszfeld
-from .potentials import PotentialSpec, check_parameters, parameter_applies
+from .potentials import PotentialSpec
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -111,6 +111,19 @@ def _expect_number(value, field):
     return number
 
 
+def _plain_numbers(values) -> bool:
+    """Whether every entry is a plain int or float with a finite value.
+
+    The fast path for long coordinate lists: callers fall back to
+    :func:`_expect_number` per entry, formatting its field path, only when
+    this is false.
+    """
+    try:
+        return all((type(v) is float or type(v) is int) and math.isfinite(v) for v in values)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _expect_int(value, field):
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{field}: expected an integer")
@@ -126,6 +139,8 @@ def _expect_str(value, field):
 def _expect_numbers(value, field):
     if not isinstance(value, list) or not value:
         raise InputError(f"{field}: expected a non-empty list")
+    if _plain_numbers(value):
+        return tuple(map(float, value))
     return tuple(_expect_number(x, f"{field}[{j}]") for j, x in enumerate(value))
 
 
@@ -177,14 +192,13 @@ def _parse_section(raw, section):
 def _section_json(config) -> dict:
     """A section dataclass as JSON data, fields in declaration order.
 
-    Fields that are ``None`` and potential parameters that the kind does
-    not read are left out.
+    Fields that are ``None`` are left out; these include the potential
+    parameters that the kind does not read, which a spec never holds.
     """
-    kind = getattr(config, "kind", None)
     data = {}
     for f in fields(config):
         value = getattr(config, f.name)
-        if value is not None and parameter_applies(f.name, kind):
+        if value is not None:
             data[f.name] = _as_lists(value)
     return data
 
@@ -217,12 +231,12 @@ def parse_instance(data) -> Instance:
         if len(row) != dimension:
             raise InputError(
                 f"anchors[{i}]: expected {dimension} coordinates, got {len(row)}")
-        parsed_rows.append([_expect_number(c, f"anchors[{i}][{j}]")
-                            for j, c in enumerate(row)])
+        if not _plain_numbers(row):
+            row = [_expect_number(c, f"anchors[{i}][{j}]") for j, c in enumerate(row)]
+        parsed_rows.append(row)
     anchors = AnchorSet(parsed_rows)
 
     potential = _parse_section(data["potential"], "potential")
-    check_parameters(potential.kind, data["potential"])
     plan, flow = (_parse_section(data[s], s) if data.get(s) is not None else None
                   for s in ("testing_plan", "flow"))
     if plan is not None and plan.domain_box is not None and len(plan.domain_box) != dimension:

@@ -72,9 +72,11 @@ class Objective:
 
     Construction binds the potential spec to the anchors: the automatic
     smoothing length is resolved from the bounding-box diagonal and
-    per-anchor weights are length-checked. Instances are immutable and all
-    evaluation methods are pure, so a single objective may be shared by
-    concurrent descent runs.
+    per-anchor weights are length-checked. ``length_scale`` keeps that
+    diagonal (or, when all anchors coincide, the magnitude fallback that
+    stands in for it); the descent tracer caps its steps with it. Instances
+    are immutable and all evaluation methods are pure, so a single
+    objective may be shared by concurrent descent runs.
     """
 
     anchors: AnchorSet
@@ -88,6 +90,7 @@ class Objective:
         scale = anchors.diagonal()
         if scale == 0.0:
             scale = max(1.0, float(np.abs(anchors.points).max()))
+        object.__setattr__(self, "length_scale", scale)
         spec = self.potential.bound(scale, anchors.n)
         object.__setattr__(self, "potential", spec)
         w = None if spec.weights is None else np.asarray(spec.weights, dtype=float)

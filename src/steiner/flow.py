@@ -41,11 +41,15 @@ class FlowConfig:
 
     ``grad_tol`` is the rest criterion on |grad U|; a step multiplier
     shrinking below ``min_step`` without an Armijo acceptance stalls the
-    trace. The default tolerance is what eps-smoothed anchor spikes support
-    in double precision (their curvature ~1/eps turns one coordinate ulp
-    into a gradient jitter of order 1e-7 at desk scale); smooth objectives
-    such as the squared potential certify much tighter tolerances when
-    configured to.
+    trace. ``initial_step`` is the first trial multiplier's seed (the first
+    search tries up to ``initial_step / backtrack_factor``) and the floor of
+    the growth cap, so steps of ``initial_step * |grad U|`` stay allowed
+    however short the anchor set is; later searches start from the last
+    accepted multiplier (see :func:`trace_flow`). The default tolerance is
+    what eps-smoothed anchor spikes support in double precision (their
+    curvature ~1/eps turns one coordinate ulp into a gradient jitter of
+    order 1e-7 at desk scale); smooth objectives such as the squared
+    potential certify much tighter tolerances when configured to.
     """
 
     grad_tol: float = 1e-6
@@ -87,6 +91,10 @@ class FlowTrace:
     exception: when already the first step's decrease is unrepresentable,
     the terminal repeats the starting value (the testing point must stay
     recorded, and no correct recorder can make that pair strict).
+
+    The counters record the tracer's work: ``n_value_changes`` and
+    ``n_gradients`` count objective evaluations, ``n_backtracks`` the trial
+    multipliers the Armijo test rejected. Hand-built traces leave them 0.
     """
 
     points: np.ndarray
@@ -95,6 +103,9 @@ class FlowTrace:
     step_lens: np.ndarray
     status: str
     step_vectors: np.ndarray | None = None
+    n_value_changes: int = 0
+    n_gradients: int = 0
+    n_backtracks: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.atleast_2d(np.asarray(self.points, dtype=float)))
@@ -132,10 +143,16 @@ class FlowTrace:
 def trace_flow(obj: Objective, start, cfg: FlowConfig | None = None) -> FlowTrace:
     """Trace the descent curve from ``start`` until rest, stall, or step budget.
 
-    Each iteration backtracks t from ``initial_step`` until the Armijo
-    decrease U(x - t g) <= U(x) - c t |g|^2 holds; the decrease is measured
-    with :meth:`Objective.value_change` so acceptance stays resolvable even
-    when it is far below one ulp of U. Raises :class:`NumericalError`
+    Each iteration backtracks t until the Armijo decrease
+    U(x - t g) <= U(x) - c t |g|^2 holds; the decrease is measured with
+    :meth:`Objective.value_change` so acceptance stays resolvable even when
+    it is far below one ulp of U. The search starts from the previous
+    accepted multiplier divided by ``backtrack_factor`` (``initial_step``
+    standing in for it before the first step), so t grows on flat ground
+    while Armijo keeps accepting and need not re-shrink after every step.
+    The trial is capped at max(``initial_step``, L / |g|), where L is the
+    objective's ``length_scale``: no step is longer than the anchor set
+    unless ``initial_step`` asks for that. Raises :class:`NumericalError`
     (carrying the partial trace) if U or grad U turns non-finite at an
     accepted point.
     """
@@ -147,6 +164,8 @@ def trace_flow(obj: Objective, start, cfg: FlowConfig | None = None) -> FlowTrac
         raise NumericalError(f"objective is non-finite at the starting point (U={u})")
     g = obj.gradient(x)
     gn = float(np.linalg.norm(g))
+    n_value_changes = n_backtracks = 0
+    n_gradients = 1
 
     pts = [x]
     vals = [u]
@@ -157,7 +176,8 @@ def trace_flow(obj: Objective, start, cfg: FlowConfig | None = None) -> FlowTrac
     def partial(status):
         return FlowTrace(np.array(pts), np.array(vals), np.array(gnorms),
                          np.array(slens), status,
-                         np.array(svecs) if svecs else np.empty((0, x.size)))
+                         np.array(svecs) if svecs else np.empty((0, x.size)),
+                         n_value_changes, n_gradients, n_backtracks)
 
     if not np.all(np.isfinite(g)):
         raise NumericalError("gradient is non-finite at the starting point",
@@ -173,20 +193,26 @@ def trace_flow(obj: Objective, start, cfg: FlowConfig | None = None) -> FlowTrac
     tie_at_terminal = False
     status = None
 
+    t = cfg.initial_step  # the last accepted multiplier, carried between searches
     for _ in range(cfg.max_steps):
         if gn <= cfg.grad_tol:
             status = CONVERGED
             break
 
         gsq = gn * gn
-        t = cfg.initial_step
+        # The cap keeps t finite over a long run of acceptances (an infinite
+        # t never backtracks below min_step), and keeps a step no longer than
+        # the anchor set unless initial_step itself asks for that.
+        t = min(t / cfg.backtrack_factor, max(cfg.initial_step, obj.length_scale / gn))
         accepted = False
         while t >= cfg.min_step:
             w = t * g
             delta = obj.value_change(x, -w)
+            n_value_changes += 1
             if np.isfinite(delta) and delta < 0.0 and delta <= -cfg.armijo_c * t * gsq:
                 accepted = True
                 break
+            n_backtracks += 1
             t *= cfg.backtrack_factor
         if not accepted:
             status = STALLED
@@ -194,13 +220,13 @@ def trace_flow(obj: Objective, start, cfg: FlowConfig | None = None) -> FlowTrac
 
         x_new = x - w
         if np.array_equal(x_new, x):
-            # The acceptable step is below coordinate resolution; larger
-            # multipliers were already rejected, so no representable
-            # progress exists.
+            # The accepted step is below coordinate resolution: the iterate
+            # cannot move, so stop rather than spin on an unchanged point.
             status = STALLED
             break
         x = x_new
         g = obj.gradient(x)
+        n_gradients += 1
         if not np.all(np.isfinite(g)):
             raise NumericalError("gradient turned non-finite during descent",
                                  trace=partial(STALLED))

@@ -43,16 +43,11 @@ def _require(cond, field, problem):
 KIND_PARAMETERS = {"p": "p_norm", "sigma": "gaussian_well", "weights": "weighted_euclidean"}
 
 
-def parameter_applies(name: str, kind: str) -> bool:
-    """Whether potentials of ``kind`` read the spec field ``name``."""
-    return KIND_PARAMETERS.get(name, kind) == kind
-
-
 def check_parameters(kind: str, names) -> None:
     """Raise ConfigError for the first of ``names`` that ``kind`` does not read."""
     for name in names:
-        _require(parameter_applies(name, kind), name,
-                 f"only valid for the {KIND_PARAMETERS.get(name)} kind")
+        owner = KIND_PARAMETERS.get(name, kind)
+        _require(owner == kind, name, f"only valid for the {owner} kind")
 
 
 @dataclass(frozen=True)
@@ -60,31 +55,38 @@ class PotentialSpec:
     """Declarative choice of the per-anchor potential.
 
     ``epsilon=None`` means "pick automatically when bound to anchors"
-    (see :meth:`bound`); unbound evaluation treats it as 0. ``weights``
-    applies to ``weighted_euclidean`` only and must have one positive
-    entry per anchor.
+    (see :meth:`bound`); unbound evaluation treats it as 0. ``p`` applies
+    to ``p_norm`` only (default 2.0), ``sigma`` to ``gaussian_well`` only
+    (default 1.0), and ``weights`` to ``weighted_euclidean`` only, where it
+    must have one positive entry per anchor. Any other kind rejects a value
+    given for them.
     """
 
     kind: str
-    p: float = 2.0
+    p: float | None = None
     epsilon: float | None = None
-    sigma: float = 1.0
+    sigma: float | None = None
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         _require(self.kind in KINDS, "kind",
                  f"unknown kind {self.kind!r}; expected one of {', '.join(KINDS)}")
+        check_parameters(self.kind, [name for name in KIND_PARAMETERS
+                                     if getattr(self, name) is not None])
         if self.kind == "p_norm":
+            if self.p is None:
+                object.__setattr__(self, "p", 2.0)
             _require(np.isfinite(self.p) and self.p >= 1.0, "p",
                      f"exponent must be finite and >= 1, got {self.p}")
         if self.epsilon is not None:
             _require(np.isfinite(self.epsilon) and self.epsilon >= 0.0, "epsilon",
                      f"smoothing length must be finite and >= 0, got {self.epsilon}")
         if self.kind == "gaussian_well":
+            if self.sigma is None:
+                object.__setattr__(self, "sigma", 1.0)
             _require(np.isfinite(self.sigma) and self.sigma > 0.0, "sigma",
                      f"well width must be finite and > 0, got {self.sigma}")
         if self.weights is not None:
-            check_parameters(self.kind, ["weights"])
             w = tuple(float(x) for x in self.weights)
             _require(len(w) >= 1, "weights", "must be non-empty when present")
             _require(all(np.isfinite(x) and x > 0.0 for x in w), "weights",

@@ -461,6 +461,12 @@ def test_missing_input_file_is_input_error(tmp_path, capsys):
                  id="huge-anchor-coordinate"),
     pytest.param(lambda d: d.update(potential={"kind": "gaussian_well", "sigma": 10 ** 400}),
                  "potential.sigma", id="huge-sigma"),
+    # Booleans and strings are not numbers, wherever they sit in a list.
+    pytest.param(lambda d: d["anchors"][2].__setitem__(1, True), "anchors[2][1]: expected",
+                 id="bool-anchor-coordinate"),
+    pytest.param(lambda d: d.update(potential={"kind": "weighted_euclidean",
+                                               "weights": [1.0, "2", 1.0]}),
+                 "potential.weights[1]: expected", id="string-weight"),
     # A parameter the kind does not read would be lost by serialization.
     pytest.param(lambda d: d.update(potential={"kind": "euclidean", "p": 3}), "potential.p",
                  id="p-for-euclidean"),

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from steiner import (CONVERGED, MAX_STEPS, STALLED, ConfigError, FlowConfig, FlowTrace,
-                     InputError, NumericalError, graph_residual, tangency_residual,
-                     trace_flow, weiszfeld)
+                     InputError, NumericalError, TestingPlan, generate_testing_points,
+                     graph_residual, tangency_residual, trace_flow, weiszfeld)
 
 from util import curve_trace, make_objective
 
@@ -266,3 +268,106 @@ def test_compressed_tail_keeps_strict_decrease_and_converges_deep():
     assert tangency_residual(obj, trace) <= 1e-12  # holds through the folded tail
     centroid = anchors.mean(axis=0)
     np.testing.assert_allclose(trace.terminal_point, centroid, atol=1e-9)
+
+
+def test_line_search_counters_add_up():
+    obj = make_objective([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
+    trace = trace_flow(obj, [6.0, 6.0])
+    assert trace.status == CONVERGED
+    # One gradient at the start and one per accepted step; every
+    # value_change call is either the accepted trial or a backtrack.
+    assert trace.n_value_changes - trace.n_backtracks == trace.n_gradients - 1
+    assert len(trace) <= trace.n_gradients
+    hand_built = FlowTrace(trace.points, trace.values, trace.grad_norms, trace.step_lens,
+                           trace.status)
+    assert (hand_built.n_value_changes, hand_built.n_gradients,
+            hand_built.n_backtracks) == (0, 0, 0)
+
+
+def test_warm_started_search_needs_few_value_changes_per_step():
+    # The criterion-9 instance. A search restarting at initial_step every
+    # step backtracks about ten times per accepted step here.
+    anchors = np.random.default_rng(909).uniform(0.0, 10.0, size=(10_000, 8))
+    obj = make_objective(anchors)
+    starts = generate_testing_points(TestingPlan("uniform_random", count=8, seed=1),
+                                     obj.anchors)
+    traces = [trace_flow(obj, s) for s in starts]
+    assert all(t.status == CONVERGED for t in traces)
+    steps = sum(t.n_gradients - 1 for t in traces)
+    assert sum(t.n_value_changes for t in traces) <= 4 * steps
+
+
+def test_steps_grow_across_a_plateau():
+    # Between two narrow wells the field is nearly flat; with t capped at
+    # initial_step this trace crawls through its whole step budget.
+    obj = make_objective([[0.0, 0.0], [10.0, 0.0]], kind="gaussian_well", sigma=0.5)
+    trace = trace_flow(obj, [2.0, 0.0])
+    assert trace.status == CONVERGED
+    assert len(trace) <= 200
+    assert np.linalg.norm(trace.terminal_point) <= 1e-6
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    ("euclidean", {}),
+    ("squared", {}),
+    ("p_norm", dict(p=3.0)),
+    ("gaussian_well", dict(sigma=0.5)),
+    ("gaussian_well", dict(sigma=5.0)),
+])
+@pytest.mark.parametrize("initial_step", [0.01, 1.0, 100.0])
+def test_steps_stay_within_the_growth_cap(kind, kwargs, initial_step):
+    rng = np.random.default_rng(61)
+    obj = make_objective(rng.uniform(0.0, 10.0, size=(6, 2)), kind=kind, **kwargs)
+    cfg = FlowConfig(initial_step=initial_step, max_steps=2_000)
+    for _ in range(5):
+        trace = trace_flow(obj, rng.uniform(-5.0, 15.0, size=2), cfg)
+        lengths = np.linalg.norm(trace.step_vectors, axis=1)
+        caps = np.maximum(initial_step * trace.grad_norms[:-1], obj.length_scale)
+        assert np.all(lengths <= caps * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("start, grad_tol", [
+    ([3.9, 0.0], 1e-6),     # |grad U| ~ 2e-6, just above the tolerance
+    ([5.0, 0.0], 1e-12),    # |grad U| ~ 1e-10: many doublings before the well
+    ([26.0, 0.0], 1e-300),  # |grad U| ~ 1e-292: the cap L/|g| is near overflow
+])
+def test_nearly_flat_objective_stops(start, grad_tol):
+    obj = make_objective([[0.0, 0.0]], kind="gaussian_well")
+    trace = trace_flow(obj, start, FlowConfig(grad_tol=grad_tol))
+    assert trace.status in (CONVERGED, STALLED, MAX_STEPS)
+    assert np.all(np.isfinite(trace.points))
+
+
+_KIND_PARAMETERS = {
+    "euclidean": hst.just({}),
+    "squared": hst.just({}),
+    "p_norm": hst.builds(dict, p=hst.floats(1.0, 4.0)),
+    "gaussian_well": hst.builds(dict, sigma=hst.floats(0.5, 8.0)),
+}
+
+
+@hst.composite
+def _descents(draw):
+    d = draw(hst.integers(1, 3))
+    n = draw(hst.integers(1, 5))
+    coord = hst.floats(-10.0, 10.0, allow_nan=False)
+    anchors = draw(hst.lists(hst.lists(coord, min_size=d, max_size=d),
+                             min_size=n, max_size=n))
+    kind = draw(hst.sampled_from([*_KIND_PARAMETERS, "weighted_euclidean"]))
+    if kind == "weighted_euclidean":
+        kwargs = dict(weights=tuple(draw(hst.lists(hst.floats(0.1, 10.0),
+                                                   min_size=n, max_size=n))))
+    else:
+        kwargs = draw(_KIND_PARAMETERS[kind])
+    start = draw(hst.lists(coord, min_size=d, max_size=d))
+    return make_objective(anchors, kind=kind, **kwargs), start
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_descents())
+def test_descent_invariants_property(case):
+    obj, start = case
+    trace = trace_flow(obj, start, FlowConfig(max_steps=2_000))
+    assert np.all(np.diff(trace.values)[1:] < 0.0)
+    if len(trace) >= 2:
+        assert tangency_residual(obj, trace) <= 1e-12

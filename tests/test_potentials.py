@@ -94,10 +94,19 @@ def test_p_norm_gradient_finite_on_coordinate_planes():
     (dict(kind="gaussian_well", sigma=0.0), "sigma"),
     (dict(kind="weighted_euclidean", weights=(1.0, -2.0)), "weights"),
     (dict(kind="euclidean", weights=(1.0,)), "weights"),
+    (dict(kind="euclidean", p=3.0), "p"),
+    (dict(kind="squared", sigma=-1.0), "sigma"),
 ])
 def test_invalid_specs_fail_at_construction(kwargs, field):
     with pytest.raises(ConfigError, match=field):
         PotentialSpec(**kwargs)
+
+
+def test_kind_parameters_default_only_for_their_kind():
+    assert PotentialSpec("p_norm").p == 2.0
+    assert PotentialSpec("gaussian_well").sigma == 1.0
+    spec = PotentialSpec("euclidean")
+    assert spec.p is None and spec.sigma is None
 
 
 def test_weights_are_bound_to_anchor_count():
