@@ -295,7 +295,7 @@ def cmd_solve(args) -> int:
     try:
         result = enumerate_critical_points(
             obj, plan, cfg, args.cluster_radius,
-            keep_traces=args.trace is not None, threads=args.threads)
+            keep_traces=args.trace is not None)
     except NoCriticalPointError as exc:
         _write_json(args.output, {"error": str(exc), "diagnostics": exc.diagnostics})
         print(f"error: {exc}", file=sys.stderr)
@@ -412,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--seed", type=int, default=None)
     p_solve.add_argument("--cluster-radius", type=float, default=None,
                          dest="cluster_radius")
-    p_solve.add_argument("--threads", type=int, default=1)
+    p_solve.add_argument("--threads", type=int, default=1,
+                         help="ignored (deprecated); echoed in the result")
     p_solve.set_defaults(func=cmd_solve)
 
     p_oracle = sub.add_parser("oracle", help="run an independent reference solver")

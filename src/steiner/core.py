@@ -10,6 +10,12 @@ from .potentials import PotentialSpec, batch_gradients, batch_value_changes, bat
 Point = np.ndarray
 """A D-dimensional coordinate vector (1-D float array)."""
 
+# Rows x anchors x coordinates in one (rows, n, D) displacement block of the
+# batched evaluations. Past this size a block buys no speed over per-call
+# dispatch, only peak memory; a problem with n * D above it runs one row at
+# a time, exactly like the single-point methods.
+_BLOCK_ELEMENTS = 2 ** 14
+
 
 def as_point(coords) -> np.ndarray:
     """Coerce ``coords`` to a finite 1-D float vector.
@@ -74,9 +80,10 @@ class Objective:
     smoothing length is resolved from the bounding-box diagonal and
     per-anchor weights are length-checked. ``length_scale`` keeps that
     diagonal (or, when all anchors coincide, the magnitude fallback that
-    stands in for it); the descent tracer caps its steps with it. Instances
-    are immutable and all evaluation methods are pure, so a single
-    objective may be shared by concurrent descent runs.
+    stands in for it); the descent tracer caps its steps with it.
+    ``block_rows`` is how many points the batched ``*_many`` methods, and
+    the lockstep tracer, evaluate per block. Instances are immutable and
+    all evaluation methods are pure.
     """
 
     anchors: AnchorSet
@@ -91,6 +98,8 @@ class Objective:
         if scale == 0.0:
             scale = max(1.0, float(np.abs(anchors.points).max()))
         object.__setattr__(self, "length_scale", scale)
+        object.__setattr__(self, "block_rows",
+                           max(1, _BLOCK_ELEMENTS // (anchors.n * anchors.dimension)))
         spec = self.potential.bound(scale, anchors.n)
         object.__setattr__(self, "potential", spec)
         w = None if spec.weights is None else np.asarray(spec.weights, dtype=float)
@@ -132,14 +141,66 @@ class Objective:
         disp = x - self.anchors.points
         return float(batch_value_changes(self.potential, disp, m, self._weights).sum())
 
-    def value_many(self, points) -> np.ndarray:
-        """U at each row of ``points`` (shape (m, D)); used by batch scans."""
+    def check_points(self, points) -> np.ndarray:
+        """Coerce ``points`` to a finite (m, D) float array, as :meth:`check_point` does one."""
+        pts = self._rows(points)
+        finite_rows = np.isfinite(pts).all(axis=1)
+        if not finite_rows.all():
+            bad = int(np.flatnonzero(~finite_rows)[0])
+            raise InputError(f"points[{bad}]: coordinates must be finite")
+        return pts
+
+    def _rows(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.anchors.dimension:
             raise InputError(
                 f"points: expected shape (m, {self.anchors.dimension}), got {pts.shape}")
-        disp = pts[:, None, :] - self.anchors.points[None, :, :]
+        return pts
+
+    # Unchecked kernels on displacements x - a_i of shape (rows, n, D): the
+    # batched methods below and the lockstep tracer evaluate through these.
+
+    def _displacements(self, points: np.ndarray) -> np.ndarray:
+        return points[:, None, :] - self.anchors.points
+
+    def _values(self, disp: np.ndarray) -> np.ndarray:
         return batch_values(self.potential, disp, self._weights).sum(axis=1)
+
+    def _gradients(self, disp: np.ndarray) -> np.ndarray:
+        return batch_gradients(self.potential, disp, self._weights).sum(axis=1)
+
+    def _value_changes(self, disp: np.ndarray, moves: np.ndarray) -> np.ndarray:
+        return batch_value_changes(self.potential, disp, moves, self._weights).sum(axis=1)
+
+    def _per_row(self, kernel, points, *moves) -> np.ndarray:
+        """Evaluate ``kernel`` for each row of ``points`` (shape (m, D)).
+
+        Rows go through in blocks of ``block_rows``, so each (rows, n, D)
+        displacement array stays within the block budget. Each row's result
+        is bit for bit what the single-point method gives for it. Shapes are
+        checked; coordinates are not (see :meth:`check_points`).
+        """
+        pts = self._rows(points)
+        moves = [np.asarray(mv, dtype=float) for mv in moves]
+        for mv in moves:
+            if mv.shape != pts.shape:
+                raise InputError(f"moves: expected shape {pts.shape}, got {mv.shape}")
+        step = self.block_rows
+        out = [kernel(self._displacements(pts[lo:lo + step]), *(mv[lo:lo + step] for mv in moves))
+               for lo in range(0, max(len(pts), 1), step)]
+        return out[0] if len(out) == 1 else np.concatenate(out)
+
+    def value_many(self, points) -> np.ndarray:
+        """U at each row of ``points``."""
+        return self._per_row(self._values, points)
+
+    def gradient_many(self, points) -> np.ndarray:
+        """Gradient of U at each row of ``points``; shape (m, D)."""
+        return self._per_row(self._gradients, points)
+
+    def value_change_many(self, points, moves) -> np.ndarray:
+        """:meth:`value_change` for each row of ``points`` and the same row of ``moves``."""
+        return self._per_row(self._value_changes, points, moves)
 
 
 def objective_value(obj: Objective, point) -> float:
@@ -159,15 +220,20 @@ def finite_difference_gradient(obj: Objective, point, h: float) -> np.ndarray:
     derivative code with the analytic path.
     """
     x = obj.check_point(point)
+    return _central_differences(obj, x[None, :], h)[0]
+
+
+def _central_differences(obj: Objective, points: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference gradients at each row of ``points``; shape (m, D)."""
     if not (np.isfinite(h) and h > 0.0):
         raise InputError(f"h: step must be finite and > 0, got {h}")
-    d = x.size
-    probes = np.repeat(x[None, :], 2 * d, axis=0)
+    m, d = points.shape
+    probes = np.repeat(points[:, None, :], 2 * d, axis=1)
     idx = np.arange(d)
-    probes[2 * idx, idx] += h
-    probes[2 * idx + 1, idx] -= h
-    vals = obj.value_many(probes)
-    return (vals[0::2] - vals[1::2]) / (2.0 * h)
+    probes[:, 2 * idx, idx] += h
+    probes[:, 2 * idx + 1, idx] -= h
+    vals = obj.value_many(probes.reshape(-1, d)).reshape(m, 2 * d)
+    return (vals[:, 0::2] - vals[:, 1::2]) / (2.0 * h)
 
 
 def max_relative_gradient_error(obj: Objective, points, h: float) -> float:
@@ -178,9 +244,9 @@ def max_relative_gradient_error(obj: Objective, points, h: float) -> float:
     numerically flat, and the finite difference therefore measures only
     roundoff, do not dominate the statistic.
     """
-    pts = np.asarray(points, dtype=float)
-    ga = np.array([obj.gradient(p) for p in pts])
-    gf = np.array([finite_difference_gradient(obj, p, h) for p in pts])
+    pts = obj.check_points(points)
+    ga = obj.gradient_many(pts)
+    gf = _central_differences(obj, pts, h)
     norms_a = np.linalg.norm(ga, axis=1)
     norms_f = np.linalg.norm(gf, axis=1)
     scale = max(1.0, float(norms_a.max()), float(norms_f.max()))

@@ -9,14 +9,15 @@ flagged by a negative-curvature probe, and lose the value comparison
 unless they genuinely are the minimum.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import AnchorSet, Objective
 from .errors import ConfigError, InputError, NoCriticalPointError
-from .flow import CONVERGED, FlowConfig, FlowTrace, trace_flow
+from .flow import CONVERGED, MAX_STEPS, STALLED, FlowConfig, FlowTrace, trace_flows
+from .flow import trace_flow  # noqa: F401  (benchmarks/spans.py wraps it here)
 
 STRATEGIES = ("grid", "uniform_random", "anchors_jittered")
 
@@ -155,19 +156,45 @@ def generate_testing_points(plan: TestingPlan, anchors: AnchorSet | None = None)
 
 
 def _single_linkage(points: np.ndarray, radius: float) -> list[list[int]]:
-    """Chains of points within ``radius`` of a member merge into one cluster."""
-    clusters: list[list[int]] = []
-    for idx in range(len(points)):
-        hits = [ci for ci, members in enumerate(clusters)
-                if np.min(np.linalg.norm(points[members] - points[idx], axis=1)) <= radius]
-        if not hits:
-            clusters.append([idx])
+    """Chains of points within ``radius`` of a member merge into one cluster.
+
+    ``points`` must be sorted on axis 0. A sweep compares each point with
+    the later points whose axis-0 coordinate lies within ``2 * radius`` of
+    its own (twice, so that rounding in the window bound never hides a pair
+    the distance test accepts) and are not yet in its component, and
+    unites it with those within ``radius`` (the Euclidean distance as
+    ``np.linalg.norm`` computes it); every component's root is its smallest
+    index. Clusters come in the order of their smallest member, members in
+    ascending order. (The incremental merge this replaced listed merged
+    members out of order, so where cluster members tie exactly in value the
+    representative chosen from them may differ from before.)
+    """
+    parent = np.arange(len(points))
+
+    def roots(idx):
+        r = parent[idx]
+        while True:
+            up = parent[r]
+            if np.array_equal(up, r):
+                return r
+            r = up
+
+    ends = np.searchsorted(points[:, 0], points[:, 0] + 2.0 * radius, side="right")
+    for i, end in enumerate(ends.tolist()):
+        tops = roots(np.arange(i, end))
+        # Pairs already in one component need no distance.
+        later = i + 1 + np.flatnonzero(tops[1:] != tops[0])
+        if not later.size:
             continue
-        keep = hits[0]
-        for ci in reversed(hits[1:]):
-            clusters[keep].extend(clusters.pop(ci))
-        clusters[keep].append(idx)
-    return clusters
+        diff = points[later] - points[i]
+        near = later[np.sqrt(np.add.reduce(diff * diff, axis=1)) <= radius]
+        if near.size:
+            linked = np.append(near, i)
+            tops = roots(linked)
+            parent[tops] = parent[linked] = tops.min()
+    labels = roots(np.arange(len(points)))
+    order = np.argsort(labels, kind="stable")
+    return [c.tolist() for c in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)]
 
 
 def _probe_negative_curvature(obj: Objective, x: np.ndarray, scale: float,
@@ -179,13 +206,11 @@ def _probe_negative_curvature(obj: Objective, x: np.ndarray, scale: float,
     for _ in range(d):
         v = rng.normal(size=d)
         dirs.append(v / np.linalg.norm(v))
-    u0 = obj.value(x)
-    diffs = []
-    for v in dirs:
-        diffs.append((obj.value(x + delta * v) - 2.0 * u0 + obj.value(x - delta * v))
-                     / (delta * delta))
-    worst = min(diffs)
-    return worst < -1e-7 * max(1.0, max(abs(s) for s in diffs))
+    steps = delta * np.array(dirs)
+    u = obj.value_many(np.concatenate([x[None, :], x + steps, x - steps]))
+    u0, plus, minus = u[0], u[1:2 * d + 1], u[2 * d + 1:]
+    diffs = (plus - 2.0 * u0 + minus) / (delta * delta)
+    return bool(diffs.min() < -1e-7 * max(1.0, float(np.abs(diffs).max())))
 
 
 def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
@@ -203,7 +228,13 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
     :class:`NoCriticalPointError` when no trace converges. ``points``
     overrides the generated testing points (the plan still supplies box
     and seed), which callers use to transform start sets consistently.
+    The testing points, and then the cluster representatives, are traced
+    in lockstep blocks (:func:`~steiner.flow.trace_flows`). ``threads`` is
+    deprecated and ignored.
     """
+    if threads != 1:
+        warnings.warn("enumerate_critical_points: threads is ignored; the testing points "
+                      "are traced in lockstep", DeprecationWarning, stacklevel=2)
     plan = plan or TestingPlan()
     cfg = cfg or FlowConfig()
     box = plan.domain_box if plan.domain_box is not None else default_domain_box(obj.anchors)
@@ -217,45 +248,50 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
     if points is None:
         points = generate_testing_points(plan, obj.anchors)
     else:
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != obj.dimension:
-            raise InputError(
-                f"points: expected shape (m, {obj.dimension}), got {points.shape}")
+        points = obj.check_points(points)
 
     if cluster_radius is None:
         cluster_radius = DEFAULT_CLUSTER_RADIUS_FACTOR * diagonal
     if not cluster_radius > 0.0:
         raise ConfigError(f"cluster_radius: must be > 0, got {cluster_radius}")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            traces = list(pool.map(lambda p: trace_flow(obj, p, cfg), points))
-    else:
-        traces = [trace_flow(obj, p, cfg) for p in points]
+    # Keep only each trace's end unless the caller wants the traces, so that
+    # one block of traces is alive at a time.
+    statuses: list[str] = []
+    terminals = np.empty((len(points), obj.dimension))
+    values = np.empty(len(points))
+    traces = [] if keep_traces else None
+    for k, trace in enumerate(trace_flows(obj, points, cfg)):
+        statuses.append(trace.status)
+        terminals[k], values[k] = trace.terminal_point, trace.terminal_value
+        if keep_traces:
+            traces.append(trace)
 
     diagnostics = {
         "testing_points": len(points),
-        "converged": sum(t.status == CONVERGED for t in traces),
-        "stalled": sum(t.status == "stalled" for t in traces),
-        "max_steps": sum(t.status == "max_steps" for t in traces),
+        "converged": statuses.count(CONVERGED),
+        "stalled": statuses.count(STALLED),
+        "max_steps": statuses.count(MAX_STEPS),
     }
-    converged = [t for t in traces if t.status == CONVERGED]
-    if not converged:
+    converged = np.array(statuses) == CONVERGED
+    if not converged.any():
         raise NoCriticalPointError(
             "no descent run reached a rest point; see diagnostics", diagnostics)
 
-    terminals = np.array([t.terminal_point for t in converged])
-    values = np.array([t.terminal_value for t in converged])
+    terminals, values = terminals[converged], values[converged]
     # Sort terminals first so the reduction is deterministic regardless of
     # trace execution order.
     order = np.lexsort(terminals.T[::-1])
     terminals, values = terminals[order], values[order]
 
     polish_cfg = replace(cfg, grad_tol=cfg.grad_tol / 10.0)
+    clusters = _single_linkage(terminals, cluster_radius)
+    # Members are in ascending order, so an exact value tie picks the
+    # lexicographically smallest terminal.
+    bests = [members[int(np.argmin(values[members]))] for members in clusters]
     reps: list[tuple[np.ndarray, float, float, int]] = []
-    for members in _single_linkage(terminals, cluster_radius):
-        best = members[int(np.argmin(values[members]))]
-        polished = trace_flow(obj, terminals[best], polish_cfg)
+    for members, best, polished in zip(clusters, bests,
+                                       trace_flows(obj, terminals[bests], polish_cfg)):
         loc, gn = polished.terminal_point, polished.terminal_grad_norm
         if gn > cfg.grad_tol:
             loc = terminals[best]
@@ -296,7 +332,7 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
 
     return SteinerResult(steiner=select_steiner(crit), critical_set=crit,
                          diagnostics=diagnostics,
-                         traces=traces if keep_traces else None)
+                         traces=traces)
 
 
 def select_steiner(critical_set: list[CriticalPoint]) -> CriticalPoint:

@@ -8,7 +8,8 @@ and the trajectory is realized as first-order descent
 
 with a backtracking Armijo line search choosing t. The accepted iterates
 form a polyline (the iterative curve) ending at a rest point where the
-gradient norm falls below the configured tolerance.
+gradient norm falls below the configured tolerance. Many starts are traced
+in lockstep blocks (:func:`trace_flows`), bit for bit as one at a time.
 
 Two residual operations verify traced curves against the defining
 properties of flow lines: every step parallel to the local force
@@ -17,7 +18,7 @@ integral equations relating the remaining coordinates to the axis
 coordinate (:func:`graph_residual`).
 """
 
-import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -154,125 +155,252 @@ def trace_flow(obj: Objective, start, cfg: FlowConfig | None = None) -> FlowTrac
     objective's ``length_scale``: no step is longer than the anchor set
     unless ``initial_step`` asks for that. Raises :class:`NumericalError`
     (carrying the partial trace) if U or grad U turns non-finite at an
-    accepted point.
+    accepted point. This is the one-start case of :func:`trace_flows`.
+    """
+    traces, failure = _descend(obj, obj.check_point(start)[None, :], cfg or FlowConfig())
+    if failure is not None:
+        _, message, partial = failure
+        raise NumericalError(message, trace=partial)
+    return traces[0]
+
+
+def trace_flows(obj: Objective, starts, cfg: FlowConfig | None = None) -> Iterator[FlowTrace]:
+    """Trace descent from every row of ``starts`` (shape (m, D)); yield the traces in order.
+
+    The starts advance in lockstep, ``obj.block_rows`` at a time, and each
+    trace, its status and its counters equal those of :func:`trace_flow`
+    from the same start bit for bit. A block's traces are yielded once the
+    block is done, so a caller that keeps only what it needs of each trace
+    holds one block of traces at a time. When a trace fails, the blocks
+    before the failing one are yielded and then the lowest-index failing
+    start's :class:`NumericalError` is raised, with "start <k>: " before
+    its message and its partial trace. ``starts`` is checked before this
+    returns.
     """
     cfg = cfg or FlowConfig()
-    x = obj.check_point(start)
+    starts = obj.check_points(starts)
 
-    u = obj.value(x)
-    if not np.isfinite(u):
-        raise NumericalError(f"objective is non-finite at the starting point (U={u})")
-    g = obj.gradient(x)
-    gn = float(np.linalg.norm(g))
-    n_value_changes = n_backtracks = 0
-    n_gradients = 1
+    def blocks():
+        for lo in range(0, len(starts), obj.block_rows):
+            traces, failure = _descend(obj, starts[lo:lo + obj.block_rows], cfg)
+            if failure is not None:
+                row, message, partial = failure
+                raise NumericalError(f"start {lo + row}: {message}", trace=partial)
+            yield from traces
 
-    pts = [x]
-    vals = [u]
-    gnorms = [gn]
-    slens = [0.0]
-    svecs: list[np.ndarray] = []
+    return blocks()
 
-    def partial(status):
-        return FlowTrace(np.array(pts), np.array(vals), np.array(gnorms),
-                         np.array(slens), status,
-                         np.array(svecs) if svecs else np.empty((0, x.size)),
-                         n_value_changes, n_gradients, n_backtracks)
 
-    if not np.all(np.isfinite(g)):
-        raise NumericalError("gradient is non-finite at the starting point",
-                             trace=partial(STALLED))
+class _Running:
+    """Per-row state of the rows of a lockstep block that are still running.
 
-    # Kahan-style carry keeps sub-ulp decreases from being lost before they
-    # accumulate into a representable drop of the recorded value.
-    pending_drop = 0.0
-    pending_len = 0.0
-    # The first step must not overwrite the testing-point sample even when
-    # its decrease is below one ulp; the resulting value tie sits at the
-    # terminal and is absorbed by the next resolvable drop.
-    tie_at_terminal = False
-    status = None
+    One entry per row, in start order; :meth:`keep` drops rows that stop.
+    ``row`` is the start index. The terminal sample of a row is (``x``,
+    ``u``, ``gn``, ``length``): its point and gradient norm are always the
+    current ones; earlier samples are committed to the log and never change.
+    ``disp`` holds x - a_i, shared by the gradient at x and the line search
+    that leaves x. ``w``, ``delta`` and ``gsq`` belong to the current step.
+    """
 
-    t = cfg.initial_step  # the last accepted multiplier, carried between searches
+    FIELDS = ("row", "x", "disp", "g", "gn", "t", "u", "length", "carry", "tie", "samples",
+              "counts", "w", "delta", "gsq")
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+    def keep(self, mask):
+        for name in self.FIELDS:
+            setattr(self, name, getattr(self, name)[mask])
+
+
+def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
+    """The descent loop: trace every row of ``starts`` in lockstep.
+
+    Each iteration takes one step on every running row: rows at rest
+    converge, the rest run a backtracking search together (a row leaves it
+    on acceptance, or stalls when t drops below ``min_step``), and the rows
+    that moved get one batched gradient. All arithmetic is per row and in
+    the order of a single-row run, so a row's trace does not depend on the
+    others. Returns (traces, None), or (None, (row, message, partial
+    trace)) for the lowest row whose U or grad U turned non-finite; rows
+    above a failed one stop, as a sequential run would never reach them.
+    """
+    m, d = starts.shape
+    status: list[str | None] = [None] * m
+    failure = None
+    # Committed samples, one list of per-step arrays per column: start index,
+    # point, value, gradient norm, step length and the step that left it.
+    log: list[list[np.ndarray]] = [[] for _ in range(6)]
+    # The terminal sample and the counters (value changes, gradients,
+    # backtracks) of each start, filled in when its row stops.
+    end_x = np.empty((m, d))
+    end_u, end_gn, end_len = np.empty(m), np.empty(m), np.empty(m)
+    end_counts = np.zeros((m, 3), dtype=int)
+
+    disp = obj._displacements(starts)
+    run = _Running(
+        row=np.arange(m), x=starts, disp=disp, g=np.zeros((m, d)), gn=np.zeros(m),
+        t=np.full(m, cfg.initial_step),  # the last accepted multiplier, carried between searches
+        u=obj._values(disp), length=np.zeros(m),
+        # Kahan-style carry keeps sub-ulp decreases from being lost before
+        # they accumulate into a representable drop of the recorded value.
+        carry=np.zeros(m),
+        # The first step must not overwrite the testing-point sample even
+        # when its decrease is below one ulp; the resulting value tie sits at
+        # the terminal and is absorbed by the next resolvable drop.
+        tie=np.zeros(m, dtype=bool), samples=np.ones(m, dtype=int),
+        counts=np.zeros((m, 3), dtype=int), w=np.zeros((m, d)), delta=np.zeros(m),
+        gsq=np.zeros(m))
+
+    def stop(mask, why):
+        """End the masked rows with status ``why`` and drop them."""
+        rows = run.row[mask]
+        for row in rows.tolist():
+            status[row] = why
+        end_x[rows], end_u[rows], end_gn[rows] = run.x[mask], run.u[mask], run.gn[mask]
+        end_len[rows], end_counts[rows] = run.length[mask], run.counts[mask]
+        run.keep(~mask)
+
+    def traces(rows, columns):
+        """FlowTraces of ``rows`` (ascending) from ``columns`` of the log and
+        the terminal samples.
+
+        Consumes ``columns``: each is joined, put in row order and freed in
+        turn, so the peak memory stays near that of the result.
+        """
+        owners = np.concatenate([*columns[0], np.empty(0, dtype=int)])
+        mine = np.flatnonzero(np.isin(owners, rows))
+        # Each row's committed samples in step order, then its terminal one.
+        sample_at = np.concatenate([mine, len(owners) + np.arange(len(rows))])[
+            np.argsort(np.concatenate([owners[mine], rows]), kind="stable")]
+        step_at = mine[np.argsort(owners[mine], kind="stable")]
+        sizes = np.bincount(owners[mine], minlength=m)[rows]
+        sample_bounds = np.concatenate([[0], np.cumsum(sizes + 1)]).tolist()
+        step_bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+
+        def split(pieces, last, at, bounds):
+            joined = np.concatenate([*pieces, last])[at]
+            pieces.clear()
+            return [joined[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+        per_row = [split(pieces, terminal[rows], sample_at, sample_bounds)
+                   for pieces, terminal in zip(columns[1:5], (end_x, end_u, end_gn, end_len))]
+        per_row.append(split(columns[5], np.empty((0, d)), step_at, step_bounds))
+        return [FlowTrace(p, v, g, s, status[r], sv, *end_counts[r].tolist())
+                for r, p, v, g, s, sv in zip(rows.tolist(), *per_row)]
+
+    def fail(bad, message, with_trace=True):
+        """Record the first failing row; it and every later row stop.
+
+        Returns the mask of the rows that keep running."""
+        nonlocal failure
+        first = int(np.flatnonzero(bad)[0])
+        row = int(run.row[first])
+        positions = np.arange(len(run.row))
+        stop(positions == first, STALLED)
+        run.keep(positions[:-1] < first)
+        partial = (traces(np.array([row]), [list(column) for column in log])[0]
+                   if with_trace else None)
+        failure = (row, message, partial)
+        return positions < first
+
+    bad = ~np.isfinite(run.u)
+    if bad.any():
+        fail(bad, f"objective is non-finite at the starting point "
+                  f"(U={float(run.u[np.flatnonzero(bad)[0]])})", with_trace=False)
+    run.g = obj._gradients(run.disp)
+    run.gn = np.sqrt(np.vecdot(run.g, run.g))
+    run.counts[:, 1] = 1
+    bad = ~np.isfinite(run.g).all(axis=1)
+    if bad.any():
+        fail(bad, "gradient is non-finite at the starting point")
+
     for _ in range(cfg.max_steps):
-        if gn <= cfg.grad_tol:
-            status = CONVERGED
+        at_rest = run.gn <= cfg.grad_tol
+        if at_rest.any():
+            stop(at_rest, CONVERGED)
+        if not run.row.size:
             break
 
-        gsq = gn * gn
+        run.gsq = run.gn * run.gn
         # The cap keeps t finite over a long run of acceptances (an infinite
         # t never backtracks below min_step), and keeps a step no longer than
         # the anchor set unless initial_step itself asks for that.
-        t = min(t / cfg.backtrack_factor, max(cfg.initial_step, obj.length_scale / gn))
-        accepted = False
-        while t >= cfg.min_step:
-            w = t * g
-            delta = obj.value_change(x, -w)
-            n_value_changes += 1
-            if np.isfinite(delta) and delta < 0.0 and delta <= -cfg.armijo_c * t * gsq:
-                accepted = True
-                break
-            n_backtracks += 1
-            t *= cfg.backtrack_factor
-        if not accepted:
-            status = STALLED
-            break
+        run.t = np.minimum(run.t / cfg.backtrack_factor,
+                           np.maximum(cfg.initial_step, obj.length_scale / run.gn))
+        # Backtracking search; a row leaves it on its first accepted trial.
+        k = len(run.row)
+        run.w, run.delta = np.empty((k, d)), np.empty(k)
+        tries, accepted = np.zeros(k, dtype=int), np.zeros(k, dtype=bool)
+        pos, ts, gs, ds, gq = np.arange(k), run.t, run.g, run.disp, run.gsq
+        trials = 0
+        while True:
+            short = ts < cfg.min_step
+            if short.any():
+                tries[pos[short]] = trials
+                pos, ts, gs, ds, gq = (a[~short] for a in (pos, ts, gs, ds, gq))
+                if not pos.size:
+                    break
+            ws = ts[:, None] * gs
+            trial = obj._value_changes(ds, -ws)
+            ok = np.isfinite(trial) & (trial < 0.0) & (trial <= -cfg.armijo_c * ts * gq)
+            if ok.any():
+                done = pos[ok]
+                run.t[done], run.w[done], run.delta[done] = ts[ok], ws[ok], trial[ok]
+                tries[done], accepted[done] = trials + 1, True
+                if ok.all():
+                    break
+                pos, ts, gs, ds, gq = (a[~ok] for a in (pos, ts, gs, ds, gq))
+            trials += 1
+            ts = ts * cfg.backtrack_factor
+        run.counts[:, 0] += tries
+        run.counts[:, 2] += tries - accepted
+        if not accepted.all():
+            stop(~accepted, STALLED)
 
-        x_new = x - w
-        if np.array_equal(x_new, x):
+        x_new = run.x - run.w
+        still = (x_new == run.x).all(axis=1)
+        if still.any():
             # The accepted step is below coordinate resolution: the iterate
             # cannot move, so stop rather than spin on an unchanged point.
-            status = STALLED
-            break
-        x = x_new
-        g = obj.gradient(x)
-        n_gradients += 1
-        if not np.all(np.isfinite(g)):
-            raise NumericalError("gradient turned non-finite during descent",
-                                 trace=partial(STALLED))
-        gn = float(np.linalg.norm(g))
+            stop(still, STALLED)
+            x_new = x_new[~still]
+        disp = obj._displacements(x_new)
+        g = obj._gradients(disp)
+        run.counts[:, 1] += 1
+        bad = ~np.isfinite(g).all(axis=1)
+        if bad.any():
+            keep = fail(bad, "gradient turned non-finite during descent")
+            x_new, disp, g = x_new[keep], disp[keep], g[keep]
+        gn = np.sqrt(np.vecdot(g, g))
 
-        pending_drop += delta
-        pending_len += t * math.sqrt(gsq)
-        u_new = vals[-1] + pending_drop
-        if u_new < vals[-1] and not tie_at_terminal:
-            # Resolvable decrease: append a new sample. The step just taken
-            # departed the recorded terminal sample, so -w is its tangent
-            # record.
-            pending_drop -= u_new - vals[-1]
-            pts.append(x)
-            vals.append(u_new)
-            gnorms.append(gn)
-            slens.append(pending_len)
-            svecs.append(-w)
-            pending_len = 0.0
-        elif u_new < vals[-1]:
-            # A resolvable decrease absorbs the terminal value tie.
-            pending_drop -= u_new - vals[-1]
-            pts[-1] = x
-            vals[-1] = u_new
-            gnorms[-1] = gn
-            slens[-1] += pending_len
-            pending_len = 0.0
-            tie_at_terminal = False
-        elif len(pts) == 1:
-            pts.append(x)
-            vals.append(u_new)
-            gnorms.append(gn)
-            slens.append(pending_len)
-            svecs.append(-w)
-            pending_len = 0.0
-            tie_at_terminal = True
-        else:
-            # Sub-ulp decrease: slide the terminal sample forward in place.
-            pts[-1] = x
-            gnorms[-1] = gn
-            slens[-1] += pending_len
-            pending_len = 0.0
-    else:
-        status = CONVERGED if gn <= cfg.grad_tol else MAX_STEPS
+        pending = run.carry + run.delta
+        u_new = run.u + pending
+        drop = u_new < run.u
+        run.carry = np.where(drop, pending - (u_new - run.u), pending)
+        # A resolvable decrease appends a sample, or absorbs a terminal value
+        # tie; the first step appends even a sub-ulp decrease (as a tie);
+        # any later sub-ulp decrease slides the terminal sample forward.
+        first = run.samples == 1
+        append = (drop & ~run.tie) | (~drop & first)
+        step_len = run.t * np.sqrt(run.gsq)
+        if append.any():
+            # The step just taken departed the terminal sample, so -w is its
+            # tangent record.
+            for column, value in zip(log, (run.row, run.x, run.u, run.gn, run.length, -run.w)):
+                column.append(value[append])
+            run.samples = run.samples + append
+        run.length = np.where(append, step_len, run.length + step_len)
+        run.u = np.where(drop | append, u_new, run.u)
+        run.tie = np.where(drop, False, run.tie | (~drop & first))
+        run.x, run.disp, run.g, run.gn = x_new, disp, g, gn
 
-    return partial(status)
+    at_rest = run.gn <= cfg.grad_tol
+    stop(at_rest, CONVERGED)
+    stop(np.ones(len(run.row), dtype=bool), MAX_STEPS)
+    if failure is not None:
+        return None, failure
+    return traces(np.arange(m), log), None
 
 
 def tangency_residual(obj: Objective, trace: FlowTrace) -> float:
@@ -288,21 +416,15 @@ def tangency_residual(obj: Objective, trace: FlowTrace) -> float:
     if len(trace) < 2:
         raise InputError("trace: tangency residual needs at least 2 samples")
     use_stored = trace.step_vectors is not None and len(trace.step_vectors) == len(trace) - 1
-    worst = 0.0
-    for k in range(len(trace) - 1):
-        s = trace.step_vectors[k] if use_stored else pts[k + 1] - pts[k]
-        ns = float(np.linalg.norm(s))
-        if ns == 0.0:
-            continue
-        d = -obj.gradient(pts[k])
-        nd = float(np.linalg.norm(d))
-        if nd == 0.0:
-            continue
-        s_hat = s / ns
-        d_hat = d / nd
-        perp = s_hat - np.dot(s_hat, d_hat) * d_hat
-        worst = max(worst, float(np.linalg.norm(perp)))
-    return worst
+    steps = trace.step_vectors if use_stored else np.diff(pts, axis=0)
+    forces = -obj.gradient_many(obj.check_points(pts[:-1]))
+    ns = np.sqrt(np.vecdot(steps, steps))
+    nd = np.sqrt(np.vecdot(forces, forces))
+    keep = (ns != 0.0) & (nd != 0.0)
+    s_hat = steps[keep] / ns[keep, None]
+    d_hat = forces[keep] / nd[keep, None]
+    perp = s_hat - np.vecdot(s_hat, d_hat)[:, None] * d_hat
+    return float(np.sqrt(np.vecdot(perp, perp)).max(initial=0.0))
 
 
 def graph_residual(obj: Objective, trace: FlowTrace, axis: int = 0,
@@ -330,7 +452,7 @@ def graph_residual(obj: Objective, trace: FlowTrace, axis: int = 0,
     if m < 2:
         return None
 
-    grads = np.array([obj.gradient(p) for p in pts])
+    grads = obj.gradient_many(obj.check_points(pts))
     ga = grads[:, axis]
     if slope_floor is None:
         peak = float(np.abs(ga).max())

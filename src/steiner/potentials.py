@@ -199,15 +199,18 @@ def batch_value_changes(spec: PotentialSpec, disp: np.ndarray, move: np.ndarray,
                         weights=None) -> np.ndarray:
     """U(v + move) - U(v) per displacement row, computed cancellation-free.
 
-    ``move`` is a single D-vector shared by all rows. Accuracy is relative
-    to the *change* itself, not to the absolute potential values, so
-    decreases far below one ulp of the total objective remain resolvable.
+    ``disp`` has shape (..., n, D) and ``move`` shape (..., D): each move is
+    shared by the n rows at its leading index (for a (n, D) ``disp``, one
+    D-vector moves them all). Accuracy is relative to the *change* itself,
+    not to the absolute potential values, so decreases far below one ulp of
+    the total objective remain resolvable.
     """
     eps = _eps(spec)
     kind = spec.kind
-    new = disp + move
     # |v + m|^2 - |v|^2 without forming the two large squares.
-    dr2 = 2.0 * np.einsum("...i,i->...", disp, move) + float(np.dot(move, move))
+    dr2 = 2.0 * np.einsum("...ni,...i->...n", disp, move) + np.vecdot(move, move)[..., None]
+    move = move[..., None, :]
+    new = disp + move
     if kind in ("euclidean", "weighted_euclidean"):
         e2 = eps * eps
         denom = np.sqrt(_sq_norm(new) + e2) + np.sqrt(_sq_norm(disp) + e2)

@@ -424,13 +424,13 @@ def test_gradcheck_passes_and_reports(tmp_path):
 
 
 def test_gradcheck_detects_corrupted_gradient(tmp_path, monkeypatch):
-    exact = Objective.gradient
+    exact = Objective.gradient_many
 
-    def corrupted(self, point):
-        g = exact(self, point)
-        return g + 1e-3 * (1.0 + np.linalg.norm(g))
+    def corrupted(self, points):
+        g = exact(self, points)
+        return g + 1e-3 * (1.0 + np.linalg.norm(g, axis=1, keepdims=True))
 
-    monkeypatch.setattr(Objective, "gradient", corrupted)
+    monkeypatch.setattr(Objective, "gradient_many", corrupted)
     inp = write_instance(tmp_path, RIGHT_TRIANGLE_INSTANCE)
     rep = tmp_path / "gradcheck.json"
     code = main(["gradcheck", "--input", str(inp), "--samples", "50",

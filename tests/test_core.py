@@ -218,3 +218,41 @@ def test_value_change_resolves_below_one_ulp_of_the_value():
     assert change < 0.0
     assert abs(change) < np.spacing(obj.value(x))  # plain subtraction would round away
     assert abs(change - exact) <= 1e-6 * abs(exact)
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    ("euclidean", {}),
+    ("squared", {}),
+    ("p_norm", dict(p=3.0)),
+    ("gaussian_well", dict(sigma=2.0)),
+    ("weighted_euclidean", dict(weights=(1.0, 2.0, 0.5, 3.0, 1.5))),
+])
+@pytest.mark.parametrize("n", [5, 2_000])  # at n = 2000 a block holds 2 rows
+def test_many_methods_match_single_point_methods_bit_for_bit(kind, kwargs, n):
+    rng = np.random.default_rng(n)
+    anchors = rng.uniform(0.0, 10.0, size=(n, 3))
+    if kind == "weighted_euclidean":
+        kwargs = dict(weights=tuple(rng.uniform(0.5, 2.0, size=n)))
+    obj = make_objective(anchors, kind=kind, **kwargs)
+    assert obj.block_rows == (1092 if n == 5 else 2)
+    points = rng.uniform(-2.0, 12.0, size=(7, 3))
+    points[0] = anchors[0]
+    moves = rng.normal(size=(7, 3)) * 10.0 ** rng.uniform(-12.0, 0.0, size=(7, 1))
+    values = obj.value_many(points)
+    grads = obj.gradient_many(points)
+    changes = obj.value_change_many(points, moves)
+    for k, (p, mv) in enumerate(zip(points, moves)):
+        assert values[k] == obj.value(p)
+        np.testing.assert_array_equal(grads[k], obj.gradient(p))
+        assert changes[k] == obj.value_change(p, mv)
+
+
+def test_many_methods_check_shapes():
+    obj = make_objective([[0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(InputError, match="points"):
+        obj.gradient_many([1.0, 2.0])
+    with pytest.raises(InputError, match="moves"):
+        obj.value_change_many([[1.0, 2.0]], [1.0, 2.0])
+    with pytest.raises(InputError, match=r"points\[1\]: coordinates must be finite"):
+        obj.check_points([[1.0, 2.0], [np.inf, 0.0]])
+    assert obj.gradient_many(np.empty((0, 2))).shape == (0, 2)

@@ -8,6 +8,7 @@ from steiner import (AnchorSet, ConfigError, CriticalPoint, FlowConfig, InputErr
                      enumerate_critical_points, generate_testing_points, grid_search,
                      select_steiner, weiszfeld)
 
+from steiner.critical_set import _single_linkage
 from util import make_objective, random_rotation
 
 RIGHT_TRIANGLE = [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]
@@ -170,7 +171,8 @@ def test_threaded_enumeration_matches_sequential():
     obj = make_objective(rng.uniform(0.0, 10.0, size=(8, 2)))
     plan = TestingPlan("grid", count=9, seed=2)
     seq = enumerate_critical_points(obj, plan)
-    par = enumerate_critical_points(obj, plan, threads=4)
+    with pytest.warns(DeprecationWarning, match="threads is ignored"):
+        par = enumerate_critical_points(obj, plan, threads=4)
     assert len(seq.critical_set) == len(par.critical_set)
     np.testing.assert_array_equal(seq.steiner.location, par.steiner.location)
     assert seq.steiner.value == par.steiner.value
@@ -274,3 +276,48 @@ def test_select_steiner_breaks_ties_lexicographically():
 def test_select_steiner_rejects_empty():
     with pytest.raises(InputError):
         select_steiner([])
+
+
+def _connected_components(points, radius):
+    """Brute force: propagate the smallest index over every pair within radius."""
+    near = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1) <= radius
+    label = np.arange(len(points))
+    while True:
+        spread = np.where(near, label[None, :], len(points)).min(axis=1)
+        if np.array_equal(spread, label):
+            break
+        label = spread
+    groups: dict[int, list[int]] = {}
+    for i, lab in enumerate(label.tolist()):
+        groups.setdefault(lab, []).append(i)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("lattice", [False, True])
+def test_single_linkage_matches_brute_force_components(d, lattice):
+    rng = np.random.default_rng(100 * d + lattice)
+    for _ in range(20):
+        m = int(rng.integers(1, 80))
+        if lattice:
+            # Integer points put many pairs at exactly the radius.
+            points, radius = rng.integers(0, 6, size=(m, d)).astype(float), 1.0
+        else:
+            points, radius = rng.uniform(0.0, 10.0, size=(m, d)), float(rng.uniform(0.1, 2.0))
+        points = points[np.lexsort(points.T[::-1])]
+        assert _single_linkage(points, radius) == _connected_components(points, radius)
+
+
+@pytest.mark.parametrize("direction", [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+def test_single_linkage_chains_past_the_radius(direction):
+    # Neighbours are 0.9 apart, the chain's ends 9 apart: one cluster. A
+    # point 1.1 past the end starts a second one.
+    radius = 1.0
+    points = np.outer(np.append(0.9 * np.arange(11), 10.1), direction) + [3.0, -2.0]
+    far = points[-1]
+    points = points[np.lexsort(points.T[::-1])]
+    clusters = _single_linkage(points, radius)
+    assert clusters == _connected_components(points, radius)
+    assert sorted(map(len, clusters)) == [1, 11]
+    [alone] = [c for c in clusters if len(c) == 1]
+    np.testing.assert_array_equal(points[alone[0]], far)

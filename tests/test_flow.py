@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import steiner.core
 from steiner import (CONVERGED, MAX_STEPS, STALLED, ConfigError, FlowConfig, FlowTrace,
                      InputError, NumericalError, TestingPlan, generate_testing_points,
                      graph_residual, tangency_residual, trace_flow, weiszfeld)
+from steiner.flow import trace_flows
 
 from util import curve_trace, make_objective
 
@@ -371,3 +373,101 @@ def test_descent_invariants_property(case):
     assert np.all(np.diff(trace.values)[1:] < 0.0)
     if len(trace) >= 2:
         assert tangency_residual(obj, trace) <= 1e-12
+
+
+def _assert_same_trace(a, b):
+    for field in ("points", "values", "grad_norms", "step_lens", "step_vectors"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field), strict=True)
+    assert a.status == b.status
+    assert (a.n_value_changes, a.n_gradients, a.n_backtracks) == \
+        (b.n_value_changes, b.n_gradients, b.n_backtracks)
+
+
+@hst.composite
+def _blocks(draw):
+    obj, start = draw(_descents())
+    d = obj.dimension
+    coord = hst.floats(-10.0, 10.0, allow_nan=False)
+    more = draw(hst.lists(hst.one_of(
+        hst.lists(coord, min_size=d, max_size=d),
+        hst.sampled_from(obj.anchors.points.tolist())), max_size=7))
+    max_steps = draw(hst.sampled_from([1, 4, 2_000]))
+    return obj, np.array([start, *more]), FlowConfig(max_steps=max_steps)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=_blocks())
+def test_lockstep_block_equals_single_traces_property(case):
+    obj, starts, cfg = case
+    assert len(starts) <= obj.block_rows  # one lockstep block
+    block = list(trace_flows(obj, starts, cfg))
+    assert len(block) == len(starts)
+    for start, trace in zip(starts, block):
+        _assert_same_trace(trace, trace_flow(obj, start, cfg))
+
+
+def test_lockstep_block_mixes_every_way_a_trace_ends():
+    obj = make_objective([[0.0, 0.0], [10.0, 0.0], [0.8, 0.0]], kind="gaussian_well",
+                         sigma=0.5)
+    cfg = FlowConfig(grad_tol=1e-300, max_steps=40)
+    starts = np.array([
+        [40.0, 40.0],  # every term underflows: at rest before the first step
+        [5.0, 1.5],    # |grad U| ~ 1e-33: the accepted step cannot move the point
+        [0.3, 0.2],    # still descending when the step budget runs out
+        [10.0, 0.0],   # on an anchor, where no trial passes Armijo
+        [0.0, 0.0],    # on an anchor, descending to the well between two anchors
+    ])
+    block = list(trace_flows(obj, starts, cfg))
+    assert [t.status for t in block] == [CONVERGED, STALLED, MAX_STEPS, STALLED, CONVERGED]
+    assert len(block[0]) == len(block[1]) == len(block[3]) == 1
+    assert block[2].n_gradients == cfg.max_steps + 1
+    assert len(block[2]) < block[2].n_gradients  # sub-ulp steps slid the terminal
+    for start, trace in zip(starts, block):
+        _assert_same_trace(trace, trace_flow(obj, start, cfg))
+
+
+def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
+    # Corrupt the gradient right of x = 0.5 near the anchor: starts 1 and 3
+    # walk into that region (start 3 after fewer steps), 0 and 2 never do.
+    obj = make_objective([[0.0, -2.0]])
+    exact = steiner.core.batch_gradients
+
+    def corrupted(spec, disp, weights=None):
+        g = exact(spec, disp, weights)
+        near = (np.linalg.norm(disp, axis=-1) < 3.0) & (disp[..., 0] > 0.5)
+        g[near] = np.nan
+        return g
+
+    monkeypatch.setattr(steiner.core, "batch_gradients", corrupted)
+    starts = np.array([[-3.0, 4.0], [5.0, 6.0], [-1.0, 1.0], [6.0, 0.5]])
+    with pytest.raises(NumericalError) as alone:
+        trace_flow(obj, starts[1])
+    with pytest.raises(NumericalError) as info:
+        list(trace_flows(obj, starts))
+    assert str(info.value) == f"start 1: {alone.value}"
+    assert str(alone.value) == "gradient turned non-finite during descent"
+    assert len(info.value.trace) > 1
+    _assert_same_trace(info.value.trace, alone.value.trace)
+    with pytest.raises(NumericalError, match="^start 3: "):
+        list(trace_flows(obj, starts[[0, 2, 2, 3]]))
+
+
+def test_lockstep_failure_at_a_start_without_trace():
+    obj = make_objective([[0.0, 0.0]], kind="squared")
+    starts = np.array([[1.0, 1.0], [1e200, 1e200], [1e300, 0.0]])
+    with pytest.raises(NumericalError, match="^start 1: objective is non-finite") as info:
+        list(trace_flows(obj, starts))
+    assert info.value.trace is None
+
+
+def test_trace_flows_splits_large_problems_into_blocks():
+    # n * D above the block budget: one row per block, same traces.
+    anchors = np.random.default_rng(8).uniform(0.0, 10.0, size=(3_000, 8))
+    obj = make_objective(anchors)
+    assert obj.block_rows == 1
+    starts = np.random.default_rng(9).uniform(0.0, 10.0, size=(3, 8))
+    cfg = FlowConfig(max_steps=5)
+    traces = list(trace_flows(obj, starts, cfg))
+    assert len(traces) == len(starts)
+    for start, trace in zip(starts, traces):
+        _assert_same_trace(trace, trace_flow(obj, start, cfg))
