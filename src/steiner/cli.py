@@ -25,7 +25,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from .core import AnchorSet, Objective, max_relative_gradient_error
-from .critical_set import TestingPlan, default_domain_box, enumerate_critical_points
+from .critical_set import TestingPlan, box_geometry, enumerate_critical_points, plan_domain_box
 from .errors import ConfigError, InputError, NoCriticalPointError, NumericalError
 from .flow import FlowConfig
 from .oracles import centroid, grid_search, weiszfeld
@@ -266,13 +266,6 @@ def serialize_instance(inst: Instance) -> dict:
 # ---------------------------------------------------------------------------
 # Shared command plumbing.
 
-def _domain_box(plan, anchors):
-    """The plan's domain box, else the anchor bounding box with its margin."""
-    if plan is not None and plan.domain_box is not None:
-        return plan.domain_box
-    return default_domain_box(anchors)
-
-
 def _critical_point_json(cp) -> dict:
     return {"location": list(cp.location), "value": cp.value,
             "grad_norm": cp.grad_norm, "basin_count": cp.basin_count,
@@ -287,7 +280,7 @@ def cmd_solve(args) -> int:
                  (("strategy", args.strategy), ("count", args.starts), ("seed", args.seed))
                  if value is not None}
     plan = replace(inst.testing_plan or TestingPlan(), **overrides)
-    plan = replace(plan, domain_box=_domain_box(plan, obj.anchors))
+    plan = replace(plan, domain_box=plan_domain_box(plan, obj.anchors))
     cfg = inst.flow or FlowConfig()
     if args.grad_tol is not None:
         cfg = replace(cfg, grad_tol=args.grad_tol)
@@ -333,7 +326,7 @@ def cmd_oracle(args) -> int:
         report = centroid(inst.anchors)
     else:  # grid
         obj = Objective(inst.anchors, inst.potential)
-        report = grid_search(obj, _domain_box(inst.testing_plan, inst.anchors), args.spacing)
+        report = grid_search(obj, plan_domain_box(inst.testing_plan, inst.anchors), args.spacing)
     _write_json(args.output, {
         "method": report.method,
         "location": list(report.location),
@@ -346,8 +339,7 @@ def cmd_oracle(args) -> int:
 
 def run_gradcheck(obj: Objective, box, samples: int, h: float, seed: int) -> dict:
     """Sample the box, keep points clear of the anchors, compare gradients."""
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
+    lo, hi, _ = box_geometry(box)
     exclusion = 10.0 * (obj.potential.epsilon or 0.0)
     rng = np.random.default_rng(seed)
     points = []
@@ -378,11 +370,8 @@ def cmd_gradcheck(args) -> int:
     if args.samples < 1:
         raise InputError(f"samples: must be >= 1, got {args.samples}")
     obj = Objective(inst.anchors, inst.potential)
-    box = _domain_box(inst.testing_plan, inst.anchors)
-    h = args.h
-    if h is None:
-        lo, hi = np.array([b[0] for b in box]), np.array([b[1] for b in box])
-        h = 1e-6 * float(np.linalg.norm(hi - lo))
+    box = plan_domain_box(inst.testing_plan, inst.anchors)
+    h = args.h if args.h is not None else 1e-6 * box_geometry(box)[2]
     report = run_gradcheck(obj, box, args.samples, h, args.seed)
     _write_json(args.report, report)
     if not report["pass"]:

@@ -120,14 +120,12 @@ class Objective:
     def value(self, point) -> float:
         """U at ``point``."""
         x = self.check_point(point)
-        disp = x - self.anchors.points
-        return float(batch_values(self.potential, disp, self._weights).sum())
+        return float(self._values(self._displacements(x[None, :]))[0])
 
     def gradient(self, point) -> np.ndarray:
         """Gradient of U at ``point`` (the force on a test particle is its negative)."""
         x = self.check_point(point)
-        disp = x - self.anchors.points
-        return batch_gradients(self.potential, disp, self._weights).sum(axis=0)
+        return self._gradients(self._displacements(x[None, :]))[0]
 
     def value_change(self, point, move) -> float:
         """U(point + move) - U(point), accurate relative to the change itself.
@@ -138,8 +136,11 @@ class Objective:
         """
         x = self.check_point(point)
         m = np.asarray(move, dtype=float)
-        disp = x - self.anchors.points
-        return float(batch_value_changes(self.potential, disp, m, self._weights).sum())
+        if m.shape != x.shape:
+            raise InputError(f"move: expected shape {x.shape}, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise InputError("move: coordinates must be finite")
+        return float(self._value_changes(self._displacements(x[None, :]), m[None, :])[0])
 
     def check_points(self, points) -> np.ndarray:
         """Coerce ``points`` to a finite (m, D) float array, as :meth:`check_point` does one."""
@@ -158,7 +159,8 @@ class Objective:
         return pts
 
     # Unchecked kernels on displacements x - a_i of shape (rows, n, D): the
-    # batched methods below and the lockstep tracer evaluate through these.
+    # single-point and batched methods and the lockstep tracer evaluate
+    # through these.
 
     def _displacements(self, points: np.ndarray) -> np.ndarray:
         return points[:, None, :] - self.anchors.points

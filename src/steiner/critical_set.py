@@ -35,8 +35,6 @@ class TestingPlan:
     jittered by up to 1% of the box diagonal.
     """
 
-    __test__ = False  # keep pytest from collecting this Test*-named class
-
     strategy: str = "grid"
     count: int = 16
     domain_box: tuple[tuple[float, float], ...] | None = None
@@ -108,9 +106,19 @@ def default_domain_box(anchors: AnchorSet, margin: float = 0.2) -> tuple[tuple[f
     return tuple((float(l - p), float(h + p)) for l, h, p in zip(lo, hi, pad))
 
 
-def _box_geometry(box):
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
+def plan_domain_box(plan: TestingPlan | None,
+                    anchors: AnchorSet | None) -> tuple[tuple[float, float], ...]:
+    """The plan's domain box, else the anchor box with its margin."""
+    if plan is not None and plan.domain_box is not None:
+        return plan.domain_box
+    if anchors is None:
+        raise ConfigError("testing_plan.domain_box: required when no anchors are supplied")
+    return default_domain_box(anchors)
+
+
+def box_geometry(box) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-axis lower and upper bounds of ``box`` and its diagonal length."""
+    lo, hi = np.array(box, dtype=float).T
     return lo, hi, float(np.linalg.norm(hi - lo))
 
 
@@ -121,14 +129,8 @@ def generate_testing_points(plan: TestingPlan, anchors: AnchorSet | None = None)
     required when the plan has no explicit box or uses the
     ``anchors_jittered`` strategy.
     """
-    if plan.domain_box is None:
-        if anchors is None:
-            raise ConfigError(
-                "testing_plan.domain_box: required when no anchors are supplied")
-        box = default_domain_box(anchors)
-    else:
-        box = plan.domain_box
-    lo, hi, diagonal = _box_geometry(box)
+    box = plan_domain_box(plan, anchors)
+    lo, hi, diagonal = box_geometry(box)
     d = len(box)
     if np.any(lo >= hi):
         k = int(np.flatnonzero(lo >= hi)[0])
@@ -163,11 +165,9 @@ def _single_linkage(points: np.ndarray, radius: float) -> list[list[int]]:
     its own (twice, so that rounding in the window bound never hides a pair
     the distance test accepts) and are not yet in its component, and
     unites it with those within ``radius`` (the Euclidean distance as
-    ``np.linalg.norm`` computes it); every component's root is its smallest
-    index. Clusters come in the order of their smallest member, members in
-    ascending order. (The incremental merge this replaced listed merged
-    members out of order, so where cluster members tie exactly in value the
-    representative chosen from them may differ from before.)
+    ``np.linalg.norm(..., axis=1)`` computes it); every component's root is
+    its smallest index. Clusters come in the order of their smallest member,
+    members in ascending order.
     """
     parent = np.arange(len(points))
 
@@ -197,20 +197,35 @@ def _single_linkage(points: np.ndarray, radius: float) -> list[list[int]]:
     return [c.tolist() for c in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)]
 
 
-def _probe_negative_curvature(obj: Objective, x: np.ndarray, scale: float,
-                              rng: np.random.Generator) -> bool:
-    """Second-difference probe along axes and random directions."""
-    d = x.size
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Norm of each row of ``v``, bit for bit ``np.linalg.norm(row)`` (the same
+    BLAS dot product; ``np.linalg.norm(v, axis=-1)`` sums differently)."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _probe_negative_curvature(obj: Objective, points: np.ndarray, scale: float,
+                              rng: np.random.Generator) -> np.ndarray:
+    """Second-difference probes along the axes and D random directions at each
+    row of ``points``; True where some probe curves downward."""
+    k, d = points.shape
     delta = max(1e-5 * scale, 1e-9)
-    dirs = list(np.eye(d))
-    for _ in range(d):
-        v = rng.normal(size=d)
-        dirs.append(v / np.linalg.norm(v))
-    steps = delta * np.array(dirs)
-    u = obj.value_many(np.concatenate([x[None, :], x + steps, x - steps]))
-    u0, plus, minus = u[0], u[1:2 * d + 1], u[2 * d + 1:]
+    v = rng.normal(size=(k, d, d))
+    dirs = np.concatenate([np.broadcast_to(np.eye(d), (k, d, d)),
+                           v / _row_norms(v)[..., None]], axis=1)
+    x, steps = points[:, None, :], delta * dirs
+    probes = np.concatenate([x, x + steps, x - steps], axis=1)
+    u = obj.value_many(probes.reshape(-1, d)).reshape(k, 1 + 4 * d)
+    u0, plus, minus = u[:, :1], u[:, 1:2 * d + 1], u[:, 2 * d + 1:]
     diffs = (plus - 2.0 * u0 + minus) / (delta * delta)
-    return bool(diffs.min() < -1e-7 * max(1.0, float(np.abs(diffs).max())))
+    return diffs.min(axis=1) < -1e-7 * np.maximum(1.0, np.abs(diffs).max(axis=1))
+
+
+def _degenerate(values: list[float]) -> bool:
+    """Whether two of the ascending ``values`` agree within ``DEGENERACY_RTOL``.
+    Adjacent pairs suffice: a pair within it has one sign, and the adjacent
+    pair at its end nearer zero is no farther apart."""
+    return any(abs(a - b) <= DEGENERACY_RTOL * max(abs(a), abs(b))
+               for a, b in zip(values, values[1:]))
 
 
 def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
@@ -224,7 +239,8 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
     Converged terminals are sorted, clustered by single linkage at
     ``cluster_radius`` (default 1e-4 of the box diagonal), and each
     cluster's lowest-value member is re-polished by continuing descent at
-    a tenth of the gradient tolerance. Raises
+    a tenth of the gradient tolerance; the same single linkage then merges
+    polished representatives that came within the radius. Raises
     :class:`NoCriticalPointError` when no trace converges. ``points``
     overrides the generated testing points (the plan still supplies box
     and seed), which callers use to transform start sets consistently.
@@ -237,13 +253,13 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
                       "are traced in lockstep", DeprecationWarning, stacklevel=2)
     plan = plan or TestingPlan()
     cfg = cfg or FlowConfig()
-    box = plan.domain_box if plan.domain_box is not None else default_domain_box(obj.anchors)
-    lo, hi, diagonal = _box_geometry(box)
+    box = plan_domain_box(plan, obj.anchors)
+    lo, hi, diagonal = box_geometry(box)
     outside = (obj.anchors.points < lo) | (obj.anchors.points > hi)
     if np.any(outside):
         bad = int(np.flatnonzero(outside.any(axis=1))[0])
         raise ConfigError(f"testing_plan.domain_box: anchor {bad} lies outside the box")
-    plan = replace(plan, domain_box=tuple((float(a), float(b)) for a, b in zip(lo, hi)))
+    plan = replace(plan, domain_box=box)
 
     if points is None:
         points = generate_testing_points(plan, obj.anchors)
@@ -288,47 +304,35 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
     clusters = _single_linkage(terminals, cluster_radius)
     # Members are in ascending order, so an exact value tie picks the
     # lexicographically smallest terminal.
-    bests = [members[int(np.argmin(values[members]))] for members in clusters]
-    reps: list[tuple[np.ndarray, float, float, int]] = []
-    for members, best, polished in zip(clusters, bests,
-                                       trace_flows(obj, terminals[bests], polish_cfg)):
-        loc, gn = polished.terminal_point, polished.terminal_grad_norm
-        if gn > cfg.grad_tol:
-            loc = terminals[best]
-            gn = float(np.linalg.norm(obj.gradient(loc)))
-        reps.append((loc, obj.value(loc), gn, len(members)))
+    starts = terminals[[members[int(np.argmin(values[members]))] for members in clusters]]
+    locs, grad_norms = starts.copy(), np.empty(len(starts))
+    for k, polished in enumerate(trace_flows(obj, starts, polish_cfg)):
+        locs[k], grad_norms[k] = polished.terminal_point, polished.terminal_grad_norm
+    failed = grad_norms > cfg.grad_tol
+    locs[failed] = starts[failed]
+    grad_norms[failed] = _row_norms(obj.gradient_many(starts[failed]))
+    fresh = obj.value_many(locs)
 
-    # Polishing can pull formerly distinct clusters together; merge until
-    # all representatives are pairwise farther apart than the radius.
-    merged = True
-    while merged and len(reps) > 1:
-        merged = False
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                if np.linalg.norm(reps[i][0] - reps[j][0]) <= cluster_radius:
-                    keep, drop = reps[i], reps[j]
-                    if (drop[1], tuple(drop[0])) < (keep[1], tuple(keep[0])):
-                        keep, drop = drop, keep
-                    reps[i] = (keep[0], keep[1], keep[2], keep[3] + drop[3])
-                    del reps[j]
-                    merged = True
-                    break
-            if merged:
-                break
+    # Polishing can pull formerly distinct clusters together: re-cluster the
+    # representatives. Each group keeps its lowest-(value, coordinates)
+    # member (members come lexsorted, so argmin breaks value ties by
+    # coordinates) and comes in the order of its first representative.
+    order = np.lexsort(locs.T[::-1])
+    groups = sorted((order[g] for g in _single_linkage(locs[order], cluster_radius)),
+                    key=min)
+    keep = [g[int(np.argmin(fresh[g]))] for g in groups]
+    basins = [sum(len(clusters[r]) for r in g) for g in groups]
 
     probe_rng = np.random.default_rng(plan.seed + 0x5EED)
-    crit = [CriticalPoint(location=loc, value=val, grad_norm=gn, basin_count=bc,
-                          negative_curvature=_probe_negative_curvature(
-                              obj, loc, diagonal, probe_rng))
-            for loc, val, gn, bc in reps]
+    flags = _probe_negative_curvature(obj, locs[keep], diagonal, probe_rng)
+    crit = [CriticalPoint(location=locs[r], value=float(fresh[r]),
+                          grad_norm=float(grad_norms[r]), basin_count=count,
+                          negative_curvature=bool(flag))
+            for r, count, flag in zip(keep, basins, flags)]
     crit.sort(key=lambda c: (c.value, tuple(c.location)))
 
-    degenerate = any(
-        abs(crit[i].value - crit[j].value)
-        <= DEGENERACY_RTOL * max(abs(crit[i].value), abs(crit[j].value))
-        for i in range(len(crit)) for j in range(i + 1, len(crit)))
     diagnostics["clusters"] = len(crit)
-    diagnostics["degenerate_clusters"] = bool(degenerate)
+    diagnostics["degenerate_clusters"] = _degenerate([c.value for c in crit])
 
     return SteinerResult(steiner=select_steiner(crit), critical_set=crit,
                          diagnostics=diagnostics,

@@ -164,5 +164,5 @@ def grid_search(obj: Objective, box, spacing: float, chunk_elems: int = 4_000_00
             best_flat = int(flat[k])
     multi = np.unravel_index(best_flat, counts)
     loc = np.array([axes[k][multi[k]] for k in range(d)])
-    return OracleReport(location=loc, value=float(obj.value(loc)), iterations=total,
+    return OracleReport(location=loc, value=best_val, iterations=total,
                         method="grid")

@@ -256,3 +256,16 @@ def test_many_methods_check_shapes():
     with pytest.raises(InputError, match=r"points\[1\]: coordinates must be finite"):
         obj.check_points([[1.0, 2.0], [np.inf, 0.0]])
     assert obj.gradient_many(np.empty((0, 2))).shape == (0, 2)
+
+
+@pytest.mark.parametrize("move, message", [
+    pytest.param(0.5, r"move: expected shape \(2,\), got \(\)", id="scalar"),
+    pytest.param([1.0, 2.0, 3.0], r"move: expected shape \(2,\), got \(3,\)", id="3-vector"),
+    pytest.param([[1.0, 2.0]], r"move: expected shape \(2,\), got \(1, 2\)", id="row"),
+    pytest.param([np.nan, 0.0], "move: coordinates must be finite", id="nan"),
+    pytest.param([0.0, -np.inf], "move: coordinates must be finite", id="inf"),
+])
+def test_value_change_rejects_bad_moves(move, message):
+    obj = make_objective([[0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(InputError, match=message):
+        obj.value_change([1.0, 1.0], move)

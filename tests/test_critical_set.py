@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from steiner import (AnchorSet, ConfigError, CriticalPoint, FlowConfig, InputError,
                      NoCriticalPointError, TestingPlan, default_domain_box,
                      enumerate_critical_points, generate_testing_points, grid_search,
                      select_steiner, weiszfeld)
 
-from steiner.critical_set import _single_linkage
+from steiner.critical_set import (DEGENERACY_RTOL, _degenerate, _probe_negative_curvature,
+                                  _row_norms, _single_linkage)
+from steiner.flow import trace_flow
 from util import make_objective, random_rotation
 
 RIGHT_TRIANGLE = [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]
@@ -321,3 +325,96 @@ def test_single_linkage_chains_past_the_radius(direction):
     assert sorted(map(len, clusters)) == [1, 11]
     [alone] = [c for c in clusters if len(c) == 1]
     np.testing.assert_array_equal(points[alone[0]], far)
+
+
+# U = |x|^2 around one anchor at the origin: a start with |x| <= 0.5 is at
+# rest for grad_tol 1, and the polish (grad_tol 0.1) takes it in one step of
+# t = 0.45 to x - 0.45 * 2x = x / 10.
+AT_REST_CFG = FlowConfig(grad_tol=1.0, initial_step=0.225)
+AT_REST_PLAN = TestingPlan("grid", count=4, domain_box=((-1.0, 1.0), (-1.0, 1.0)))
+
+
+def _polished(obj, start):
+    return trace_flow(obj, start, FlowConfig(grad_tol=0.1, initial_step=0.225)).terminal_point
+
+
+def test_polished_representatives_pulled_together_merge():
+    obj = make_objective([[0.0, 0.0]], kind="squared")
+    right = [[0.4, 0.0], [0.4, 0.01], [0.41, 0.0]]
+    left = [[-0.3, 0.0], [-0.3, 0.01]]
+    result = enumerate_critical_points(obj, AT_REST_PLAN, AT_REST_CFG, 0.1,
+                                       points=np.array(right + left))
+    # The two basins are 0.7 apart before the polish and 0.07 after it.
+    [merged] = result.critical_set
+    assert merged.basin_count == 5
+    assert result.diagnostics["clusters"] == 1
+    reps = [_polished(obj, [0.4, 0.0]), _polished(obj, [-0.3, 0.0])]
+    assert np.linalg.norm(reps[0] - reps[1]) <= 0.1
+    best = min(reps, key=lambda p: (obj.value(p), tuple(p)))
+    np.testing.assert_array_equal(merged.location, best)
+    np.testing.assert_array_equal(best, reps[1])
+    assert merged.value == obj.value(best)
+    assert merged.grad_norm <= 0.1
+
+
+def test_chain_of_polished_representatives_merges_into_one():
+    # Polished to 0.04 along three directions: neighbours 0.057 apart, the
+    # ends 0.08 apart, against a radius of 0.06. All three values tie, so
+    # the lexicographically smallest location is kept.
+    obj = make_objective([[0.0, 0.0]], kind="squared")
+    starts = np.array([[0.4, 0.0], [0.0, 0.4], [-0.4, 0.0]])
+    result = enumerate_critical_points(obj, AT_REST_PLAN, AT_REST_CFG, 0.06, points=starts)
+    reps = [_polished(obj, s) for s in starts]
+    assert np.linalg.norm(reps[0] - reps[2]) > 0.06
+    [merged] = result.critical_set
+    assert merged.basin_count == 3
+    np.testing.assert_array_equal(merged.location, reps[2])
+
+
+def _degenerate_all_pairs(values):
+    return any(abs(a - b) <= DEGENERACY_RTOL * max(abs(a), abs(b))
+               for i, a in enumerate(values) for b in values[i + 1:])
+
+
+@given(hst.lists(hst.floats(min_value=-1e300, max_value=1e300), max_size=12),
+       hst.lists(hst.tuples(hst.integers(0, 11), hst.integers(-3, 3)), max_size=6))
+def test_adjacent_degeneracy_rule_matches_all_pairs(values, near):
+    # Add near-ties: copies of drawn values moved by -3..3 units of 0.5e-9.
+    values = values + [values[i % len(values)] * (1.0 + 0.5e-9 * k)
+                       for i, k in near if values]
+    values.sort()
+    assert _degenerate(values) == _degenerate_all_pairs(values)
+
+
+def test_row_norms_match_norm_of_each_row_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for d in range(1, 9):
+        v = rng.normal(size=(50, d, d)) * 10.0 ** rng.uniform(-5.0, 5.0, size=(50, d, 1))
+        expected = np.array([[np.linalg.norm(row) for row in block] for block in v])
+        np.testing.assert_array_equal(_row_norms(v), expected)
+
+
+def _probe_one_point(obj, x, scale, rng):
+    """The per-point probe: D axes and D random unit directions, in turn."""
+    d = x.size
+    delta = max(1e-5 * scale, 1e-9)
+    dirs = list(np.eye(d))
+    for _ in range(d):
+        v = rng.normal(size=d)
+        dirs.append(v / np.linalg.norm(v))
+    steps = delta * np.array(dirs)
+    u = [obj.value(p) for p in np.concatenate([x[None, :], x + steps, x - steps])]
+    diffs = (np.array(u[1:2 * d + 1]) - 2.0 * u[0] + np.array(u[2 * d + 1:])) / (delta * delta)
+    return bool(diffs.min() < -1e-7 * max(1.0, float(np.abs(diffs).max())))
+
+
+@pytest.mark.parametrize("kind, kw", [("euclidean", {}), ("gaussian_well", dict(sigma=0.8)),
+                                      ("p_norm", dict(p=3.0)), ("squared", {})])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batched_probe_matches_per_point_probe(kind, kw, d):
+    rng = np.random.default_rng(10 * d)
+    obj = make_objective(rng.uniform(0.0, 4.0, size=(6, d)), kind=kind, **kw)
+    points = np.concatenate([rng.uniform(-1.0, 5.0, size=(9, d)), obj.anchors.points[:1]])
+    flags = _probe_negative_curvature(obj, points, 4.0, np.random.default_rng(3))
+    ref_rng = np.random.default_rng(3)
+    assert flags.tolist() == [_probe_one_point(obj, x, 4.0, ref_rng) for x in points]
