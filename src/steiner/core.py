@@ -5,7 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .potentials import PotentialSpec, batch_gradients, batch_value_changes, batch_values
+from .potentials import (PotentialSpec, batch_gradients, batch_roots, batch_value_changes,
+                         batch_values)
 
 Point = np.ndarray
 """A D-dimensional coordinate vector (1-D float array)."""
@@ -160,7 +161,8 @@ class Objective:
 
     # Unchecked kernels on displacements x - a_i of shape (rows, n, D): the
     # single-point and batched methods and the lockstep tracer evaluate
-    # through these.
+    # through these. ``root`` is the per-anchor root of :meth:`_roots` at the
+    # same displacements, or None to let the kernel compute it.
 
     def _displacements(self, points: np.ndarray) -> np.ndarray:
         return points[:, None, :] - self.anchors.points
@@ -168,11 +170,14 @@ class Objective:
     def _values(self, disp: np.ndarray) -> np.ndarray:
         return batch_values(self.potential, disp, self._weights).sum(axis=1)
 
-    def _gradients(self, disp: np.ndarray) -> np.ndarray:
-        return batch_gradients(self.potential, disp, self._weights).sum(axis=1)
+    def _roots(self, disp: np.ndarray) -> np.ndarray | None:
+        return batch_roots(self.potential, disp)
 
-    def _value_changes(self, disp: np.ndarray, moves: np.ndarray) -> np.ndarray:
-        return batch_value_changes(self.potential, disp, moves, self._weights).sum(axis=1)
+    def _gradients(self, disp: np.ndarray, root=None) -> np.ndarray:
+        return batch_gradients(self.potential, disp, self._weights, root).sum(axis=1)
+
+    def _value_changes(self, disp: np.ndarray, moves: np.ndarray, root=None) -> np.ndarray:
+        return batch_value_changes(self.potential, disp, moves, self._weights, root).sum(axis=1)
 
     def _per_row(self, kernel, points, *moves) -> np.ndarray:
         """Evaluate ``kernel`` for each row of ``points`` (shape (m, D)).

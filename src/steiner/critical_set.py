@@ -97,12 +97,14 @@ def default_domain_box(anchors: AnchorSet, margin: float = 0.2) -> tuple[tuple[f
     """Anchor bounding box expanded by ``margin`` of each side length.
 
     Axes on which all anchors coincide fall back to the overall diagonal
-    (or 1.0 for a single point) so the box is never degenerate.
+    (or 1.0 for a single point), or to 2**-20 of the coordinate's magnitude
+    where that is larger, so the box is never degenerate, not even where
+    the fallback is below one ulp of the coordinate.
     """
     lo, hi = anchors.bounding_box()
     span = hi - lo
     fallback = anchors.diagonal() or 1.0
-    pad = margin * np.where(span > 0.0, span, fallback)
+    pad = margin * np.where(span > 0.0, span, np.maximum(fallback, 2.0 ** -20 * np.abs(lo)))
     return tuple((float(l - p), float(h + p)) for l, h, p in zip(lo, hi, pad))
 
 
@@ -276,18 +278,29 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
     statuses: list[str] = []
     terminals = np.empty((len(points), obj.dimension))
     values = np.empty(len(points))
+    work = np.zeros(3, dtype=int)
     traces = [] if keep_traces else None
     for k, trace in enumerate(trace_flows(obj, points, cfg)):
         statuses.append(trace.status)
         terminals[k], values[k] = trace.terminal_point, trace.terminal_value
+        work += trace.n_value_changes, trace.n_gradients, trace.n_backtracks
         if keep_traces:
             traces.append(trace)
 
+    value_changes, gradients, backtracks = work.tolist()
     diagnostics = {
         "testing_points": len(points),
         "converged": statuses.count(CONVERGED),
         "stalled": statuses.count(STALLED),
         "max_steps": statuses.count(MAX_STEPS),
+        # Work of the testing-point traces: every value change is an
+        # accepted step or a backtrack.
+        "accepted_steps": value_changes - backtracks,
+        "value_changes": value_changes,
+        "gradients": gradients,
+        "backtracks": backtracks,
+        "unconverged": [{"start": k, "status": status, "terminal": terminals[k].tolist()}
+                        for k, status in enumerate(statuses) if status != CONVERGED],
     }
     converged = np.array(statuses) == CONVERGED
     if not converged.any():

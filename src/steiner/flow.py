@@ -6,10 +6,12 @@ and the trajectory is realized as first-order descent
 
     x <- x - t * grad U(x)
 
-with a backtracking Armijo line search choosing t. The accepted iterates
-form a polyline (the iterative curve) ending at a rest point where the
-gradient norm falls below the configured tolerance. Many starts are traced
-in lockstep blocks (:func:`trace_flows`), bit for bit as one at a time.
+with a backtracking Armijo line search choosing t; each search first tries
+the Barzilai-Borwein two-point multiplier of the previous step. The
+accepted iterates form a polyline (the iterative curve) ending at a rest
+point where the gradient norm falls below the configured tolerance. Many
+starts are traced in lockstep blocks (:func:`trace_flows`), bit for bit as
+one at a time.
 
 Two residual operations verify traced curves against the defining
 properties of flow lines: every step parallel to the local force
@@ -45,12 +47,15 @@ class FlowConfig:
     trace. ``initial_step`` is the first trial multiplier's seed (the first
     search tries up to ``initial_step / backtrack_factor``) and the floor of
     the growth cap, so steps of ``initial_step * |grad U|`` stay allowed
-    however short the anchor set is; later searches start from the last
-    accepted multiplier (see :func:`trace_flow`). The default tolerance is
-    what eps-smoothed anchor spikes support in double precision (their
-    curvature ~1/eps turns one coordinate ulp into a gradient jitter of
-    order 1e-7 at desk scale); smooth objectives such as the squared
-    potential certify much tighter tolerances when configured to.
+    however short the anchor set is; later searches start from the
+    Barzilai-Borwein multiplier of the previous step, or from the last
+    accepted multiplier over ``backtrack_factor`` (see :func:`trace_flow`),
+    so ``initial_step`` does not set the spacing of the traced samples. The
+    default tolerance is what eps-smoothed anchor spikes support in double
+    precision (their curvature ~1/eps turns one coordinate ulp into a
+    gradient jitter of order 1e-7 at desk scale); smooth objectives such as
+    the squared potential certify much tighter tolerances when configured
+    to.
     """
 
     grad_tol: float = 1e-6
@@ -95,7 +100,10 @@ class FlowTrace:
 
     The counters record the tracer's work: ``n_value_changes`` and
     ``n_gradients`` count objective evaluations, ``n_backtracks`` the trial
-    multipliers the Armijo test rejected. Hand-built traces leave them 0.
+    multipliers the Armijo test rejected. Every value change is one trial,
+    whether a Barzilai-Borwein, warm-start or backtracked one, and a step
+    whose euclidean roots are carried from the gradient still counts one.
+    Hand-built traces leave them 0.
     """
 
     points: np.ndarray
@@ -147,13 +155,18 @@ def trace_flow(obj: Objective, start, cfg: FlowConfig | None = None) -> FlowTrac
     Each iteration backtracks t until the Armijo decrease
     U(x - t g) <= U(x) - c t |g|^2 holds; the decrease is measured with
     :meth:`Objective.value_change` so acceptance stays resolvable even when
-    it is far below one ulp of U. The search starts from the previous
-    accepted multiplier divided by ``backtrack_factor`` (``initial_step``
-    standing in for it before the first step), so t grows on flat ground
-    while Armijo keeps accepting and need not re-shrink after every step.
-    The trial is capped at max(``initial_step``, L / |g|), where L is the
+    it is far below one ulp of U. The search's first trial is the
+    Barzilai-Borwein multiplier s.s / s.y of the previous step s and the
+    change y of the gradient along it, where s.y > 0. Elsewhere it is the
+    warm start: the previous accepted multiplier divided by
+    ``backtrack_factor`` (``initial_step`` standing in for it before the
+    first step), so t grows on flat ground while Armijo keeps accepting.
+    Either trial is capped at max(``initial_step``, L / |g|), where L is the
     objective's ``length_scale``: no step is longer than the anchor set
-    unless ``initial_step`` asks for that. Raises :class:`NumericalError`
+    unless ``initial_step`` asks for that. The Armijo test keeps every step
+    monotone, and every step is a multiple of -grad U. For the euclidean
+    kinds the per-anchor roots of the gradient at x are reused by every
+    trial that leaves x. Raises :class:`NumericalError`
     (carrying the partial trace) if U or grad U turns non-finite at an
     accepted point. This is the one-start case of :func:`trace_flows`.
     """
@@ -198,19 +211,24 @@ class _Running:
     ``row`` is the start index. The terminal sample of a row is (``x``,
     ``u``, ``gn``, ``length``): its point and gradient norm are always the
     current ones; earlier samples are committed to the log and never change.
-    ``disp`` holds x - a_i, shared by the gradient at x and the line search
-    that leaves x. ``w``, ``delta`` and ``gsq`` belong to the current step.
+    ``disp`` holds x - a_i and ``root`` the per-anchor roots of the
+    euclidean kinds there (None for other kinds), shared by the gradient at
+    x and the line search that leaves x. ``t`` is the next search's first
+    trial before the cap, and within a step the accepted multiplier. ``w``,
+    ``delta`` and ``gsq`` belong to the current step.
     """
 
-    FIELDS = ("row", "x", "disp", "g", "gn", "t", "u", "length", "carry", "tie", "samples",
-              "counts", "w", "delta", "gsq")
+    FIELDS = ("row", "x", "disp", "root", "g", "gn", "t", "u", "length", "carry", "tie",
+              "samples", "counts", "w", "delta", "gsq")
 
     def __init__(self, **fields):
         self.__dict__.update(fields)
 
     def keep(self, mask):
         for name in self.FIELDS:
-            setattr(self, name, getattr(self, name)[mask])
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[mask])
 
 
 def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
@@ -239,8 +257,8 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
 
     disp = obj._displacements(starts)
     run = _Running(
-        row=np.arange(m), x=starts, disp=disp, g=np.zeros((m, d)), gn=np.zeros(m),
-        t=np.full(m, cfg.initial_step),  # the last accepted multiplier, carried between searches
+        row=np.arange(m), x=starts, disp=disp, root=obj._roots(disp), g=np.zeros((m, d)),
+        gn=np.zeros(m), t=np.full(m, cfg.initial_step / cfg.backtrack_factor),
         u=obj._values(disp), length=np.zeros(m),
         # Kahan-style carry keeps sub-ulp decreases from being lost before
         # they accumulate into a representable drop of the recorded value.
@@ -308,7 +326,7 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
     if bad.any():
         fail(bad, f"objective is non-finite at the starting point "
                   f"(U={float(run.u[np.flatnonzero(bad)[0]])})", with_trace=False)
-    run.g = obj._gradients(run.disp)
+    run.g = obj._gradients(run.disp, run.root)
     run.gn = np.sqrt(np.vecdot(run.g, run.g))
     run.counts[:, 1] = 1
     bad = ~np.isfinite(run.g).all(axis=1)
@@ -326,23 +344,22 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
         # The cap keeps t finite over a long run of acceptances (an infinite
         # t never backtracks below min_step), and keeps a step no longer than
         # the anchor set unless initial_step itself asks for that.
-        run.t = np.minimum(run.t / cfg.backtrack_factor,
-                           np.maximum(cfg.initial_step, obj.length_scale / run.gn))
+        run.t = np.minimum(run.t, np.maximum(cfg.initial_step, obj.length_scale / run.gn))
         # Backtracking search; a row leaves it on its first accepted trial.
         k = len(run.row)
         run.w, run.delta = np.empty((k, d)), np.empty(k)
         tries, accepted = np.zeros(k, dtype=int), np.zeros(k, dtype=bool)
-        pos, ts, gs, ds, gq = np.arange(k), run.t, run.g, run.disp, run.gsq
+        pos, ts, gs, ds, rs, gq = np.arange(k), run.t, run.g, run.disp, run.root, run.gsq
         trials = 0
         while True:
             short = ts < cfg.min_step
             if short.any():
                 tries[pos[short]] = trials
-                pos, ts, gs, ds, gq = (a[~short] for a in (pos, ts, gs, ds, gq))
+                pos, ts, gs, ds, rs, gq = _rows_of((pos, ts, gs, ds, rs, gq), ~short)
                 if not pos.size:
                     break
             ws = ts[:, None] * gs
-            trial = obj._value_changes(ds, -ws)
+            trial = obj._value_changes(ds, -ws, rs)
             ok = np.isfinite(trial) & (trial < 0.0) & (trial <= -cfg.armijo_c * ts * gq)
             if ok.any():
                 done = pos[ok]
@@ -350,7 +367,7 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
                 tries[done], accepted[done] = trials + 1, True
                 if ok.all():
                     break
-                pos, ts, gs, ds, gq = (a[~ok] for a in (pos, ts, gs, ds, gq))
+                pos, ts, gs, ds, rs, gq = _rows_of((pos, ts, gs, ds, rs, gq), ~ok)
             trials += 1
             ts = ts * cfg.backtrack_factor
         run.counts[:, 0] += tries
@@ -366,12 +383,13 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
             stop(still, STALLED)
             x_new = x_new[~still]
         disp = obj._displacements(x_new)
-        g = obj._gradients(disp)
+        root = obj._roots(disp)
+        g = obj._gradients(disp, root)
         run.counts[:, 1] += 1
         bad = ~np.isfinite(g).all(axis=1)
         if bad.any():
             keep = fail(bad, "gradient turned non-finite during descent")
-            x_new, disp, g = x_new[keep], disp[keep], g[keep]
+            x_new, disp, root, g = _rows_of((x_new, disp, root, g), keep)
         gn = np.sqrt(np.vecdot(g, g))
 
         pending = run.carry + run.delta
@@ -393,7 +411,14 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
         run.length = np.where(append, step_len, run.length + step_len)
         run.u = np.where(drop | append, u_new, run.u)
         run.tie = np.where(drop, False, run.tie | (~drop & first))
-        run.x, run.disp, run.g, run.gn = x_new, disp, g, gn
+        # The next search first tries the Barzilai-Borwein multiplier
+        # s.s / s.y of this step s = -w and the gradient change y, where the
+        # slope along s grew (s.y > 0) and the quotient is finite and
+        # positive; elsewhere the warm start t / backtrack_factor.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            t_bb = np.vecdot(run.w, run.w) / np.vecdot(run.w, run.g - g)
+        run.t = np.where(np.isfinite(t_bb) & (t_bb > 0.0), t_bb, run.t / cfg.backtrack_factor)
+        run.x, run.disp, run.root, run.g, run.gn = x_new, disp, root, g, gn
 
     at_rest = run.gn <= cfg.grad_tol
     stop(at_rest, CONVERGED)
@@ -401,6 +426,11 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
     if failure is not None:
         return None, failure
     return traces(np.arange(m), log), None
+
+
+def _rows_of(arrays, mask):
+    """``arrays`` restricted to the masked rows; a None stays None."""
+    return [None if a is None else a[mask] for a in arrays]
 
 
 def tangency_residual(obj: Objective, trace: FlowTrace) -> float:
@@ -425,6 +455,22 @@ def tangency_residual(obj: Objective, trace: FlowTrace) -> float:
     d_hat = forces[keep] / nd[keep, None]
     perp = s_hat - np.vecdot(s_hat, d_hat)[:, None] * d_hat
     return float(np.sqrt(np.vecdot(perp, perp)).max(initial=0.0))
+
+
+def _longest_monotone_run(qualify: np.ndarray, dz: np.ndarray) -> tuple[int, int] | None:
+    """First longest run of samples a..b joined by edges that move the axis
+    coordinate (``dz``) one way between qualifying samples; None if no edge does.
+
+    A run may start at the last sample of the run before it.
+    """
+    step = np.sign(dz) * (qualify[:-1] & qualify[1:])  # +-1 on usable edges, else 0
+    starts = (step != 0.0) & (np.diff(step, prepend=0.0) != 0.0)
+    if not starts.any():
+        return None
+    firsts = np.flatnonzero(starts)
+    lengths = np.bincount((np.cumsum(starts) - 1)[step != 0.0], minlength=len(firsts))
+    best = int(np.argmax(lengths))
+    return int(firsts[best]), int(firsts[best] + lengths[best])
 
 
 def graph_residual(obj: Objective, trace: FlowTrace, axis: int = 0,
@@ -460,27 +506,7 @@ def graph_residual(obj: Objective, trace: FlowTrace, axis: int = 0,
             return None
         slope_floor = 1e-6 * peak
     qualify = (np.abs(ga) >= slope_floor) & (ga != 0.0)
-    dz = np.diff(pts[:, axis])
-
-    best = None
-    i = 0
-    while i < m:
-        if not qualify[i]:
-            i += 1
-            continue
-        j = i
-        sign = 0
-        while j + 1 < m and qualify[j + 1] and dz[j] != 0.0:
-            step_sign = 1 if dz[j] > 0.0 else -1
-            if sign == 0:
-                sign = step_sign
-            elif step_sign != sign:
-                break
-            j += 1
-        if j > i and (best is None or j - i > best[1] - best[0]):
-            best = (i, j)
-        i = j + 1 if j == i else j  # a monotone run may restart at its last sample
-
+    best = _longest_monotone_run(qualify, np.diff(pts[:, axis]))
     if best is None:
         return None
     a, b = best

@@ -127,6 +127,19 @@ def _sq_norm(arr):
     return np.einsum("...i,...i->...", arr, arr)
 
 
+def batch_roots(spec: PotentialSpec, disp: np.ndarray) -> np.ndarray | None:
+    """sqrt(|v|^2 + eps^2) per displacement row for the euclidean kinds, else None.
+
+    The gradient and the value changes at ``disp`` both need these roots;
+    computing them once lets a caller hand them to both (``root=``), bit for
+    bit what either would compute itself.
+    """
+    if spec.kind not in ("euclidean", "weighted_euclidean"):
+        return None
+    eps = _eps(spec)
+    return np.sqrt(_sq_norm(disp) + eps * eps)
+
+
 def batch_values(spec: PotentialSpec, disp: np.ndarray, weights=None) -> np.ndarray:
     """Potential value for each displacement row; ``disp`` has shape (..., D).
 
@@ -159,13 +172,17 @@ def batch_values(spec: PotentialSpec, disp: np.ndarray, weights=None) -> np.ndar
     return np.maximum(vals, 0.0)
 
 
-def batch_gradients(spec: PotentialSpec, disp: np.ndarray, weights=None) -> np.ndarray:
-    """Analytic gradient of :func:`batch_values` w.r.t. each displacement row."""
+def batch_gradients(spec: PotentialSpec, disp: np.ndarray, weights=None,
+                    root=None) -> np.ndarray:
+    """Analytic gradient of :func:`batch_values` w.r.t. each displacement row.
+
+    ``root`` may carry :func:`batch_roots` of ``disp``; other kinds ignore it.
+    """
     eps = _eps(spec)
     kind = spec.kind
     if kind in ("euclidean", "weighted_euclidean"):
-        r2 = _sq_norm(disp)
-        root = np.sqrt(r2 + eps * eps)
+        if root is None:
+            root = batch_roots(spec, disp)
         with np.errstate(divide="ignore", invalid="ignore"):
             g = disp / root[..., None]
         at_kink = root == 0.0
@@ -196,14 +213,17 @@ def batch_gradients(spec: PotentialSpec, disp: np.ndarray, weights=None) -> np.n
 
 
 def batch_value_changes(spec: PotentialSpec, disp: np.ndarray, move: np.ndarray,
-                        weights=None) -> np.ndarray:
+                        weights=None, root=None) -> np.ndarray:
     """U(v + move) - U(v) per displacement row, computed cancellation-free.
 
     ``disp`` has shape (..., n, D) and ``move`` shape (..., D): each move is
     shared by the n rows at its leading index (for a (n, D) ``disp``, one
     D-vector moves them all). Accuracy is relative to the *change* itself,
     not to the absolute potential values, so decreases far below one ulp of
-    the total objective remain resolvable.
+    the total objective remain resolvable. ``root`` may carry
+    :func:`batch_roots` of ``disp``, which saves the euclidean kinds one
+    reduction and one sqrt per call without changing a bit; other kinds
+    ignore it.
     """
     eps = _eps(spec)
     kind = spec.kind
@@ -212,8 +232,9 @@ def batch_value_changes(spec: PotentialSpec, disp: np.ndarray, move: np.ndarray,
     move = move[..., None, :]
     new = disp + move
     if kind in ("euclidean", "weighted_euclidean"):
-        e2 = eps * eps
-        denom = np.sqrt(_sq_norm(new) + e2) + np.sqrt(_sq_norm(disp) + e2)
+        if root is None:
+            root = batch_roots(spec, disp)
+        denom = np.sqrt(_sq_norm(new) + eps * eps) + root
         with np.errstate(invalid="ignore"):
             delta = dr2 / denom
         delta = np.where(denom == 0.0, 0.0, delta)

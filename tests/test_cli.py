@@ -1,5 +1,6 @@
 """Command-line interface: instance parsing, commands, exit codes, formats."""
 
+import itertools
 import json
 import re
 
@@ -100,6 +101,11 @@ def test_solve_reports_no_critical_point(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["diagnostics"]["converged"] == 0
     assert payload["diagnostics"]["stalled"] == 4
+    # Each start tries t = 1 (the cap) and stops short of 0.5 < min_step.
+    assert payload["diagnostics"]["value_changes"] == payload["diagnostics"]["backtracks"] == 4
+    assert payload["diagnostics"]["unconverged"] == [
+        {"start": k, "status": "stalled", "terminal": list(p)}
+        for k, p in enumerate(itertools.product([-4.0, 4.0], repeat=2))]
 
 
 def test_solve_writes_trace_csvs(tmp_path):

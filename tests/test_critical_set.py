@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from steiner import (AnchorSet, ConfigError, CriticalPoint, FlowConfig, InputError,
-                     NoCriticalPointError, TestingPlan, default_domain_box,
+from steiner import (MAX_STEPS, STALLED, AnchorSet, ConfigError, CriticalPoint, FlowConfig,
+                     InputError, NoCriticalPointError, TestingPlan, default_domain_box,
                      enumerate_critical_points, generate_testing_points, grid_search,
                      select_steiner, weiszfeld)
 
@@ -72,6 +72,23 @@ def test_default_domain_box_adds_margin_and_contains_anchors():
     single = default_domain_box(AnchorSet([[3.0, 3.0]]))
     lo, hi = np.array([b[0] for b in single]), np.array([b[1] for b in single])
     assert np.all(lo < 3.0) and np.all(hi > 3.0)
+
+
+@pytest.mark.parametrize("anchors, centroid", [
+    ([[1e16, 0.0]], [1e16, 0.0]),
+    ([[1e20, 1e20]], [1e20, 1e20]),
+    ([[1e16, 0.0], [1e16, 4.0]], [1e16, 2.0]),
+])
+def test_default_domain_box_pads_coinciding_axes_at_large_magnitudes(anchors, centroid):
+    # 0.2 x (diagonal or 1) is below one ulp of 1e16: that pad left a
+    # degenerate box the caller never set.
+    obj = make_objective(anchors, kind="squared")
+    for (lo, hi), c in zip(default_domain_box(obj.anchors), centroid):
+        assert lo < c < hi
+    result = enumerate_critical_points(obj)
+    np.testing.assert_allclose(result.steiner.location, centroid, rtol=1e-15, atol=1e-8)
+    # At desk scale the pad of a coinciding axis is unchanged.
+    assert default_domain_box(AnchorSet([[3.0, -5.0]])) == ((2.8, 3.2), (-5.2, -4.8))
 
 
 def test_anchor_outside_explicit_box_is_rejected():
@@ -168,6 +185,29 @@ def test_no_converged_trace_raises_with_diagnostics():
         enumerate_critical_points(obj, plan, cfg, points=starts)
     assert info.value.diagnostics["stalled"] == 2
     assert info.value.diagnostics["converged"] == 0
+
+
+def test_diagnostics_report_the_work_and_every_unconverged_trace():
+    # The lockstep fixture of test_flow: starts that converge, stall on a
+    # step that cannot move, run out of steps, and stall on an anchor.
+    obj = make_objective([[0.0, 0.0], [10.0, 0.0], [0.8, 0.0]], kind="gaussian_well",
+                         sigma=0.5)
+    starts = np.array([[40.0, 40.0], [5.0, 1.5], [3.0, 0.5], [10.0, 0.0], [0.0, 0.0]])
+    plan = TestingPlan(domain_box=((-1.0, 41.0), (-1.0, 41.0)))
+    result = enumerate_critical_points(obj, plan, FlowConfig(grad_tol=1e-300, max_steps=40),
+                                       points=starts, keep_traces=True)
+    d, traces = result.diagnostics, result.traces
+    assert (d["accepted_steps"], d["value_changes"], d["gradients"], d["backtracks"]) == \
+        (49, 68, 52, 19)
+    assert d["value_changes"] == sum(t.n_value_changes for t in traces)
+    assert d["gradients"] == sum(t.n_gradients for t in traces)
+    assert d["backtracks"] == sum(t.n_backtracks for t in traces)
+    assert d["unconverged"] == [
+        {"start": 1, "status": STALLED, "terminal": [5.0, 1.5]},
+        {"start": 2, "status": MAX_STEPS, "terminal": traces[2].terminal_point.tolist()},
+        {"start": 3, "status": STALLED, "terminal": [10.0, 0.0]},
+    ]
+    assert (d["converged"], d["stalled"], d["max_steps"]) == (2, 2, 1)
 
 
 def test_threaded_enumeration_matches_sequential():

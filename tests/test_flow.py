@@ -11,7 +11,7 @@ import steiner.core
 from steiner import (CONVERGED, MAX_STEPS, STALLED, ConfigError, FlowConfig, FlowTrace,
                      InputError, NumericalError, TestingPlan, generate_testing_points,
                      graph_residual, tangency_residual, trace_flow, weiszfeld)
-from steiner.flow import trace_flows
+from steiner.flow import _longest_monotone_run, trace_flows
 
 from util import curve_trace, make_objective
 
@@ -192,14 +192,30 @@ def test_graph_residual_second_order_on_exact_curves():
     assert 3.0 <= coarse[0] / fine[0] <= 5.0
 
 
+def _euler_polyline(obj, start, h, steps) -> FlowTrace:
+    """Fixed-step explicit Euler x <- x - h grad U(x), as a hand-built trace."""
+    pts = [np.asarray(start, dtype=float)]
+    for _ in range(steps):
+        pts.append(pts[-1] - h * obj.gradient_many(pts[-1][None, :])[0])
+    zeros = np.zeros(len(pts))
+    return FlowTrace(np.array(pts), zeros, zeros, zeros, MAX_STEPS)
+
+
 def test_graph_residual_shrinks_as_euler_traces_refine():
+    # Over the same flow time 4, an Euler polyline's residual is a left
+    # Riemann sum against the trapezoid rule: first order in h, so halving
+    # h about halves it.
     obj = make_objective([[0.0, 0.0], [3.0, 1.0], [1.0, 4.0]],
                          kind="gaussian_well", sigma=2.5)
-    res = []
-    for s in (0.4, 0.2, 0.1):
-        trace = trace_flow(obj, [4.0, 3.5], FlowConfig(grad_tol=1e-6, initial_step=s))
-        res.append(graph_residual(obj, trace, axis=0)[0])
+    res = [graph_residual(obj, _euler_polyline(obj, [4.0, 3.5], h, steps), axis=0)[0]
+           for h, steps in ((0.4, 10), (0.2, 20), (0.1, 40))]
     assert res[2] < res[1] < res[0]
+    assert 1.5 <= res[0] / res[1] <= 2.5 and 1.5 <= res[1] / res[2] <= 2.5
+    # The tracer's own steps are set by its line search, not by a spacing;
+    # the residual of its trace is still applicable and finite.
+    trace = trace_flow(obj, [4.0, 3.5], FlowConfig(grad_tol=1e-6))
+    traced = graph_residual(obj, trace, axis=0)
+    assert traced is not None and traced.shape == (1,) and np.isfinite(traced).all()
 
 
 def test_graph_residual_picks_longest_monotone_run():
@@ -214,6 +230,41 @@ def test_graph_residual_picks_longest_monotone_run():
     res = graph_residual(obj, trace, axis=0)
     assert res is not None
     assert graph_residual(obj, trace, axis=0, slope_floor=1e9) is None
+
+
+def _longest_monotone_run_scan(qualify, dz):
+    """The sample-by-sample scan that _longest_monotone_run replaced, kept as
+    its reference."""
+    m = len(qualify)
+    best = None
+    i = 0
+    while i < m:
+        if not qualify[i]:
+            i += 1
+            continue
+        j = i
+        sign = 0
+        while j + 1 < m and qualify[j + 1] and dz[j] != 0.0:
+            step_sign = 1 if dz[j] > 0.0 else -1
+            if sign == 0:
+                sign = step_sign
+            elif step_sign != sign:
+                break
+            j += 1
+        if j > i and (best is None or j - i > best[1] - best[0]):
+            best = (i, j)
+        i = j + 1 if j == i else j  # a monotone run may restart at its last sample
+    return best
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(samples=hst.lists(hst.tuples(hst.booleans(), hst.sampled_from([-1.5, -0.0, 0.0, 2.0])),
+                         min_size=2, max_size=30))
+def test_longest_monotone_run_matches_the_scan_property(samples):
+    # Few distinct steps make zero edges, sign flips and tied runs common.
+    qualify = np.array([q for q, _ in samples])
+    dz = np.array([z for _, z in samples[:-1]])
+    assert _longest_monotone_run(qualify, dz) == _longest_monotone_run_scan(qualify, dz)
 
 
 def test_graph_residual_rejects_bad_axis():
@@ -413,8 +464,8 @@ def test_lockstep_block_mixes_every_way_a_trace_ends():
     starts = np.array([
         [40.0, 40.0],  # every term underflows: at rest before the first step
         [5.0, 1.5],    # |grad U| ~ 1e-33: the accepted step cannot move the point
-        [0.3, 0.2],    # still descending when the step budget runs out
-        [10.0, 0.0],   # on an anchor, where no trial passes Armijo
+        [3.0, 0.5],    # still crossing the plateau when the step budget runs out
+        [10.0, 0.0],   # on an anchor, |grad U| ~ 1e-145: accepted after 4 backtracks, no move
         [0.0, 0.0],    # on an anchor, descending to the well between two anchors
     ])
     block = list(trace_flows(obj, starts, cfg))
@@ -432,8 +483,8 @@ def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
     obj = make_objective([[0.0, -2.0]])
     exact = steiner.core.batch_gradients
 
-    def corrupted(spec, disp, weights=None):
-        g = exact(spec, disp, weights)
+    def corrupted(spec, disp, weights=None, root=None):
+        g = exact(spec, disp, weights, root)
         near = (np.linalg.norm(disp, axis=-1) < 3.0) & (disp[..., 0] > 0.5)
         g[near] = np.nan
         return g

@@ -1,6 +1,7 @@
 """Potential values, analytic gradients, and their invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as hst
 from steiner import (ConfigError, NonSmoothEvaluationWarning, PotentialSpec,
                      potential_gradient, potential_value)
 
+from steiner.potentials import batch_gradients, batch_roots, batch_value_changes
 from util import random_rotation
 
 ISOTROPIC = [
@@ -192,3 +194,35 @@ def test_midpoint_convexity(spec, a, b):
     mid = potential_value(spec, (a + b) / 2.0)
     avg = (potential_value(spec, a) + potential_value(spec, b)) / 2.0
     assert mid <= avg + 1e-12
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    ("euclidean", {}),
+    ("weighted_euclidean", dict(weights=tuple(np.linspace(0.3, 4.0, 7)))),
+])
+@pytest.mark.parametrize("epsilon", [0.0, 1e-9, 0.7])
+def test_carried_root_changes_no_bit(kind, kwargs, epsilon):
+    # The descent hands the roots of the gradient at x to the line search's
+    # value changes; both must equal the kernels that compute them alone.
+    spec = PotentialSpec(kind, epsilon=epsilon, **kwargs)
+    weights = None if spec.weights is None else np.asarray(spec.weights)
+    rng = np.random.default_rng(29)
+    disp = rng.normal(scale=[[[1.0, 1e-8, 1e6]]], size=(5, 7, 3))
+    disp[0, 0] = 0.0  # at its anchor: the kink; unmoved, a zero denominator at eps = 0
+    moves = rng.normal(size=(5, 3)) * np.array([[0.0], [1e-12], [1e3], [1.0], [1.0]])
+    root = batch_roots(spec, disp)
+    assert root.shape == disp.shape[:-1]
+    np.testing.assert_array_equal(
+        batch_value_changes(spec, disp, moves, weights, root),
+        batch_value_changes(spec, disp, moves, weights), strict=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonSmoothEvaluationWarning)
+        np.testing.assert_array_equal(batch_gradients(spec, disp, weights, root),
+                                      batch_gradients(spec, disp, weights), strict=True)
+
+
+def test_roots_are_none_for_kinds_without_them():
+    disp = np.ones((2, 3, 2))
+    for spec in (PotentialSpec("squared"), PotentialSpec("p_norm"),
+                 PotentialSpec("gaussian_well")):
+        assert batch_roots(spec, disp) is None
