@@ -37,7 +37,7 @@ EXIT_NO_CRITICAL_POINT = 2
 
 # Exit code of each error a command reports; any other exception is a bug
 # and propagates with its traceback.
-EXIT_CODES = {InputError: EXIT_INPUT, ConfigError: EXIT_INPUT, FileNotFoundError: EXIT_INPUT,
+EXIT_CODES = {InputError: EXIT_INPUT, ConfigError: EXIT_INPUT, OSError: EXIT_INPUT,
               NoCriticalPointError: EXIT_NO_CRITICAL_POINT,
               NumericalError: EXIT_NO_CRITICAL_POINT}
 
@@ -250,6 +250,8 @@ def load_instance(path) -> Instance:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: malformed JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
     return parse_instance(data)
 
 
@@ -369,6 +371,8 @@ def cmd_gradcheck(args) -> int:
     inst = load_instance(args.input)
     if args.samples < 1:
         raise InputError(f"samples: must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise InputError(f"seed: must be >= 0, got {args.seed}")
     obj = Objective(inst.anchors, inst.potential)
     box = plan_domain_box(inst.testing_plan, inst.anchors)
     h = args.h if args.h is not None else 1e-6 * box_geometry(box)[2]

@@ -1,6 +1,7 @@
 """Points, anchor sets, and the total potential objective U(x) = sum_i U_i(x - a_i)."""
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -16,6 +17,11 @@ Point = np.ndarray
 # dispatch, only peak memory; a problem with n * D above it runs one row at
 # a time, exactly like the single-point methods.
 _BLOCK_ELEMENTS = 2 ** 14
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer (a bool is not)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def as_point(coords) -> np.ndarray:

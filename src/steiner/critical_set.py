@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import AnchorSet, Objective
+from .core import AnchorSet, Objective, is_integer
 from .errors import ConfigError, InputError, NoCriticalPointError
 from .flow import CONVERGED, MAX_STEPS, STALLED, FlowConfig, FlowTrace, trace_flows
 from .flow import trace_flow  # noqa: F401  (benchmarks/spans.py wraps it here)
@@ -45,9 +45,9 @@ class TestingPlan:
             raise ConfigError(
                 f"testing_plan.strategy: unknown strategy {self.strategy!r}; "
                 f"expected one of {', '.join(STRATEGIES)}")
-        if not self.count >= 1:
-            raise ConfigError(f"testing_plan.count: must be >= 1, got {self.count}")
-        if not 0 <= self.seed < 2 ** 64:
+        if not (is_integer(self.count) and self.count >= 1):
+            raise ConfigError(f"testing_plan.count: must be an integer >= 1, got {self.count}")
+        if not (is_integer(self.seed) and 0 <= self.seed < 2 ** 64):
             raise ConfigError(
                 f"testing_plan.seed: must be a non-negative 64-bit integer, got {self.seed}")
         if self.domain_box is not None:
@@ -270,8 +270,8 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
 
     if cluster_radius is None:
         cluster_radius = DEFAULT_CLUSTER_RADIUS_FACTOR * diagonal
-    if not cluster_radius > 0.0:
-        raise ConfigError(f"cluster_radius: must be > 0, got {cluster_radius}")
+    if not 0.0 < cluster_radius < np.inf:
+        raise ConfigError(f"cluster_radius: must be finite and > 0, got {cluster_radius}")
 
     # Keep only each trace's end unless the caller wants the traces, so that
     # one block of traces is alive at a time.

@@ -22,11 +22,12 @@ coordinate (:func:`graph_residual`).
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .core import Objective
+from .core import Objective, is_integer
 from .errors import ConfigError, InputError, NumericalError
 
 CONVERGED = "converged"
@@ -70,12 +71,13 @@ class FlowConfig:
 
     def __post_init__(self):
         checks = [
-            (self.grad_tol > 0.0, "grad_tol", "must be > 0"),
-            (self.max_steps > 0, "max_steps", "must be > 0"),
-            (self.initial_step > 0.0, "initial_step", "must be > 0"),
+            (0.0 < self.grad_tol < np.inf, "grad_tol", "must be finite and > 0"),
+            (is_integer(self.max_steps) and self.max_steps > 0, "max_steps",
+             "must be an integer > 0"),
+            (0.0 < self.initial_step < np.inf, "initial_step", "must be finite and > 0"),
             (0.0 < self.armijo_c < 1.0, "armijo_c", "must lie in (0, 1)"),
             (0.0 < self.backtrack_factor < 1.0, "backtrack_factor", "must lie in (0, 1)"),
-            (self.min_step > 0.0, "min_step", "must be > 0"),
+            (0.0 < self.min_step < np.inf, "min_step", "must be finite and > 0"),
             (self.min_step < self.initial_step, "min_step", "must be < initial_step"),
         ]
         for ok, field, problem in checks:
@@ -184,10 +186,11 @@ def trace_flows(obj: Objective, starts, cfg: FlowConfig | None = None) -> Iterat
     trace, its status and its counters equal those of :func:`trace_flow`
     from the same start bit for bit. A block's traces are yielded once the
     block is done, so a caller that keeps only what it needs of each trace
-    holds one block of traces at a time. When a trace fails, the blocks
-    before the failing one are yielded and then the lowest-index failing
-    start's :class:`NumericalError` is raised, with "start <k>: " before
-    its message and its partial trace. ``starts`` is checked before this
+    holds one block of traces at a time. A start whose U or grad U turns
+    non-finite stops only its own row; the blocks before its block are
+    yielded and then the lowest-index failing start's
+    :class:`NumericalError` is raised, with "start <k>: " before its
+    message and its partial trace. ``starts`` is checked before this
     returns.
     """
     cfg = cfg or FlowConfig()
@@ -208,10 +211,9 @@ class _Running:
     """Per-row state of the rows of a lockstep block that are still running.
 
     One entry per row, in start order; :meth:`keep` drops rows that stop.
-    ``row`` is the start index. The terminal sample of a row is (``x``,
-    ``u``, ``gn``, ``length``): its point and gradient norm are always the
-    current ones; earlier samples are committed to the log and never change.
-    ``disp`` holds x - a_i and ``root`` the per-anchor roots of the
+    ``row`` is the start index. The current sample of a row is (``x``,
+    ``u``, ``gn``, ``length``); earlier samples are in the log and never
+    change. ``disp`` holds x - a_i and ``root`` the per-anchor roots of the
     euclidean kinds there (None for other kinds), shared by the gradient at
     x and the line search that leaves x. ``t`` is the next search's first
     trial before the cap, and within a step the accepted multiplier. ``w``,
@@ -236,24 +238,25 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
 
     Each iteration takes one step on every running row: rows at rest
     converge, the rest run a backtracking search together (a row leaves it
-    on acceptance, or stalls when t drops below ``min_step``), and the rows
-    that moved get one batched gradient. All arithmetic is per row and in
-    the order of a single-row run, so a row's trace does not depend on the
-    others. Returns (traces, None), or (None, (row, message, partial
-    trace)) for the lowest row whose U or grad U turned non-finite; rows
-    above a failed one stop, as a sequential run would never reach them.
+    on acceptance, or keeps a zero step when t drops below ``min_step``),
+    the rows that did not move stall, and the rest get one batched
+    gradient. All arithmetic is per row and in the order of a single-row
+    run, so a row's trace does not depend on the others. A start whose U or
+    grad U turns non-finite stops only its own row. Returns (traces, None),
+    or (None, (row, message, partial trace)) for the lowest failing row;
+    the partial trace is None where U was non-finite at the start.
     """
     m, d = starts.shape
     status: list[str | None] = [None] * m
-    failure = None
-    # Committed samples, one list of per-step arrays per column: start index,
-    # point, value, gradient norm, step length and the step that left it.
+    failures: dict[int, str] = {}
+    # The samples, one list of per-step arrays per column: start index,
+    # point, value, gradient norm, step length and the step that left the
+    # sample. A row's terminal sample goes in when the row stops, with a
+    # placeholder step.
     log: list[list[np.ndarray]] = [[] for _ in range(6)]
-    # The terminal sample and the counters (value changes, gradients,
-    # backtracks) of each start, filled in when its row stops.
-    end_x = np.empty((m, d))
-    end_u, end_gn, end_len = np.empty(m), np.empty(m), np.empty(m)
-    end_counts = np.zeros((m, 3), dtype=int)
+    # The counters (value changes, gradients, backtracks) of each start,
+    # filled in when its row stops.
+    counts = np.zeros((m, 3), dtype=int)
 
     disp = obj._displacements(starts)
     run = _Running(
@@ -270,68 +273,33 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
         counts=np.zeros((m, 3), dtype=int), w=np.zeros((m, d)), delta=np.zeros(m),
         gsq=np.zeros(m))
 
+    def commit(mask):
+        """Log the current samples of the masked rows; -w is the step leaving them."""
+        for column, value in zip(log, (run.row, run.x, run.u, run.gn, run.length, -run.w)):
+            column.append(value[mask])
+
     def stop(mask, why):
         """End the masked rows with status ``why`` and drop them."""
+        commit(mask)
         rows = run.row[mask]
         for row in rows.tolist():
             status[row] = why
-        end_x[rows], end_u[rows], end_gn[rows] = run.x[mask], run.u[mask], run.gn[mask]
-        end_len[rows], end_counts[rows] = run.length[mask], run.counts[mask]
+        counts[rows] = run.counts[mask]
         run.keep(~mask)
 
-    def traces(rows, columns):
-        """FlowTraces of ``rows`` (ascending) from ``columns`` of the log and
-        the terminal samples.
-
-        Consumes ``columns``: each is joined, put in row order and freed in
-        turn, so the peak memory stays near that of the result.
-        """
-        owners = np.concatenate([*columns[0], np.empty(0, dtype=int)])
-        mine = np.flatnonzero(np.isin(owners, rows))
-        # Each row's committed samples in step order, then its terminal one.
-        sample_at = np.concatenate([mine, len(owners) + np.arange(len(rows))])[
-            np.argsort(np.concatenate([owners[mine], rows]), kind="stable")]
-        step_at = mine[np.argsort(owners[mine], kind="stable")]
-        sizes = np.bincount(owners[mine], minlength=m)[rows]
-        sample_bounds = np.concatenate([[0], np.cumsum(sizes + 1)]).tolist()
-        step_bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-
-        def split(pieces, last, at, bounds):
-            joined = np.concatenate([*pieces, last])[at]
-            pieces.clear()
-            return [joined[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-        per_row = [split(pieces, terminal[rows], sample_at, sample_bounds)
-                   for pieces, terminal in zip(columns[1:5], (end_x, end_u, end_gn, end_len))]
-        per_row.append(split(columns[5], np.empty((0, d)), step_at, step_bounds))
-        return [FlowTrace(p, v, g, s, status[r], sv, *end_counts[r].tolist())
-                for r, p, v, g, s, sv in zip(rows.tolist(), *per_row)]
-
-    def fail(bad, message, with_trace=True):
-        """Record the first failing row; it and every later row stop.
-
-        Returns the mask of the rows that keep running."""
-        nonlocal failure
-        first = int(np.flatnonzero(bad)[0])
-        row = int(run.row[first])
-        positions = np.arange(len(run.row))
-        stop(positions == first, STALLED)
-        run.keep(positions[:-1] < first)
-        partial = (traces(np.array([row]), [list(column) for column in log])[0]
-                   if with_trace else None)
-        failure = (row, message, partial)
-        return positions < first
+    def fail(bad, messages):
+        """Stop the masked rows, whose U or grad U turned non-finite."""
+        failures.update(zip(run.row[bad].tolist(), messages))
+        stop(bad, STALLED)
 
     bad = ~np.isfinite(run.u)
-    if bad.any():
-        fail(bad, f"objective is non-finite at the starting point "
-                  f"(U={float(run.u[np.flatnonzero(bad)[0]])})", with_trace=False)
+    fail(bad, [f"objective is non-finite at the starting point (U={u})"
+               for u in run.u[bad].tolist()])
     run.g = obj._gradients(run.disp, run.root)
     run.gn = np.sqrt(np.vecdot(run.g, run.g))
     run.counts[:, 1] = 1
     bad = ~np.isfinite(run.g).all(axis=1)
-    if bad.any():
-        fail(bad, "gradient is non-finite at the starting point")
+    fail(bad, repeat("gradient is non-finite at the starting point"))
 
     for _ in range(cfg.max_steps):
         at_rest = run.gn <= cfg.grad_tol
@@ -347,7 +315,7 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
         run.t = np.minimum(run.t, np.maximum(cfg.initial_step, obj.length_scale / run.gn))
         # Backtracking search; a row leaves it on its first accepted trial.
         k = len(run.row)
-        run.w, run.delta = np.empty((k, d)), np.empty(k)
+        run.w, run.delta = np.zeros((k, d)), np.empty(k)
         tries, accepted = np.zeros(k, dtype=int), np.zeros(k, dtype=bool)
         pos, ts, gs, ds, rs, gq = np.arange(k), run.t, run.g, run.disp, run.root, run.gsq
         trials = 0
@@ -372,13 +340,11 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
             ts = ts * cfg.backtrack_factor
         run.counts[:, 0] += tries
         run.counts[:, 2] += tries - accepted
-        if not accepted.all():
-            stop(~accepted, STALLED)
 
         x_new = run.x - run.w
         still = (x_new == run.x).all(axis=1)
         if still.any():
-            # The accepted step is below coordinate resolution: the iterate
+            # No Armijo step, or one below coordinate resolution: the iterate
             # cannot move, so stop rather than spin on an unchanged point.
             stop(still, STALLED)
             x_new = x_new[~still]
@@ -388,8 +354,8 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
         run.counts[:, 1] += 1
         bad = ~np.isfinite(g).all(axis=1)
         if bad.any():
-            keep = fail(bad, "gradient turned non-finite during descent")
-            x_new, disp, root, g = _rows_of((x_new, disp, root, g), keep)
+            fail(bad, repeat("gradient turned non-finite during descent"))
+            x_new, disp, root, g = _rows_of((x_new, disp, root, g), ~bad)
         gn = np.sqrt(np.vecdot(g, g))
 
         pending = run.carry + run.delta
@@ -403,10 +369,7 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
         append = (drop & ~run.tie) | (~drop & first)
         step_len = run.t * np.sqrt(run.gsq)
         if append.any():
-            # The step just taken departed the terminal sample, so -w is its
-            # tangent record.
-            for column, value in zip(log, (run.row, run.x, run.u, run.gn, run.length, -run.w)):
-                column.append(value[append])
+            commit(append)
             run.samples = run.samples + append
         run.length = np.where(append, step_len, run.length + step_len)
         run.u = np.where(drop | append, u_new, run.u)
@@ -420,12 +383,28 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
         run.t = np.where(np.isfinite(t_bb) & (t_bb > 0.0), t_bb, run.t / cfg.backtrack_factor)
         run.x, run.disp, run.root, run.g, run.gn = x_new, disp, root, g, gn
 
-    at_rest = run.gn <= cfg.grad_tol
-    stop(at_rest, CONVERGED)
+    stop(run.gn <= cfg.grad_tol, CONVERGED)
     stop(np.ones(len(run.row), dtype=bool), MAX_STEPS)
-    if failure is not None:
-        return None, failure
-    return traces(np.arange(m), log), None
+
+    # Each start's samples in the order they were logged, its terminal last.
+    # Each column is joined, put in start order and freed in turn, so the
+    # peak memory stays near that of the result.
+    owners = np.concatenate(log[0])
+    order = np.argsort(owners, kind="stable")
+    ends = np.cumsum(np.bincount(owners, minlength=m)).tolist()
+    spans = list(zip([0, *ends[:-1]], ends))
+    per_row = []
+    for pieces in log[1:]:
+        joined = np.concatenate(pieces)[order]
+        pieces.clear()
+        per_row.append([joined[a:b] for a, b in spans])
+    traces = [FlowTrace(p, v, g, s, status[r], sv[:-1], *counts[r].tolist())
+              for r, (p, v, g, s, sv) in enumerate(zip(*per_row))]
+    if not failures:
+        return traces, None
+    row = min(failures)
+    partial = traces[row] if np.isfinite(traces[row].values[0]) else None
+    return None, (row, failures[row], partial)
 
 
 def _rows_of(arrays, mask):

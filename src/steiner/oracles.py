@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AnchorSet, Objective
+from .core import AnchorSet, Objective, is_integer
 from .errors import ConfigError, InputError
 from .potentials import PotentialSpec
 
@@ -58,6 +58,8 @@ def weiszfeld(anchors: AnchorSet, weights=None, tol: float = 1e-10,
         anchors = AnchorSet(anchors)
     if not (np.isfinite(tol) and tol > 0.0):
         raise InputError(f"tol: must be finite and > 0, got {tol}")
+    if not (is_integer(max_iter) and max_iter >= 1):
+        raise InputError(f"max_iter: must be an integer >= 1, got {max_iter}")
     a = anchors.points
     n = anchors.n
     if weights is None:

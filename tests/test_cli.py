@@ -76,6 +76,17 @@ def test_solve_rejects_malformed_json(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, field", [("--grad-tol", "flow.grad_tol"),
+                                         ("--cluster-radius", "cluster_radius")])
+def test_solve_rejects_an_infinite_tolerance(tmp_path, capsys, flag, field):
+    inp = write_instance(tmp_path, RIGHT_TRIANGLE_INSTANCE)
+    out = tmp_path / "result.json"
+    code = main(["solve", "--input", str(inp), "--output", str(out), flag, "inf"])
+    assert code == EXIT_INPUT
+    assert f"{field}: must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_rejects_unknown_potential_kind(tmp_path, capsys):
     bad = dict(RIGHT_TRIANGLE_INSTANCE, potential={"kind": "hyperbolic"})
     inp = write_instance(tmp_path, bad)
@@ -451,6 +462,35 @@ def test_missing_input_file_is_input_error(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("command, flag, value, field", [
+    ("gradcheck", "--seed", "-1", "seed"),
+    ("oracle weiszfeld", "--max-iter", "-5", "max_iter"),
+])
+def test_out_of_range_flag_is_input_error(tmp_path, capsys, command, flag, value, field):
+    inp = write_instance(tmp_path, RIGHT_TRIANGLE_INSTANCE)
+    out = tmp_path / "o.json"
+    sink = "--report" if command == "gradcheck" else "--output"
+    code = main([*command.split(), "--input", str(inp), sink, str(out), flag, value])
+    assert code == EXIT_INPUT
+    assert f"{field}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("input_name, output_name, bad", [
+    ("dir", "o.json", "dir"),            # --input names a directory
+    ("instance.json", "dir", "dir"),     # --output names a directory
+    ("latin1.json", "o.json", "latin1.json"),  # not UTF-8
+])
+def test_unusable_path_is_input_error(tmp_path, capsys, input_name, output_name, bad):
+    write_instance(tmp_path, RIGHT_TRIANGLE_INSTANCE)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "latin1.json").write_bytes('{"dimension": "\u00e9"}'.encode("latin-1"))
+    code = main(["solve", "--input", str(tmp_path / input_name),
+                 "--output", str(tmp_path / output_name)])
+    assert code == EXIT_INPUT
+    assert str(tmp_path / bad) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mutate, field", [
     (lambda d: d.pop("dimension"), "dimension"),
     (lambda d: d.pop("anchors"), "anchors"),
@@ -576,4 +616,7 @@ def test_result_floats_survive_json_round_trip(tmp_path):
 def test_load_instance_validates(tmp_path):
     path = write_instance(tmp_path, {"dimension": 2})
     with pytest.raises(InputError, match="anchors"):
+        load_instance(path)
+    path.write_bytes(b'{"dimension": 2, "anchors": [[0, 0]], "potential": {"kind": "\xff"}}')
+    with pytest.raises(InputError, match="not UTF-8"):
         load_instance(path)

@@ -63,6 +63,14 @@ def test_bad_strategy_count_and_seed_are_rejected():
         TestingPlan("grid", count=0)
     with pytest.raises(ConfigError, match="seed"):
         TestingPlan("grid", count=4, seed=-1)
+    for count in (2.5, True):
+        with pytest.raises(ConfigError, match="count"):
+            TestingPlan("uniform_random", count=count)
+    for seed in (1.5, True):
+        with pytest.raises(ConfigError, match="seed"):
+            TestingPlan("grid", count=4, seed=seed)
+    plan = TestingPlan("uniform_random", count=np.int64(4), seed=np.uint64(3))
+    assert len(generate_testing_points(plan, AnchorSet([[0.0, 0.0], [1.0, 1.0]]))) == 4
 
 
 def test_default_domain_box_adds_margin_and_contains_anchors():

@@ -23,6 +23,12 @@ from util import curve_trace, make_objective
     dict(armijo_c=1.0),
     dict(backtrack_factor=0.0),
     dict(min_step=2.0, initial_step=1.0),
+    dict(grad_tol=float("inf")),
+    dict(grad_tol=float("nan")),
+    dict(initial_step=float("inf")),
+    dict(min_step=float("inf")),
+    dict(max_steps=2.5),
+    dict(max_steps=True),
 ])
 def test_flow_config_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -501,6 +507,15 @@ def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
     _assert_same_trace(info.value.trace, alone.value.trace)
     with pytest.raises(NumericalError, match="^start 3: "):
         list(trace_flows(obj, starts[[0, 2, 2, 3]]))
+    # A higher start whose U is non-finite where it starts does not hide a
+    # lower one that fails later, nor the other way round.
+    far = [1e300, 1e300]
+    with pytest.raises(NumericalError, match="^start 1: gradient turned") as info:
+        list(trace_flows(obj, np.array([starts[0], starts[1], far, starts[2]])))
+    _assert_same_trace(info.value.trace, alone.value.trace)
+    with pytest.raises(NumericalError, match="^start 1: objective is non-finite") as info:
+        list(trace_flows(obj, np.array([starts[0], far, starts[1], starts[2]])))
+    assert info.value.trace is None
 
 
 def test_lockstep_failure_at_a_start_without_trace():

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from steiner import (AnchorSet, ConfigError, PotentialSpec, centroid, grid_search,
-                     weiszfeld)
+from steiner import (AnchorSet, ConfigError, InputError, PotentialSpec, centroid,
+                     grid_search, weiszfeld)
 
 from util import make_objective
 
@@ -74,6 +74,12 @@ def test_weiszfeld_unconverged_flag():
     report = weiszfeld(anchors, tol=1e-14, max_iter=3)
     assert not report.converged
     assert report.iterations == 3
+
+
+@pytest.mark.parametrize("max_iter", [0, -5, 2.5])
+def test_weiszfeld_rejects_a_budget_below_one_iteration(max_iter):
+    with pytest.raises(InputError, match="max_iter"):
+        weiszfeld(AnchorSet([[0.0, 0.0], [1.0, 0.0]]), max_iter=max_iter)
 
 
 def test_weiszfeld_value_is_reevaluated_objective():
