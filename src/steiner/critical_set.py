@@ -112,7 +112,9 @@ def plan_domain_box(plan: TestingPlan | None,
                     anchors: AnchorSet | None) -> tuple[tuple[float, float], ...]:
     """The plan's domain box, else the anchor box with its margin."""
     if plan is not None and plan.domain_box is not None:
-        return plan.domain_box
+        if anchors is None or len(plan.domain_box) == anchors.dimension:
+            return plan.domain_box
+        raise ConfigError(f"testing_plan.domain_box: expected {anchors.dimension} [lo, hi] pairs")
     if anchors is None:
         raise ConfigError("testing_plan.domain_box: required when no anchors are supplied")
     return default_domain_box(anchors)
@@ -131,14 +133,9 @@ def generate_testing_points(plan: TestingPlan, anchors: AnchorSet | None = None)
     required when the plan has no explicit box or uses the
     ``anchors_jittered`` strategy.
     """
-    box = plan_domain_box(plan, anchors)
-    lo, hi, diagonal = box_geometry(box)
-    d = len(box)
-    if np.any(lo >= hi):
-        k = int(np.flatnonzero(lo >= hi)[0])
-        raise ConfigError(f"testing_plan.domain_box[{k}]: degenerate interval "
-                          f"[{lo[k]}, {hi[k]}]")
-
+    lo, hi, diagonal = box_geometry(plan_domain_box(plan, anchors))
+    d = len(lo)
+    rng = np.random.default_rng(plan.seed)
     if plan.strategy == "grid":
         per_axis = 1
         while per_axis ** d < plan.count:
@@ -148,55 +145,47 @@ def generate_testing_points(plan: TestingPlan, anchors: AnchorSet | None = None)
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1).reshape(-1, d)
     if plan.strategy == "uniform_random":
-        rng = np.random.default_rng(plan.seed)
         return rng.uniform(lo, hi, size=(plan.count, d))
     # anchors_jittered
     if anchors is None:
         raise ConfigError("testing_plan.strategy: anchors_jittered needs anchors")
-    rng = np.random.default_rng(plan.seed)
-    radius = 0.01 * diagonal
-    jitter = rng.uniform(-1.0, 1.0, size=(anchors.n, d)) * (radius / np.sqrt(d))
+    jitter = rng.uniform(-1.0, 1.0, size=(anchors.n, d)) * (0.01 * diagonal / np.sqrt(d))
     return np.clip(anchors.points + jitter, lo, hi)
 
 
 def _single_linkage(points: np.ndarray, radius: float) -> list[list[int]]:
     """Chains of points within ``radius`` of a member merge into one cluster.
 
-    ``points`` must be sorted on axis 0. A sweep compares each point with
-    the later points whose axis-0 coordinate lies within ``2 * radius`` of
-    its own (twice, so that rounding in the window bound never hides a pair
-    the distance test accepts) and are not yet in its component, and
-    unites it with those within ``radius`` (the Euclidean distance as
-    ``np.linalg.norm(..., axis=1)`` computes it); every component's root is
-    its smallest index. Clusters come in the order of their smallest member,
-    members in ascending order.
+    The points are lexsorted; a sweep compares each with the later ones
+    whose axis-0 coordinate lies within ``2 * radius`` of its own (twice, so
+    that rounding in the window bound never hides a pair the distance test
+    accepts) and whose label, the smallest sorted position in its component,
+    differs from its own. Those within ``radius`` (the Euclidean distance as
+    ``np.linalg.norm(..., axis=1)`` computes it) merge their components
+    under the smallest label. Clusters are lists of indices into ``points``
+    in the order of their smallest index, members in the lexicographic
+    order of their points (equal points in input order).
     """
-    parent = np.arange(len(points))
-
-    def roots(idx):
-        r = parent[idx]
-        while True:
-            up = parent[r]
-            if np.array_equal(up, r):
-                return r
-            r = up
-
+    perm = np.lexsort(points.T[::-1])
+    points = points[perm]
+    label = np.arange(len(points))
     ends = np.searchsorted(points[:, 0], points[:, 0] + 2.0 * radius, side="right")
     for i, end in enumerate(ends.tolist()):
-        tops = roots(np.arange(i, end))
-        # Pairs already in one component need no distance.
-        later = i + 1 + np.flatnonzero(tops[1:] != tops[0])
+        later = i + 1 + np.flatnonzero(label[i + 1:end] != label[i])
         if not later.size:
             continue
         diff = points[later] - points[i]
         near = later[np.sqrt(np.add.reduce(diff * diff, axis=1)) <= radius]
         if near.size:
-            linked = np.append(near, i)
-            tops = roots(linked)
-            parent[tops] = parent[linked] = tops.min()
-    labels = roots(np.arange(len(points)))
-    order = np.argsort(labels, kind="stable")
-    return [c.tolist() for c in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)]
+            merged = np.append(label[near], label[i])
+            member = np.zeros(end, dtype=bool)
+            member[merged] = True
+            # No member precedes its label; every linked point lies before end.
+            span = label[merged.min():end]
+            span[member[span]] = merged.min()
+    order = np.argsort(label, kind="stable")
+    clusters = np.split(perm[order], np.flatnonzero(np.diff(label[order])) + 1)
+    return sorted((c.tolist() for c in clusters), key=min)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -267,6 +256,8 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
         points = generate_testing_points(plan, obj.anchors)
     else:
         points = obj.check_points(points)
+        if not len(points):
+            raise InputError("points: expected at least one row")
 
     if cluster_radius is None:
         cluster_radius = DEFAULT_CLUSTER_RADIUS_FACTOR * diagonal
@@ -308,14 +299,15 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
             "no descent run reached a rest point; see diagnostics", diagnostics)
 
     terminals, values = terminals[converged], values[converged]
-    # Sort terminals first so the reduction is deterministic regardless of
-    # trace execution order.
+    # Sorted terminals order the clusters, and so the kept points, by their
+    # lexicographically smallest member; the curvature probe draws its random
+    # directions in that order.
     order = np.lexsort(terminals.T[::-1])
     terminals, values = terminals[order], values[order]
 
     polish_cfg = replace(cfg, grad_tol=cfg.grad_tol / 10.0)
     clusters = _single_linkage(terminals, cluster_radius)
-    # Members are in ascending order, so an exact value tie picks the
+    # Members come in lexicographic order, so an exact value tie picks the
     # lexicographically smallest terminal.
     starts = terminals[[members[int(np.argmin(values[members]))] for members in clusters]]
     locs, grad_norms = starts.copy(), np.empty(len(starts))
@@ -330,9 +322,7 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
     # representatives. Each group keeps its lowest-(value, coordinates)
     # member (members come lexsorted, so argmin breaks value ties by
     # coordinates) and comes in the order of its first representative.
-    order = np.lexsort(locs.T[::-1])
-    groups = sorted((order[g] for g in _single_linkage(locs[order], cluster_radius)),
-                    key=min)
+    groups = _single_linkage(locs, cluster_radius)
     keep = [g[int(np.argmin(fresh[g]))] for g in groups]
     basins = [sum(len(clusters[r]) for r in g) for g in groups]
 

@@ -152,8 +152,10 @@ def batch_values(spec: PotentialSpec, disp: np.ndarray, weights=None) -> np.ndar
         r2 = _sq_norm(disp)
         if eps > 0.0:
             # r2 / (sqrt(r2 + eps^2) + eps) == sqrt(r2 + eps^2) - eps, but
-            # free of cancellation for r << eps.
-            vals = r2 / (np.sqrt(r2 + eps * eps) + eps)
+            # free of cancellation for r << eps; inf, not inf / inf, once r2
+            # overflows.
+            vals = np.divide(r2, np.sqrt(r2 + eps * eps) + eps,
+                             out=np.full_like(r2, np.inf), where=r2 != np.inf)
         else:
             vals = np.sqrt(r2)
         if kind == "weighted_euclidean":

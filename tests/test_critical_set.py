@@ -56,6 +56,23 @@ def test_degenerate_box_is_rejected():
         TestingPlan("grid", count=4, domain_box=((0.0, 0.0), (0.0, 1.0)))
 
 
+@pytest.mark.parametrize("box", [((-1.0, 5.0),), ((-1.0, 5.0), (-1.0, 5.0), (-1.0, 5.0))])
+@pytest.mark.parametrize("strategy", ["grid", "uniform_random", "anchors_jittered"])
+def test_domain_box_of_another_dimension_is_rejected(box, strategy):
+    # A box whose axis count differs from the anchors' dimension once gave
+    # 1-D testing points, a broadcast clip or numpy's broadcast error.
+    obj = make_objective(RIGHT_TRIANGLE)
+    plan = TestingPlan(strategy, count=4, domain_box=box)
+    message = r"^testing_plan\.domain_box: expected 2 \[lo, hi\] pairs$"
+    with pytest.raises(ConfigError, match=message):
+        generate_testing_points(plan, obj.anchors)
+    with pytest.raises(ConfigError, match=message):
+        enumerate_critical_points(obj, plan)
+    if strategy != "anchors_jittered":
+        # Without anchors the box sets the dimension.
+        assert generate_testing_points(plan).shape[1] == len(box)
+
+
 def test_bad_strategy_count_and_seed_are_rejected():
     with pytest.raises(ConfigError, match="strategy"):
         TestingPlan("sobol", count=4)
@@ -193,6 +210,12 @@ def test_no_converged_trace_raises_with_diagnostics():
         enumerate_critical_points(obj, plan, cfg, points=starts)
     assert info.value.diagnostics["stalled"] == 2
     assert info.value.diagnostics["converged"] == 0
+
+
+def test_empty_start_set_is_rejected():
+    obj = make_objective(RIGHT_TRIANGLE)
+    with pytest.raises(InputError, match=r"^points: expected at least one row$"):
+        enumerate_critical_points(obj, points=np.zeros((0, 2)))
 
 
 def test_diagnostics_report_the_work_and_every_unconverged_trace():
@@ -345,6 +368,14 @@ def _connected_components(points, radius):
     return list(groups.values())
 
 
+def _lexicographic_clusters(points, radius):
+    """The components in the order of their smallest index, members in the
+    lexicographic order of their points and equal points in input order."""
+    rank = np.empty(len(points), dtype=int)
+    rank[np.lexsort(points.T[::-1])] = np.arange(len(points))
+    return [sorted(c, key=rank.__getitem__) for c in _connected_components(points, radius)]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("lattice", [False, True])
 def test_single_linkage_matches_brute_force_components(d, lattice):
@@ -352,12 +383,31 @@ def test_single_linkage_matches_brute_force_components(d, lattice):
     for _ in range(20):
         m = int(rng.integers(1, 80))
         if lattice:
-            # Integer points put many pairs at exactly the radius.
+            # Integer points put many pairs at exactly the radius, and many
+            # points on one another.
             points, radius = rng.integers(0, 6, size=(m, d)).astype(float), 1.0
         else:
             points, radius = rng.uniform(0.0, 10.0, size=(m, d)), float(rng.uniform(0.1, 2.0))
+        shuffled = points
         points = points[np.lexsort(points.T[::-1])]
         assert _single_linkage(points, radius) == _connected_components(points, radius)
+        assert _single_linkage(shuffled, radius) == _lexicographic_clusters(shuffled, radius)
+
+
+def test_single_linkage_joins_a_long_shuffled_chain():
+    # 500 points, each 0.9 from the next within 60 degrees of the x axis:
+    # the ends are more than 200 apart and still one cluster at radius 1.
+    rng = np.random.default_rng(11)
+    angles = rng.uniform(-np.pi / 3.0, np.pi / 3.0, size=499)
+    steps = 0.9 * np.column_stack([np.cos(angles), np.sin(angles)])
+    points = np.cumsum(np.vstack([[0.0, 0.0], steps]), axis=0)[rng.permutation(500)]
+    assert _single_linkage(points, 1.0) == [np.lexsort(points.T[::-1]).tolist()]
+
+
+def test_single_linkage_keeps_equal_points_in_input_order():
+    points = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [5.0, 5.0], [0.0, 0.0], [1.0, 2.0]])
+    assert _single_linkage(points, 0.5) == [[0, 2, 5], [1, 4], [3]]
+    assert _single_linkage(points, 3.0) == [[1, 4, 0, 2, 5], [3]]
 
 
 @pytest.mark.parametrize("direction", [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])

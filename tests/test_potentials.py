@@ -11,8 +11,8 @@ from hypothesis import strategies as hst
 from steiner import (ConfigError, NonSmoothEvaluationWarning, PotentialSpec,
                      potential_gradient, potential_value)
 
-from steiner.potentials import batch_gradients, batch_roots, batch_value_changes
-from util import random_rotation
+from steiner.potentials import batch_gradients, batch_roots, batch_value_changes, batch_values
+from util import make_objective, random_rotation
 
 ISOTROPIC = [
     PotentialSpec("euclidean", epsilon=1e-6),
@@ -226,3 +226,24 @@ def test_roots_are_none_for_kinds_without_them():
     for spec in (PotentialSpec("squared"), PotentialSpec("p_norm"),
                  PotentialSpec("gaussian_well")):
         assert batch_roots(spec, disp) is None
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    ("euclidean", {}),
+    ("weighted_euclidean", dict(weights=(2.5,))),
+])
+def test_smoothed_euclidean_value_is_inf_where_the_squared_norm_overflows(kind, kwargs):
+    # r^2 / (sqrt(r^2 + eps^2) + eps) was inf / inf = nan once r^2 overflowed.
+    obj = make_objective([[0.0, -2.0]], kind, **kwargs)
+    assert obj.potential.epsilon > 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert obj.value([1e300, 1e300]) == np.inf
+        # Finite values keep every bit of the formula.
+        spec = PotentialSpec(kind, epsilon=1e-3, **kwargs)
+        scale = np.array([1e-6, 1.0, 1e150])[:, None, None]
+        disp = np.random.default_rng(3).normal(scale=scale, size=(3, 40, 2))
+        r2 = np.einsum("...i,...i->...", disp, disp)
+        weight = spec.weights[0] if spec.weights else 1.0
+        expected = r2 / (np.sqrt(r2 + 1e-6) + 1e-3) * weight
+        np.testing.assert_array_equal(batch_values(spec, disp), expected, strict=True)
