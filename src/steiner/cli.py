@@ -239,8 +239,8 @@ def parse_instance(data) -> Instance:
     potential = _parse_section(data["potential"], "potential")
     plan, flow = (_parse_section(data[s], s) if data.get(s) is not None else None
                   for s in ("testing_plan", "flow"))
-    if plan is not None and plan.domain_box is not None and len(plan.domain_box) != dimension:
-        raise InputError(f"testing_plan.domain_box: expected {dimension} [lo, hi] pairs")
+    if plan is not None and plan.domain_box is not None:
+        plan_domain_box(plan, anchors)  # rejects a box of another axis count
     return Instance(dimension, anchors, potential, plan, flow)
 
 

@@ -210,41 +210,37 @@ def trace_flows(obj: Objective, starts, cfg: FlowConfig | None = None) -> Iterat
 class _Running:
     """Per-row state of the rows of a lockstep block that are still running.
 
-    One entry per row, in start order; :meth:`keep` drops rows that stop.
-    ``row`` is the start index. The current sample of a row is (``x``,
-    ``u``, ``gn``, ``length``); earlier samples are in the log and never
-    change. ``disp`` holds x - a_i and ``root`` the per-anchor roots of the
-    euclidean kinds there (None for other kinds), shared by the gradient at
-    x and the line search that leaves x. ``t`` is the next search's first
-    trial before the cap, and within a step the accepted multiplier. ``w``,
-    ``delta`` and ``gsq`` belong to the current step.
+    Every attribute holds one entry per row (or is None), in start order;
+    :meth:`keep` drops rows that stop. ``row`` is the start index. The
+    current sample of a row is (``x``, ``u``, ``gn``, ``length``); earlier
+    samples are in the log and never change. ``disp`` holds x - a_i and
+    ``root`` the per-anchor roots of the euclidean kinds there (None for
+    other kinds), shared by the gradient at x and the line search that
+    leaves x. ``t`` is the next search's first trial before the cap, and
+    within a step the accepted multiplier. ``w``, ``delta`` and ``gsq``
+    belong to the current step.
     """
-
-    FIELDS = ("row", "x", "disp", "root", "g", "gn", "t", "u", "length", "carry", "tie",
-              "samples", "counts", "w", "delta", "gsq")
 
     def __init__(self, **fields):
         self.__dict__.update(fields)
 
     def keep(self, mask):
-        for name in self.FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, value[mask])
+        self.__dict__.update({name: value[mask] for name, value in self.__dict__.items()
+                              if value is not None})
 
 
 def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
     """The descent loop: trace every row of ``starts`` in lockstep.
 
     Each iteration takes one step on every running row: rows at rest
-    converge, the rest run a backtracking search together (a row leaves it
-    on acceptance, or keeps a zero step when t drops below ``min_step``),
-    the rows that did not move stall, and the rest get one batched
-    gradient. All arithmetic is per row and in the order of a single-row
-    run, so a row's trace does not depend on the others. A start whose U or
-    grad U turns non-finite stops only its own row. Returns (traces, None),
-    or (None, (row, message, partial trace)) for the lowest failing row;
-    the partial trace is None where U was non-finite at the start.
+    converge, the rest run a backtracking search together that a row leaves
+    once its trial is accepted or its next t is below ``min_step``, the
+    rows that did not move stall, and the rest get one batched gradient.
+    All arithmetic is per row and in the order of a single-row run, so a
+    row's trace does not depend on the others. A start whose U or grad U
+    turns non-finite stops only its own row. Returns (traces, None), or
+    (None, (row, message, partial trace)) for the lowest failing row; the
+    partial trace is None where U was non-finite at the start.
     """
     m, d = starts.shape
     status: list[str | None] = [None] * m
@@ -313,33 +309,25 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
         # t never backtracks below min_step), and keeps a step no longer than
         # the anchor set unless initial_step itself asks for that.
         run.t = np.minimum(run.t, np.maximum(cfg.initial_step, obj.length_scale / run.gn))
-        # Backtracking search; a row leaves it on its first accepted trial.
+        # Backtracking search. One rule, ``keep``, drops a row: its trial was
+        # accepted (delta < 0), or its next t is below min_step (w stays 0).
         k = len(run.row)
-        run.w, run.delta = np.zeros((k, d)), np.empty(k)
-        tries, accepted = np.zeros(k, dtype=int), np.zeros(k, dtype=bool)
-        pos, ts, gs, ds, rs, gq = np.arange(k), run.t, run.g, run.disp, run.root, run.gsq
-        trials = 0
-        while True:
-            short = ts < cfg.min_step
-            if short.any():
-                tries[pos[short]] = trials
-                pos, ts, gs, ds, rs, gq = _rows_of((pos, ts, gs, ds, rs, gq), ~short)
-                if not pos.size:
-                    break
+        run.w, run.delta, tries = np.zeros((k, d)), np.zeros(k), np.zeros(k, dtype=int)
+        search = (np.arange(k), run.t, run.g, run.disp, run.root, run.gsq)
+        keep = run.t >= cfg.min_step
+        while keep.any():
+            pos, ts, gs, ds, rs, gq = search = _rows_of(search, keep)
             ws = ts[:, None] * gs
             trial = obj._value_changes(ds, -ws, rs)
+            tries[pos] += 1
             ok = np.isfinite(trial) & (trial < 0.0) & (trial <= -cfg.armijo_c * ts * gq)
             if ok.any():
                 done = pos[ok]
                 run.t[done], run.w[done], run.delta[done] = ts[ok], ws[ok], trial[ok]
-                tries[done], accepted[done] = trials + 1, True
-                if ok.all():
-                    break
-                pos, ts, gs, ds, rs, gq = _rows_of((pos, ts, gs, ds, rs, gq), ~ok)
-            trials += 1
             ts = ts * cfg.backtrack_factor
+            search, keep = (pos, ts, gs, ds, rs, gq), ~ok & (ts >= cfg.min_step)
         run.counts[:, 0] += tries
-        run.counts[:, 2] += tries - accepted
+        run.counts[:, 2] += tries - (run.delta < 0.0)
 
         x_new = run.x - run.w
         still = (x_new == run.x).all(axis=1)
@@ -408,7 +396,9 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
 
 
 def _rows_of(arrays, mask):
-    """``arrays`` restricted to the masked rows; a None stays None."""
+    """``arrays`` restricted to the masked rows, uncopied if all; a None stays None."""
+    if mask.all():
+        return arrays
     return [None if a is None else a[mask] for a in arrays]
 
 

@@ -43,13 +43,6 @@ def _require(cond, field, problem):
 KIND_PARAMETERS = {"p": "p_norm", "sigma": "gaussian_well", "weights": "weighted_euclidean"}
 
 
-def check_parameters(kind: str, names) -> None:
-    """Raise ConfigError for the first of ``names`` that ``kind`` does not read."""
-    for name in names:
-        owner = KIND_PARAMETERS.get(name, kind)
-        _require(owner == kind, name, f"only valid for the {owner} kind")
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
     """Declarative choice of the per-anchor potential.
@@ -71,8 +64,9 @@ class PotentialSpec:
     def __post_init__(self):
         _require(self.kind in KINDS, "kind",
                  f"unknown kind {self.kind!r}; expected one of {', '.join(KINDS)}")
-        check_parameters(self.kind, [name for name in KIND_PARAMETERS
-                                     if getattr(self, name) is not None])
+        for name, owner in KIND_PARAMETERS.items():
+            _require(getattr(self, name) is None or owner == self.kind, name,
+                     f"only valid for the {owner} kind")
         if self.kind == "p_norm":
             if self.p is None:
                 object.__setattr__(self, "p", 2.0)
@@ -115,14 +109,6 @@ def _eps(spec):
     return 0.0 if spec.epsilon is None else spec.epsilon
 
 
-def _weights_array(spec, weights):
-    if weights is not None:
-        return weights
-    if spec.weights is None:
-        raise ConfigError("potential.weights: required for the weighted_euclidean kind")
-    return np.asarray(spec.weights, dtype=float)
-
-
 def _sq_norm(arr):
     return np.einsum("...i,...i->...", arr, arr)
 
@@ -140,11 +126,28 @@ def batch_roots(spec: PotentialSpec, disp: np.ndarray) -> np.ndarray | None:
     return np.sqrt(_sq_norm(disp) + eps * eps)
 
 
+def _p_norm_far(spec: PotentialSpec, disp: np.ndarray):
+    """S^(1/p) and the p_norm gradient per row of ``disp`` (shape (m, D)).
+
+    For rows whose power sum S = sum_k (v_k^2 + eps^2)^(p/2) overflows
+    though its p-th root does not: with r_k = hypot(v_k, eps), R = max_k r_k,
+    q = r / R and S' = sum_k q_k^p, the root is R S'^(1/p) and the gradient
+    S'^(1/p-1) q_j^(p-1) v_j / r_j, neither forming R^p.
+    """
+    r = np.hypot(disp, _eps(spec))
+    top = r.max(axis=-1)
+    q = r / top[:, None]
+    s = np.power(q, spec.p).sum(axis=-1)
+    norm = np.where(top == np.inf, np.inf, top * np.power(s, 1.0 / spec.p))
+    return norm, np.power(s, 1.0 / spec.p - 1.0)[:, None] * np.power(q, spec.p - 1.0) * (disp / r)
+
+
 def batch_values(spec: PotentialSpec, disp: np.ndarray, weights=None) -> np.ndarray:
     """Potential value for each displacement row; ``disp`` has shape (..., D).
 
-    For ``weighted_euclidean`` the weights broadcast against the last axis
-    of the result (one weight per anchor row).
+    ``weighted_euclidean`` multiplies by ``weights``, which broadcast
+    against the last axis of the result (one weight per anchor row); the
+    other kinds ignore them. The kernels below take them the same way.
     """
     eps = _eps(spec)
     kind = spec.kind
@@ -159,7 +162,7 @@ def batch_values(spec: PotentialSpec, disp: np.ndarray, weights=None) -> np.ndar
         else:
             vals = np.sqrt(r2)
         if kind == "weighted_euclidean":
-            vals = vals * _weights_array(spec, weights)
+            vals = vals * weights
         return vals
     if kind == "squared":
         return _sq_norm(disp)
@@ -167,11 +170,13 @@ def batch_values(spec: PotentialSpec, disp: np.ndarray, weights=None) -> np.ndar
         s2 = spec.sigma * spec.sigma
         return -np.expm1(-_sq_norm(disp) / s2)
     # p_norm
-    t = disp * disp + eps * eps
-    s = np.power(t, spec.p / 2.0).sum(axis=-1)
-    d = disp.shape[-1]
-    vals = np.power(s, 1.0 / spec.p) - (d ** (1.0 / spec.p)) * eps
-    return np.maximum(vals, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.power(disp * disp + eps * eps, spec.p / 2.0).sum(axis=-1)
+        norm = np.power(s, 1.0 / spec.p)
+        far = s == np.inf
+        if far.any():
+            norm[far] = _p_norm_far(spec, disp[far])[0]
+    return np.maximum(norm - (disp.shape[-1] ** (1.0 / spec.p)) * eps, 0.0)
 
 
 def batch_gradients(spec: PotentialSpec, disp: np.ndarray, weights=None,
@@ -192,7 +197,7 @@ def batch_gradients(spec: PotentialSpec, disp: np.ndarray, weights=None,
             warnings.warn(_NONSMOOTH_MSG, NonSmoothEvaluationWarning, stacklevel=2)
             g = np.where(at_kink[..., None], 0.0, g)
         if kind == "weighted_euclidean":
-            g = g * _weights_array(spec, weights)[..., None]
+            g = g * weights[..., None]
         return g
     if kind == "squared":
         return 2.0 * disp
@@ -201,11 +206,14 @@ def batch_gradients(spec: PotentialSpec, disp: np.ndarray, weights=None,
         damp = np.exp(-_sq_norm(disp) / s2)
         return (2.0 / s2) * disp * damp[..., None]
     # p_norm: d/dv_j (sum t_k^(p/2))^(1/p) = S^(1/p-1) t_j^(p/2-1) v_j
-    t = disp * disp + eps * eps
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = disp * disp + eps * eps
         s = np.power(t, spec.p / 2.0).sum(axis=-1)
         outer = np.power(s, 1.0 / spec.p - 1.0)
         g = outer[..., None] * np.power(t, spec.p / 2.0 - 1.0) * disp
+        far = s == np.inf
+        if far.any():
+            g[far] = _p_norm_far(spec, disp[far])[1]
     g = np.where(t == 0.0, 0.0, g)
     at_kink = s == 0.0
     if np.any(at_kink):
@@ -241,7 +249,7 @@ def batch_value_changes(spec: PotentialSpec, disp: np.ndarray, move: np.ndarray,
             delta = dr2 / denom
         delta = np.where(denom == 0.0, 0.0, delta)
         if kind == "weighted_euclidean":
-            delta = delta * _weights_array(spec, weights)
+            delta = delta * weights
         return delta
     if kind == "squared":
         return dr2

@@ -68,6 +68,18 @@ def test_solve_rejects_wrong_width_anchor_row(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle centroid"])
+def test_domain_box_of_another_width_is_input_error(tmp_path, capsys, command):
+    # parse_instance applies the rule, so commands that need no box reject it too.
+    plan = dict(RIGHT_TRIANGLE_INSTANCE["testing_plan"], domain_box=[[-1, 5]] * 3)
+    inp = write_instance(tmp_path, dict(RIGHT_TRIANGLE_INSTANCE, testing_plan=plan))
+    out = tmp_path / "result.json"
+    code = main([*command.split(), "--input", str(inp), "--output", str(out)])
+    assert code == EXIT_INPUT
+    assert "testing_plan.domain_box: expected 2 [lo, hi] pairs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_rejects_malformed_json(tmp_path, capsys):
     inp = tmp_path / "broken.json"
     inp.write_text('{"dimension": 2,,}')
@@ -456,6 +468,17 @@ def test_gradcheck_detects_corrupted_gradient(tmp_path, monkeypatch):
     assert json.loads(rep.read_text())["pass"] is False
 
 
+def test_gradcheck_without_room_away_from_the_anchors_is_input_error(tmp_path, capsys):
+    # Samples within 10 epsilon of an anchor are skipped; here that is the whole box.
+    inp = write_instance(tmp_path, dict(RIGHT_TRIANGLE_INSTANCE,
+                                        potential={"kind": "euclidean", "epsilon": 10.0}))
+    rep = tmp_path / "gradcheck.json"
+    code = main(["gradcheck", "--input", str(inp), "--samples", "5", "--report", str(rep)])
+    assert code == EXIT_INPUT
+    assert "could not sample enough points away from the anchors" in capsys.readouterr().err
+    assert not rep.exists()
+
+
 def test_missing_input_file_is_input_error(tmp_path, capsys):
     code = main(["solve", "--input", str(tmp_path / "nope.json"),
                  "--output", str(tmp_path / "o.json")])
@@ -464,6 +487,7 @@ def test_missing_input_file_is_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, flag, value, field", [
     ("gradcheck", "--seed", "-1", "seed"),
+    ("gradcheck", "--samples", "0", "samples"),
     ("oracle weiszfeld", "--max-iter", "-5", "max_iter"),
 ])
 def test_out_of_range_flag_is_input_error(tmp_path, capsys, command, flag, value, field):
@@ -518,6 +542,25 @@ def test_unusable_path_is_input_error(tmp_path, capsys, input_name, output_name,
                  id="p-for-euclidean"),
     pytest.param(lambda d: d.update(potential={"kind": "squared", "sigma": 2}),
                  "potential.sigma", id="sigma-for-squared"),
+    # Each JSON type check names its field before a later check could.
+    pytest.param(lambda d: d.update(flow=5), "flow: expected a JSON object",
+                 id="section-not-object"),
+    pytest.param(lambda d: d.update(dimension=2.5), "dimension: expected an integer",
+                 id="fractional-dimension"),
+    pytest.param(lambda d: d.update(potential={"kind": 3}),
+                 "potential.kind: expected a string", id="numeric-kind"),
+    pytest.param(lambda d: d.update(potential={"kind": "weighted_euclidean", "weights": []}),
+                 "potential.weights: expected a non-empty list", id="empty-weights"),
+    pytest.param(lambda d: d["testing_plan"].update(domain_box=5),
+                 "testing_plan.domain_box: expected a list of [lo, hi] pairs", id="box-not-list"),
+    pytest.param(lambda d: d["testing_plan"].update(domain_box=[[-1, 5], [-1, 4, 9]]),
+                 "testing_plan.domain_box[1]: expected [lo, hi]", id="box-triple"),
+    pytest.param(lambda d: d["testing_plan"].update(domain_box=[[-1, 5]] * 3),
+                 "testing_plan.domain_box: expected 2 [lo, hi] pairs", id="box-of-3-axes"),
+    pytest.param(lambda d: d.update(potential={}), "potential.kind: missing required field",
+                 id="potential-without-kind"),
+    pytest.param(lambda d: d["anchors"].__setitem__(1, 4.0),
+                 "anchors[1]: expected a coordinate list", id="anchor-row-not-list"),
 ])
 def test_parse_instance_field_errors(mutate, field):
     data = json.loads(json.dumps(RIGHT_TRIANGLE_INSTANCE))
@@ -616,6 +659,9 @@ def test_result_floats_survive_json_round_trip(tmp_path):
 def test_load_instance_validates(tmp_path):
     path = write_instance(tmp_path, {"dimension": 2})
     with pytest.raises(InputError, match="anchors"):
+        load_instance(path)
+    path = write_instance(tmp_path, [RIGHT_TRIANGLE_INSTANCE])
+    with pytest.raises(InputError, match="^instance: expected a JSON object$"):
         load_instance(path)
     path.write_bytes(b'{"dimension": 2, "anchors": [[0, 0]], "potential": {"kind": "\xff"}}')
     with pytest.raises(InputError, match="not UTF-8"):

@@ -49,11 +49,16 @@ def test_jittered_plan_stays_near_anchors():
     diagonal = np.linalg.norm([6.0, 5.0])
     for p, a in zip(pts, anchors.points):
         assert np.linalg.norm(p - a) <= 0.01 * diagonal
+    with pytest.raises(ConfigError, match="anchors_jittered needs anchors"):
+        generate_testing_points(plan)
 
 
 def test_degenerate_box_is_rejected():
     with pytest.raises(ConfigError, match="domain_box"):
         TestingPlan("grid", count=4, domain_box=((0.0, 0.0), (0.0, 1.0)))
+    for bound in (np.inf, np.nan):
+        with pytest.raises(ConfigError, match=r"domain_box\[1\]: bounds must be finite"):
+            TestingPlan("grid", count=4, domain_box=((0.0, 1.0), (-bound, 1.0)))
 
 
 @pytest.mark.parametrize("box", [((-1.0, 5.0),), ((-1.0, 5.0), (-1.0, 5.0), (-1.0, 5.0))])
@@ -97,6 +102,8 @@ def test_default_domain_box_adds_margin_and_contains_anchors():
     single = default_domain_box(AnchorSet([[3.0, 3.0]]))
     lo, hi = np.array([b[0] for b in single]), np.array([b[1] for b in single])
     assert np.all(lo < 3.0) and np.all(hi > 3.0)
+    with pytest.raises(ConfigError, match="domain_box: required when no anchors"):
+        generate_testing_points(TestingPlan())
 
 
 @pytest.mark.parametrize("anchors, centroid", [

@@ -156,6 +156,13 @@ def test_tangency_residual_needs_two_samples():
         tangency_residual(obj, trace)
 
 
+def test_graph_residual_without_two_samples_is_none():
+    obj = make_objective([[0.0, 0.0]], kind="squared")
+    for points in (np.zeros((0, 2)), np.array([[1.0, 0.0]])):
+        zeros = np.zeros(len(points))
+        assert graph_residual(obj, FlowTrace(points, zeros, zeros, zeros, CONVERGED)) is None
+
+
 def test_graph_residual_on_radial_ray_of_quadratic():
     # The flow line of an isotropic quadratic from (2, 1) is the straight
     # ray toward the anchor: Z_2 = 0.5 Z_1 along the whole curve.

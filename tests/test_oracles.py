@@ -82,6 +82,17 @@ def test_weiszfeld_rejects_a_budget_below_one_iteration(max_iter):
         weiszfeld(AnchorSet([[0.0, 0.0], [1.0, 0.0]]), max_iter=max_iter)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(tol=0.0), "tol: must be finite and > 0"),
+    (dict(tol=math.nan), "tol: must be finite and > 0"),
+    (dict(weights=[1.0, -1.0]), "weights: expected 2 finite positive entries"),
+    (dict(weights=[1.0]), "weights: expected 2 finite positive entries"),
+])
+def test_weiszfeld_rejects_a_bad_tolerance_or_weights(kwargs, message):
+    with pytest.raises(InputError, match=message):
+        weiszfeld(AnchorSet([[0.0, 0.0], [1.0, 0.0]]), **kwargs)
+
+
 def test_weiszfeld_value_is_reevaluated_objective():
     rng = np.random.default_rng(8)
     anchors = AnchorSet(rng.uniform(0.0, 10.0, size=(7, 3)))
@@ -141,6 +152,17 @@ def test_grid_search_rejects_bad_spacing():
     obj = make_objective([[0.0, 0.0]], kind="squared")
     with pytest.raises(ConfigError, match="spacing"):
         grid_search(obj, [(0.0, 1.0), (0.0, 1.0)], spacing=0.0)
+
+
+@pytest.mark.parametrize("box, message", [
+    ([(0.0, 1.0)], r"box: expected 2 axes, got 1"),
+    ([(0.0, 1.0), (1.0, 0.0)], r"box\[1\]: expected finite lo <= hi"),
+    ([(0.0, math.inf), (0.0, 1.0)], r"box\[0\]: expected finite lo <= hi"),
+])
+def test_grid_search_rejects_a_bad_box(box, message):
+    obj = make_objective([[0.0, 0.0]], kind="squared")
+    with pytest.raises(ConfigError, match=message):
+        grid_search(obj, box, spacing=0.5)
 
 
 def test_grid_value_brackets_the_true_minimum():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from steiner import (ConfigError, NonSmoothEvaluationWarning, PotentialSpec,
+from steiner import (ConfigError, InputError, NonSmoothEvaluationWarning, PotentialSpec,
                      potential_gradient, potential_value)
 
 from steiner.potentials import batch_gradients, batch_roots, batch_value_changes, batch_values
@@ -102,6 +102,22 @@ def test_p_norm_gradient_finite_on_coordinate_planes():
 def test_invalid_specs_fail_at_construction(kwargs, field):
     with pytest.raises(ConfigError, match=field):
         PotentialSpec(**kwargs)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: potential_value(PotentialSpec("euclidean"), [[1.0, 2.0]]), InputError,
+     "displacement: expected a non-empty 1-D"),
+    (lambda: potential_gradient(PotentialSpec("euclidean"), [math.nan, 0.0]), InputError,
+     "displacement: coordinates must be finite"),
+    (lambda: potential_value(PotentialSpec("weighted_euclidean"), [1.0, 0.0]), ConfigError,
+     "potential.weights: required for the weighted_euclidean kind"),
+    (lambda: potential_gradient(PotentialSpec("weighted_euclidean", weights=(1.0, 2.0)),
+                                [1.0, 0.0], anchor_index=2), InputError,
+     r"anchor_index: 2 outside \[0, 2\)"),
+])
+def test_single_term_arguments_are_checked(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_kind_parameters_default_only_for_their_kind():
@@ -244,6 +260,35 @@ def test_smoothed_euclidean_value_is_inf_where_the_squared_norm_overflows(kind, 
         scale = np.array([1e-6, 1.0, 1e150])[:, None, None]
         disp = np.random.default_rng(3).normal(scale=scale, size=(3, 40, 2))
         r2 = np.einsum("...i,...i->...", disp, disp)
-        weight = spec.weights[0] if spec.weights else 1.0
-        expected = r2 / (np.sqrt(r2 + 1e-6) + 1e-3) * weight
-        np.testing.assert_array_equal(batch_values(spec, disp), expected, strict=True)
+        weights = np.asarray(spec.weights or (1.0,))
+        expected = r2 / (np.sqrt(r2 + 1e-6) + 1e-3) * weights
+        np.testing.assert_array_equal(batch_values(spec, disp, weights), expected, strict=True)
+
+
+def test_p_norm_far_from_the_anchor_is_finite_and_right():
+    # The power sum sum_k (v_k^2 + eps^2)^(p/2) overflows at these points,
+    # though the norm and the gradient are finite.
+    obj = make_objective([[0.0, -2.0]], "p_norm", p=3.0)
+    cases = [([1e103, 1e103], 2 ** (1 / 3) * 1e103, [2 ** (-2 / 3)] * 2),
+             ([1e300, 1e300], 2 ** (1 / 3) * 1e300, [2 ** (-2 / 3)] * 2),
+             ([1e160, 0.0], 1e160, [1.0, 0.0])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for point, value, grad in cases:
+            assert obj.value(point) == pytest.approx(value, rel=1e-14)
+            np.testing.assert_allclose(obj.gradient(point), grad, rtol=1e-14, atol=1e-300)
+        # Wherever the power sum is finite, both keep every bit of the formula.
+        spec = PotentialSpec("p_norm", p=3.0, epsilon=1e-3)
+        rng = np.random.default_rng(4)
+        disp = rng.normal(size=(400, 5, 2)) * 10.0 ** rng.uniform(-8, 200, size=(400, 1, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = disp * disp + 1e-6
+            s = np.power(t, 1.5).sum(axis=-1)
+            value = np.maximum(np.power(s, 1.0 / 3.0) - 2 ** (1.0 / 3.0) * 1e-3, 0.0)
+            grad = np.power(s, 1.0 / 3.0 - 1.0)[..., None] * np.power(t, 0.5) * disp
+        plain = np.isfinite(s)
+        assert 0 < plain.sum() < plain.size
+        values, grads = batch_values(spec, disp), batch_gradients(spec, disp)
+        assert np.isfinite(values).all() and np.isfinite(grads).all()
+        np.testing.assert_array_equal(values[plain], value[plain])
+        np.testing.assert_array_equal(grads[plain], grad[plain])
