@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
+from itertools import chain
 
 import numpy as np
 
@@ -124,6 +125,24 @@ def _plain_numbers(values) -> bool:
         return False
 
 
+def _plain_rows(rows, dimension):
+    """``rows`` as one float array when each is a list of ``dimension`` plain
+    ints and floats with finite values, else None.
+
+    The fast path for the anchor list: one type scan and one array check in
+    place of a check per entry; callers fall back to those, with their field
+    paths, only when this is None.
+    """
+    if (set(map(type, rows)) != {list} or set(map(len, rows)) != {dimension}
+            or not set(map(type, chain.from_iterable(rows))) <= {int, float}):
+        return None
+    try:
+        arr = np.array(rows, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
 def _expect_int(value, field):
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{field}: expected an integer")
@@ -224,16 +243,18 @@ def parse_instance(data) -> Instance:
     rows = data["anchors"]
     if not isinstance(rows, list) or not rows:
         raise InputError("anchors: expected a non-empty list of coordinate rows")
-    parsed_rows = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise InputError(f"anchors[{i}]: expected a coordinate list")
-        if len(row) != dimension:
-            raise InputError(
-                f"anchors[{i}]: expected {dimension} coordinates, got {len(row)}")
-        if not _plain_numbers(row):
-            row = [_expect_number(c, f"anchors[{i}][{j}]") for j, c in enumerate(row)]
-        parsed_rows.append(row)
+    parsed_rows = _plain_rows(rows, dimension)
+    if parsed_rows is None:
+        parsed_rows = []
+        for i, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise InputError(f"anchors[{i}]: expected a coordinate list")
+            if len(row) != dimension:
+                raise InputError(
+                    f"anchors[{i}]: expected {dimension} coordinates, got {len(row)}")
+            if not _plain_numbers(row):
+                row = [_expect_number(c, f"anchors[{i}][{j}]") for j, c in enumerate(row)]
+            parsed_rows.append(row)
     anchors = AnchorSet(parsed_rows)
 
     potential = _parse_section(data["potential"], "potential")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import AnchorSet, Objective, is_integer
 from .errors import ConfigError, InputError, NoCriticalPointError
-from .flow import CONVERGED, MAX_STEPS, STALLED, FlowConfig, FlowTrace, trace_flows
+from .flow import CONVERGED, MAX_STEPS, STALLED, FlowConfig, FlowTrace, rest_points
 from .flow import trace_flow  # noqa: F401  (benchmarks/spans.py wraps it here)
 
 STRATEGIES = ("grid", "uniform_random", "anchors_jittered")
@@ -236,7 +236,7 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
     overrides the generated testing points (the plan still supplies box
     and seed), which callers use to transform start sets consistently.
     The testing points, and then the cluster representatives, are traced
-    in lockstep blocks (:func:`~steiner.flow.trace_flows`). ``threads`` is
+    in lockstep blocks (:func:`~steiner.flow.rest_points`). ``threads`` is
     deprecated and ignored.
     """
     if threads != 1:
@@ -264,21 +264,9 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
     if not 0.0 < cluster_radius < np.inf:
         raise ConfigError(f"cluster_radius: must be finite and > 0, got {cluster_radius}")
 
-    # Keep only each trace's end unless the caller wants the traces, so that
-    # one block of traces is alive at a time.
-    statuses: list[str] = []
-    terminals = np.empty((len(points), obj.dimension))
-    values = np.empty(len(points))
-    work = np.zeros(3, dtype=int)
-    traces = [] if keep_traces else None
-    for k, trace in enumerate(trace_flows(obj, points, cfg)):
-        statuses.append(trace.status)
-        terminals[k], values[k] = trace.terminal_point, trace.terminal_value
-        work += trace.n_value_changes, trace.n_gradients, trace.n_backtracks
-        if keep_traces:
-            traces.append(trace)
-
-    value_changes, gradients, backtracks = work.tolist()
+    ends = rest_points(obj, points, cfg, keep_traces)
+    statuses = ends.statuses
+    value_changes, gradients, backtracks = ends.counts.sum(axis=0).tolist()
     diagnostics = {
         "testing_points": len(points),
         "converged": statuses.count(CONVERGED),
@@ -290,7 +278,7 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
         "value_changes": value_changes,
         "gradients": gradients,
         "backtracks": backtracks,
-        "unconverged": [{"start": k, "status": status, "terminal": terminals[k].tolist()}
+        "unconverged": [{"start": k, "status": status, "terminal": ends.points[k].tolist()}
                         for k, status in enumerate(statuses) if status != CONVERGED],
     }
     converged = np.array(statuses) == CONVERGED
@@ -298,7 +286,7 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
         raise NoCriticalPointError(
             "no descent run reached a rest point; see diagnostics", diagnostics)
 
-    terminals, values = terminals[converged], values[converged]
+    terminals, values = ends.points[converged], ends.values[converged]
     # Sorted terminals order the clusters, and so the kept points, by their
     # lexicographically smallest member; the curvature probe draws its random
     # directions in that order.
@@ -310,9 +298,8 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
     # Members come in lexicographic order, so an exact value tie picks the
     # lexicographically smallest terminal.
     starts = terminals[[members[int(np.argmin(values[members]))] for members in clusters]]
-    locs, grad_norms = starts.copy(), np.empty(len(starts))
-    for k, polished in enumerate(trace_flows(obj, starts, polish_cfg)):
-        locs[k], grad_norms[k] = polished.terminal_point, polished.terminal_grad_norm
+    polished = rest_points(obj, starts, polish_cfg, False)
+    locs, grad_norms = polished.points, polished.grad_norms
     failed = grad_norms > cfg.grad_tol
     locs[failed] = starts[failed]
     grad_norms[failed] = _row_norms(obj.gradient_many(starts[failed]))
@@ -338,8 +325,7 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
     diagnostics["degenerate_clusters"] = _degenerate([c.value for c in crit])
 
     return SteinerResult(steiner=select_steiner(crit), critical_set=crit,
-                         diagnostics=diagnostics,
-                         traces=traces)
+                         diagnostics=diagnostics, traces=ends.traces)
 
 
 def select_steiner(critical_set: list[CriticalPoint]) -> CriticalPoint:

@@ -24,6 +24,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,11 +173,11 @@ def trace_flow(obj: Objective, start, cfg: FlowConfig | None = None) -> FlowTrac
     (carrying the partial trace) if U or grad U turns non-finite at an
     accepted point. This is the one-start case of :func:`trace_flows`.
     """
-    traces, failure = _descend(obj, obj.check_point(start)[None, :], cfg or FlowConfig())
+    block, failure = _descend(obj, obj.check_point(start)[None, :], cfg or FlowConfig(), True)
     if failure is not None:
         _, message, partial = failure
         raise NumericalError(message, trace=partial)
-    return traces[0]
+    return block.traces[0]
 
 
 def trace_flows(obj: Objective, starts, cfg: FlowConfig | None = None) -> Iterator[FlowTrace]:
@@ -193,18 +194,56 @@ def trace_flows(obj: Objective, starts, cfg: FlowConfig | None = None) -> Iterat
     message and its partial trace. ``starts`` is checked before this
     returns.
     """
-    cfg = cfg or FlowConfig()
-    starts = obj.check_points(starts)
+    blocks = _blocks(obj, obj.check_points(starts), cfg or FlowConfig(), True)
+    return (trace for block in blocks for trace in block.traces)
 
-    def blocks():
-        for lo in range(0, len(starts), obj.block_rows):
-            traces, failure = _descend(obj, starts[lo:lo + obj.block_rows], cfg)
-            if failure is not None:
-                row, message, partial = failure
-                raise NumericalError(f"start {lo + row}: {message}", trace=partial)
-            yield from traces
 
-    return blocks()
+class RestPoints(NamedTuple):
+    """Where the traces from a set of starts came to rest, one row per start.
+
+    ``points``, ``values`` and ``grad_norms`` are each trace's terminal
+    sample, ``statuses`` why it stopped, and ``counts`` its counters (value
+    changes, gradients, backtracks) as columns. ``traces`` holds the traces
+    themselves when they were asked for, else None.
+    """
+
+    points: np.ndarray
+    values: np.ndarray
+    grad_norms: np.ndarray
+    statuses: list[str]
+    counts: np.ndarray
+    traces: list[FlowTrace] | None
+
+
+def rest_points(obj: Objective, starts: np.ndarray, cfg: FlowConfig,
+                keep_traces: bool) -> RestPoints:
+    """What :func:`trace_flows` from the rows of ``starts`` would end at, and
+    the traces only when ``keep_traces`` is set.
+
+    Without traces a lockstep block logs only each row's terminal sample; a
+    failing start raises the same :class:`NumericalError`, partial trace
+    included, as under :func:`trace_flows`. ``starts`` must have a row.
+    """
+    blocks = list(_blocks(obj, obj.check_points(starts), cfg, keep_traces))
+
+    def joined(name):
+        return np.concatenate([getattr(block, name) for block in blocks])
+
+    return RestPoints(joined("points"), joined("values"), joined("grad_norms"),
+                      [status for block in blocks for status in block.statuses],
+                      joined("counts"),
+                      [trace for block in blocks for trace in block.traces] if keep_traces
+                      else None)
+
+
+def _blocks(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: bool):
+    """Each lockstep block's :class:`RestPoints` in turn; see :func:`_descend`."""
+    for lo in range(0, len(starts), obj.block_rows):
+        block, failure = _descend(obj, starts[lo:lo + obj.block_rows], cfg, log_samples)
+        if failure is not None:
+            row, message, partial = failure
+            raise NumericalError(f"start {lo + row}: {message}", trace=partial)
+        yield block
 
 
 class _Running:
@@ -229,7 +268,7 @@ class _Running:
                               if value is not None})
 
 
-def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
+def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: bool):
     """The descent loop: trace every row of ``starts`` in lockstep.
 
     Each iteration takes one step on every running row: rows at rest
@@ -238,9 +277,11 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
     rows that did not move stall, and the rest get one batched gradient.
     All arithmetic is per row and in the order of a single-row run, so a
     row's trace does not depend on the others. A start whose U or grad U
-    turns non-finite stops only its own row. Returns (traces, None), or
-    (None, (row, message, partial trace)) for the lowest failing row; the
-    partial trace is None where U was non-finite at the start.
+    turns non-finite stops only its own row. Only with ``log_samples`` set are
+    the samples before each terminal logged and the traces built. Returns
+    (:class:`RestPoints`, None), or (None, (row, message, partial trace))
+    for the lowest failing row; the partial trace is None where U was
+    non-finite at the start.
     """
     m, d = starts.shape
     status: list[str | None] = [None] * m
@@ -248,7 +289,7 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
     # The samples, one list of per-step arrays per column: start index,
     # point, value, gradient norm, step length and the step that left the
     # sample. A row's terminal sample goes in when the row stops, with a
-    # placeholder step.
+    # placeholder step; without ``log_samples`` it is the only one.
     log: list[list[np.ndarray]] = [[] for _ in range(6)]
     # The counters (value changes, gradients, backtracks) of each start,
     # filled in when its row stops.
@@ -356,9 +397,9 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
         first = run.samples == 1
         append = (drop & ~run.tie) | (~drop & first)
         step_len = run.t * np.sqrt(run.gsq)
-        if append.any():
+        if log_samples and append.any():
             commit(append)
-            run.samples = run.samples + append
+        run.samples = run.samples + append
         run.length = np.where(append, step_len, run.length + step_len)
         run.u = np.where(drop | append, u_new, run.u)
         run.tie = np.where(drop, False, run.tie | (~drop & first))
@@ -379,18 +420,27 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig):
     # peak memory stays near that of the result.
     owners = np.concatenate(log[0])
     order = np.argsort(owners, kind="stable")
-    ends = np.cumsum(np.bincount(owners, minlength=m)).tolist()
-    spans = list(zip([0, *ends[:-1]], ends))
-    per_row = []
+    ends = np.cumsum(np.bincount(owners, minlength=m))
+    columns = []
     for pieces in log[1:]:
-        joined = np.concatenate(pieces)[order]
+        columns.append(np.concatenate(pieces)[order])
         pieces.clear()
-        per_row.append([joined[a:b] for a, b in spans])
-    traces = [FlowTrace(p, v, g, s, status[r], sv[:-1], *counts[r].tolist())
-              for r, (p, v, g, s, sv) in enumerate(zip(*per_row))]
+    points, values, grad_norms, lengths, steps = columns
+    traces = None
+    if log_samples:
+        spans = zip([0, *ends[:-1].tolist()], ends.tolist())
+        traces = [FlowTrace(points[a:b], values[a:b], grad_norms[a:b], lengths[a:b], status[r],
+                            steps[a:b - 1], *counts[r].tolist())
+                  for r, (a, b) in enumerate(spans)]
     if not failures:
-        return traces, None
+        last = ends - 1
+        return RestPoints(points[last], values[last], grad_norms[last], status, counts,
+                          traces), None
     row = min(failures)
+    if traces is None:
+        # The failing start alone, its samples logged, fails as its row did
+        # here, bit for bit.
+        return None, (row, *_descend(obj, starts[row:row + 1], cfg, True)[1][1:])
     partial = traces[row] if np.isfinite(traces[row].values[0]) else None
     return None, (row, failures[row], partial)
 

@@ -16,6 +16,11 @@ kinds at the anchor while keeping the value 0 there. ``squared`` and
 Besides values and gradients this module provides cancellation-free value
 *changes* U(v + m) - U(v); descent loops need those to certify tiny
 decreases that a float subtraction of two large values would round away.
+
+The batch kernels take displacements anchor-contiguous, shape (..., D, n):
+coordinate k of the displacement from anchor i is ``disp[..., k, i]``. They
+reduce coordinates on axis -2 and return one entry per anchor on the last
+axis, so a caller sums anchors over contiguous memory.
 """
 
 import warnings
@@ -110,11 +115,11 @@ def _eps(spec):
 
 
 def _sq_norm(arr):
-    return np.einsum("...i,...i->...", arr, arr)
+    return np.einsum("...dn,...dn->...n", arr, arr)
 
 
 def batch_roots(spec: PotentialSpec, disp: np.ndarray) -> np.ndarray | None:
-    """sqrt(|v|^2 + eps^2) per displacement row for the euclidean kinds, else None.
+    """sqrt(|v|^2 + eps^2) per anchor for the euclidean kinds, else None.
 
     The gradient and the value changes at ``disp`` both need these roots;
     computing them once lets a caller hand them to both (``root=``), bit for
@@ -143,11 +148,11 @@ def _p_norm_far(spec: PotentialSpec, disp: np.ndarray):
 
 
 def batch_values(spec: PotentialSpec, disp: np.ndarray, weights=None) -> np.ndarray:
-    """Potential value for each displacement row; ``disp`` has shape (..., D).
+    """Potential value per anchor; ``disp`` has shape (..., D, n), the result (..., n).
 
     ``weighted_euclidean`` multiplies by ``weights``, which broadcast
-    against the last axis of the result (one weight per anchor row); the
-    other kinds ignore them. The kernels below take them the same way.
+    against the last axis of the result (one weight per anchor); the other
+    kinds ignore them. The kernels below take them the same way.
     """
     eps = _eps(spec)
     kind = spec.kind
@@ -171,17 +176,17 @@ def batch_values(spec: PotentialSpec, disp: np.ndarray, weights=None) -> np.ndar
         return -np.expm1(-_sq_norm(disp) / s2)
     # p_norm
     with np.errstate(over="ignore", invalid="ignore"):
-        s = np.power(disp * disp + eps * eps, spec.p / 2.0).sum(axis=-1)
+        s = np.power(disp * disp + eps * eps, spec.p / 2.0).sum(axis=-2)
         norm = np.power(s, 1.0 / spec.p)
         far = s == np.inf
         if far.any():
-            norm[far] = _p_norm_far(spec, disp[far])[0]
-    return np.maximum(norm - (disp.shape[-1] ** (1.0 / spec.p)) * eps, 0.0)
+            norm[far] = _p_norm_far(spec, np.moveaxis(disp, -2, -1)[far])[0]
+    return np.maximum(norm - (disp.shape[-2] ** (1.0 / spec.p)) * eps, 0.0)
 
 
 def batch_gradients(spec: PotentialSpec, disp: np.ndarray, weights=None,
                     root=None) -> np.ndarray:
-    """Analytic gradient of :func:`batch_values` w.r.t. each displacement row.
+    """Analytic gradient of :func:`batch_values` per anchor, shape (..., D, n).
 
     ``root`` may carry :func:`batch_roots` of ``disp``; other kinds ignore it.
     """
@@ -191,43 +196,67 @@ def batch_gradients(spec: PotentialSpec, disp: np.ndarray, weights=None,
         if root is None:
             root = batch_roots(spec, disp)
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = disp / root[..., None]
+            g = disp / root[..., None, :]
         at_kink = root == 0.0
         if np.any(at_kink):
             warnings.warn(_NONSMOOTH_MSG, NonSmoothEvaluationWarning, stacklevel=2)
-            g = np.where(at_kink[..., None], 0.0, g)
+            g = np.where(at_kink[..., None, :], 0.0, g)
         if kind == "weighted_euclidean":
-            g = g * weights[..., None]
+            g = g * weights
         return g
     if kind == "squared":
         return 2.0 * disp
     if kind == "gaussian_well":
         s2 = spec.sigma * spec.sigma
         damp = np.exp(-_sq_norm(disp) / s2)
-        return (2.0 / s2) * disp * damp[..., None]
+        return (2.0 / s2) * disp * damp[..., None, :]
     # p_norm: d/dv_j (sum t_k^(p/2))^(1/p) = S^(1/p-1) t_j^(p/2-1) v_j
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = disp * disp + eps * eps
-        s = np.power(t, spec.p / 2.0).sum(axis=-1)
+        s = np.power(t, spec.p / 2.0).sum(axis=-2)
         outer = np.power(s, 1.0 / spec.p - 1.0)
-        g = outer[..., None] * np.power(t, spec.p / 2.0 - 1.0) * disp
+        g = outer[..., None, :] * np.power(t, spec.p / 2.0 - 1.0) * disp
         far = s == np.inf
         if far.any():
-            g[far] = _p_norm_far(spec, disp[far])[1]
+            np.moveaxis(g, -2, -1)[far] = _p_norm_far(spec, np.moveaxis(disp, -2, -1)[far])[1]
     g = np.where(t == 0.0, 0.0, g)
     at_kink = s == 0.0
     if np.any(at_kink):
         warnings.warn(_NONSMOOTH_MSG, NonSmoothEvaluationWarning, stacklevel=2)
-        g = np.where(at_kink[..., None], 0.0, g)
+        g = np.where(at_kink[..., None, :], 0.0, g)
     return g
+
+
+def _p_norm_changes(p, eps, disp: np.ndarray, move: np.ndarray):
+    """S(v + m)^(1/p) - S(v)^(1/p) per anchor of ``disp`` (shape (..., D, n)),
+    ``move`` broadcasting against it, and where S(v) or S(v + m) overflows.
+
+    Each per-coordinate change t_k^(p/2) goes through expm1/log1p of its
+    relative change, and so does the root of the sum, whenever those are
+    small; elsewhere a plain difference is exact enough.
+    """
+    halfp = p / 2.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        new = disp + move
+        t = disp * disp + eps * eps
+        pow_t, pow_tn = np.power(t, halfp), np.power(new * new + eps * eps, halfp)
+        ratio = np.maximum((2.0 * disp * move + move * move) / t, -1.0)
+        dpow_small = pow_t * np.expm1(halfp * np.log1p(ratio))
+        dpow = np.where((t > 0.0) & (np.abs(ratio) < 0.5), dpow_small, pow_tn - pow_t)
+        s, sn = pow_t.sum(axis=-2), pow_tn.sum(axis=-2)
+        sratio = np.maximum(dpow.sum(axis=-2) / s, -1.0)
+        du_small = np.power(s, 1.0 / p) * np.expm1(np.log1p(sratio) / p)
+        du_direct = np.power(sn, 1.0 / p) - np.power(s, 1.0 / p)
+    du = np.where((s > 0.0) & (np.abs(sratio) < 0.5), du_small, du_direct)
+    return du, ~(np.isfinite(s) & np.isfinite(sn))
 
 
 def batch_value_changes(spec: PotentialSpec, disp: np.ndarray, move: np.ndarray,
                         weights=None, root=None) -> np.ndarray:
-    """U(v + move) - U(v) per displacement row, computed cancellation-free.
+    """U(v + move) - U(v) per anchor, computed cancellation-free.
 
-    ``disp`` has shape (..., n, D) and ``move`` shape (..., D): each move is
-    shared by the n rows at its leading index (for a (n, D) ``disp``, one
+    ``disp`` has shape (..., D, n) and ``move`` shape (..., D): each move is
+    shared by the n anchors at its leading index (for a (D, n) ``disp``, one
     D-vector moves them all). Accuracy is relative to the *change* itself,
     not to the absolute potential values, so decreases far below one ulp of
     the total objective remain resolvable. ``root`` may carry
@@ -237,14 +266,26 @@ def batch_value_changes(spec: PotentialSpec, disp: np.ndarray, move: np.ndarray,
     """
     eps = _eps(spec)
     kind = spec.kind
+    if kind == "p_norm":
+        move = move[..., None]
+        du, far = _p_norm_changes(spec.p, eps, disp, move)
+        if far.any():
+            # Where a power sum overflows, evaluate at v / c and m / c, with
+            # eps / c, for a power of two c above every coordinate (exact
+            # scaling), and scale the change back: S^(1/p) is homogeneous.
+            v = np.moveaxis(disp, -2, -1)[far]
+            m = np.moveaxis(np.broadcast_to(move, disp.shape), -2, -1)[far]
+            top = np.maximum(np.abs(v).max(axis=-1), np.abs(v + m).max(axis=-1))
+            c = np.ldexp(1.0, np.frexp(np.maximum(top, eps))[1])
+            du[far] = c * _p_norm_changes(spec.p, eps / c, (v / c[:, None]).T,
+                                          (m / c[:, None]).T)[0]
+        return du
     # |v + m|^2 - |v|^2 without forming the two large squares.
-    dr2 = 2.0 * np.einsum("...ni,...i->...n", disp, move) + np.vecdot(move, move)[..., None]
-    move = move[..., None, :]
-    new = disp + move
+    dr2 = 2.0 * np.einsum("...dn,...d->...n", disp, move) + np.vecdot(move, move)[..., None]
     if kind in ("euclidean", "weighted_euclidean"):
         if root is None:
             root = batch_roots(spec, disp)
-        denom = np.sqrt(_sq_norm(new) + eps * eps) + root
+        denom = np.sqrt(_sq_norm(disp + move[..., None]) + eps * eps) + root
         with np.errstate(invalid="ignore"):
             delta = dr2 / denom
         delta = np.where(denom == 0.0, 0.0, delta)
@@ -253,31 +294,14 @@ def batch_value_changes(spec: PotentialSpec, disp: np.ndarray, move: np.ndarray,
         return delta
     if kind == "squared":
         return dr2
-    if kind == "gaussian_well":
-        s2 = spec.sigma * spec.sigma
-        arg = dr2 / s2
-        r2 = _sq_norm(disp)
-        with np.errstate(over="ignore", invalid="ignore"):
-            small = -np.exp(-r2 / s2) * np.expm1(-arg)
-            direct = np.exp(-r2 / s2) - np.exp(-_sq_norm(new) / s2)
-        return np.where(np.abs(arg) < 1.0, small, direct)
-    # p_norm: propagate the per-coordinate change through both power chains.
-    p = spec.p
-    t = disp * disp + eps * eps
-    tn = new * new + eps * eps
-    dt_exact = 2.0 * disp * move + move * move
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = np.maximum(dt_exact / t, -1.0)
-        halfp = p / 2.0
-        dpow_small = np.power(t, halfp) * np.expm1(halfp * np.log1p(ratio))
-        dpow_direct = np.power(tn, halfp) - np.power(t, halfp)
-        dpow = np.where((t > 0.0) & (np.abs(ratio) < 0.5), dpow_small, dpow_direct)
-        s = np.power(t, halfp).sum(axis=-1)
-        ds = dpow.sum(axis=-1)
-        sratio = np.maximum(ds / s, -1.0)
-        du_small = np.power(s, 1.0 / p) * np.expm1(np.log1p(sratio) / p)
-        du_direct = np.power(np.power(tn, halfp).sum(axis=-1), 1.0 / p) - np.power(s, 1.0 / p)
-    return np.where((s > 0.0) & (np.abs(sratio) < 0.5), du_small, du_direct)
+    # gaussian_well
+    s2 = spec.sigma * spec.sigma
+    arg = dr2 / s2
+    r2 = _sq_norm(disp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        small = -np.exp(-r2 / s2) * np.expm1(-arg)
+        direct = np.exp(-r2 / s2) - np.exp(-_sq_norm(disp + move[..., None]) / s2)
+    return np.where(np.abs(arg) < 1.0, small, direct)
 
 
 def _as_vector(coords) -> np.ndarray:
@@ -308,10 +332,10 @@ def potential_value(spec: PotentialSpec, displacement, anchor_index: int = 0) ->
     ignored by the other kinds.
     """
     v = _as_vector(displacement)
-    return float(batch_values(spec, v[None, :], _single_weight(spec, anchor_index))[0])
+    return float(batch_values(spec, v[:, None], _single_weight(spec, anchor_index))[0])
 
 
 def potential_gradient(spec: PotentialSpec, displacement, anchor_index: int = 0) -> np.ndarray:
     """Gradient of one potential term at the given displacement."""
     v = _as_vector(displacement)
-    return batch_gradients(spec, v[None, :], _single_weight(spec, anchor_index))[0]
+    return batch_gradients(spec, v[:, None], _single_weight(spec, anchor_index))[:, 0]

@@ -569,6 +569,22 @@ def test_parse_instance_field_errors(mutate, field):
         parse_instance(data)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=hst.data(), n=hst.integers(1, 5), d=hst.integers(1, 4))
+def test_parse_instance_names_a_bad_anchor_entry_wherever_it_sits(data, n, d):
+    # The anchor list is checked as one array first; an entry that fails
+    # must still be named by its own path.
+    entry = hst.one_of(hst.integers(-10 ** 6, 10 ** 6),
+                       hst.floats(allow_nan=False, allow_infinity=False))
+    rows = data.draw(hst.lists(hst.lists(entry, min_size=d, max_size=d), min_size=n, max_size=n))
+    i, j = data.draw(hst.integers(0, n - 1)), data.draw(hst.integers(0, d - 1))
+    rows[i][j] = data.draw(hst.sampled_from(
+        [True, False, "1.5", None, [1.0], 10 ** 400, -(10 ** 400), float("nan"), float("inf")]))
+    text = json.dumps({"dimension": d, "anchors": rows, "potential": {"kind": "euclidean"}})
+    with pytest.raises(InputError, match=re.escape(f"anchors[{i}][{j}]: ")):
+        parse_instance(json.loads(text))
+
+
 def test_instance_round_trip_is_identity(tmp_path):
     data = {
         "dimension": 3,

@@ -220,6 +220,11 @@ def test_value_change_resolves_below_one_ulp_of_the_value():
     assert abs(change - exact) <= 1e-6 * abs(exact)
 
 
+# Rows per block at n anchors in D = 3: at n = 4000 a block holds 2 rows, at
+# n = 100 000 one, and each anchor sum runs over more than 8192 anchors.
+BLOCK_ROWS = {5: 2184, 2_000: 5, 4_000: 2, 100_000: 1}
+
+
 @pytest.mark.parametrize("kind, kwargs", [
     ("euclidean", {}),
     ("squared", {}),
@@ -227,14 +232,14 @@ def test_value_change_resolves_below_one_ulp_of_the_value():
     ("gaussian_well", dict(sigma=2.0)),
     ("weighted_euclidean", dict(weights=(1.0, 2.0, 0.5, 3.0, 1.5))),
 ])
-@pytest.mark.parametrize("n", [5, 2_000])  # at n = 2000 a block holds 2 rows
+@pytest.mark.parametrize("n", list(BLOCK_ROWS))
 def test_many_methods_match_single_point_methods_bit_for_bit(kind, kwargs, n):
     rng = np.random.default_rng(n)
     anchors = rng.uniform(0.0, 10.0, size=(n, 3))
     if kind == "weighted_euclidean":
         kwargs = dict(weights=tuple(rng.uniform(0.5, 2.0, size=n)))
     obj = make_objective(anchors, kind=kind, **kwargs)
-    assert obj.block_rows == (1092 if n == 5 else 2)
+    assert obj.block_rows == BLOCK_ROWS[n]
     points = rng.uniform(-2.0, 12.0, size=(7, 3))
     points[0] = anchors[0]
     moves = rng.normal(size=(7, 3)) * 10.0 ** rng.uniform(-12.0, 0.0, size=(7, 1))

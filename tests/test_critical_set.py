@@ -248,6 +248,36 @@ def test_diagnostics_report_the_work_and_every_unconverged_trace():
     assert (d["converged"], d["stalled"], d["max_steps"]) == (2, 2, 1)
 
 
+@pytest.mark.parametrize("kind, kwargs", [
+    ("euclidean", {}),
+    ("p_norm", dict(p=3.0)),
+    ("squared", {}),
+    ("weighted_euclidean", dict(weights=(1.0, 2.0, 0.5, 3.0, 1.5, 1.0))),
+    ("gaussian_well", dict(sigma=1.5)),
+])
+def test_rest_points_without_traces_match_kept_traces(kind, kwargs):
+    # Without traces the lockstep blocks log only each terminal sample; the
+    # critical set and every diagnostic must not notice. A short step budget
+    # leaves some traces unconverged, except on the squared kind, whose
+    # traces all reach its one minimum in two steps.
+    obj = make_objective(np.random.default_rng(31).uniform(0.0, 10.0, size=(6, 2)), kind,
+                         **kwargs)
+    plan = TestingPlan("uniform_random", count=60, seed=4)
+    cfg = FlowConfig(max_steps=12)
+    kept = enumerate_critical_points(obj, plan, cfg, keep_traces=True)
+    lean = enumerate_critical_points(obj, plan, cfg)
+    assert lean.traces is None and len(kept.traces) == 60
+    assert lean.diagnostics == kept.diagnostics
+    assert (kept.diagnostics["max_steps"] > 0) == (kind != "squared")
+    assert len(lean.critical_set) == len(kept.critical_set)
+    for a, b in zip(lean.critical_set, kept.critical_set):
+        np.testing.assert_array_equal(a.location, b.location)
+        assert (a.value, a.grad_norm, a.basin_count, a.negative_curvature) == \
+            (b.value, b.grad_norm, b.basin_count, b.negative_curvature)
+    for entry in lean.diagnostics["unconverged"]:
+        assert entry["terminal"] == kept.traces[entry["start"]].terminal_point.tolist()
+
+
 def test_threaded_enumeration_matches_sequential():
     rng = np.random.default_rng(23)
     obj = make_objective(rng.uniform(0.0, 10.0, size=(8, 2)))

@@ -9,9 +9,10 @@ from hypothesis import strategies as hst
 
 import steiner.core
 from steiner import (CONVERGED, MAX_STEPS, STALLED, ConfigError, FlowConfig, FlowTrace,
-                     InputError, NumericalError, TestingPlan, generate_testing_points,
-                     graph_residual, tangency_residual, trace_flow, weiszfeld)
-from steiner.flow import _longest_monotone_run, trace_flows
+                     InputError, NumericalError, TestingPlan, enumerate_critical_points,
+                     generate_testing_points, graph_residual, tangency_residual, trace_flow,
+                     weiszfeld)
+from steiner.flow import _longest_monotone_run, rest_points, trace_flows
 
 from util import curve_trace, make_objective
 
@@ -488,6 +489,15 @@ def test_lockstep_block_mixes_every_way_a_trace_ends():
     assert len(block[2]) < block[2].n_gradients  # sub-ulp steps slid the terminal
     for start, trace in zip(starts, block):
         _assert_same_trace(trace, trace_flow(obj, start, cfg))
+    # Logging only the terminal samples ends every row at its trace's end.
+    ends = rest_points(obj, starts, cfg, False)
+    assert ends.traces is None
+    assert ends.statuses == [t.status for t in block]
+    np.testing.assert_array_equal(ends.points, [t.terminal_point for t in block], strict=True)
+    np.testing.assert_array_equal(ends.values, [t.terminal_value for t in block])
+    np.testing.assert_array_equal(ends.grad_norms, [t.terminal_grad_norm for t in block])
+    np.testing.assert_array_equal(
+        ends.counts, [[t.n_value_changes, t.n_gradients, t.n_backtracks] for t in block])
 
 
 def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
@@ -498,9 +508,8 @@ def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
 
     def corrupted(spec, disp, weights=None, root=None):
         g = exact(spec, disp, weights, root)
-        near = (np.linalg.norm(disp, axis=-1) < 3.0) & (disp[..., 0] > 0.5)
-        g[near] = np.nan
-        return g
+        near = (np.linalg.norm(disp, axis=-2) < 3.0) & (disp[..., 0, :] > 0.5)
+        return np.where(near[..., None, :], np.nan, g)
 
     monkeypatch.setattr(steiner.core, "batch_gradients", corrupted)
     starts = np.array([[-3.0, 4.0], [5.0, 6.0], [-1.0, 1.0], [6.0, 0.5]])
@@ -512,6 +521,12 @@ def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
     assert str(alone.value) == "gradient turned non-finite during descent"
     assert len(info.value.trace) > 1
     _assert_same_trace(info.value.trace, alone.value.trace)
+    # Without traces the block logs only terminals; the failing start is
+    # traced again alone for its partial trace.
+    with pytest.raises(NumericalError) as rest:
+        enumerate_critical_points(obj, points=starts)
+    assert str(rest.value) == str(info.value)
+    _assert_same_trace(rest.value.trace, alone.value.trace)
     with pytest.raises(NumericalError, match="^start 3: "):
         list(trace_flows(obj, starts[[0, 2, 2, 3]]))
     # A higher start whose U is non-finite where it starts does not hide a
@@ -524,6 +539,19 @@ def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
     with pytest.raises(NumericalError, match=message) as info:
         list(trace_flows(obj, np.array([starts[0], far, starts[1], starts[2]])))
     assert info.value.trace is None
+    with pytest.raises(NumericalError, match=message) as info:
+        enumerate_critical_points(obj, points=np.array([starts[0], far, starts[1], starts[2]]))
+    assert info.value.trace is None
+
+
+def test_p_norm_descent_from_far_away_reaches_the_anchor():
+    # Every Armijo trial was nan here, so the trace stalled at its start. A
+    # step of the anchor set's length cannot move a coordinate of 1e103, so
+    # initial_step allows longer ones.
+    obj = make_objective([[0.0, -2.0]], "p_norm", p=3.0)
+    trace = trace_flow(obj, [1e103, 1e103], FlowConfig(initial_step=1e103))
+    assert trace.status == CONVERGED and len(trace) > 1
+    np.testing.assert_allclose(trace.terminal_point, [0.0, -2.0], atol=1e-6)
 
 
 def test_lockstep_failure_at_a_start_without_trace():

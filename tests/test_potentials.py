@@ -223,11 +223,11 @@ def test_carried_root_changes_no_bit(kind, kwargs, epsilon):
     spec = PotentialSpec(kind, epsilon=epsilon, **kwargs)
     weights = None if spec.weights is None else np.asarray(spec.weights)
     rng = np.random.default_rng(29)
-    disp = rng.normal(scale=[[[1.0, 1e-8, 1e6]]], size=(5, 7, 3))
-    disp[0, 0] = 0.0  # at its anchor: the kink; unmoved, a zero denominator at eps = 0
+    disp = rng.normal(scale=[[[1.0], [1e-8], [1e6]]], size=(5, 3, 7))
+    disp[0, :, 0] = 0.0  # at its anchor: the kink; unmoved, a zero denominator at eps = 0
     moves = rng.normal(size=(5, 3)) * np.array([[0.0], [1e-12], [1e3], [1.0], [1.0]])
     root = batch_roots(spec, disp)
-    assert root.shape == disp.shape[:-1]
+    assert root.shape == (5, 7)
     np.testing.assert_array_equal(
         batch_value_changes(spec, disp, moves, weights, root),
         batch_value_changes(spec, disp, moves, weights), strict=True)
@@ -258,8 +258,8 @@ def test_smoothed_euclidean_value_is_inf_where_the_squared_norm_overflows(kind, 
         # Finite values keep every bit of the formula.
         spec = PotentialSpec(kind, epsilon=1e-3, **kwargs)
         scale = np.array([1e-6, 1.0, 1e150])[:, None, None]
-        disp = np.random.default_rng(3).normal(scale=scale, size=(3, 40, 2))
-        r2 = np.einsum("...i,...i->...", disp, disp)
+        disp = np.random.default_rng(3).normal(scale=scale, size=(3, 2, 40))
+        r2 = np.einsum("...dn,...dn->...n", disp, disp)
         weights = np.asarray(spec.weights or (1.0,))
         expected = r2 / (np.sqrt(r2 + 1e-6) + 1e-3) * weights
         np.testing.assert_array_equal(batch_values(spec, disp, weights), expected, strict=True)
@@ -277,18 +277,49 @@ def test_p_norm_far_from_the_anchor_is_finite_and_right():
         for point, value, grad in cases:
             assert obj.value(point) == pytest.approx(value, rel=1e-14)
             np.testing.assert_allclose(obj.gradient(point), grad, rtol=1e-14, atol=1e-300)
-        # Wherever the power sum is finite, both keep every bit of the formula.
+        # The value change was nan there: both power chains overflowed.
+        change = obj.value_change([1e103, 1e103], [-1e100, -1e100])
+        assert change == pytest.approx(-(2 ** (1 / 3)) * 1e100, rel=1e-13)
+        # Far below one ulp of U, where a difference of values reads 0.
+        change = obj.value_change([1e103, 1e103], [-1.0, -1.0])
+        assert change == pytest.approx(-(2 ** (1 / 3)), rel=1e-13)
+        # Wherever the power sums are finite, all three keep every bit of the
+        # formula. The (400, 5, 2) draw is laid out (rows, D, n).
         spec = PotentialSpec("p_norm", p=3.0, epsilon=1e-3)
         rng = np.random.default_rng(4)
-        disp = rng.normal(size=(400, 5, 2)) * 10.0 ** rng.uniform(-8, 200, size=(400, 1, 1))
-        with np.errstate(over="ignore", invalid="ignore"):
+        size = 10.0 ** rng.uniform(-8, 200, size=(400, 1, 1))
+        disp = np.swapaxes(rng.normal(size=(400, 5, 2)) * size, -1, -2)
+        moves = rng.normal(size=(400, 2)) * size[:, 0] * rng.choice([1e-9, 1.0], size=(400, 1))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             t = disp * disp + 1e-6
-            s = np.power(t, 1.5).sum(axis=-1)
+            s = np.power(t, 1.5).sum(axis=-2)
             value = np.maximum(np.power(s, 1.0 / 3.0) - 2 ** (1.0 / 3.0) * 1e-3, 0.0)
-            grad = np.power(s, 1.0 / 3.0 - 1.0)[..., None] * np.power(t, 0.5) * disp
+            grad = np.power(s, 1.0 / 3.0 - 1.0)[..., None, :] * np.power(t, 0.5) * disp
+            new = disp + moves[..., None]
+            tn = new * new + 1e-6
+            sn = np.power(tn, 1.5).sum(axis=-2)
+            ratio = np.maximum((2.0 * disp * moves[..., None] + moves[..., None] ** 2) / t, -1.0)
+            dpow = np.where((t > 0.0) & (np.abs(ratio) < 0.5),
+                            np.power(t, 1.5) * np.expm1(1.5 * np.log1p(ratio)),
+                            np.power(tn, 1.5) - np.power(t, 1.5))
+            sratio = np.maximum(dpow.sum(axis=-2) / s, -1.0)
+            change = np.where((s > 0.0) & (np.abs(sratio) < 0.5),
+                              np.power(s, 1.0 / 3.0) * np.expm1(np.log1p(sratio) / 3.0),
+                              np.power(sn, 1.0 / 3.0) - np.power(s, 1.0 / 3.0))
         plain = np.isfinite(s)
         assert 0 < plain.sum() < plain.size
         values, grads = batch_values(spec, disp), batch_gradients(spec, disp)
+        changes = batch_value_changes(spec, disp, moves)
         assert np.isfinite(values).all() and np.isfinite(grads).all()
+        assert np.isfinite(changes).all()
         np.testing.assert_array_equal(values[plain], value[plain])
-        np.testing.assert_array_equal(grads[plain], grad[plain])
+        np.testing.assert_array_equal(np.moveaxis(grads, -2, -1)[plain],
+                                      np.moveaxis(grad, -2, -1)[plain])
+        plain &= np.isfinite(sn)
+        np.testing.assert_array_equal(changes[plain], change[plain])
+        # The far ones agree with the difference of the (far-field) values to
+        # its roundoff, a few ulps of the larger value.
+        far = ~plain
+        after = batch_values(spec, new)
+        np.testing.assert_array_less(np.abs(changes - (after - values))[far],
+                                     4.0 * np.finfo(float).eps * np.maximum(after, values)[far])
