@@ -6,8 +6,8 @@ from numbers import Integral
 import numpy as np
 
 from .errors import InputError
-from .potentials import (PotentialSpec, batch_gradients, batch_roots, batch_value_changes,
-                         batch_values)
+from .potentials import (PotentialSpec, batch_gradients, batch_value_changes, batch_values,
+                         line_changes, radial, radial_gradients)
 
 Point = np.ndarray
 """A D-dimensional coordinate vector (1-D float array)."""
@@ -115,6 +115,7 @@ class Objective:
         object.__setattr__(self, "potential", spec)
         w = None if spec.weights is None else np.asarray(spec.weights, dtype=float)
         object.__setattr__(self, "_weights", w)
+        object.__setattr__(self, "_radial", radial(spec))
 
     @property
     def dimension(self) -> int:
@@ -139,11 +140,11 @@ class Objective:
         return self._gradients(self._displacements(x[None, :]))[0]
 
     def value_change(self, point, move) -> float:
-        """U(point + move) - U(point), accurate relative to the change itself.
+        """U(point + move) - U(point) from per-anchor cancellation-free changes.
 
-        Uses per-anchor cancellation-free differences, so decreases far
-        below one ulp of U remain resolvable; plain subtraction of two
-        evaluations would round them to zero.
+        Decreases far below one ulp of U remain resolvable; plain
+        subtraction of two evaluations would round them to zero. The
+        README's "Accuracy of value changes" bounds each anchor's error.
         """
         x = self.check_point(point)
         m = np.asarray(move, dtype=float)
@@ -170,9 +171,7 @@ class Objective:
         return pts
 
     # Unchecked kernels on displacements x - a_i of shape (rows, D, n): the
-    # single-point and batched methods and the lockstep tracer evaluate
-    # through these. ``root`` is the per-anchor root of :meth:`_roots` at the
-    # same displacements, or None to let the kernel compute it.
+    # single-point and batched methods evaluate through these.
 
     def _displacements(self, points: np.ndarray) -> np.ndarray:
         return points[:, :, None] - self._anchor_columns
@@ -180,14 +179,34 @@ class Objective:
     def _values(self, disp: np.ndarray) -> np.ndarray:
         return batch_values(self.potential, disp, self._weights).sum(axis=-1)
 
-    def _roots(self, disp: np.ndarray) -> np.ndarray | None:
-        return batch_roots(self.potential, disp)
+    def _gradients(self, disp: np.ndarray) -> np.ndarray:
+        if self._radial is None:
+            return batch_gradients(self.potential, disp, self._weights).sum(axis=-1)
+        return radial_gradients(self._radial, disp, self._weights)[0]
 
-    def _gradients(self, disp: np.ndarray, root=None) -> np.ndarray:
-        return batch_gradients(self.potential, disp, self._weights, root).sum(axis=-1)
+    def _value_changes(self, disp: np.ndarray, moves: np.ndarray) -> np.ndarray:
+        return batch_value_changes(self.potential, disp, moves, self._weights).sum(axis=-1)
 
-    def _value_changes(self, disp: np.ndarray, moves: np.ndarray, root=None) -> np.ndarray:
-        return batch_value_changes(self.potential, disp, moves, self._weights, root).sum(axis=-1)
+    # The descent's kernels, the same for every kind: ``_descent_state``
+    # gives the gradient g at each row of ``points`` (shape (rows, D)) and a
+    # tuple of per-row arrays from which ``_trials`` gives U(x - t g) - U(x)
+    # for one t per row (``gsq`` = |g|^2). For the radial kinds that state is
+    # r^2, the kind's carry and g.(x - a_i), so a trial is O(n) per row;
+    # p_norm keeps the displacements and g.
+
+    def _descent_state(self, points: np.ndarray):
+        disp = self._displacements(points)
+        if self._radial is None:
+            g = self._gradients(disp)
+            return g, (disp, g)
+        g, r2, carry = radial_gradients(self._radial, disp, self._weights)
+        return g, (r2, carry, np.einsum("...dn,...d->...n", disp, g))
+
+    def _trials(self, state, t: np.ndarray, gsq: np.ndarray) -> np.ndarray:
+        if self._radial is None:
+            disp, g = state
+            return self._value_changes(disp, -(t[:, None] * g))
+        return line_changes(self._radial, *state, t, gsq, self._weights).sum(axis=-1)
 
     def _per_row(self, kernel, points, *moves) -> np.ndarray:
         """Evaluate ``kernel`` for each row of ``points`` (shape (m, D)).

@@ -10,7 +10,7 @@ with a backtracking Armijo line search choosing t; each search first tries
 the Barzilai-Borwein two-point multiplier of the previous step. The
 accepted iterates form a polyline (the iterative curve) ending at a rest
 point where the gradient norm falls below the configured tolerance. Many
-starts are traced in lockstep blocks (:func:`trace_flows`), bit for bit as
+starts are traced in lockstep blocks (:func:`rest_points`), bit for bit as
 one at a time.
 
 Two residual operations verify traced curves against the defining
@@ -20,7 +20,6 @@ integral equations relating the remaining coordinates to the axis
 coordinate (:func:`graph_residual`).
 """
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -104,9 +103,9 @@ class FlowTrace:
     The counters record the tracer's work: ``n_value_changes`` and
     ``n_gradients`` count objective evaluations, ``n_backtracks`` the trial
     multipliers the Armijo test rejected. Every value change is one trial,
-    whether a Barzilai-Borwein, warm-start or backtracked one, and a step
-    whose euclidean roots are carried from the gradient still counts one.
-    Hand-built traces leave them 0.
+    whether a Barzilai-Borwein, warm-start or backtracked one, and a trial
+    made from the state carried from the gradient at x (r^2 and g.(x - a_i)
+    for the radial kinds) still counts one. Hand-built traces leave them 0.
     """
 
     points: np.ndarray
@@ -167,35 +166,18 @@ def trace_flow(obj: Objective, start, cfg: FlowConfig | None = None) -> FlowTrac
     Either trial is capped at max(``initial_step``, L / |g|), where L is the
     objective's ``length_scale``: no step is longer than the anchor set
     unless ``initial_step`` asks for that. The Armijo test keeps every step
-    monotone, and every step is a multiple of -grad U. For the euclidean
-    kinds the per-anchor roots of the gradient at x are reused by every
-    trial that leaves x. Raises :class:`NumericalError`
-    (carrying the partial trace) if U or grad U turns non-finite at an
-    accepted point. This is the one-start case of :func:`trace_flows`.
+    monotone, and every step is a multiple of -grad U. The gradient at x
+    leaves the state every trial from x reuses: for the radial kinds r^2,
+    the kind's carry and g.(x - a_i) per anchor, so a trial costs O(n)
+    instead of O(nD). Raises :class:`NumericalError` (carrying the partial
+    trace) if U or grad U turns non-finite at an accepted point. This is the
+    one-start case of :func:`rest_points`.
     """
     block, failure = _descend(obj, obj.check_point(start)[None, :], cfg or FlowConfig(), True)
     if failure is not None:
         _, message, partial = failure
         raise NumericalError(message, trace=partial)
     return block.traces[0]
-
-
-def trace_flows(obj: Objective, starts, cfg: FlowConfig | None = None) -> Iterator[FlowTrace]:
-    """Trace descent from every row of ``starts`` (shape (m, D)); yield the traces in order.
-
-    The starts advance in lockstep, ``obj.block_rows`` at a time, and each
-    trace, its status and its counters equal those of :func:`trace_flow`
-    from the same start bit for bit. A block's traces are yielded once the
-    block is done, so a caller that keeps only what it needs of each trace
-    holds one block of traces at a time. A start whose U or grad U turns
-    non-finite stops only its own row; the blocks before its block are
-    yielded and then the lowest-index failing start's
-    :class:`NumericalError` is raised, with "start <k>: " before its
-    message and its partial trace. ``starts`` is checked before this
-    returns.
-    """
-    blocks = _blocks(obj, obj.check_points(starts), cfg or FlowConfig(), True)
-    return (trace for block in blocks for trace in block.traces)
 
 
 class RestPoints(NamedTuple):
@@ -217,14 +199,26 @@ class RestPoints(NamedTuple):
 
 def rest_points(obj: Objective, starts: np.ndarray, cfg: FlowConfig,
                 keep_traces: bool) -> RestPoints:
-    """What :func:`trace_flows` from the rows of ``starts`` would end at, and
-    the traces only when ``keep_traces`` is set.
+    """Trace descent from every row of ``starts`` (shape (m >= 1, D)) and
+    return where each came to rest, with the traces when ``keep_traces`` is set.
 
-    Without traces a lockstep block logs only each row's terminal sample; a
-    failing start raises the same :class:`NumericalError`, partial trace
-    included, as under :func:`trace_flows`. ``starts`` must have a row.
+    The starts advance in lockstep, ``obj.block_rows`` at a time, and each
+    trace, its status and its counters equal those of :func:`trace_flow`
+    from the same start bit for bit. Without traces a block logs only each
+    row's terminal sample. A start whose U or grad U turns non-finite stops
+    only its own row; once its block is done the lowest-index failing
+    start's :class:`NumericalError` is raised, with "start <k>: " before its
+    message and its partial trace (traced again alone when the block kept no
+    samples).
     """
-    blocks = list(_blocks(obj, obj.check_points(starts), cfg, keep_traces))
+    starts = obj.check_points(starts)
+    blocks = []
+    for lo in range(0, len(starts), obj.block_rows):
+        block, failure = _descend(obj, starts[lo:lo + obj.block_rows], cfg, keep_traces)
+        if failure is not None:
+            row, message, partial = failure
+            raise NumericalError(f"start {lo + row}: {message}", trace=partial)
+        blocks.append(block)
 
     def joined(name):
         return np.concatenate([getattr(block, name) for block in blocks])
@@ -236,36 +230,25 @@ def rest_points(obj: Objective, starts: np.ndarray, cfg: FlowConfig,
                       else None)
 
 
-def _blocks(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: bool):
-    """Each lockstep block's :class:`RestPoints` in turn; see :func:`_descend`."""
-    for lo in range(0, len(starts), obj.block_rows):
-        block, failure = _descend(obj, starts[lo:lo + obj.block_rows], cfg, log_samples)
-        if failure is not None:
-            row, message, partial = failure
-            raise NumericalError(f"start {lo + row}: {message}", trace=partial)
-        yield block
-
-
 class _Running:
     """Per-row state of the rows of a lockstep block that are still running.
 
-    Every attribute holds one entry per row (or is None), in start order;
-    :meth:`keep` drops rows that stop. ``row`` is the start index. The
-    current sample of a row is (``x``, ``u``, ``gn``, ``length``); earlier
-    samples are in the log and never change. ``disp`` holds x - a_i and
-    ``root`` the per-anchor roots of the euclidean kinds there (None for
-    other kinds), shared by the gradient at x and the line search that
-    leaves x. ``t`` is the next search's first trial before the cap, and
-    within a step the accepted multiplier. ``w``, ``delta`` and ``gsq``
-    belong to the current step.
+    Every attribute holds one entry per row, in start order; :meth:`keep`
+    drops rows that stop. ``row`` is the start index. The current sample of
+    a row is (``x``, ``u``, ``gn``, ``length``); earlier samples are in the
+    log and never change. ``g`` is the gradient at x and ``state`` the tuple
+    of per-row arrays that :meth:`Objective._descent_state` gave with it;
+    every trial of the line search leaving x is made from them. ``t`` is the
+    next search's first trial before the cap, and within a step the accepted
+    multiplier. ``w``, ``delta`` and ``gsq`` belong to the current step.
     """
 
     def __init__(self, **fields):
         self.__dict__.update(fields)
 
     def keep(self, mask):
-        self.__dict__.update({name: value[mask] for name, value in self.__dict__.items()
-                              if value is not None})
+        self.__dict__.update({name: tuple(_rows_of(value, mask)) if isinstance(value, tuple)
+                              else value[mask] for name, value in self.__dict__.items()})
 
 
 def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: bool):
@@ -295,11 +278,10 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
     # filled in when its row stops.
     counts = np.zeros((m, 3), dtype=int)
 
-    disp = obj._displacements(starts)
     run = _Running(
-        row=np.arange(m), x=starts, disp=disp, root=obj._roots(disp), g=np.zeros((m, d)),
+        row=np.arange(m), x=starts, state=(), g=np.zeros((m, d)),
         gn=np.zeros(m), t=np.full(m, cfg.initial_step / cfg.backtrack_factor),
-        u=obj._values(disp), length=np.zeros(m),
+        u=obj._values(obj._displacements(starts)), length=np.zeros(m),
         # Kahan-style carry keeps sub-ulp decreases from being lost before
         # they accumulate into a representable drop of the recorded value.
         carry=np.zeros(m),
@@ -332,7 +314,7 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
     bad = ~np.isfinite(run.u)
     fail(bad, [f"objective is non-finite at the starting point (U={u})"
                for u in run.u[bad].tolist()])
-    run.g = obj._gradients(run.disp, run.root)
+    run.g, run.state = obj._descent_state(run.x)
     run.gn = np.sqrt(np.vecdot(run.g, run.g))
     run.counts[:, 1] = 1
     bad = ~np.isfinite(run.g).all(axis=1)
@@ -354,19 +336,19 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
         # accepted (delta < 0), or its next t is below min_step (w stays 0).
         k = len(run.row)
         run.w, run.delta, tries = np.zeros((k, d)), np.zeros(k), np.zeros(k, dtype=int)
-        search = (np.arange(k), run.t, run.g, run.disp, run.root, run.gsq)
+        search = (np.arange(k), run.t, run.gsq, *run.state)
         keep = run.t >= cfg.min_step
         while keep.any():
-            pos, ts, gs, ds, rs, gq = search = _rows_of(search, keep)
-            ws = ts[:, None] * gs
-            trial = obj._value_changes(ds, -ws, rs)
+            pos, ts, gq, *state = search = _rows_of(search, keep)
+            trial = obj._trials(state, ts, gq)
             tries[pos] += 1
             ok = np.isfinite(trial) & (trial < 0.0) & (trial <= -cfg.armijo_c * ts * gq)
             if ok.any():
                 done = pos[ok]
-                run.t[done], run.w[done], run.delta[done] = ts[ok], ws[ok], trial[ok]
+                run.t[done], run.delta[done] = ts[ok], trial[ok]
+                run.w[done] = ts[ok, None] * run.g[done]
             ts = ts * cfg.backtrack_factor
-            search, keep = (pos, ts, gs, ds, rs, gq), ~ok & (ts >= cfg.min_step)
+            search, keep = (pos, ts, gq, *state), ~ok & (ts >= cfg.min_step)
         run.counts[:, 0] += tries
         run.counts[:, 2] += tries - (run.delta < 0.0)
 
@@ -377,14 +359,12 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
             # cannot move, so stop rather than spin on an unchanged point.
             stop(still, STALLED)
             x_new = x_new[~still]
-        disp = obj._displacements(x_new)
-        root = obj._roots(disp)
-        g = obj._gradients(disp, root)
+        g, state = obj._descent_state(x_new)
         run.counts[:, 1] += 1
         bad = ~np.isfinite(g).all(axis=1)
         if bad.any():
             fail(bad, repeat("gradient turned non-finite during descent"))
-            x_new, disp, root, g = _rows_of((x_new, disp, root, g), ~bad)
+            x_new, g, *state = _rows_of((x_new, g, *state), ~bad)
         gn = np.sqrt(np.vecdot(g, g))
 
         pending = run.carry + run.delta
@@ -410,7 +390,7 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t_bb = np.vecdot(run.w, run.w) / np.vecdot(run.w, run.g - g)
         run.t = np.where(np.isfinite(t_bb) & (t_bb > 0.0), t_bb, run.t / cfg.backtrack_factor)
-        run.x, run.disp, run.root, run.g, run.gn = x_new, disp, root, g, gn
+        run.x, run.state, run.g, run.gn = x_new, tuple(state), g, gn
 
     stop(run.gn <= cfg.grad_tol, CONVERGED)
     stop(np.ones(len(run.row), dtype=bool), MAX_STEPS)

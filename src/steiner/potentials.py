@@ -17,6 +17,12 @@ Besides values and gradients this module provides cancellation-free value
 *changes* U(v + m) - U(v); descent loops need those to certify tiny
 decreases that a float subtraction of two large values would round away.
 
+All kinds but ``p_norm`` are radial, U_i = w_i phi(|v|^2): :func:`radial`
+gives phi, its slope and its change as functions of r^2 = |v|^2, so a
+gradient is one contraction of the displacements with per-anchor slopes
+(:func:`radial_gradients`) and a change needs only r^2 and
+dr^2 = |v + m|^2 - |v|^2 (:func:`batch_value_changes`, :func:`line_changes`).
+
 The batch kernels take displacements anchor-contiguous, shape (..., D, n):
 coordinate k of the displacement from anchor i is ``disp[..., k, i]``. They
 reduce coordinates on axis -2 and return one entry per anchor on the last
@@ -85,6 +91,10 @@ class PotentialSpec:
                 object.__setattr__(self, "sigma", 1.0)
             _require(np.isfinite(self.sigma) and self.sigma > 0.0, "sigma",
                      f"well width must be finite and > 0, got {self.sigma}")
+            # The kernels divide by sigma^2 and scale slopes by 2 / sigma^2.
+            s2 = self.sigma * self.sigma
+            _require(0.0 < s2 < np.inf and 2.0 / s2 < np.inf, "sigma",
+                     f"sigma^2 and 2 / sigma^2 must be finite and > 0, got sigma = {self.sigma}")
         if self.weights is not None:
             w = tuple(float(x) for x in self.weights)
             _require(len(w) >= 1, "weights", "must be non-empty when present")
@@ -118,17 +128,127 @@ def _sq_norm(arr):
     return np.einsum("...dn,...dn->...n", arr, arr)
 
 
-def batch_roots(spec: PotentialSpec, disp: np.ndarray) -> np.ndarray | None:
-    """sqrt(|v|^2 + eps^2) per anchor for the euclidean kinds, else None.
+def _weighted(per_anchor, weights):
+    return per_anchor if weights is None else per_anchor * weights
 
-    The gradient and the value changes at ``disp`` both need these roots;
-    computing them once lets a caller hand them to both (``root=``), bit for
-    bit what either would compute itself.
-    """
-    if spec.kind not in ("euclidean", "weighted_euclidean"):
+
+# The radial kinds, U_i = w_i phi(r_i^2) with r_i^2 = |v_i|^2 (w_i = 1 but for
+# weighted_euclidean), as functions of r^2. ``carry(r2)`` is what the slope
+# and the change at r2 share. ``slope(r2, c)`` is 2 phi'(r^2), so a term's
+# gradient is slope * v. ``change(r2, c, dr2)`` is phi(r^2 + dr^2) - phi(r^2)
+# free of cancellation, with r^2 + dr^2 clamped at 0; the README's
+# "Accuracy of value changes" bounds its error.
+
+class _Hyperbolic:
+    """phi(s) = sqrt(s + eps^2) - eps, the euclidean kinds; carries the root sqrt(s + eps^2)."""
+
+    def __init__(self, eps):
+        self.eps, self.eps2 = eps, eps * eps
+
+    def value(self, r2):
+        if self.eps > 0.0:
+            # r2 / (sqrt(r2 + eps^2) + eps) == sqrt(r2 + eps^2) - eps, but
+            # free of cancellation for r << eps; inf, not inf / inf, once r2
+            # overflows.
+            return np.divide(r2, np.sqrt(r2 + self.eps2) + self.eps,
+                             out=np.full_like(r2, np.inf), where=r2 != np.inf)
+        return np.sqrt(r2)
+
+    def carry(self, r2):
+        return np.sqrt(r2 + self.eps2)
+
+    def slope(self, r2, root):
+        if root.all():
+            return 1.0 / root
+        warnings.warn(_NONSMOOTH_MSG, NonSmoothEvaluationWarning, stacklevel=3)
+        return np.divide(1.0, root, out=np.zeros_like(root), where=root != 0.0)
+
+    def change(self, r2, root, dr2):
+        denom = r2 + dr2
+        np.maximum(denom, 0.0, out=denom)
+        denom += self.eps2
+        np.sqrt(denom, out=denom)
+        denom += root
+        if self.eps2 > 0.0:  # then denom >= eps > 0
+            return np.divide(dr2, denom, out=denom)
+        # 0 / 0 where an unsmoothed term stays at its anchor: no change.
+        return np.divide(dr2, denom, out=np.zeros_like(dr2), where=denom != 0.0)
+
+
+class _Squared:
+    """phi(s) = s; carries nothing."""
+
+    def value(self, r2):
+        return r2
+
+    def carry(self, r2):
         return None
-    eps = _eps(spec)
-    return np.sqrt(_sq_norm(disp) + eps * eps)
+
+    def slope(self, r2, _):
+        return np.full_like(r2, 2.0)
+
+    def change(self, r2, _, dr2):
+        return dr2
+
+
+class _Gaussian:
+    """phi(s) = 1 - exp(-s / sigma^2); carries the damping exp(-s / sigma^2)."""
+
+    def __init__(self, sigma):
+        self.s2 = sigma * sigma
+        self.two_over_s2 = 2.0 / self.s2
+
+    def value(self, r2):
+        return -np.expm1(-r2 / self.s2)
+
+    def carry(self, r2):
+        return np.exp(-r2 / self.s2)
+
+    def slope(self, r2, damp):
+        return self.two_over_s2 * damp
+
+    def change(self, r2, damp, dr2):
+        arg = dr2 / self.s2
+        with np.errstate(over="ignore", invalid="ignore"):
+            small = -damp * np.expm1(-arg)
+            direct = damp - np.exp(-np.maximum(r2 + dr2, 0.0) / self.s2)
+        return np.where(np.abs(arg) < 1.0, small, direct)
+
+
+def radial(spec: PotentialSpec):
+    """The functions of r^2 of a radial kind (see above); None for ``p_norm``."""
+    if spec.kind in ("euclidean", "weighted_euclidean"):
+        return _Hyperbolic(_eps(spec))
+    if spec.kind == "squared":
+        return _Squared()
+    if spec.kind == "gaussian_well":
+        return _Gaussian(spec.sigma)
+    return None
+
+
+def radial_gradients(kernel, disp: np.ndarray, weights=None):
+    """(gradient of the sum over anchors, r^2, carry) at ``disp`` (shape (..., D, n)).
+
+    ``kernel`` is a :func:`radial` kind. The gradient, shape (..., D), is one
+    contraction of the displacements with the per-anchor slopes; each row
+    of a batch gets the bits it gets alone.
+    """
+    r2 = _sq_norm(disp)
+    carry = kernel.carry(r2)
+    slope = _weighted(kernel.slope(r2, carry), weights)
+    return np.einsum("...dn,...n->...d", disp, slope), r2, carry
+
+
+def line_changes(kernel, r2, carry, proj, t, gsq, weights=None) -> np.ndarray:
+    """U_i(v - t g) - U_i(v) per anchor, for a line search along -g.
+
+    ``r2`` and ``carry`` are those of :func:`radial_gradients` at v and
+    ``proj`` is g.v, each of shape (rows, n); ``t`` and ``gsq`` = |g|^2 hold
+    one entry per row. With dr^2 = t (t |g|^2 - 2 g.v) a trial costs O(n) per
+    row, whatever D is.
+    """
+    dr2 = t[:, None] * ((t * gsq)[:, None] - 2.0 * proj)
+    return _weighted(kernel.change(r2, carry, dr2), weights)
 
 
 def _p_norm_far(spec: PotentialSpec, disp: np.ndarray):
@@ -150,31 +270,15 @@ def _p_norm_far(spec: PotentialSpec, disp: np.ndarray):
 def batch_values(spec: PotentialSpec, disp: np.ndarray, weights=None) -> np.ndarray:
     """Potential value per anchor; ``disp`` has shape (..., D, n), the result (..., n).
 
-    ``weighted_euclidean`` multiplies by ``weights``, which broadcast
-    against the last axis of the result (one weight per anchor); the other
-    kinds ignore them. The kernels below take them the same way.
+    ``weights`` (one per anchor, broadcast against the last axis of the
+    result) multiply the radial kinds' terms; only ``weighted_euclidean``
+    has them. The kernels below take them the same way.
     """
-    eps = _eps(spec)
-    kind = spec.kind
-    if kind in ("euclidean", "weighted_euclidean"):
-        r2 = _sq_norm(disp)
-        if eps > 0.0:
-            # r2 / (sqrt(r2 + eps^2) + eps) == sqrt(r2 + eps^2) - eps, but
-            # free of cancellation for r << eps; inf, not inf / inf, once r2
-            # overflows.
-            vals = np.divide(r2, np.sqrt(r2 + eps * eps) + eps,
-                             out=np.full_like(r2, np.inf), where=r2 != np.inf)
-        else:
-            vals = np.sqrt(r2)
-        if kind == "weighted_euclidean":
-            vals = vals * weights
-        return vals
-    if kind == "squared":
-        return _sq_norm(disp)
-    if kind == "gaussian_well":
-        s2 = spec.sigma * spec.sigma
-        return -np.expm1(-_sq_norm(disp) / s2)
+    kernel = radial(spec)
+    if kernel is not None:
+        return _weighted(kernel.value(_sq_norm(disp)), weights)
     # p_norm
+    eps = _eps(spec)
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.power(disp * disp + eps * eps, spec.p / 2.0).sum(axis=-2)
         norm = np.power(s, 1.0 / spec.p)
@@ -184,32 +288,13 @@ def batch_values(spec: PotentialSpec, disp: np.ndarray, weights=None) -> np.ndar
     return np.maximum(norm - (disp.shape[-2] ** (1.0 / spec.p)) * eps, 0.0)
 
 
-def batch_gradients(spec: PotentialSpec, disp: np.ndarray, weights=None,
-                    root=None) -> np.ndarray:
-    """Analytic gradient of :func:`batch_values` per anchor, shape (..., D, n).
-
-    ``root`` may carry :func:`batch_roots` of ``disp``; other kinds ignore it.
-    """
+def batch_gradients(spec: PotentialSpec, disp: np.ndarray, weights=None) -> np.ndarray:
+    """Analytic gradient of :func:`batch_values` per anchor, shape (..., D, n)."""
+    kernel = radial(spec)
+    if kernel is not None:
+        r2 = _sq_norm(disp)
+        return disp * _weighted(kernel.slope(r2, kernel.carry(r2)), weights)[..., None, :]
     eps = _eps(spec)
-    kind = spec.kind
-    if kind in ("euclidean", "weighted_euclidean"):
-        if root is None:
-            root = batch_roots(spec, disp)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = disp / root[..., None, :]
-        at_kink = root == 0.0
-        if np.any(at_kink):
-            warnings.warn(_NONSMOOTH_MSG, NonSmoothEvaluationWarning, stacklevel=2)
-            g = np.where(at_kink[..., None, :], 0.0, g)
-        if kind == "weighted_euclidean":
-            g = g * weights
-        return g
-    if kind == "squared":
-        return 2.0 * disp
-    if kind == "gaussian_well":
-        s2 = spec.sigma * spec.sigma
-        damp = np.exp(-_sq_norm(disp) / s2)
-        return (2.0 / s2) * disp * damp[..., None, :]
     # p_norm: d/dv_j (sum t_k^(p/2))^(1/p) = S^(1/p-1) t_j^(p/2-1) v_j
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = disp * disp + eps * eps
@@ -252,56 +337,36 @@ def _p_norm_changes(p, eps, disp: np.ndarray, move: np.ndarray):
 
 
 def batch_value_changes(spec: PotentialSpec, disp: np.ndarray, move: np.ndarray,
-                        weights=None, root=None) -> np.ndarray:
+                        weights=None) -> np.ndarray:
     """U(v + move) - U(v) per anchor, computed cancellation-free.
 
     ``disp`` has shape (..., D, n) and ``move`` shape (..., D): each move is
     shared by the n anchors at its leading index (for a (D, n) ``disp``, one
-    D-vector moves them all). Accuracy is relative to the *change* itself,
-    not to the absolute potential values, so decreases far below one ulp of
-    the total objective remain resolvable. ``root`` may carry
-    :func:`batch_roots` of ``disp``, which saves the euclidean kinds one
-    reduction and one sqrt per call without changing a bit; other kinds
-    ignore it.
+    D-vector moves them all). The radial kinds take the change from r^2 and
+    dr^2 = 2 v.m + |m|^2, as :func:`line_changes` does from its own dr^2; the
+    README's "Accuracy of value changes" bounds the error. Decreases far
+    below one ulp of the total objective remain resolvable.
     """
+    kernel = radial(spec)
+    if kernel is not None:
+        # |v + m|^2 - |v|^2 without forming the two large squares.
+        r2 = _sq_norm(disp)
+        dr2 = 2.0 * np.einsum("...dn,...d->...n", disp, move) + np.vecdot(move, move)[..., None]
+        return _weighted(kernel.change(r2, kernel.carry(r2), dr2), weights)
+    move = move[..., None]
     eps = _eps(spec)
-    kind = spec.kind
-    if kind == "p_norm":
-        move = move[..., None]
-        du, far = _p_norm_changes(spec.p, eps, disp, move)
-        if far.any():
-            # Where a power sum overflows, evaluate at v / c and m / c, with
-            # eps / c, for a power of two c above every coordinate (exact
-            # scaling), and scale the change back: S^(1/p) is homogeneous.
-            v = np.moveaxis(disp, -2, -1)[far]
-            m = np.moveaxis(np.broadcast_to(move, disp.shape), -2, -1)[far]
-            top = np.maximum(np.abs(v).max(axis=-1), np.abs(v + m).max(axis=-1))
-            c = np.ldexp(1.0, np.frexp(np.maximum(top, eps))[1])
-            du[far] = c * _p_norm_changes(spec.p, eps / c, (v / c[:, None]).T,
-                                          (m / c[:, None]).T)[0]
-        return du
-    # |v + m|^2 - |v|^2 without forming the two large squares.
-    dr2 = 2.0 * np.einsum("...dn,...d->...n", disp, move) + np.vecdot(move, move)[..., None]
-    if kind in ("euclidean", "weighted_euclidean"):
-        if root is None:
-            root = batch_roots(spec, disp)
-        denom = np.sqrt(_sq_norm(disp + move[..., None]) + eps * eps) + root
-        with np.errstate(invalid="ignore"):
-            delta = dr2 / denom
-        delta = np.where(denom == 0.0, 0.0, delta)
-        if kind == "weighted_euclidean":
-            delta = delta * weights
-        return delta
-    if kind == "squared":
-        return dr2
-    # gaussian_well
-    s2 = spec.sigma * spec.sigma
-    arg = dr2 / s2
-    r2 = _sq_norm(disp)
-    with np.errstate(over="ignore", invalid="ignore"):
-        small = -np.exp(-r2 / s2) * np.expm1(-arg)
-        direct = np.exp(-r2 / s2) - np.exp(-_sq_norm(disp + move[..., None]) / s2)
-    return np.where(np.abs(arg) < 1.0, small, direct)
+    du, far = _p_norm_changes(spec.p, eps, disp, move)
+    if far.any():
+        # Where a power sum overflows, evaluate at v / c and m / c, with
+        # eps / c, for a power of two c above every coordinate (exact
+        # scaling), and scale the change back: S^(1/p) is homogeneous.
+        v = np.moveaxis(disp, -2, -1)[far]
+        m = np.moveaxis(np.broadcast_to(move, disp.shape), -2, -1)[far]
+        top = np.maximum(np.abs(v).max(axis=-1), np.abs(v + m).max(axis=-1))
+        c = np.ldexp(1.0, np.frexp(np.maximum(top, eps))[1])
+        du[far] = c * _p_norm_changes(spec.p, eps / c, (v / c[:, None]).T,
+                                      (m / c[:, None]).T)[0]
+    return du
 
 
 def _as_vector(coords) -> np.ndarray:

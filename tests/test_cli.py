@@ -107,6 +107,20 @@ def test_solve_rejects_unknown_potential_kind(tmp_path, capsys):
     assert "potential.kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma", [1e-170, 1e160])
+def test_solve_rejects_a_well_width_whose_square_leaves_the_float_range(tmp_path, capsys,
+                                                                         sigma):
+    # 1e-170 squared is 0 (a division by zero); 1e160 squared is inf, and
+    # every start then came to rest where it began.
+    bad = dict(RIGHT_TRIANGLE_INSTANCE, potential={"kind": "gaussian_well", "sigma": sigma})
+    inp = write_instance(tmp_path, bad)
+    out = tmp_path / "o.json"
+    code = main(["solve", "--input", str(inp), "--output", str(out)])
+    assert code == EXIT_INPUT
+    assert "potential.sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_reports_no_critical_point(tmp_path):
     inp = write_instance(tmp_path, {
         "dimension": 2,

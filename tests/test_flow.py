@@ -12,7 +12,7 @@ from steiner import (CONVERGED, MAX_STEPS, STALLED, ConfigError, FlowConfig, Flo
                      InputError, NumericalError, TestingPlan, enumerate_critical_points,
                      generate_testing_points, graph_residual, tangency_residual, trace_flow,
                      weiszfeld)
-from steiner.flow import _longest_monotone_run, rest_points, trace_flows
+from steiner.flow import _longest_monotone_run, rest_points
 
 from util import curve_trace, make_objective
 
@@ -465,7 +465,7 @@ def _blocks(draw):
 def test_lockstep_block_equals_single_traces_property(case):
     obj, starts, cfg = case
     assert len(starts) <= obj.block_rows  # one lockstep block
-    block = list(trace_flows(obj, starts, cfg))
+    block = rest_points(obj, starts, cfg, True).traces
     assert len(block) == len(starts)
     for start, trace in zip(starts, block):
         _assert_same_trace(trace, trace_flow(obj, start, cfg))
@@ -482,7 +482,7 @@ def test_lockstep_block_mixes_every_way_a_trace_ends():
         [10.0, 0.0],   # on an anchor, |grad U| ~ 1e-145: accepted after 4 backtracks, no move
         [0.0, 0.0],    # on an anchor, descending to the well between two anchors
     ])
-    block = list(trace_flows(obj, starts, cfg))
+    block = rest_points(obj, starts, cfg, True).traces
     assert [t.status for t in block] == [CONVERGED, STALLED, MAX_STEPS, STALLED, CONVERGED]
     assert len(block[0]) == len(block[1]) == len(block[3]) == 1
     assert block[2].n_gradients == cfg.max_steps + 1
@@ -504,19 +504,19 @@ def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
     # Corrupt the gradient right of x = 0.5 near the anchor: starts 1 and 3
     # walk into that region (start 3 after fewer steps), 0 and 2 never do.
     obj = make_objective([[0.0, -2.0]])
-    exact = steiner.core.batch_gradients
+    exact = steiner.core.radial_gradients
 
-    def corrupted(spec, disp, weights=None, root=None):
-        g = exact(spec, disp, weights, root)
+    def corrupted(kernel, disp, weights=None):
+        g, *rest = exact(kernel, disp, weights)
         near = (np.linalg.norm(disp, axis=-2) < 3.0) & (disp[..., 0, :] > 0.5)
-        return np.where(near[..., None, :], np.nan, g)
+        return (np.where(near.any(axis=-1)[..., None], np.nan, g), *rest)
 
-    monkeypatch.setattr(steiner.core, "batch_gradients", corrupted)
+    monkeypatch.setattr(steiner.core, "radial_gradients", corrupted)
     starts = np.array([[-3.0, 4.0], [5.0, 6.0], [-1.0, 1.0], [6.0, 0.5]])
     with pytest.raises(NumericalError) as alone:
         trace_flow(obj, starts[1])
     with pytest.raises(NumericalError) as info:
-        list(trace_flows(obj, starts))
+        rest_points(obj, starts, FlowConfig(), True)
     assert str(info.value) == f"start 1: {alone.value}"
     assert str(alone.value) == "gradient turned non-finite during descent"
     assert len(info.value.trace) > 1
@@ -528,16 +528,16 @@ def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
     assert str(rest.value) == str(info.value)
     _assert_same_trace(rest.value.trace, alone.value.trace)
     with pytest.raises(NumericalError, match="^start 3: "):
-        list(trace_flows(obj, starts[[0, 2, 2, 3]]))
+        rest_points(obj, starts[[0, 2, 2, 3]], FlowConfig(), True)
     # A higher start whose U is non-finite where it starts does not hide a
     # lower one that fails later, nor the other way round.
     far = [1e300, 1e300]
     with pytest.raises(NumericalError, match="^start 1: gradient turned") as info:
-        list(trace_flows(obj, np.array([starts[0], starts[1], far, starts[2]])))
+        rest_points(obj, np.array([starts[0], starts[1], far, starts[2]]), FlowConfig(), True)
     _assert_same_trace(info.value.trace, alone.value.trace)
     message = r"^start 1: objective is non-finite .*\(U=inf\)$"
     with pytest.raises(NumericalError, match=message) as info:
-        list(trace_flows(obj, np.array([starts[0], far, starts[1], starts[2]])))
+        rest_points(obj, np.array([starts[0], far, starts[1], starts[2]]), FlowConfig(), True)
     assert info.value.trace is None
     with pytest.raises(NumericalError, match=message) as info:
         enumerate_critical_points(obj, points=np.array([starts[0], far, starts[1], starts[2]]))
@@ -558,18 +558,18 @@ def test_lockstep_failure_at_a_start_without_trace():
     obj = make_objective([[0.0, 0.0]], kind="squared")
     starts = np.array([[1.0, 1.0], [1e200, 1e200], [1e300, 0.0]])
     with pytest.raises(NumericalError, match="^start 1: objective is non-finite") as info:
-        list(trace_flows(obj, starts))
+        rest_points(obj, starts, FlowConfig(), True)
     assert info.value.trace is None
 
 
-def test_trace_flows_splits_large_problems_into_blocks():
+def test_rest_points_splits_large_problems_into_blocks():
     # n * D above the block budget: one row per block, same traces.
     anchors = np.random.default_rng(8).uniform(0.0, 10.0, size=(3_000, 8))
     obj = make_objective(anchors)
     assert obj.block_rows == 1
     starts = np.random.default_rng(9).uniform(0.0, 10.0, size=(3, 8))
     cfg = FlowConfig(max_steps=5)
-    traces = list(trace_flows(obj, starts, cfg))
+    traces = rest_points(obj, starts, cfg, True).traces
     assert len(traces) == len(starts)
     for start, trace in zip(starts, traces):
         _assert_same_trace(trace, trace_flow(obj, start, cfg))

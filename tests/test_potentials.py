@@ -2,16 +2,18 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from steiner import (ConfigError, InputError, NonSmoothEvaluationWarning, PotentialSpec,
                      potential_gradient, potential_value)
 
-from steiner.potentials import batch_gradients, batch_roots, batch_value_changes, batch_values
+from steiner.potentials import (batch_gradients, batch_value_changes, batch_values,
+                                line_changes, radial, radial_gradients)
 from util import make_objective, random_rotation
 
 ISOTROPIC = [
@@ -98,10 +100,23 @@ def test_p_norm_gradient_finite_on_coordinate_planes():
     (dict(kind="euclidean", weights=(1.0,)), "weights"),
     (dict(kind="euclidean", p=3.0), "p"),
     (dict(kind="squared", sigma=-1.0), "sigma"),
+    # sigma^2 underflows to 0, or 2 / sigma^2 overflows, or sigma^2 does.
+    (dict(kind="gaussian_well", sigma=1e-170), "sigma"),
+    (dict(kind="gaussian_well", sigma=1.05e-154), "sigma"),
+    (dict(kind="gaussian_well", sigma=1e160), "sigma"),
 ])
 def test_invalid_specs_fail_at_construction(kwargs, field):
     with pytest.raises(ConfigError, match=field):
         PotentialSpec(**kwargs)
+
+
+@pytest.mark.parametrize("sigma", [1.1e-154, 1e-100, 1e100, 1e154])
+def test_well_widths_inside_the_float_range_are_accepted(sigma):
+    spec = PotentialSpec("gaussian_well", sigma=sigma)
+    assert np.isfinite(2.0 / (spec.sigma * spec.sigma))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert potential_value(spec, [sigma, 0.0]) == pytest.approx(-math.expm1(-1.0))
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -218,30 +233,35 @@ def test_midpoint_convexity(spec, a, b):
 ])
 @pytest.mark.parametrize("epsilon", [0.0, 1e-9, 0.7])
 def test_carried_root_changes_no_bit(kind, kwargs, epsilon):
-    # The descent hands the roots of the gradient at x to the line search's
-    # value changes; both must equal the kernels that compute them alone.
+    # The descent carries r^2 and the roots of the gradient at x into the
+    # line search's value changes; both must equal what the kernels compute
+    # alone, and the roots those of the formula sqrt(|v|^2 + eps^2).
     spec = PotentialSpec(kind, epsilon=epsilon, **kwargs)
     weights = None if spec.weights is None else np.asarray(spec.weights)
     rng = np.random.default_rng(29)
     disp = rng.normal(scale=[[[1.0], [1e-8], [1e6]]], size=(5, 3, 7))
     disp[0, :, 0] = 0.0  # at its anchor: the kink; unmoved, a zero denominator at eps = 0
     moves = rng.normal(size=(5, 3)) * np.array([[0.0], [1e-12], [1e3], [1.0], [1.0]])
-    root = batch_roots(spec, disp)
-    assert root.shape == (5, 7)
-    np.testing.assert_array_equal(
-        batch_value_changes(spec, disp, moves, weights, root),
-        batch_value_changes(spec, disp, moves, weights), strict=True)
+    kernel = radial(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonSmoothEvaluationWarning)
-        np.testing.assert_array_equal(batch_gradients(spec, disp, weights, root),
-                                      batch_gradients(spec, disp, weights), strict=True)
-
-
-def test_roots_are_none_for_kinds_without_them():
-    disp = np.ones((2, 3, 2))
-    for spec in (PotentialSpec("squared"), PotentialSpec("p_norm"),
-                 PotentialSpec("gaussian_well")):
-        assert batch_roots(spec, disp) is None
+        g, r2, root = radial_gradients(kernel, disp, weights)
+        per_anchor = batch_gradients(spec, disp, weights)
+    assert root.shape == (5, 7)
+    np.testing.assert_array_equal(
+        root, np.sqrt(np.einsum("...dn,...dn->...n", disp, disp) + epsilon * epsilon),
+        strict=True)
+    dr2 = 2.0 * np.einsum("...dn,...d->...n", disp, moves) + np.vecdot(moves, moves)[:, None]
+    carried = kernel.change(r2, root, dr2)
+    np.testing.assert_array_equal(
+        carried if weights is None else carried * weights,
+        batch_value_changes(spec, disp, moves, weights), strict=True)
+    # The gradient is one contraction with the slopes w / root, 0 at the kink.
+    slope = np.divide(1.0, root, out=np.zeros_like(root), where=root != 0.0)
+    if weights is not None:
+        slope = slope * weights
+    np.testing.assert_array_equal(per_anchor, disp * slope[:, None, :], strict=True)
+    np.testing.assert_array_equal(g, np.einsum("...dn,...n->...d", disp, slope), strict=True)
 
 
 @pytest.mark.parametrize("kind, kwargs", [
@@ -323,3 +343,138 @@ def test_p_norm_far_from_the_anchor_is_finite_and_right():
         after = batch_values(spec, new)
         np.testing.assert_array_less(np.abs(changes - (after - values))[far],
                                      4.0 * np.finfo(float).eps * np.maximum(after, values)[far])
+
+
+# The accuracy of the radial kinds' value changes, against 50-digit decimal
+# arithmetic on the same float inputs. A change is formed from r^2 = |v|^2 and
+# dr^2 = |v + m|^2 - |v|^2, so its error has two sources, each a few ulps
+# times a conditioning factor:
+#   - dr^2 = 2 v.m + |m|^2 is off by ~ulp |m| (2|v| + |m|), which the change
+#     scales by the divided difference q = Delta / dr^2: relative to Delta
+#     that is c = |m| (2|v| + |m|) / |dr^2| >= 1, near 1 unless the move
+#     nearly keeps the distance to the anchor;
+#   - r^2 + dr^2 is off by ~ulp (|v| + |m|)^2, which the euclidean kinds
+#     scale to |v| / max(|v + m|, eps) (floored at sqrt(ulp) |v|, where the
+#     landing distance rounds away) and gaussian_well, through exp, to
+#     (|v| + |m|)^2 / sigma^2; squared has no such term.
+# So |error| <= K ulp (c + a) |Delta|, with a the kind's second factor, plus
+# K subnormal ulps where Delta underflows. For gaussian_well that holds while
+# ulp a is small, that is while |v| + |m| is below about 10^7 sigma; beyond,
+# the rounding of r^2 + dr^2 moves the exponent by more than 1/100, and a
+# term's change is bounded only by its range, [-w, w].
+CHANGE_ERROR_K = 8.0
+_ULP = np.finfo(float).eps
+RADIAL_KINDS = ("euclidean", "weighted_euclidean", "squared", "gaussian_well")
+
+
+def _expm1_over_x(x):
+    """(exp(x) - 1) / x in decimal, 1 at x = 0."""
+    if abs(x) >= Decimal("0.1"):
+        return (x.exp() - 1) / x
+    term = total = Decimal(1)
+    k = 1
+    while abs(term) > Decimal("1e-60"):
+        k += 1
+        term = term * x / k
+        total += term
+    return total
+
+
+def _exact_change(spec, weight, v, m):
+    """(Delta, q, a) of one term: its change, Delta / dr^2, and the kind's factor a."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        vd, md = [Decimal(x) for x in v.tolist()], [Decimal(x) for x in m.tolist()]
+        r2 = sum(x * x for x in vd)
+        new2 = sum((x + y) * (x + y) for x, y in zip(vd, md))
+        dr2 = sum((2 * x + y) * y for x, y in zip(vd, md))
+        w = Decimal(weight)
+        if spec.kind == "squared":
+            q, a = w, 0.0
+        elif spec.kind == "gaussian_well":
+            s2 = Decimal(spec.sigma) ** 2
+            damp = (-r2 / s2).exp()
+            if abs(dr2 / s2) < Decimal("0.1"):
+                q = w * damp * _expm1_over_x(-dr2 / s2) / s2
+            else:
+                q = w * (damp - (-new2 / s2).exp()) / dr2
+            a = float((r2.sqrt() + sum(y * y for y in md).sqrt()) ** 2 / s2)
+        else:
+            e2 = Decimal(spec.epsilon) ** 2
+            root_sum = (new2 + e2).sqrt() + (r2 + e2).sqrt()
+            q = w / root_sum if root_sum else Decimal(0)  # 0 only for v = m = 0, eps = 0
+            landing = max(float(new2.sqrt()), spec.epsilon, math.sqrt(_ULP) * float(r2.sqrt()))
+            a = float(r2.sqrt()) / landing if landing > 0.0 else 0.0
+        return float(q * dr2), float(abs(q)), a
+
+
+@hst.composite
+def _radial_moves(draw):
+    """A radial kind, displacements v (D, n) over many magnitudes, and a move m
+    that is free or lands on or near one anchor from far away."""
+    kind = draw(hst.sampled_from(RADIAL_KINDS))
+    d, n = draw(hst.integers(1, 4)), draw(hst.integers(1, 4))
+    # Coordinates are 0 or of magnitude 1e-90 to 1e60, so that no square
+    # under- or overflows: there r^2 itself is lost, for every formula.
+    unit = hst.just(0.0) | hst.floats(1e-30, 1.0).flatmap(lambda x: hst.sampled_from([x, -x]))
+    magnitude = hst.integers(-60, 60).map(lambda k: 10.0 ** k)
+    disp = np.array(draw(hst.lists(unit, min_size=d * n, max_size=d * n))).reshape(d, n)
+    disp *= np.array(draw(hst.lists(magnitude, min_size=n, max_size=n)))
+    kwargs = {}
+    if kind in ("euclidean", "weighted_euclidean"):
+        kwargs["epsilon"] = draw(hst.sampled_from([0.0]) | hst.integers(-70, 60).map(
+            lambda k: 10.0 ** k))
+    if kind == "weighted_euclidean":
+        kwargs["weights"] = tuple(draw(hst.lists(hst.floats(0.1, 10.0), min_size=n,
+                                                 max_size=n)))
+    if kind == "gaussian_well":
+        kwargs["sigma"] = draw(magnitude)
+    target = draw(hst.none() | hst.integers(0, n - 1))
+    if target is None:
+        move = np.array(draw(hst.lists(unit, min_size=d, max_size=d))) * draw(magnitude)
+    else:
+        offset = draw(hst.sampled_from([0.0]) | hst.integers(-16, -1).map(lambda k: 10.0 ** k))
+        jitter = np.array(draw(hst.lists(unit, min_size=d, max_size=d)))
+        move = -disp[:, target] * (1.0 + offset * jitter)
+    return PotentialSpec(kind, **kwargs), disp, move
+
+
+# A step onto an unsmoothed anchor whose r^2 + dr^2 rounds to -7.3e-12.
+_LANDING = np.array([[-39.57785651047325], [191.8669391406884], [31.427471185977133],
+                     [-160.48346033466203]])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_radial_moves(), line_search=hst.booleans(), t_exponent=hst.integers(-30, 30))
+@example(case=(PotentialSpec("euclidean", epsilon=0.0), _LANDING, -_LANDING[:, 0]),
+         line_search=False, t_exponent=1)
+@example(case=(PotentialSpec("euclidean", epsilon=0.0), _LANDING, -_LANDING[:, 0]),
+         line_search=True, t_exponent=1)
+def test_radial_value_change_accuracy_property(case, line_search, t_exponent):
+    spec, disp, move = case
+    weights = None if spec.weights is None else np.asarray(spec.weights)
+    if line_search:
+        # The line-search form: x - t g from r^2, the carry and p_i = g.v,
+        # with t a power of two so that -t g is exactly ``move``.
+        t = 2.0 ** t_exponent
+        g = -move / t
+        kernel = radial(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonSmoothEvaluationWarning)
+            _, r2, carry = radial_gradients(kernel, disp[None], weights)
+        proj = np.einsum("...dn,...d->...n", disp[None], g[None])
+        gn = np.sqrt(np.vecdot(g, g))
+        got = line_changes(kernel, r2, carry, proj, np.array([t]), np.array([gn * gn]),
+                           weights)[0]
+    else:
+        got = batch_value_changes(spec, disp, move, weights)
+    for i in range(disp.shape[1]):
+        v = disp[:, i]
+        weight = 1.0 if weights is None else weights[i]
+        delta, q, a = _exact_change(spec, weight, v, move)
+        if spec.kind == "gaussian_well" and _ULP * a > 1e-2:
+            assert abs(got[i] - delta) <= weight
+            continue
+        scale = np.linalg.norm(move) * (2.0 * np.linalg.norm(v) + np.linalg.norm(move))
+        bound = CHANGE_ERROR_K * (_ULP * (scale * q + a * abs(delta)) + 5e-324)
+        assert abs(got[i] - delta) <= bound, (i, got[i], delta, q, a)
