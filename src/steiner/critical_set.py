@@ -9,7 +9,6 @@ flagged by a negative-curvature probe, and lose the value comparison
 unless they genuinely are the minimum.
 """
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -156,36 +155,62 @@ def generate_testing_points(plan: TestingPlan, anchors: AnchorSet | None = None)
 def _single_linkage(points: np.ndarray, radius: float) -> list[list[int]]:
     """Chains of points within ``radius`` of a member merge into one cluster.
 
-    The points are lexsorted; a sweep compares each with the later ones
-    whose axis-0 coordinate lies within ``2 * radius`` of its own (twice, so
-    that rounding in the window bound never hides a pair the distance test
-    accepts) and whose label, the smallest sorted position in its component,
-    differs from its own. Those within ``radius`` (the Euclidean distance as
-    ``np.linalg.norm(..., axis=1)`` computes it) merge their components
-    under the smallest label. Clusters are lists of indices into ``points``
-    in the order of their smallest index, members in the lexicographic
-    order of their points (equal points in input order).
+    Two points are linked when, lexsorted, the later one's axis-0
+    coordinate lies within ``2 * radius`` of the earlier one's (twice, so
+    that rounding in this window bound never hides a pair the distance test
+    accepts) and their Euclidean distance, as ``np.linalg.norm(..., axis=1)``
+    computes it, is at most ``radius``; a distance that overflows is inf,
+    and so far. The clusters are the components of the links.
+
+    One vectorised pass links each lexsorted point to its successor, and
+    each maximal run of linked points starts as one component. A point
+    whose window ends inside its own run links nothing new, so a sweep
+    visits only the points whose window reaches past their run's end. Each
+    run carries the label of its component, the smallest run index in it;
+    the sweep compares a point with the points past its run in its window
+    whose label differs from its own, and those within ``radius`` merge
+    their components under the smallest label. Clusters are lists of
+    indices into ``points`` in the order of their smallest index, members
+    in the lexicographic order of their points (equal points in input
+    order).
     """
     perm = np.lexsort(points.T[::-1])
     points = points[perm]
-    label = np.arange(len(points))
-    ends = np.searchsorted(points[:, 0], points[:, 0] + 2.0 * radius, side="right")
-    for i, end in enumerate(ends.tolist()):
-        later = i + 1 + np.flatnonzero(label[i + 1:end] != label[i])
+    with np.errstate(over="ignore"):
+        ends = np.searchsorted(points[:, 0], points[:, 0] + 2.0 * radius, side="right")
+    linked = ((np.arange(1, len(points)) < ends[:-1])
+              & (_distances(points[1:], points[:-1]) <= radius))
+    run = np.append(0, np.cumsum(~linked))
+    stops = np.append(np.flatnonzero(~linked) + 1, len(points))
+    label = np.arange(len(stops))
+    for i in np.flatnonzero(ends > stops[run]).tolist():
+        own, end = run[i], ends[i]
+        stop = stops[own]
+        later = stop + np.flatnonzero(label[run[stop:end]] != label[own])
         if not later.size:
             continue
-        diff = points[later] - points[i]
-        near = later[np.sqrt(np.add.reduce(diff * diff, axis=1)) <= radius]
+        near = later[_distances(points[later], points[i]) <= radius]
         if near.size:
-            merged = np.append(label[near], label[i])
-            member = np.zeros(end, dtype=bool)
+            merged = np.append(label[run[near]], label[own])
+            last = run[end - 1] + 1
+            member = np.zeros(last, dtype=bool)
             member[merged] = True
-            # No member precedes its label; every linked point lies before end.
-            span = label[merged.min():end]
+            # No run precedes its label; every linked run lies before last.
+            span = label[merged.min():last]
             span[member[span]] = merged.min()
+    label = label[run]
     order = np.argsort(label, kind="stable")
     clusters = np.split(perm[order], np.flatnonzero(np.diff(label[order])) + 1)
     return sorted((c.tolist() for c in clusters), key=min)
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance between the rows of ``a`` and ``b``, bit for bit
+    ``np.linalg.norm(a - b, axis=1)``; inf, without a warning, where it
+    overflows."""
+    with np.errstate(over="ignore"):
+        diff = a - b
+        return np.sqrt(np.add.reduce(diff * diff, axis=1))
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -223,8 +248,7 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
                               cfg: FlowConfig | None = None,
                               cluster_radius: float | None = None, *,
                               points: np.ndarray | None = None,
-                              keep_traces: bool = False,
-                              threads: int = 1) -> SteinerResult:
+                              keep_traces: bool = False) -> SteinerResult:
     """Trace descent from every testing point and reduce to the critical set.
 
     Converged terminals are sorted, clustered by single linkage at
@@ -236,12 +260,8 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
     overrides the generated testing points (the plan still supplies box
     and seed), which callers use to transform start sets consistently.
     The testing points, and then the cluster representatives, are traced
-    in lockstep blocks (:func:`~steiner.flow.rest_points`). ``threads`` is
-    deprecated and ignored.
+    in lockstep blocks (:func:`~steiner.flow.rest_points`).
     """
-    if threads != 1:
-        warnings.warn("enumerate_critical_points: threads is ignored; the testing points "
-                      "are traced in lockstep", DeprecationWarning, stacklevel=2)
     plan = plan or TestingPlan()
     cfg = cfg or FlowConfig()
     box = plan_domain_box(plan, obj.anchors)

@@ -202,19 +202,26 @@ def rest_points(obj: Objective, starts: np.ndarray, cfg: FlowConfig,
     """Trace descent from every row of ``starts`` (shape (m >= 1, D)) and
     return where each came to rest, with the traces when ``keep_traces`` is set.
 
-    The starts advance in lockstep, ``obj.block_rows`` at a time, and each
-    trace, its status and its counters equal those of :func:`trace_flow`
-    from the same start bit for bit. Without traces a block logs only each
-    row's terminal sample. A start whose U or grad U turns non-finite stops
-    only its own row; once its block is done the lowest-index failing
-    start's :class:`NumericalError` is raised, with "start <k>: " before its
-    message and its partial trace (traced again alone when the block kept no
-    samples).
+    The m starts advance in lockstep blocks: max(1, m // ``obj.block_rows``)
+    consecutive blocks of near-equal size, so each holds fewer than
+    2 * ``obj.block_rows`` rows and none is a short tail. A block runs until
+    its slowest row stops, so a tail of a few rows would pay the per-step
+    cost of a whole block for them. Rows do not interact: each trace, its
+    status and its counters equal those of :func:`trace_flow` from the same
+    start bit for bit. Without traces a block logs only each row's terminal
+    sample. A start whose U or grad U turns non-finite stops only its own
+    row; once its block is done the lowest-index failing start's
+    :class:`NumericalError` is raised, with "start <k>: " before its
+    message, k its index among all the starts, and its partial trace
+    (traced again alone when the block kept no samples).
     """
     starts = obj.check_points(starts)
+    m = len(starts)
+    count = max(1, m // obj.block_rows)
+    edges = [m * k // count for k in range(count + 1)]
     blocks = []
-    for lo in range(0, len(starts), obj.block_rows):
-        block, failure = _descend(obj, starts[lo:lo + obj.block_rows], cfg, keep_traces)
+    for lo, hi in zip(edges, edges[1:]):
+        block, failure = _descend(obj, starts[lo:hi], cfg, keep_traces)
         if failure is not None:
             row, message, partial = failure
             raise NumericalError(f"start {lo + row}: {message}", trace=partial)

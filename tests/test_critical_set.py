@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from steiner import (MAX_STEPS, STALLED, AnchorSet, ConfigError, CriticalPoint, FlowConfig,
@@ -278,16 +278,11 @@ def test_rest_points_without_traces_match_kept_traces(kind, kwargs):
         assert entry["terminal"] == kept.traces[entry["start"]].terminal_point.tolist()
 
 
-def test_threaded_enumeration_matches_sequential():
-    rng = np.random.default_rng(23)
-    obj = make_objective(rng.uniform(0.0, 10.0, size=(8, 2)))
-    plan = TestingPlan("grid", count=9, seed=2)
-    seq = enumerate_critical_points(obj, plan)
-    with pytest.warns(DeprecationWarning, match="threads is ignored"):
-        par = enumerate_critical_points(obj, plan, threads=4)
-    assert len(seq.critical_set) == len(par.critical_set)
-    np.testing.assert_array_equal(seq.steiner.location, par.steiner.location)
-    assert seq.steiner.value == par.steiner.value
+def test_enumeration_has_no_threads_argument():
+    # The testing points are traced in lockstep; the ignored threads= is gone.
+    obj = make_objective(RIGHT_TRIANGLE)
+    with pytest.raises(TypeError, match="threads"):
+        enumerate_critical_points(obj, TestingPlan("grid", count=9), threads=4)
 
 
 # Euclidean medians can sit at an anchor, where the eps-smoothed spike has
@@ -391,8 +386,14 @@ def test_select_steiner_rejects_empty():
 
 
 def _connected_components(points, radius):
-    """Brute force: propagate the smallest index over every pair within radius."""
-    near = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1) <= radius
+    """Brute force: propagate the smallest index over every linked pair, that
+    is every pair within radius whose axis-0 coordinates lie within each
+    other's window of 2 * radius."""
+    x = points[:, 0]
+    with np.errstate(over="ignore"):
+        near = ((np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1) <= radius)
+                & (x[:, None] <= x[None, :] + 2.0 * radius)
+                & (x[None, :] <= x[:, None] + 2.0 * radius))
     label = np.arange(len(points))
     while True:
         spread = np.where(near, label[None, :], len(points)).min(axis=1)
@@ -460,6 +461,60 @@ def test_single_linkage_chains_past_the_radius(direction):
     assert sorted(map(len, clusters)) == [1, 11]
     [alone] = [c for c in clusters if len(c) == 1]
     np.testing.assert_array_equal(points[alone[0]], far)
+
+
+# Squared gaps below ~1e-162 underflow to 0, so each lexsorted neighbour of
+# this case is at distance 0, yet its axis-0 gap of 1e-170 lies far outside
+# the window of 2 * 6e-185: no pair is linked.
+UNDERFLOW_CASE = (np.array([[2e-170, 1e-250], [0.0, 0.0], [1e-170, 0.0]]), 6e-185)
+
+
+@pytest.mark.parametrize("points, radius", [
+    # Squared gaps that overflow, with no warning: inf is far.
+    (np.array([[0.0, -1e200], [0.0, 1e200]]), 1.0),   # inside the axis-0 window
+    (np.array([[-1e160, 0.0], [1e160, 0.0]]), 1.0),   # outside it
+    UNDERFLOW_CASE,
+])
+def test_single_linkage_keeps_apart_pairs_whose_squared_gaps_leave_the_float_range(
+        points, radius):
+    assert _single_linkage(points, radius) == [[k] for k in range(len(points))]
+
+
+@hst.composite
+def _linkage_cases(draw):
+    """Tight clusters, lattices with ties at exactly the radius, or long
+    chains, in 1 to 3 dimensions, scaled by up to 10^+-300 with radii at
+    which squared gaps under- or overflow."""
+    d = draw(hst.integers(1, 3))
+    m = draw(hst.integers(1, 200))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    shape = draw(hst.sampled_from(["clusters", "lattice", "chain"]))
+    if shape == "clusters":
+        centres = rng.uniform(0.0, 10.0, size=(draw(hst.integers(1, 5)), d))
+        points = centres[rng.integers(0, len(centres), size=m)]
+        points = points + rng.normal(scale=10.0 ** draw(hst.integers(-6, -1)), size=(m, d))
+        radius = 10.0 ** draw(hst.integers(-4, 0))
+    elif shape == "lattice":
+        points = rng.integers(0, 5, size=(m, d)).astype(float)
+        radius = draw(hst.sampled_from([0.5, 1.0, 2.0 ** 0.5, 2.0]))
+    else:
+        steps = rng.normal(size=(m, d))
+        steps *= 0.9 / np.linalg.norm(steps, axis=1, keepdims=True)
+        points, radius = np.cumsum(steps, axis=0)[rng.permutation(m)], 1.0
+    scale = 10.0 ** draw(hst.sampled_from([0, 0, -300, -250, -160, 160, 300]))
+    radius *= scale * 10.0 ** draw(hst.sampled_from([0, 0, -15, -80]))
+    assume(0.0 < radius < np.inf)
+    return points * scale, radius
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_linkage_cases())
+@example(case=UNDERFLOW_CASE)
+def test_single_linkage_matches_brute_force_property(case):
+    points, radius = case
+    assert _single_linkage(points, radius) == _lexicographic_clusters(points, radius)
+    ordered = points[np.lexsort(points.T[::-1])]
+    assert _single_linkage(ordered, radius) == _connected_components(ordered, radius)
 
 
 # U = |x|^2 around one anchor at the origin: a start with |x| <= 0.5 is at

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import steiner.core
+import steiner.flow
 from steiner import (CONVERGED, MAX_STEPS, STALLED, ConfigError, FlowConfig, FlowTrace,
                      InputError, NumericalError, TestingPlan, enumerate_critical_points,
                      generate_testing_points, graph_residual, tangency_residual, trace_flow,
@@ -573,3 +574,38 @@ def test_rest_points_splits_large_problems_into_blocks():
     assert len(traces) == len(starts)
     for start, trace in zip(starts, traces):
         _assert_same_trace(trace, trace_flow(obj, start, cfg))
+
+
+@pytest.mark.parametrize("d, m, sizes", [
+    (2, 17, [5, 6, 6]),   # 3 * block_rows + 2 starts: no 2-row tail block
+    (2, 4, [4]),          # fewer starts than block_rows: one block
+    (8, 3, [1, 1, 1]),    # block_rows 1: one block per start
+])
+def test_rest_points_splits_starts_into_near_equal_blocks(monkeypatch, d, m, sizes):
+    # 3 000 anchors: block_rows is 2^15 // (3 000 * D), 5 for D = 2 and 1 for D = 8.
+    obj = make_objective(np.random.default_rng(8).uniform(0.0, 10.0, size=(3_000, d)))
+    assert obj.block_rows == {2: 5, 8: 1}[d]
+    starts = np.random.default_rng(9).uniform(0.0, 10.0, size=(m, d))
+    cfg = FlowConfig(max_steps=30)
+    blocks = []
+    descend = steiner.flow._descend
+
+    def counted(obj, starts, *args):
+        blocks.append(len(starts))
+        return descend(obj, starts, *args)
+
+    monkeypatch.setattr(steiner.flow, "_descend", counted)
+    ends = rest_points(obj, starts, cfg, True)
+    assert blocks == sizes
+    monkeypatch.undo()
+    singles = [trace_flow(obj, start, cfg) for start in starts]
+    for trace, single in zip(ends.traces, singles):
+        _assert_same_trace(trace, single)
+    assert ends.statuses == [t.status for t in singles]
+    np.testing.assert_array_equal(ends.points, [t.terminal_point for t in singles], strict=True)
+    np.testing.assert_array_equal(
+        ends.counts, [[t.n_value_changes, t.n_gradients, t.n_backtracks] for t in singles])
+    # A start that fails in the last block is named by its index among all starts.
+    starts[-1] = 1e200
+    with pytest.raises(NumericalError, match=f"^start {m - 1}: objective is non-finite"):
+        rest_points(obj, starts, cfg, False)
