@@ -158,9 +158,9 @@ def _single_linkage(points: np.ndarray, radius: float) -> list[list[int]]:
     Two points are linked when, lexsorted, the later one's axis-0
     coordinate lies within ``2 * radius`` of the earlier one's (twice, so
     that rounding in this window bound never hides a pair the distance test
-    accepts) and their Euclidean distance, as ``np.linalg.norm(..., axis=1)``
-    computes it, is at most ``radius``; a distance that overflows is inf,
-    and so far. The clusters are the components of the links.
+    accepts) and their Euclidean distance, as :func:`_distances` computes it
+    without under- or overflow, is at most ``radius``. The clusters are the
+    components of the links.
 
     One vectorised pass links each lexsorted point to its successor, and
     each maximal run of linked points starts as one component. A point
@@ -205,12 +205,22 @@ def _single_linkage(points: np.ndarray, radius: float) -> list[list[int]]:
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance between the rows of ``a`` and ``b``, bit for bit
-    ``np.linalg.norm(a - b, axis=1)``; inf, without a warning, where it
-    overflows."""
+    """Distance between the rows of ``a`` and ``b``: bit for bit
+    ``np.linalg.norm(a - b, axis=1)`` where the squared sum is normal or the
+    gap is 0, else from the gaps scaled by their largest magnitude; inf,
+    without a warning, past the float range."""
     with np.errstate(over="ignore"):
         diff = a - b
-        return np.sqrt(np.add.reduce(diff * diff, axis=1))
+        sq = np.add.reduce(diff * diff, axis=1)
+        dist = np.sqrt(sq)
+        redo = np.flatnonzero((sq < np.finfo(float).tiny) | (sq == np.inf))
+        if redo.size:
+            scale = np.abs(diff[redo]).max(axis=1)
+            usable = (scale > 0.0) & (scale < np.inf)
+            redo, scale = redo[usable], scale[usable]
+            unit = diff[redo] / scale[:, None]
+            dist[redo] = scale * np.sqrt(np.add.reduce(unit * unit, axis=1))
+    return dist
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:

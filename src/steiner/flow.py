@@ -22,7 +22,6 @@ coordinate (:func:`graph_residual`).
 
 from dataclasses import dataclass
 from itertools import repeat
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -33,10 +32,6 @@ from .errors import ConfigError, InputError, NumericalError
 CONVERGED = "converged"
 MAX_STEPS = "max_steps"
 STALLED = "stalled"
-
-
-def _g17(x) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -93,19 +88,23 @@ class FlowTrace:
     ``grad_norms[k]`` and ``step_lens[k]`` (path length walked since sample
     k-1; 0 for the first sample). ``step_vectors[k]``, when present, is the
     exact step vector the tracer took leaving sample k; hand-built traces
-    may omit it. Recorded values are strictly decreasing; iterates whose
-    decrease is below one ulp of the running value are folded into the
-    terminal sample rather than appended as value ties. The one unavoidable
-    exception: when already the first step's decrease is unrepresentable,
-    the terminal repeats the starting value (the testing point must stay
-    recorded, and no correct recorder can make that pair strict).
+    may omit it. The testing point is sample 0 and the first step appends
+    a sample; a later step appends one only where the recorded value drops,
+    and a sub-ulp decrease slides the terminal sample forward instead. So
+    values strictly decrease, but for one unavoidable tie: when already the
+    first step's decrease is unrepresentable, the terminal repeats the
+    starting value (the testing point must stay recorded) until the next
+    drop replaces it.
 
     The counters record the tracer's work: ``n_value_changes`` and
     ``n_gradients`` count objective evaluations, ``n_backtracks`` the trial
     multipliers the Armijo test rejected. Every value change is one trial,
     whether a Barzilai-Borwein, warm-start or backtracked one, and a trial
     made from the state carried from the gradient at x (r^2 and g.(x - a_i)
-    for the radial kinds) still counts one. Hand-built traces leave them 0.
+    for the radial kinds) still counts one. A trace stopping in step s
+    (from 0) has 1 + s gradients, one more if the gradient of step s turned
+    non-finite, and its backtracks are its value changes less its accepted
+    steps. Hand-built traces leave the counters 0.
     """
 
     points: np.ndarray
@@ -141,14 +140,12 @@ class FlowTrace:
     def write_csv(self, path) -> None:
         """Write one row per sample: step,Z_1,...,Z_D,U,grad_norm,step_len."""
         d = self.points.shape[1]
-        header = "step," + ",".join(f"Z_{i + 1}" for i in range(d)) + ",U,grad_norm,step_len"
-        lines = [header]
-        for k in range(len(self)):
-            cells = [str(k)]
-            cells += [_g17(c) for c in self.points[k]]
-            cells += [_g17(self.values[k]), _g17(self.grad_norms[k]), _g17(self.step_lens[k])]
-            lines.append(",".join(cells))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        header = "step," + ",".join(f"Z_{i + 1}" for i in range(d)) + ",U,grad_norm,step_len\n"
+        line = "{}" + ",{:.17g}" * (d + 3) + "\n"
+        rows = np.column_stack([self.points, self.values, self.grad_norms,
+                                self.step_lens]).tolist()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + "".join(line.format(k, *r) for k, r in enumerate(rows)))
 
 
 def trace_flow(obj: Objective, start, cfg: FlowConfig | None = None) -> FlowTrace:
@@ -158,20 +155,20 @@ def trace_flow(obj: Objective, start, cfg: FlowConfig | None = None) -> FlowTrac
     U(x - t g) <= U(x) - c t |g|^2 holds; the decrease is measured with
     :meth:`Objective.value_change` so acceptance stays resolvable even when
     it is far below one ulp of U. The search's first trial is the
-    Barzilai-Borwein multiplier s.s / s.y of the previous step s and the
-    change y of the gradient along it, where s.y > 0. Elsewhere it is the
-    warm start: the previous accepted multiplier divided by
-    ``backtrack_factor`` (``initial_step`` standing in for it before the
-    first step), so t grows on flat ground while Armijo keeps accepting.
-    Either trial is capped at max(``initial_step``, L / |g|), where L is the
-    objective's ``length_scale``: no step is longer than the anchor set
-    unless ``initial_step`` asks for that. The Armijo test keeps every step
-    monotone, and every step is a multiple of -grad U. The gradient at x
-    leaves the state every trial from x reuses: for the radial kinds r^2,
-    the kind's carry and g.(x - a_i) per anchor, so a trial costs O(n)
-    instead of O(nD). Raises :class:`NumericalError` (carrying the partial
-    trace) if U or grad U turns non-finite at an accepted point. This is the
-    one-start case of :func:`rest_points`.
+    Barzilai-Borwein multiplier s.s / s.y of the previous step s, on the
+    coordinates it moved, and the change y of the gradient along it, where
+    s.y > 0. Elsewhere it is the warm start: the previous accepted
+    multiplier divided by ``backtrack_factor`` (``initial_step`` standing in
+    for it before the first step), so t grows on flat ground while Armijo
+    keeps accepting. Either trial is capped at max(``initial_step``,
+    L / |g|), where L is the objective's ``length_scale``: no step is longer
+    than the anchor set unless ``initial_step`` asks for that. The Armijo
+    test keeps every step monotone, and every step is a multiple of -grad U.
+    The gradient at x leaves the state every trial from x reuses: for the
+    radial kinds r^2, the kind's carry and g.(x - a_i) per anchor, so a
+    trial costs O(n) instead of O(nD). Raises :class:`NumericalError`
+    (carrying the partial trace) if U or grad U turns non-finite at an
+    accepted point. This is the one-start case of :func:`rest_points`.
     """
     block, failure = _descend(obj, obj.check_point(start)[None, :], cfg or FlowConfig(), True)
     if failure is not None:
@@ -237,170 +234,137 @@ def rest_points(obj: Objective, starts: np.ndarray, cfg: FlowConfig,
                       else None)
 
 
-class _Running:
-    """Per-row state of the rows of a lockstep block that are still running.
-
-    Every attribute holds one entry per row, in start order; :meth:`keep`
-    drops rows that stop. ``row`` is the start index. The current sample of
-    a row is (``x``, ``u``, ``gn``, ``length``); earlier samples are in the
-    log and never change. ``g`` is the gradient at x and ``state`` the tuple
-    of per-row arrays that :meth:`Objective._descent_state` gave with it;
-    every trial of the line search leaving x is made from them. ``t`` is the
-    next search's first trial before the cap, and within a step the accepted
-    multiplier. ``w``, ``delta`` and ``gsq`` belong to the current step.
-    """
-
-    def __init__(self, **fields):
-        self.__dict__.update(fields)
-
-    def keep(self, mask):
-        self.__dict__.update({name: tuple(_rows_of(value, mask)) if isinstance(value, tuple)
-                              else value[mask] for name, value in self.__dict__.items()})
-
-
 def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: bool):
     """The descent loop: trace every row of ``starts`` in lockstep.
 
     Each iteration takes one step on every running row: rows at rest
-    converge, the rest run a backtracking search together that a row leaves
-    once its trial is accepted or its next t is below ``min_step``, the
-    rows that did not move stall, and the rest get one batched gradient.
+    converge, the rest run one backtracking search together, the rows that
+    did not move stall, and the rest get one batched gradient.
     All arithmetic is per row and in the order of a single-row run, so a
     row's trace does not depend on the others. A start whose U or grad U
     turns non-finite stops only its own row. Only with ``log_samples`` set are
     the samples before each terminal logged and the traces built. Returns
     (:class:`RestPoints`, None), or (None, (row, message, partial trace))
     for the lowest failing row; the partial trace is None where U was
-    non-finite at the start.
+    non-finite at the start. The counters, bar the value changes, follow
+    from the step index when a row stops (see :class:`FlowTrace`).
     """
     m, d = starts.shape
     status: list[str | None] = [None] * m
     failures: dict[int, str] = {}
     # The samples, one list of per-step arrays per column: start index,
-    # point, value, gradient norm, step length and the step that left the
-    # sample. A row's terminal sample goes in when the row stops, with a
-    # placeholder step; without ``log_samples`` it is the only one.
-    log: list[list[np.ndarray]] = [[] for _ in range(6)]
-    # The counters (value changes, gradients, backtracks) of each start,
-    # filled in when its row stops.
+    # point, value, gradient norm and, with ``log_samples``, step length and
+    # the step leaving the sample. A row's terminal sample, with a placeholder
+    # step, goes in when the row stops; without ``log_samples`` it is alone.
+    log: list[list[np.ndarray]] = [[] for _ in range(6 if log_samples else 4)]
+    # Each start's value changes, gradients and backtracks, set as it stops.
     counts = np.zeros((m, 3), dtype=int)
 
-    run = _Running(
-        row=np.arange(m), x=starts, state=(), g=np.zeros((m, d)),
-        gn=np.zeros(m), t=np.full(m, cfg.initial_step / cfg.backtrack_factor),
-        u=obj._values(obj._displacements(starts)), length=np.zeros(m),
-        # Kahan-style carry keeps sub-ulp decreases from being lost before
-        # they accumulate into a representable drop of the recorded value.
-        carry=np.zeros(m),
-        # The first step must not overwrite the testing-point sample even
-        # when its decrease is below one ulp; the resulting value tie sits at
-        # the terminal and is absorbed by the next resolvable drop.
-        tie=np.zeros(m, dtype=bool), samples=np.ones(m, dtype=int),
-        counts=np.zeros((m, 3), dtype=int), w=np.zeros((m, d)), delta=np.zeros(m),
-        gsq=np.zeros(m))
+    # The running rows, in start order, which ``stop`` drops: start index,
+    # current sample (x, u, gn, length; length and tie only when logged), the
+    # gradient g at x with the state the line search from x reuses, the next
+    # first trial t before the cap and the value changes so far. ``carry``
+    # keeps sub-ulp decreases until they add up to a drop of u (Kahan); a
+    # ``tie`` is a terminal repeating the starting value.
+    row, x, u = np.arange(m), starts, obj._values(obj._displacements(starts))
+    gn = carry = np.zeros(m)
+    g, state = np.zeros((m, d)), ()
+    t, tries = np.full(m, cfg.initial_step / cfg.backtrack_factor), np.zeros(m, dtype=int)
+    length, tie = (np.zeros(m), np.zeros(m, dtype=bool)) if log_samples else (None, None)
 
-    def commit(mask):
-        """Log the current samples of the masked rows; -w is the step leaving them."""
-        for column, value in zip(log, (run.row, run.x, run.u, run.gn, run.length, -run.w)):
+    def stop(mask, why, gradients, accepted, *extra):
+        """End the masked rows with status ``why`` and their counters; drop
+        them from the running rows and return ``extra`` without them."""
+        nonlocal row, x, u, gn, length, g, state, t, tries, carry, tie
+        for column, value in zip(log, (row, x, u, gn, length, x)):
             column.append(value[mask])
+        rows, made = row[mask], tries[mask]
+        for r in rows.tolist():
+            status[r] = why
+        counts[rows, 0], counts[rows, 1], counts[rows, 2] = made, gradients, made - accepted
+        row, x, u, gn, length, g, t, tries, carry, tie, *rest = _rows_of(
+            (row, x, u, gn, length, g, t, tries, carry, tie, *state, *extra), ~mask)
+        state, extra = tuple(rest[:len(state)]), rest[len(state):]
+        return extra
 
-    def stop(mask, why):
-        """End the masked rows with status ``why`` and drop them."""
-        commit(mask)
-        rows = run.row[mask]
-        for row in rows.tolist():
-            status[row] = why
-        counts[rows] = run.counts[mask]
-        run.keep(~mask)
-
-    def fail(bad, messages):
+    def fail(bad, messages, gradients, accepted, *extra):
         """Stop the masked rows, whose U or grad U turned non-finite."""
-        failures.update(zip(run.row[bad].tolist(), messages))
-        stop(bad, STALLED)
+        failures.update(zip(row[bad].tolist(), messages))
+        return stop(bad, STALLED, gradients, accepted, *extra)
 
-    bad = ~np.isfinite(run.u)
-    fail(bad, [f"objective is non-finite at the starting point (U={u})"
-               for u in run.u[bad].tolist()])
-    run.g, run.state = obj._descent_state(run.x)
-    run.gn = np.sqrt(np.vecdot(run.g, run.g))
-    run.counts[:, 1] = 1
-    bad = ~np.isfinite(run.g).all(axis=1)
-    fail(bad, repeat("gradient is non-finite at the starting point"))
+    bad = ~np.isfinite(u)
+    if bad.any():
+        fail(bad, [f"objective is non-finite at the starting point (U={v})"
+                   for v in u[bad].tolist()], 0, 0)
+    g, state = obj._descent_state(x)
+    gn = np.sqrt(np.vecdot(g, g))
+    if not np.isfinite(gn).all():  # else every component is finite
+        bad = ~np.isfinite(g).all(axis=1)
+        if bad.any():
+            fail(bad, repeat("gradient is non-finite at the starting point"), 1, 0)
 
-    for _ in range(cfg.max_steps):
-        at_rest = run.gn <= cfg.grad_tol
+    for step in range(cfg.max_steps):
+        at_rest = gn <= cfg.grad_tol
         if at_rest.any():
-            stop(at_rest, CONVERGED)
-        if not run.row.size:
+            stop(at_rest, CONVERGED, 1 + step, step)
+        if not len(row):
             break
 
-        run.gsq = run.gn * run.gn
+        gsq = gn * gn
         # The cap keeps t finite over a long run of acceptances (an infinite
         # t never backtracks below min_step), and keeps a step no longer than
         # the anchor set unless initial_step itself asks for that.
-        run.t = np.minimum(run.t, np.maximum(cfg.initial_step, obj.length_scale / run.gn))
-        # Backtracking search. One rule, ``keep``, drops a row: its trial was
-        # accepted (delta < 0), or its next t is below min_step (w stays 0).
-        k = len(run.row)
-        run.w, run.delta, tries = np.zeros((k, d)), np.zeros(k), np.zeros(k, dtype=int)
-        search = (np.arange(k), run.t, run.gsq, *run.state)
-        keep = run.t >= cfg.min_step
-        while keep.any():
-            pos, ts, gq, *state = search = _rows_of(search, keep)
-            trial = obj._trials(state, ts, gq)
-            tries[pos] += 1
-            ok = np.isfinite(trial) & (trial < 0.0) & (trial <= -cfg.armijo_c * ts * gq)
-            if ok.any():
-                done = pos[ok]
-                run.t[done], run.delta[done] = ts[ok], trial[ok]
-                run.w[done] = ts[ok, None] * run.g[done]
-            ts = ts * cfg.backtrack_factor
-            search, keep = (pos, ts, gq, *state), ~ok & (ts >= cfg.min_step)
-        run.counts[:, 0] += tries
-        run.counts[:, 2] += tries - (run.delta < 0.0)
+        t = np.minimum(t, np.maximum(cfg.initial_step, obj.length_scale / gn))
+        t_ok, delta = _line_search(obj, cfg, t, gsq, state, tries)
+        w = t_ok[:, None] * g
 
-        x_new = run.x - run.w
-        still = (x_new == run.x).all(axis=1)
+        x_new = x - w
+        same = x_new == x
+        still = same.all(axis=1)
         if still.any():
             # No Armijo step, or one below coordinate resolution: the iterate
             # cannot move, so stop rather than spin on an unchanged point.
-            stop(still, STALLED)
-            x_new = x_new[~still]
-        g, state = obj._descent_state(x_new)
-        run.counts[:, 1] += 1
-        bad = ~np.isfinite(g).all(axis=1)
-        if bad.any():
-            fail(bad, repeat("gradient turned non-finite during descent"))
-            x_new, g, *state = _rows_of((x_new, g, *state), ~bad)
-        gn = np.sqrt(np.vecdot(g, g))
+            x_new, w, same, t_ok, delta, gsq = stop(
+                still, STALLED, 1 + step, step + (delta[still] < 0.0),
+                x_new, w, same, t_ok, delta, gsq)
+        g_new, state = obj._descent_state(x_new)  # the search is done with x
+        gn_new = np.sqrt(np.vecdot(g_new, g_new))
+        if not np.isfinite(gn_new).all():
+            bad = ~np.isfinite(g_new).all(axis=1)
+            if bad.any():
+                x_new, w, same, t_ok, delta, gsq, g_new, gn_new = fail(
+                    bad, repeat("gradient turned non-finite during descent"), 2 + step,
+                    1 + step, x_new, w, same, t_ok, delta, gsq, g_new, gn_new)
 
-        pending = run.carry + run.delta
-        u_new = run.u + pending
-        drop = u_new < run.u
-        run.carry = np.where(drop, pending - (u_new - run.u), pending)
-        # A resolvable decrease appends a sample, or absorbs a terminal value
-        # tie; the first step appends even a sub-ulp decrease (as a tie);
-        # any later sub-ulp decrease slides the terminal sample forward.
-        first = run.samples == 1
-        append = (drop & ~run.tie) | (~drop & first)
-        step_len = run.t * np.sqrt(run.gsq)
-        if log_samples and append.any():
-            commit(append)
-        run.samples = run.samples + append
-        run.length = np.where(append, step_len, run.length + step_len)
-        run.u = np.where(drop | append, u_new, run.u)
-        run.tie = np.where(drop, False, run.tie | (~drop & first))
+        pending = carry + delta
+        u_new = u + pending
+        drop = u_new < u
+        carry = np.where(drop, pending - (u_new - u), pending)
+        if log_samples:
+            # The current sample, left by -w, is appended on step 0 and,
+            # later, where u drops, unless the terminal is a tie it replaces.
+            append = np.ones(len(row), dtype=bool) if step == 0 else drop & ~tie
+            tie = ~drop if step == 0 else tie & ~drop
+            if append.any():
+                for column, value in zip(log, (row, x, u, gn, length, -w)):
+                    column.append(value[append])
+            step_len = t_ok * np.sqrt(gsq)
+            length = np.where(append, step_len, length + step_len)
+        u = np.where(drop, u_new, u)  # on step 0 too: there u_new == u elsewhere
         # The next search first tries the Barzilai-Borwein multiplier
         # s.s / s.y of this step s = -w and the gradient change y, where the
         # slope along s grew (s.y > 0) and the quotient is finite and
-        # positive; elsewhere the warm start t / backtrack_factor.
+        # positive; elsewhere the warm start t / backtrack_factor. Only the
+        # coordinates the step moved count: a gradient component too small
+        # to move its coordinate would otherwise swell s.s, and the trial.
+        moved = np.where(same, 0.0, w)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            t_bb = np.vecdot(run.w, run.w) / np.vecdot(run.w, run.g - g)
-        run.t = np.where(np.isfinite(t_bb) & (t_bb > 0.0), t_bb, run.t / cfg.backtrack_factor)
-        run.x, run.state, run.g, run.gn = x_new, tuple(state), g, gn
+            t_bb = np.vecdot(moved, moved) / np.vecdot(moved, g - g_new)
+        t = np.where(np.isfinite(t_bb) & (t_bb > 0.0), t_bb, t_ok / cfg.backtrack_factor)
+        x, g, gn = x_new, g_new, gn_new
 
-    stop(run.gn <= cfg.grad_tol, CONVERGED)
-    stop(np.ones(len(run.row), dtype=bool), MAX_STEPS)
+    stop(gn <= cfg.grad_tol, CONVERGED, 1 + cfg.max_steps, cfg.max_steps)
+    stop(np.ones(len(row), dtype=bool), MAX_STEPS, 1 + cfg.max_steps, cfg.max_steps)
 
     # Each start's samples in the order they were logged, its terminal last.
     # Each column is joined, put in start order and freed in turn, so the
@@ -412,9 +376,10 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
     for pieces in log[1:]:
         columns.append(np.concatenate(pieces)[order])
         pieces.clear()
-    points, values, grad_norms, lengths, steps = columns
+    points, values, grad_norms, *logged = columns
     traces = None
     if log_samples:
+        lengths, steps = logged
         spans = zip([0, *ends[:-1].tolist()], ends.tolist())
         traces = [FlowTrace(points[a:b], values[a:b], grad_norms[a:b], lengths[a:b], status[r],
                             steps[a:b - 1], *counts[r].tolist())
@@ -432,11 +397,35 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
     return None, (row, failures[row], partial)
 
 
+def _line_search(obj: Objective, cfg: FlowConfig, t, gsq, state, tries):
+    """Backtrack from the first trials ``t`` (``gsq`` = |g|^2, ``state`` as
+    :meth:`Objective._descent_state` gave it) until each row accepts or its
+    next t is below ``min_step``. Returns each row's accepted multiplier and
+    value change, both 0 where none was accepted; counts trials in ``tries``."""
+    k = len(t)
+    t_ok, delta = np.zeros(k), np.zeros(k)
+    live = t >= cfg.min_step
+    tries += live
+    pos, ts, gq, *state = _rows_of((np.arange(k), t, gsq, *state), live)
+    while len(pos):
+        trial = obj._trials(state, ts, gq)
+        ok = np.isfinite(trial) & (trial < 0.0) & (trial <= -cfg.armijo_c * ts * gq)
+        if ok.all():
+            t_ok[pos], delta[pos] = ts, trial
+            break
+        t_ok[pos[ok]], delta[pos[ok]] = ts[ok], trial[ok]
+        ts = ts * cfg.backtrack_factor
+        pos, ts, gq, *state = _rows_of((pos, ts, gq, *state), ~ok & (ts >= cfg.min_step))
+        tries[pos] += 1
+    return t_ok, delta
+
+
 def _rows_of(arrays, mask):
     """``arrays`` restricted to the masked rows, uncopied if all; a None stays None."""
     if mask.all():
         return arrays
-    return [None if a is None else a[mask] for a in arrays]
+    rows = np.flatnonzero(mask)  # one index for all: take is faster than a mask
+    return [None if a is None else a.take(rows, axis=0) for a in arrays]
 
 
 def tangency_residual(obj: Objective, trace: FlowTrace) -> float:

@@ -1,5 +1,6 @@
 """Command-line interface: instance parsing, commands, exit codes, formats."""
 
+import hashlib
 import itertools
 import json
 import re
@@ -182,6 +183,46 @@ def test_solve_deterministic_output_bytes(tmp_path):
                      "--seed", "7"]) == EXIT_OK
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+# Solves pinned by the sha256 of their result JSON followed by each trace
+# CSV's name and bytes in start order. Any change to a sample, a counter or
+# a digit of the descent changes the digest. The digests depend on the
+# platform's exp and pow, so another numpy build may print other last
+# digits for gaussian_well and p_norm.
+PINNED_SOLVES = {
+    "euclidean_grid": (RIGHT_TRIANGLE_INSTANCE, False,
+                       "5febd32c4ada5f9ec05313c8e16999f3e35cb9ecc3cd1bc78262896e6a4800fd"),
+    "gaussian_well_traced": ({
+        "dimension": 2,
+        "anchors": [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]],
+        "potential": {"kind": "gaussian_well", "sigma": 1.5},
+        "testing_plan": {"strategy": "grid", "count": 9, "seed": 0},
+    }, True, "b9248b951dcf53dd11664e587be9c821b81ba32ad3417365c28a789443eeb6d3"),
+    "p_norm": ({
+        "dimension": 2,
+        "anchors": [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]],
+        "potential": {"kind": "p_norm", "p": 3},
+        "testing_plan": {"strategy": "uniform_random", "count": 6, "seed": 2},
+    }, False, "b6e91b98df784aa749c109c164de0539bab9f0bf845e02136d531713a2c27dd7"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_SOLVES))
+def test_solve_output_digest_is_pinned(tmp_path, name):
+    data, traced, expected = PINNED_SOLVES[name]
+    out = tmp_path / "result.json"
+    argv = ["solve", "--input", str(write_instance(tmp_path, data)), "--output", str(out)]
+    if traced:
+        argv += ["--trace", str(tmp_path / "trace")]
+    assert main(argv) == EXIT_OK
+    digest = hashlib.sha256(out.read_bytes())
+    csvs = sorted(tmp_path.glob("trace.*.csv"), key=lambda p: int(p.name.split(".")[1]))
+    assert len(csvs) == (9 if traced else 0)
+    for path in csvs:
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == expected
 
 
 # Instance sections and solve flags per case: one case per potential kind,

@@ -11,7 +11,7 @@ from steiner import (MAX_STEPS, STALLED, AnchorSet, ConfigError, CriticalPoint, 
                      select_steiner, weiszfeld)
 
 from steiner.critical_set import (DEGENERACY_RTOL, _degenerate, _probe_negative_curvature,
-                                  _row_norms, _single_linkage)
+                                  _distances, _row_norms, _single_linkage)
 from steiner.flow import trace_flow
 from util import make_objective, random_rotation
 
@@ -389,9 +389,10 @@ def _connected_components(points, radius):
     """Brute force: propagate the smallest index over every linked pair, that
     is every pair within radius whose axis-0 coordinates lie within each
     other's window of 2 * radius."""
-    x = points[:, 0]
+    m, x = len(points), points[:, 0]
+    first, second = np.repeat(points, m, axis=0), np.tile(points, (m, 1))
     with np.errstate(over="ignore"):
-        near = ((np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1) <= radius)
+        near = ((_distances(first, second).reshape(m, m) <= radius)
                 & (x[:, None] <= x[None, :] + 2.0 * radius)
                 & (x[None, :] <= x[:, None] + 2.0 * radius))
     label = np.arange(len(points))
@@ -463,21 +464,40 @@ def test_single_linkage_chains_past_the_radius(direction):
     np.testing.assert_array_equal(points[alone[0]], far)
 
 
-# Squared gaps below ~1e-162 underflow to 0, so each lexsorted neighbour of
-# this case is at distance 0, yet its axis-0 gap of 1e-170 lies far outside
-# the window of 2 * 6e-185: no pair is linked.
+# Squared gaps below ~1e-162 underflow to 0, yet each lexsorted neighbour of
+# this case is about 1e-170 away, far beyond the radius of 6e-185: no pair is
+# linked.
 UNDERFLOW_CASE = (np.array([[2e-170, 1e-250], [0.0, 0.0], [1e-170, 0.0]]), 6e-185)
 
 
 @pytest.mark.parametrize("points, radius", [
-    # Squared gaps that overflow, with no warning: inf is far.
+    # Squared gaps that overflow, with no warning.
     (np.array([[0.0, -1e200], [0.0, 1e200]]), 1.0),   # inside the axis-0 window
     (np.array([[-1e160, 0.0], [1e160, 0.0]]), 1.0),   # outside it
     UNDERFLOW_CASE,
+    # A squared gap that underflows to 0 inside the axis-0 window.
+    (np.array([[0.0, 0.0], [0.0, 1e-170]]), 1e-180),
 ])
 def test_single_linkage_keeps_apart_pairs_whose_squared_gaps_leave_the_float_range(
         points, radius):
     assert _single_linkage(points, radius) == [[k] for k in range(len(points))]
+
+
+def test_single_linkage_links_a_pair_whose_squared_gap_overflows():
+    assert _single_linkage(np.array([[0.0, 0.0], [0.0, 2e160]]), 1e300) == [[0, 1]]
+
+
+def test_distances_keep_the_norm_in_range_and_scale_outside_it():
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(2, 500, 3)) * 10.0 ** rng.integers(-100, 100, size=(2, 500, 1))
+    np.testing.assert_array_equal(_distances(a, b), np.linalg.norm(a - b, axis=1),
+                                  strict=True)
+    gaps = np.array([[1e-170, 0.0], [3e-200, 4e-200], [5e-324, 0.0], [2e160, 0.0],
+                     [3e200, 4e200], [1.5e308, 1.5e308], [0.0, 0.0]])
+    exact = [1e-170, 5e-200, 5e-324, 2e160, 5e200, np.inf, 0.0]
+    np.testing.assert_allclose(_distances(gaps, np.zeros_like(gaps)), exact, rtol=1e-15)
+    far = np.array([[1e308, 0.0]])
+    assert _distances(far, -far).tolist() == [np.inf]
 
 
 @hst.composite

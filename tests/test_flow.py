@@ -472,7 +472,7 @@ def test_lockstep_block_equals_single_traces_property(case):
         _assert_same_trace(trace, trace_flow(obj, start, cfg))
 
 
-def test_lockstep_block_mixes_every_way_a_trace_ends():
+def _every_way_a_trace_ends():
     obj = make_objective([[0.0, 0.0], [10.0, 0.0], [0.8, 0.0]], kind="gaussian_well",
                          sigma=0.5)
     cfg = FlowConfig(grad_tol=1e-300, max_steps=40)
@@ -483,6 +483,11 @@ def test_lockstep_block_mixes_every_way_a_trace_ends():
         [10.0, 0.0],   # on an anchor, |grad U| ~ 1e-145: accepted after 4 backtracks, no move
         [0.0, 0.0],    # on an anchor, descending to the well between two anchors
     ])
+    return obj, cfg, starts
+
+
+def test_lockstep_block_mixes_every_way_a_trace_ends():
+    obj, cfg, starts = _every_way_a_trace_ends()
     block = rest_points(obj, starts, cfg, True).traces
     assert [t.status for t in block] == [CONVERGED, STALLED, MAX_STEPS, STALLED, CONVERGED]
     assert len(block[0]) == len(block[1]) == len(block[3]) == 1
@@ -499,6 +504,27 @@ def test_lockstep_block_mixes_every_way_a_trace_ends():
     np.testing.assert_array_equal(ends.grad_norms, [t.terminal_grad_norm for t in block])
     np.testing.assert_array_equal(
         ends.counts, [[t.n_value_changes, t.n_gradients, t.n_backtracks] for t in block])
+
+
+def test_lockstep_block_counters_are_pinned():
+    # The comparisons with trace_flow above run the same loop on both sides,
+    # so they cannot see a change that alters both alike. Literal counters
+    # (value changes, gradients, backtracks) and sample counts can.
+    obj, cfg, starts = _every_way_a_trace_ends()
+    ends = rest_points(obj, starts, cfg, True)
+    assert ends.counts.tolist() == [[0, 1, 0], [1, 1, 0], [52, 41, 12], [5, 1, 4], [10, 8, 3]]
+    assert [len(t) for t in ends.traces] == [1, 1, 38, 1, 6]
+
+
+def test_barzilai_borwein_trial_skips_coordinates_the_step_left_unchanged():
+    # Near the bottom of the well the x component of the gradient is
+    # roundoff that cannot move x, while y still descends. With that
+    # component in s.s the Barzilai-Borwein trial was huge, only the cap
+    # bounded it, and the 40 steps took 468 value changes (428 backtracks).
+    obj, cfg, _ = _every_way_a_trace_ends()
+    trace = trace_flow(obj, [0.6, 0.5], cfg)
+    assert trace.status == STALLED and trace.terminal_point[1] == 0.0
+    assert (trace.n_value_changes, trace.n_gradients, trace.n_backtracks) == (39, 29, 10)
 
 
 def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
