@@ -12,13 +12,19 @@ from .potentials import (PotentialSpec, batch_gradients, batch_value_changes, ba
 Point = np.ndarray
 """A D-dimensional coordinate vector (1-D float array)."""
 
-# Rows x coordinates x anchors in one (rows, D, n) displacement block of the
-# batched evaluations; a problem with n * D above it runs one row at a time,
-# exactly like the single-point methods. On the benchmark's 2048-start,
-# n = 16, D = 3 euclidean workload (2-core x86 VM) a solve took 0.081, 0.071
-# and 0.062 s at 2**14, 2**15 and 2**16, at a peak RSS of 39.9, 40.6 and
-# 42.0 MiB: past 2**15 the speed is bought with memory.
-_BLOCK_ELEMENTS = 2 ** 15
+# Floats one lockstep block may hold at its peak. ``Objective.block_rows`` is
+# this budget over a row's footprint: the floats one row holds at the peak of
+# a descent step, as traced with tracemalloc (the displacements while the
+# gradient is formed, the state the line search reuses, a trial's
+# temporaries and the row's bookkeeping). That is about (D + 6) n for the
+# radial kinds and 12 D n for p_norm, whose trials form about a dozen
+# (rows, D, n) arrays. A problem whose one row is over budget runs one row
+# at a time, exactly like the single-point methods. On the benchmark's
+# 2048-start, n = 16, D = 3 euclidean workload (2-core x86 VM, medians of 6
+# runs) a solve took 0.034, 0.029 and 0.032 s at 2**16, 2**17 and 2**18, in
+# 4, 2 and 1 blocks, at a peak RSS of 39.1, 39.5 and 41.1 MiB: one block of
+# all 2048 rows is both slower and larger.
+_BLOCK_FLOATS = 2 ** 17
 
 
 def is_integer(value) -> bool:
@@ -63,6 +69,9 @@ class AnchorSet:
             raise InputError(f"anchors[{bad}]: coordinates must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "points", arr)
+        lo, hi = arr.min(axis=0), arr.max(axis=0)
+        lo.flags.writeable = hi.flags.writeable = False
+        object.__setattr__(self, "_box", (lo, hi))
 
     @property
     def n(self) -> int:
@@ -73,11 +82,11 @@ class AnchorSet:
         return self.points.shape[1]
 
     def bounding_box(self):
-        """(lo, hi) per-coordinate bounds of the anchors."""
-        return self.points.min(axis=0), self.points.max(axis=0)
+        """(lo, hi) per-coordinate bounds of the anchors, read-only."""
+        return self._box
 
     def diagonal(self) -> float:
-        lo, hi = self.bounding_box()
+        lo, hi = self._box
         return float(np.linalg.norm(hi - lo))
 
 
@@ -107,8 +116,6 @@ class Objective:
         if scale == 0.0:
             scale = max(1.0, float(np.abs(anchors.points).max()))
         object.__setattr__(self, "length_scale", scale)
-        object.__setattr__(self, "block_rows",
-                           max(1, _BLOCK_ELEMENTS // (anchors.n * anchors.dimension)))
         # The anchors as (D, n), so the kernels reduce anchors contiguously.
         object.__setattr__(self, "_anchor_columns", np.ascontiguousarray(anchors.points.T))
         spec = self.potential.bound(scale, anchors.n)
@@ -116,6 +123,10 @@ class Objective:
         w = None if spec.weights is None else np.asarray(spec.weights, dtype=float)
         object.__setattr__(self, "_weights", w)
         object.__setattr__(self, "_radial", radial(spec))
+        # A row's floats at the peak of a descent step (see _BLOCK_FLOATS).
+        n, d = anchors.n, anchors.dimension
+        footprint = (d + 6) * n if self._radial is not None else 12 * d * n
+        object.__setattr__(self, "block_rows", max(1, _BLOCK_FLOATS // footprint))
 
     @property
     def dimension(self) -> int:
@@ -189,18 +200,20 @@ class Objective:
 
     # The descent's kernels, the same for every kind: ``_descent_state``
     # gives the gradient g at each row of ``points`` (shape (rows, D)) and a
-    # tuple of per-row arrays from which ``_trials`` gives U(x - t g) - U(x)
+    # list of per-row arrays from which ``_trials`` gives U(x - t g) - U(x)
     # for one t per row (``gsq`` = |g|^2). For the radial kinds that state is
-    # r^2, the kind's carry and g.(x - a_i), so a trial is O(n) per row;
+    # r^2, the kind's carry and 2 g.(x - a_i), so a trial is O(n) per row;
     # p_norm keeps the displacements and g.
 
     def _descent_state(self, points: np.ndarray):
         disp = self._displacements(points)
         if self._radial is None:
             g = self._gradients(disp)
-            return g, (disp, g)
+            return g, [disp, g]
         g, r2, carry = radial_gradients(self._radial, disp, self._weights)
-        return g, (r2, carry, np.einsum("...dn,...d->...n", disp, g))
+        proj2 = np.einsum("...dn,...d->...n", disp, g)
+        proj2 *= 2.0
+        return g, [r2, carry, proj2]
 
     def _trials(self, state, t: np.ndarray, gsq: np.ndarray) -> np.ndarray:
         if self._radial is None:

@@ -17,6 +17,7 @@ from .core import AnchorSet, Objective, is_integer
 from .errors import ConfigError, InputError, NoCriticalPointError
 from .flow import CONVERGED, MAX_STEPS, STALLED, FlowConfig, FlowTrace, rest_points
 from .flow import trace_flow  # noqa: F401  (benchmarks/spans.py wraps it here)
+from .potentials import CONVEX_KINDS
 
 STRATEGIES = ("grid", "uniform_random", "anchors_jittered")
 
@@ -66,7 +67,8 @@ class CriticalPoint:
 
     ``basin_count`` is the number of testing points whose traces ended in
     this cluster; ``negative_curvature`` flags points where a second
-    difference probe found a descent direction (saddle or maximum).
+    difference probe found a descent direction (saddle or maximum). A
+    convex kind has none, so its points are not probed.
     """
 
     location: np.ndarray
@@ -276,8 +278,9 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
     cfg = cfg or FlowConfig()
     box = plan_domain_box(plan, obj.anchors)
     lo, hi, diagonal = box_geometry(box)
-    outside = (obj.anchors.points < lo) | (obj.anchors.points > hi)
-    if np.any(outside):
+    anchor_lo, anchor_hi = obj.anchors.bounding_box()
+    if np.any(anchor_lo < lo) or np.any(anchor_hi > hi):
+        outside = (obj.anchors.points < lo) | (obj.anchors.points > hi)
         bad = int(np.flatnonzero(outside.any(axis=1))[0])
         raise ConfigError(f"testing_plan.domain_box: anchor {bad} lies outside the box")
     plan = replace(plan, domain_box=box)
@@ -343,8 +346,11 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
     keep = [g[int(np.argmin(fresh[g]))] for g in groups]
     basins = [sum(len(clusters[r]) for r in g) for g in groups]
 
-    probe_rng = np.random.default_rng(plan.seed + 0x5EED)
-    flags = _probe_negative_curvature(obj, locs[keep], diagonal, probe_rng)
+    if obj.potential.kind in CONVEX_KINDS:
+        flags = np.zeros(len(keep), dtype=bool)
+    else:
+        probe_rng = np.random.default_rng(plan.seed + 0x5EED)
+        flags = _probe_negative_curvature(obj, locs[keep], diagonal, probe_rng)
     crit = [CriticalPoint(location=locs[r], value=float(fresh[r]),
                           grad_norm=float(grad_norms[r]), basin_count=count,
                           negative_curvature=bool(flag))

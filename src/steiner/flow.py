@@ -165,7 +165,7 @@ def trace_flow(obj: Objective, start, cfg: FlowConfig | None = None) -> FlowTrac
     than the anchor set unless ``initial_step`` asks for that. The Armijo
     test keeps every step monotone, and every step is a multiple of -grad U.
     The gradient at x leaves the state every trial from x reuses: for the
-    radial kinds r^2, the kind's carry and g.(x - a_i) per anchor, so a
+    radial kinds r^2, the kind's carry and 2 g.(x - a_i) per anchor, so a
     trial costs O(n) instead of O(nD). Raises :class:`NumericalError`
     (carrying the partial trace) if U or grad U turns non-finite at an
     accepted point. This is the one-start case of :func:`rest_points`.
@@ -268,7 +268,7 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
     # ``tie`` is a terminal repeating the starting value.
     row, x, u = np.arange(m), starts, obj._values(obj._displacements(starts))
     gn = carry = np.zeros(m)
-    g, state = np.zeros((m, d)), ()
+    g, state = np.zeros((m, d)), []
     t, tries = np.full(m, cfg.initial_step / cfg.backtrack_factor), np.zeros(m, dtype=int)
     length, tie = (np.zeros(m), np.zeros(m, dtype=bool)) if log_samples else (None, None)
 
@@ -284,7 +284,7 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
         counts[rows, 0], counts[rows, 1], counts[rows, 2] = made, gradients, made - accepted
         row, x, u, gn, length, g, t, tries, carry, tie, *rest = _rows_of(
             (row, x, u, gn, length, g, t, tries, carry, tie, *state, *extra), ~mask)
-        state, extra = tuple(rest[:len(state)]), rest[len(state):]
+        state, extra = rest[:len(state)], rest[len(state):]
         return extra
 
     def fail(bad, messages, gradients, accepted, *extra):
@@ -315,6 +315,8 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
         # t never backtracks below min_step), and keeps a step no longer than
         # the anchor set unless initial_step itself asks for that.
         t = np.minimum(t, np.maximum(cfg.initial_step, obj.length_scale / gn))
+        # The search empties ``state``: the state from x dies at its first
+        # compaction, before the state from x_new is formed.
         t_ok, delta = _line_search(obj, cfg, t, gsq, state, tries)
         w = t_ok[:, None] * g
 
@@ -327,7 +329,7 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
             x_new, w, same, t_ok, delta, gsq = stop(
                 still, STALLED, 1 + step, step + (delta[still] < 0.0),
                 x_new, w, same, t_ok, delta, gsq)
-        g_new, state = obj._descent_state(x_new)  # the search is done with x
+        g_new, state = obj._descent_state(x_new)
         gn_new = np.sqrt(np.vecdot(g_new, g_new))
         if not np.isfinite(gn_new).all():
             bad = ~np.isfinite(g_new).all(axis=1)
@@ -401,21 +403,24 @@ def _line_search(obj: Objective, cfg: FlowConfig, t, gsq, state, tries):
     """Backtrack from the first trials ``t`` (``gsq`` = |g|^2, ``state`` as
     :meth:`Objective._descent_state` gave it) until each row accepts or its
     next t is below ``min_step``. Returns each row's accepted multiplier and
-    value change, both 0 where none was accepted; counts trials in ``tries``."""
+    value change, both 0 where none was accepted; counts trials in ``tries``.
+    Takes the arrays out of the list ``state``, which it leaves empty, so
+    each is freed as soon as the search has compacted it."""
     k = len(t)
     t_ok, delta = np.zeros(k), np.zeros(k)
     live = t >= cfg.min_step
     tries += live
-    pos, ts, gq, *state = _rows_of((np.arange(k), t, gsq, *state), live)
+    pos, ts, gq, *rows = _rows_of((np.arange(k), t, gsq, *state), live)
+    state.clear()
     while len(pos):
-        trial = obj._trials(state, ts, gq)
+        trial = obj._trials(rows, ts, gq)
         ok = np.isfinite(trial) & (trial < 0.0) & (trial <= -cfg.armijo_c * ts * gq)
         if ok.all():
             t_ok[pos], delta[pos] = ts, trial
             break
         t_ok[pos[ok]], delta[pos[ok]] = ts[ok], trial[ok]
         ts = ts * cfg.backtrack_factor
-        pos, ts, gq, *state = _rows_of((pos, ts, gq, *state), ~ok & (ts >= cfg.min_step))
+        pos, ts, gq, *rows = _rows_of((pos, ts, gq, *rows), ~ok & (ts >= cfg.min_step))
         tries[pos] += 1
     return t_ok, delta
 

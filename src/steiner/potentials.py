@@ -37,6 +37,9 @@ import numpy as np
 from .errors import ConfigError, InputError, NonSmoothEvaluationWarning
 
 KINDS = ("euclidean", "p_norm", "squared", "weighted_euclidean", "gaussian_well")
+# The kinds whose every term is convex (p_norm for each p >= 1 it accepts), so
+# that U curves downward in no direction.
+CONVEX_KINDS = ("euclidean", "p_norm", "squared", "weighted_euclidean")
 
 # Auto epsilon when a spec without one is bound to anchors: this fraction of
 # the anchor bounding-box diagonal.
@@ -135,9 +138,11 @@ def _weighted(per_anchor, weights):
 # The radial kinds, U_i = w_i phi(r_i^2) with r_i^2 = |v_i|^2 (w_i = 1 but for
 # weighted_euclidean), as functions of r^2. ``carry(r2)`` is what the slope
 # and the change at r2 share. ``slope(r2, c)`` is 2 phi'(r^2), so a term's
-# gradient is slope * v. ``change(r2, c, dr2)`` is phi(r^2 + dr^2) - phi(r^2)
-# free of cancellation, with r^2 + dr^2 clamped at 0; the README's
-# "Accuracy of value changes" bounds its error.
+# gradient is slope * v. ``change(r2, c, dr2, landing)`` is
+# phi(r^2 + dr^2) - phi(r^2) free of cancellation, with r^2 + dr^2 clamped at
+# 0; ``landing()``, where the caller has v and the move m, gives
+# |v + m|^2 for a kind that needs the landing radius itself. The README's
+# "Accuracy of value changes" bounds the error.
 
 class _Hyperbolic:
     """phi(s) = sqrt(s + eps^2) - eps, the euclidean kinds; carries the root sqrt(s + eps^2)."""
@@ -155,7 +160,8 @@ class _Hyperbolic:
         return np.sqrt(r2)
 
     def carry(self, r2):
-        return np.sqrt(r2 + self.eps2)
+        root = r2 + self.eps2
+        return np.sqrt(root, out=root)
 
     def slope(self, r2, root):
         if root.all():
@@ -163,7 +169,7 @@ class _Hyperbolic:
         warnings.warn(_NONSMOOTH_MSG, NonSmoothEvaluationWarning, stacklevel=3)
         return np.divide(1.0, root, out=np.zeros_like(root), where=root != 0.0)
 
-    def change(self, r2, root, dr2):
+    def change(self, r2, root, dr2, landing=None):
         denom = r2 + dr2
         np.maximum(denom, 0.0, out=denom)
         denom += self.eps2
@@ -187,7 +193,7 @@ class _Squared:
     def slope(self, r2, _):
         return np.full_like(r2, 2.0)
 
-    def change(self, r2, _, dr2):
+    def change(self, r2, _, dr2, landing=None):
         return dr2
 
 
@@ -207,12 +213,27 @@ class _Gaussian:
     def slope(self, r2, damp):
         return self.two_over_s2 * damp
 
-    def change(self, r2, damp, dr2):
+    def change(self, r2, damp, dr2, landing=None):
+        # -damp expm1(-dr^2 / sigma^2) where |dr^2| < sigma^2; elsewhere (nan
+        # included) the difference of the two dampings, the one at landing
+        # from |v + m|^2 where ``landing`` gives it: r^2 + dr^2 loses it to
+        # rounding once |v| + |m| is far beyond sigma. The difference is only
+        # formed when some term needs it; then for all, which at these sizes
+        # costs less than picking the terms out.
         arg = dr2 / self.s2
+        near = np.abs(arg) < 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            small = -damp * np.expm1(-arg)
-            direct = damp - np.exp(-np.maximum(r2 + dr2, 0.0) / self.s2)
-        return np.where(np.abs(arg) < 1.0, small, direct)
+            small = np.expm1(np.negative(arg, out=arg), out=arg)
+            small *= damp
+            np.negative(small, out=small)
+            if near.all():
+                return small
+            land = r2 + dr2 if landing is None else landing()
+            np.maximum(land, 0.0, out=land)
+            np.negative(land, out=land)
+            land /= self.s2
+            np.subtract(damp, np.exp(land, out=land), out=land)
+        return np.where(near, small, land)
 
 
 def radial(spec: PotentialSpec):
@@ -239,15 +260,16 @@ def radial_gradients(kernel, disp: np.ndarray, weights=None):
     return np.einsum("...dn,...n->...d", disp, slope), r2, carry
 
 
-def line_changes(kernel, r2, carry, proj, t, gsq, weights=None) -> np.ndarray:
+def line_changes(kernel, r2, carry, proj2, t, gsq, weights=None) -> np.ndarray:
     """U_i(v - t g) - U_i(v) per anchor, for a line search along -g.
 
     ``r2`` and ``carry`` are those of :func:`radial_gradients` at v and
-    ``proj`` is g.v, each of shape (rows, n); ``t`` and ``gsq`` = |g|^2 hold
-    one entry per row. With dr^2 = t (t |g|^2 - 2 g.v) a trial costs O(n) per
-    row, whatever D is.
+    ``proj2`` is 2 g.v, each of shape (rows, n); ``t`` and ``gsq`` = |g|^2
+    hold one entry per row. With dr^2 = t (t |g|^2 - 2 g.v) a trial costs
+    O(n) per row, whatever D is.
     """
-    dr2 = t[:, None] * ((t * gsq)[:, None] - 2.0 * proj)
+    dr2 = np.subtract((t * gsq)[:, None], proj2)
+    dr2 *= t[:, None]
     return _weighted(kernel.change(r2, carry, dr2), weights)
 
 
@@ -343,16 +365,19 @@ def batch_value_changes(spec: PotentialSpec, disp: np.ndarray, move: np.ndarray,
     ``disp`` has shape (..., D, n) and ``move`` shape (..., D): each move is
     shared by the n anchors at its leading index (for a (D, n) ``disp``, one
     D-vector moves them all). The radial kinds take the change from r^2 and
-    dr^2 = 2 v.m + |m|^2, as :func:`line_changes` does from its own dr^2; the
-    README's "Accuracy of value changes" bounds the error. Decreases far
-    below one ulp of the total objective remain resolvable.
+    dr^2 = 2 v.m + |m|^2, as :func:`line_changes` does from its own dr^2, and
+    ``gaussian_well`` far from its anchor from |v + m|^2; the README's
+    "Accuracy of value changes" bounds the error. Decreases far below one
+    ulp of the total objective remain resolvable.
     """
     kernel = radial(spec)
     if kernel is not None:
         # |v + m|^2 - |v|^2 without forming the two large squares.
         r2 = _sq_norm(disp)
         dr2 = 2.0 * np.einsum("...dn,...d->...n", disp, move) + np.vecdot(move, move)[..., None]
-        return _weighted(kernel.change(r2, kernel.carry(r2), dr2), weights)
+        change = kernel.change(r2, kernel.carry(r2), dr2,
+                               lambda: _sq_norm(disp + move[..., None]))
+        return _weighted(change, weights)
     move = move[..., None]
     eps = _eps(spec)
     du, far = _p_norm_changes(spec.p, eps, disp, move)

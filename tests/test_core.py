@@ -220,9 +220,11 @@ def test_value_change_resolves_below_one_ulp_of_the_value():
     assert abs(change - exact) <= 1e-6 * abs(exact)
 
 
-# Rows per block at n anchors in D = 3: at n = 4000 a block holds 2 rows, at
-# n = 100 000 one, and each anchor sum runs over more than 8192 anchors.
-BLOCK_ROWS = {5: 2184, 2_000: 5, 4_000: 2, 100_000: 1}
+# Rows per block at n anchors in D = 3, for the radial kinds and for p_norm:
+# at n = 4 000 a radial block holds 3 rows and at n = 1 500 a p_norm block
+# 2, at n = 100 000 a block holds one, and each anchor sum runs over more
+# than 8192 anchors.
+BLOCK_ROWS = {5: (2912, 728), 1_500: (9, 2), 2_000: (7, 1), 4_000: (3, 1), 100_000: (1, 1)}
 
 
 @pytest.mark.parametrize("kind, kwargs", [
@@ -239,7 +241,7 @@ def test_many_methods_match_single_point_methods_bit_for_bit(kind, kwargs, n):
     if kind == "weighted_euclidean":
         kwargs = dict(weights=tuple(rng.uniform(0.5, 2.0, size=n)))
     obj = make_objective(anchors, kind=kind, **kwargs)
-    assert obj.block_rows == BLOCK_ROWS[n]
+    assert obj.block_rows == BLOCK_ROWS[n][kind == "p_norm"]
     points = rng.uniform(-2.0, 12.0, size=(7, 3))
     points[0] = anchors[0]
     moves = rng.normal(size=(7, 3)) * 10.0 ** rng.uniform(-12.0, 0.0, size=(7, 1))

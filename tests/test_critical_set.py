@@ -10,6 +10,7 @@ from steiner import (MAX_STEPS, STALLED, AnchorSet, ConfigError, CriticalPoint, 
                      enumerate_critical_points, generate_testing_points, grid_search,
                      select_steiner, weiszfeld)
 
+import steiner.critical_set
 from steiner.critical_set import (DEGENERACY_RTOL, _degenerate, _probe_negative_curvature,
                                   _distances, _row_norms, _single_linkage)
 from steiner.flow import trace_flow
@@ -180,6 +181,26 @@ def test_saddle_is_reported_flagged_and_not_selected():
     assert not np.allclose(result.steiner.location, [5.0, 0.0], atol=1e-3)
     minima = [c for c in result.critical_set if not c.negative_curvature]
     assert all(result.steiner.value <= c.value + 1e-15 for c in minima)
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    ("euclidean", {}),
+    ("squared", {}),
+    ("p_norm", dict(p=1.0)),
+    ("p_norm", dict(p=3.0)),
+    ("weighted_euclidean", dict(weights=(1.0, 2.0, 0.5))),
+])
+def test_convex_kinds_are_not_probed_for_negative_curvature(monkeypatch, kind, kwargs):
+    # A convex U curves downward in no direction, so its points are flagged
+    # False without a probe.
+    def probe(*args):
+        raise AssertionError("probed a convex kind")
+
+    monkeypatch.setattr(steiner.critical_set, "_probe_negative_curvature", probe)
+    obj = make_objective(RIGHT_TRIANGLE, kind=kind, **kwargs)
+    result = enumerate_critical_points(obj, TestingPlan("grid", count=9))
+    assert result.critical_set
+    assert not any(c.negative_curvature for c in result.critical_set)
 
 
 def test_every_critical_point_is_at_rest_and_deduplicated():

@@ -1,6 +1,7 @@
 """Descent tracing, termination statuses, and curve residual checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -590,8 +591,8 @@ def test_lockstep_failure_at_a_start_without_trace():
 
 
 def test_rest_points_splits_large_problems_into_blocks():
-    # n * D above the block budget: one row per block, same traces.
-    anchors = np.random.default_rng(8).uniform(0.0, 10.0, size=(3_000, 8))
+    # A row's footprint above the block budget: one row per block, same traces.
+    anchors = np.random.default_rng(8).uniform(0.0, 10.0, size=(10_000, 8))
     obj = make_objective(anchors)
     assert obj.block_rows == 1
     starts = np.random.default_rng(9).uniform(0.0, 10.0, size=(3, 8))
@@ -602,14 +603,47 @@ def test_rest_points_splits_large_problems_into_blocks():
         _assert_same_trace(trace, trace_flow(obj, start, cfg))
 
 
+def test_lockstep_blocks_stay_within_the_footprint_that_sizes_them(monkeypatch):
+    # block_rows divides a float budget by a row's peak footprint, (D + 6) n
+    # floats for the radial kinds. Each block of a 2048-start, n = 16, D = 3
+    # solve must peak within its rows' footprints and a fixed slack; a step
+    # that kept the searched state alive while forming the next one would
+    # hold about 3 n more per row.
+    n, d = 16, 3
+    rng = np.random.default_rng(0)
+    obj = make_objective(rng.uniform(0.0, 10.0, size=(n, d)))
+    starts = rng.uniform(-2.0, 12.0, size=(2048, d))
+    peaks = []
+    descend = steiner.flow._descend
+
+    def traced(obj, block, *args):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = descend(obj, block, *args)
+        peaks.append((len(block), tracemalloc.get_traced_memory()[1] - base))
+        return out
+
+    monkeypatch.setattr(steiner.flow, "_descend", traced)
+    tracemalloc.start()
+    try:
+        rest_points(obj, starts, FlowConfig(), False)
+    finally:
+        tracemalloc.stop()
+    assert [rows for rows, _ in peaks] == [1024, 1024]
+    for rows, peak in peaks:
+        assert peak <= rows * (d + 6) * n * 8 + 16 * 1024, (rows, peak / (rows * n * 8))
+
+
 @pytest.mark.parametrize("d, m, sizes", [
     (2, 17, [5, 6, 6]),   # 3 * block_rows + 2 starts: no 2-row tail block
     (2, 4, [4]),          # fewer starts than block_rows: one block
     (8, 3, [1, 1, 1]),    # block_rows 1: one block per start
 ])
 def test_rest_points_splits_starts_into_near_equal_blocks(monkeypatch, d, m, sizes):
-    # 3 000 anchors: block_rows is 2^15 // (3 000 * D), 5 for D = 2 and 1 for D = 8.
-    obj = make_objective(np.random.default_rng(8).uniform(0.0, 10.0, size=(3_000, d)))
+    # block_rows is 2^17 // ((D + 6) n): 5 for D = 2 at 3 000 anchors and 1
+    # for D = 8 at 10 000.
+    n = {2: 3_000, 8: 10_000}[d]
+    obj = make_objective(np.random.default_rng(8).uniform(0.0, 10.0, size=(n, d)))
     assert obj.block_rows == {2: 5, 8: 1}[d]
     starts = np.random.default_rng(9).uniform(0.0, 10.0, size=(m, d))
     cfg = FlowConfig(max_steps=30)

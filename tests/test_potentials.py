@@ -454,7 +454,7 @@ def test_radial_value_change_accuracy_property(case, line_search, t_exponent):
     spec, disp, move = case
     weights = None if spec.weights is None else np.asarray(spec.weights)
     if line_search:
-        # The line-search form: x - t g from r^2, the carry and p_i = g.v,
+        # The line-search form: x - t g from r^2, the carry and 2 p_i = 2 g.v,
         # with t a power of two so that -t g is exactly ``move``.
         t = 2.0 ** t_exponent
         g = -move / t
@@ -462,9 +462,9 @@ def test_radial_value_change_accuracy_property(case, line_search, t_exponent):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonSmoothEvaluationWarning)
             _, r2, carry = radial_gradients(kernel, disp[None], weights)
-        proj = np.einsum("...dn,...d->...n", disp[None], g[None])
+        proj2 = 2.0 * np.einsum("...dn,...d->...n", disp[None], g[None])
         gn = np.sqrt(np.vecdot(g, g))
-        got = line_changes(kernel, r2, carry, proj, np.array([t]), np.array([gn * gn]),
+        got = line_changes(kernel, r2, carry, proj2, np.array([t]), np.array([gn * gn]),
                            weights)[0]
     else:
         got = batch_value_changes(spec, disp, move, weights)
@@ -478,3 +478,15 @@ def test_radial_value_change_accuracy_property(case, line_search, t_exponent):
         scale = np.linalg.norm(move) * (2.0 * np.linalg.norm(v) + np.linalg.norm(move))
         bound = CHANGE_ERROR_K * (_ULP * (scale * q + a * abs(delta)) + 5e-324)
         assert abs(got[i] - delta) <= bound, (i, got[i], delta, q, a)
+
+
+def test_gaussian_change_far_out_lands_by_the_moved_radius():
+    # |v| and |m| are about 1.75e25 sigma and |v + m| still 4.8e12 sigma, so
+    # the term starts and ends on its plateau: the change is 0. r^2 + dr^2
+    # rounds to 0 or below instead, which lands the term on its anchor, -1.
+    spec = PotentialSpec("gaussian_well", sigma=1e-39)
+    v, m = -1.7532702955138192e-14, 1.75327029551334e-14
+    assert batch_value_changes(spec, np.array([[v]]), np.array([m])).tolist() == [0.0]
+    obj = make_objective([[0.0]], "gaussian_well", sigma=1e-39)
+    assert obj.value_change([v], [m]) == 0.0
+    assert obj.value_change_many([[v]], [[m]]).tolist() == [0.0]
