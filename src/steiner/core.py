@@ -6,24 +6,24 @@ from numbers import Integral
 import numpy as np
 
 from .errors import InputError
-from .potentials import (PotentialSpec, batch_gradients, batch_value_changes, batch_values,
-                         line_changes, radial, radial_gradients)
+from .potentials import PotentialSpec, as_vector, kernel
+# benchmarks/spans.py wraps these here by name.
+from .potentials import batch_gradients, batch_value_changes, batch_values  # noqa: F401
 
 Point = np.ndarray
 """A D-dimensional coordinate vector (1-D float array)."""
 
 # Floats one lockstep block may hold at its peak. ``Objective.block_rows`` is
-# this budget over a row's footprint: the floats one row holds at the peak of
-# a descent step, as traced with tracemalloc (the displacements while the
-# gradient is formed, the state the line search reuses, a trial's
-# temporaries and the row's bookkeeping). That is about (D + 6) n for the
-# radial kinds and 12 D n for p_norm, whose trials form about a dozen
-# (rows, D, n) arrays. A problem whose one row is over budget runs one row
-# at a time, exactly like the single-point methods. On the benchmark's
-# 2048-start, n = 16, D = 3 euclidean workload (2-core x86 VM, medians of 6
-# runs) a solve took 0.034, 0.029 and 0.032 s at 2**16, 2**17 and 2**18, in
-# 4, 2 and 1 blocks, at a peak RSS of 39.1, 39.5 and 41.1 MiB: one block of
-# all 2048 rows is both slower and larger.
+# this budget over a row's footprint, which each kind's kernel gives: the
+# floats one row holds at the peak of a descent step, as traced with
+# tracemalloc (the displacements while the gradient is formed, the state the
+# line search reuses, a trial's temporaries and the row's bookkeeping). A
+# problem whose one row is over budget runs one row at a time, exactly like
+# the single-point methods. On the benchmark's 2048-start, n = 16, D = 3
+# euclidean workload (2-core x86 VM, medians of 6 runs) a solve took 0.034,
+# 0.029 and 0.032 s at 2**16, 2**17 and 2**18, in 4, 2 and 1 blocks, at a
+# peak RSS of 39.1, 39.5 and 41.1 MiB: one block of all 2048 rows is both
+# slower and larger.
 _BLOCK_FLOATS = 2 ** 17
 
 
@@ -38,13 +38,7 @@ def as_point(coords) -> np.ndarray:
     Rejects empty, multi-dimensional, and non-finite input eagerly so that
     descent diagnostics never see NaN/Inf coordinates.
     """
-    arr = np.asarray(coords, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InputError(
-            f"point: expected a non-empty 1-D coordinate sequence, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("point: coordinates must be finite")
-    return arr
+    return as_vector(coords, "point")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,11 +115,8 @@ class Objective:
         spec = self.potential.bound(scale, anchors.n)
         object.__setattr__(self, "potential", spec)
         w = None if spec.weights is None else np.asarray(spec.weights, dtype=float)
-        object.__setattr__(self, "_weights", w)
-        object.__setattr__(self, "_radial", radial(spec))
-        # A row's floats at the peak of a descent step (see _BLOCK_FLOATS).
-        n, d = anchors.n, anchors.dimension
-        footprint = (d + 6) * n if self._radial is not None else 12 * d * n
+        object.__setattr__(self, "_kernel", kernel(spec, w))
+        footprint = self._kernel.row_floats(anchors.n, anchors.dimension)
         object.__setattr__(self, "block_rows", max(1, _BLOCK_FLOATS // footprint))
 
     @property
@@ -182,44 +173,26 @@ class Objective:
         return pts
 
     # Unchecked kernels on displacements x - a_i of shape (rows, D, n): the
-    # single-point and batched methods evaluate through these.
+    # single-point and batched methods evaluate through these, and the descent
+    # through the last two (see ``potentials.kernel``).
 
     def _displacements(self, points: np.ndarray) -> np.ndarray:
         return points[:, :, None] - self._anchor_columns
 
     def _values(self, disp: np.ndarray) -> np.ndarray:
-        return batch_values(self.potential, disp, self._weights).sum(axis=-1)
+        return self._kernel.values(disp).sum(axis=-1)
 
     def _gradients(self, disp: np.ndarray) -> np.ndarray:
-        if self._radial is None:
-            return batch_gradients(self.potential, disp, self._weights).sum(axis=-1)
-        return radial_gradients(self._radial, disp, self._weights)[0]
+        return self._kernel.gradient(disp)
 
     def _value_changes(self, disp: np.ndarray, moves: np.ndarray) -> np.ndarray:
-        return batch_value_changes(self.potential, disp, moves, self._weights).sum(axis=-1)
-
-    # The descent's kernels, the same for every kind: ``_descent_state``
-    # gives the gradient g at each row of ``points`` (shape (rows, D)) and a
-    # list of per-row arrays from which ``_trials`` gives U(x - t g) - U(x)
-    # for one t per row (``gsq`` = |g|^2). For the radial kinds that state is
-    # r^2, the kind's carry and 2 g.(x - a_i), so a trial is O(n) per row;
-    # p_norm keeps the displacements and g.
+        return self._kernel.changes(disp, moves).sum(axis=-1)
 
     def _descent_state(self, points: np.ndarray):
-        disp = self._displacements(points)
-        if self._radial is None:
-            g = self._gradients(disp)
-            return g, [disp, g]
-        g, r2, carry = radial_gradients(self._radial, disp, self._weights)
-        proj2 = np.einsum("...dn,...d->...n", disp, g)
-        proj2 *= 2.0
-        return g, [r2, carry, proj2]
+        return self._kernel.descent_state(self._displacements(points))
 
     def _trials(self, state, t: np.ndarray, gsq: np.ndarray) -> np.ndarray:
-        if self._radial is None:
-            disp, g = state
-            return self._value_changes(disp, -(t[:, None] * g))
-        return line_changes(self._radial, *state, t, gsq, self._weights).sum(axis=-1)
+        return self._kernel.trials(state, t, gsq).sum(axis=-1)
 
     def _per_row(self, kernel, points, *moves) -> np.ndarray:
         """Evaluate ``kernel`` for each row of ``points`` (shape (m, D)).

@@ -100,11 +100,10 @@ class FlowTrace:
     ``n_gradients`` count objective evaluations, ``n_backtracks`` the trial
     multipliers the Armijo test rejected. Every value change is one trial,
     whether a Barzilai-Borwein, warm-start or backtracked one, and a trial
-    made from the state carried from the gradient at x (r^2 and g.(x - a_i)
-    for the radial kinds) still counts one. A trace stopping in step s
-    (from 0) has 1 + s gradients, one more if the gradient of step s turned
-    non-finite, and its backtracks are its value changes less its accepted
-    steps. Hand-built traces leave the counters 0.
+    made from the state the gradient at x left still counts one. A trace
+    stopping in step s (from 0) has 1 + s gradients, one more if the
+    gradient of step s turned non-finite, and its backtracks are its value
+    changes less its accepted steps. Hand-built traces leave the counters 0.
     """
 
     points: np.ndarray
@@ -164,11 +163,11 @@ def trace_flow(obj: Objective, start, cfg: FlowConfig | None = None) -> FlowTrac
     L / |g|), where L is the objective's ``length_scale``: no step is longer
     than the anchor set unless ``initial_step`` asks for that. The Armijo
     test keeps every step monotone, and every step is a multiple of -grad U.
-    The gradient at x leaves the state every trial from x reuses: for the
-    radial kinds r^2, the kind's carry and 2 g.(x - a_i) per anchor, so a
-    trial costs O(n) instead of O(nD). Raises :class:`NumericalError`
-    (carrying the partial trace) if U or grad U turns non-finite at an
-    accepted point. This is the one-start case of :func:`rest_points`.
+    The gradient at x leaves the state every trial from x reuses, so a
+    radial kind's trial costs O(n) instead of O(nD). Raises
+    :class:`NumericalError` (carrying the partial trace) if U or grad U
+    turns non-finite at an accepted point. This is the one-start case of
+    :func:`rest_points`.
     """
     block, failure = _descend(obj, obj.check_point(start)[None, :], cfg or FlowConfig(), True)
     if failure is not None:

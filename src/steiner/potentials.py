@@ -17,11 +17,8 @@ Besides values and gradients this module provides cancellation-free value
 *changes* U(v + m) - U(v); descent loops need those to certify tiny
 decreases that a float subtraction of two large values would round away.
 
-All kinds but ``p_norm`` are radial, U_i = w_i phi(|v|^2): :func:`radial`
-gives phi, its slope and its change as functions of r^2 = |v|^2, so a
-gradient is one contraction of the displacements with per-anchor slopes
-(:func:`radial_gradients`) and a change needs only r^2 and
-dr^2 = |v + m|^2 - |v|^2 (:func:`batch_value_changes`, :func:`line_changes`).
+:func:`kernel` gives one kind's kernels: a :class:`_Radial` for the radial
+kinds, U_i = w_i phi(|v|^2), and a :class:`_PNorm`, which works per coordinate.
 
 The batch kernels take displacements anchor-contiguous, shape (..., D, n):
 coordinate k of the displacement from anchor i is ``disp[..., k, i]``. They
@@ -123,31 +120,74 @@ class PotentialSpec:
         return replace(self, epsilon=eps)
 
 
-def _eps(spec):
-    return 0.0 if spec.epsilon is None else spec.epsilon
-
-
 def _sq_norm(arr):
     return np.einsum("...dn,...dn->...n", arr, arr)
 
 
-def _weighted(per_anchor, weights):
-    return per_anchor if weights is None else per_anchor * weights
+class _Radial:
+    """A radial kind, U_i = w_i phi(r_i^2) with r_i^2 = |v_i|^2 (w_i = 1 but for
+    weighted_euclidean). A subclass gives, as functions of r^2, ``value`` =
+    phi; ``carry``, what the slope and the change share; ``slope(r2, c)`` =
+    2 phi'(r^2), so a term's gradient is slope * v; and
+    ``change(r2, c, dr2, landing)`` = phi(r^2 + dr^2) - phi(r^2) free of
+    cancellation, with r^2 + dr^2 clamped at 0, where ``landing``, if given,
+    returns |v + m|^2 for a kind that needs it. The README's "Accuracy of value
+    changes" bounds the error. The descent state is r^2, the carry and 2 g.v:
+    a trial, with dr^2 = t (t |g|^2 - 2 g.v), costs O(n) whatever D is.
+    """
+
+    def __init__(self, weights):
+        self.weights = weights
+
+    def _weighted(self, per_anchor):
+        return per_anchor if self.weights is None else per_anchor * self.weights
+
+    def row_floats(self, n, d):
+        return (d + 6) * n
+
+    def values(self, disp):
+        return self._weighted(self.value(_sq_norm(disp)))
+
+    def _slopes(self, disp):
+        """r^2, the carry and the weighted slopes at ``disp``."""
+        r2 = _sq_norm(disp)
+        carry = self.carry(r2)
+        return r2, carry, self._weighted(self.slope(r2, carry))
+
+    def gradients(self, disp):
+        return disp * self._slopes(disp)[2][..., None, :]
+
+    def gradient(self, disp):
+        # One contraction, so each row of a batch gets the bits it gets alone.
+        return np.einsum("...dn,...n->...d", disp, self._slopes(disp)[2])
+
+    def changes(self, disp, move):
+        # |v + m|^2 - |v|^2 without forming the two large squares.
+        r2 = _sq_norm(disp)
+        dr2 = 2.0 * np.einsum("...dn,...d->...n", disp, move) + np.vecdot(move, move)[..., None]
+        change = self.change(r2, self.carry(r2), dr2, lambda: _sq_norm(disp + move[..., None]))
+        return self._weighted(change)
+
+    def descent_state(self, disp):
+        r2, carry, slope = self._slopes(disp)
+        g = np.einsum("...dn,...n->...d", disp, slope)
+        del slope  # before 2 g.v is formed: row_floats counts on it
+        proj2 = np.einsum("...dn,...d->...n", disp, g)
+        proj2 *= 2.0
+        return g, [r2, carry, proj2]
+
+    def trials(self, state, t, gsq):
+        r2, carry, proj2 = state
+        dr2 = np.subtract((t * gsq)[:, None], proj2)
+        dr2 *= t[:, None]
+        return self._weighted(self.change(r2, carry, dr2))
 
 
-# The radial kinds, U_i = w_i phi(r_i^2) with r_i^2 = |v_i|^2 (w_i = 1 but for
-# weighted_euclidean), as functions of r^2. ``carry(r2)`` is what the slope
-# and the change at r2 share. ``slope(r2, c)`` is 2 phi'(r^2), so a term's
-# gradient is slope * v. ``change(r2, c, dr2, landing)`` is
-# phi(r^2 + dr^2) - phi(r^2) free of cancellation, with r^2 + dr^2 clamped at
-# 0; ``landing()``, where the caller has v and the move m, gives
-# |v + m|^2 for a kind that needs the landing radius itself. The README's
-# "Accuracy of value changes" bounds the error.
-
-class _Hyperbolic:
+class _Hyperbolic(_Radial):
     """phi(s) = sqrt(s + eps^2) - eps, the euclidean kinds; carries the root sqrt(s + eps^2)."""
 
-    def __init__(self, eps):
+    def __init__(self, eps, weights):
+        super().__init__(weights)
         self.eps, self.eps2 = eps, eps * eps
 
     def value(self, r2):
@@ -166,7 +206,7 @@ class _Hyperbolic:
     def slope(self, r2, root):
         if root.all():
             return 1.0 / root
-        warnings.warn(_NONSMOOTH_MSG, NonSmoothEvaluationWarning, stacklevel=3)
+        warnings.warn(_NONSMOOTH_MSG, NonSmoothEvaluationWarning, stacklevel=4)
         return np.divide(1.0, root, out=np.zeros_like(root), where=root != 0.0)
 
     def change(self, r2, root, dr2, landing=None):
@@ -181,7 +221,7 @@ class _Hyperbolic:
         return np.divide(dr2, denom, out=np.zeros_like(dr2), where=denom != 0.0)
 
 
-class _Squared:
+class _Squared(_Radial):
     """phi(s) = s; carries nothing."""
 
     def value(self, r2):
@@ -197,10 +237,11 @@ class _Squared:
         return dr2
 
 
-class _Gaussian:
+class _Gaussian(_Radial):
     """phi(s) = 1 - exp(-s / sigma^2); carries the damping exp(-s / sigma^2)."""
 
-    def __init__(self, sigma):
+    def __init__(self, sigma, weights):
+        super().__init__(weights)
         self.s2 = sigma * sigma
         self.two_over_s2 = 2.0 / self.s2
 
@@ -236,126 +277,136 @@ class _Gaussian:
         return np.where(near, small, land)
 
 
-def radial(spec: PotentialSpec):
-    """The functions of r^2 of a radial kind (see above); None for ``p_norm``."""
-    if spec.kind in ("euclidean", "weighted_euclidean"):
-        return _Hyperbolic(_eps(spec))
+class _PNorm:
+    """U_i = S^(1/p) - D^(1/p) eps with S = sum_k (v_k^2 + eps^2)^(p/2).
+
+    Where a power sum S overflows though its root need not, the kernels
+    take those anchors at v / 2^e, m / 2^e and eps / 2^e, for 2^e above eps
+    and every coordinate of v and v + m: S^(1/p) is homogeneous of degree 1
+    in (v, eps), so a value or change scales back by 2^e and a gradient
+    needs no scaling. Scaling by a power of two is exact, so a change stays
+    cancellation-free. The descent state is the displacements and g; a
+    trial forms about a dozen (rows, D, n) arrays.
+    """
+
+    def __init__(self, p, eps):
+        self.p, self.eps = p, eps
+
+    def row_floats(self, n, d):
+        return 12 * d * n
+
+    def _mend(self, out, far, fn, degree, disp, *moves):
+        """Set ``out`` at the ``far`` anchors to ``fn(eps, v, m...)`` times 2^(degree e),
+        taken at v / 2^e, m / 2^e and eps / 2^e as above, each v and m (D, k)."""
+        if not far.any():
+            return
+        cols = [np.moveaxis(np.broadcast_to(a, disp.shape), -2, -1)[far] for a in (disp, *moves)]
+        top = np.maximum(np.abs(cols[0]), np.abs(sum(cols))).max(axis=-1)
+        # ldexp, not a division by 2^e: 2^e overflows once top reaches 2^1023.
+        e = np.frexp(np.maximum(top, self.eps))[1]
+        scaled = fn(np.ldexp(self.eps, -e), *(np.ldexp(c, -e[:, None]).T for c in cols))[0]
+        with np.errstate(over="ignore"):
+            out[far] = np.ldexp(scaled, degree * e).T
+
+    def _roots(self, eps, disp):
+        """S^(1/p) per anchor and where S overflowed."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.power(disp * disp + eps * eps, self.p / 2.0).sum(axis=-2)
+            return np.power(s, 1.0 / self.p), s == np.inf
+
+    def values(self, disp):
+        norm, far = self._roots(self.eps, disp)
+        self._mend(norm, far, self._roots, 1, disp)
+        return np.maximum(norm - (disp.shape[-2] ** (1.0 / self.p)) * self.eps, 0.0)
+
+    def _gradients(self, eps, disp):
+        """Per-anchor gradients S^(1/p-1) t_j^(p/2-1) v_j of S^(1/p), 0 where t_j = 0, and S."""
+        p = self.p
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = disp * disp + eps * eps
+            s = np.power(t, p / 2.0).sum(axis=-2)
+            g = np.power(s, 1.0 / p - 1.0)[..., None, :] * np.power(t, p / 2.0 - 1.0) * disp
+        return np.where(t == 0.0, 0.0, g), s
+
+    def gradients(self, disp):
+        g, s = self._gradients(self.eps, disp)
+        self._mend(np.moveaxis(g, -2, -1), s == np.inf, self._gradients, 0, disp)
+        at_kink = s == 0.0
+        if np.any(at_kink):
+            warnings.warn(_NONSMOOTH_MSG, NonSmoothEvaluationWarning, stacklevel=3)
+            g = np.where(at_kink[..., None, :], 0.0, g)
+        return g
+
+    def gradient(self, disp):
+        return self.gradients(disp).sum(axis=-1)
+
+    def _changes(self, eps, disp, move):
+        """S(v + m)^(1/p) - S(v)^(1/p) per anchor and where S(v) or S(v + m) overflows.
+
+        Each per-coordinate change t_k^(p/2) goes through expm1/log1p of its
+        relative change, and so does the root of the sum, whenever those are
+        small; elsewhere a plain difference is exact enough.
+        """
+        p, halfp = self.p, self.p / 2.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            new = disp + move
+            t = disp * disp + eps * eps
+            pow_t, pow_tn = np.power(t, halfp), np.power(new * new + eps * eps, halfp)
+            ratio = np.maximum((2.0 * disp * move + move * move) / t, -1.0)
+            dpow_small = pow_t * np.expm1(halfp * np.log1p(ratio))
+            dpow = np.where((t > 0.0) & (np.abs(ratio) < 0.5), dpow_small, pow_tn - pow_t)
+            s, sn = pow_t.sum(axis=-2), pow_tn.sum(axis=-2)
+            sratio = np.maximum(dpow.sum(axis=-2) / s, -1.0)
+            du_small = np.power(s, 1.0 / p) * np.expm1(np.log1p(sratio) / p)
+            du_direct = np.power(sn, 1.0 / p) - np.power(s, 1.0 / p)
+        du = np.where((s > 0.0) & (np.abs(sratio) < 0.5), du_small, du_direct)
+        return du, ~(np.isfinite(s) & np.isfinite(sn))
+
+    def changes(self, disp, move):
+        move = move[..., None]
+        du, far = self._changes(self.eps, disp, move)
+        self._mend(du, far, self._changes, 1, disp, move)
+        return du
+
+    def descent_state(self, disp):
+        g = self.gradient(disp)
+        return g, [disp, g]
+
+    def trials(self, state, t, gsq):
+        disp, g = state
+        return self.changes(disp, -(t[:, None] * g))
+
+
+def kernel(spec: PotentialSpec, weights=None):
+    """The kernels of ``spec``'s kind, on displacements of shape (..., D, n):
+    ``values``, ``gradients`` and ``changes`` per anchor, as the ``batch_*``
+    functions below; ``gradient``, of the sum over anchors; ``descent_state``,
+    that gradient g and a list of per-row arrays from which
+    ``trials(state, t, gsq)`` gives U_i(x - t g) - U_i(x) per anchor for one t
+    per row (``gsq`` = |g|^2); and ``row_floats(n, d)``, the floats one row
+    holds at the peak of a descent step, as traced with tracemalloc.
+    ``weights`` (one per anchor, broadcast against the last axis of a
+    per-anchor result) multiply the terms of a radial kind; only
+    ``weighted_euclidean`` has them.
+    """
+    eps = 0.0 if spec.epsilon is None else spec.epsilon
+    if spec.kind == "p_norm":
+        return _PNorm(spec.p, eps)
     if spec.kind == "squared":
-        return _Squared()
+        return _Squared(weights)
     if spec.kind == "gaussian_well":
-        return _Gaussian(spec.sigma)
-    return None
-
-
-def radial_gradients(kernel, disp: np.ndarray, weights=None):
-    """(gradient of the sum over anchors, r^2, carry) at ``disp`` (shape (..., D, n)).
-
-    ``kernel`` is a :func:`radial` kind. The gradient, shape (..., D), is one
-    contraction of the displacements with the per-anchor slopes; each row
-    of a batch gets the bits it gets alone.
-    """
-    r2 = _sq_norm(disp)
-    carry = kernel.carry(r2)
-    slope = _weighted(kernel.slope(r2, carry), weights)
-    return np.einsum("...dn,...n->...d", disp, slope), r2, carry
-
-
-def line_changes(kernel, r2, carry, proj2, t, gsq, weights=None) -> np.ndarray:
-    """U_i(v - t g) - U_i(v) per anchor, for a line search along -g.
-
-    ``r2`` and ``carry`` are those of :func:`radial_gradients` at v and
-    ``proj2`` is 2 g.v, each of shape (rows, n); ``t`` and ``gsq`` = |g|^2
-    hold one entry per row. With dr^2 = t (t |g|^2 - 2 g.v) a trial costs
-    O(n) per row, whatever D is.
-    """
-    dr2 = np.subtract((t * gsq)[:, None], proj2)
-    dr2 *= t[:, None]
-    return _weighted(kernel.change(r2, carry, dr2), weights)
-
-
-def _p_norm_far(spec: PotentialSpec, disp: np.ndarray):
-    """S^(1/p) and the p_norm gradient per row of ``disp`` (shape (m, D)).
-
-    For rows whose power sum S = sum_k (v_k^2 + eps^2)^(p/2) overflows
-    though its p-th root does not: with r_k = hypot(v_k, eps), R = max_k r_k,
-    q = r / R and S' = sum_k q_k^p, the root is R S'^(1/p) and the gradient
-    S'^(1/p-1) q_j^(p-1) v_j / r_j, neither forming R^p.
-    """
-    r = np.hypot(disp, _eps(spec))
-    top = r.max(axis=-1)
-    q = r / top[:, None]
-    s = np.power(q, spec.p).sum(axis=-1)
-    norm = np.where(top == np.inf, np.inf, top * np.power(s, 1.0 / spec.p))
-    return norm, np.power(s, 1.0 / spec.p - 1.0)[:, None] * np.power(q, spec.p - 1.0) * (disp / r)
+        return _Gaussian(spec.sigma, weights)
+    return _Hyperbolic(eps, weights)
 
 
 def batch_values(spec: PotentialSpec, disp: np.ndarray, weights=None) -> np.ndarray:
-    """Potential value per anchor; ``disp`` has shape (..., D, n), the result (..., n).
-
-    ``weights`` (one per anchor, broadcast against the last axis of the
-    result) multiply the radial kinds' terms; only ``weighted_euclidean``
-    has them. The kernels below take them the same way.
-    """
-    kernel = radial(spec)
-    if kernel is not None:
-        return _weighted(kernel.value(_sq_norm(disp)), weights)
-    # p_norm
-    eps = _eps(spec)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = np.power(disp * disp + eps * eps, spec.p / 2.0).sum(axis=-2)
-        norm = np.power(s, 1.0 / spec.p)
-        far = s == np.inf
-        if far.any():
-            norm[far] = _p_norm_far(spec, np.moveaxis(disp, -2, -1)[far])[0]
-    return np.maximum(norm - (disp.shape[-2] ** (1.0 / spec.p)) * eps, 0.0)
+    """Potential value per anchor; ``disp`` has shape (..., D, n), the result (..., n)."""
+    return kernel(spec, weights).values(disp)
 
 
 def batch_gradients(spec: PotentialSpec, disp: np.ndarray, weights=None) -> np.ndarray:
     """Analytic gradient of :func:`batch_values` per anchor, shape (..., D, n)."""
-    kernel = radial(spec)
-    if kernel is not None:
-        r2 = _sq_norm(disp)
-        return disp * _weighted(kernel.slope(r2, kernel.carry(r2)), weights)[..., None, :]
-    eps = _eps(spec)
-    # p_norm: d/dv_j (sum t_k^(p/2))^(1/p) = S^(1/p-1) t_j^(p/2-1) v_j
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = disp * disp + eps * eps
-        s = np.power(t, spec.p / 2.0).sum(axis=-2)
-        outer = np.power(s, 1.0 / spec.p - 1.0)
-        g = outer[..., None, :] * np.power(t, spec.p / 2.0 - 1.0) * disp
-        far = s == np.inf
-        if far.any():
-            np.moveaxis(g, -2, -1)[far] = _p_norm_far(spec, np.moveaxis(disp, -2, -1)[far])[1]
-    g = np.where(t == 0.0, 0.0, g)
-    at_kink = s == 0.0
-    if np.any(at_kink):
-        warnings.warn(_NONSMOOTH_MSG, NonSmoothEvaluationWarning, stacklevel=2)
-        g = np.where(at_kink[..., None, :], 0.0, g)
-    return g
-
-
-def _p_norm_changes(p, eps, disp: np.ndarray, move: np.ndarray):
-    """S(v + m)^(1/p) - S(v)^(1/p) per anchor of ``disp`` (shape (..., D, n)),
-    ``move`` broadcasting against it, and where S(v) or S(v + m) overflows.
-
-    Each per-coordinate change t_k^(p/2) goes through expm1/log1p of its
-    relative change, and so does the root of the sum, whenever those are
-    small; elsewhere a plain difference is exact enough.
-    """
-    halfp = p / 2.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        new = disp + move
-        t = disp * disp + eps * eps
-        pow_t, pow_tn = np.power(t, halfp), np.power(new * new + eps * eps, halfp)
-        ratio = np.maximum((2.0 * disp * move + move * move) / t, -1.0)
-        dpow_small = pow_t * np.expm1(halfp * np.log1p(ratio))
-        dpow = np.where((t > 0.0) & (np.abs(ratio) < 0.5), dpow_small, pow_tn - pow_t)
-        s, sn = pow_t.sum(axis=-2), pow_tn.sum(axis=-2)
-        sratio = np.maximum(dpow.sum(axis=-2) / s, -1.0)
-        du_small = np.power(s, 1.0 / p) * np.expm1(np.log1p(sratio) / p)
-        du_direct = np.power(sn, 1.0 / p) - np.power(s, 1.0 / p)
-    du = np.where((s > 0.0) & (np.abs(sratio) < 0.5), du_small, du_direct)
-    return du, ~(np.isfinite(s) & np.isfinite(sn))
+    return kernel(spec, weights).gradients(disp)
 
 
 def batch_value_changes(spec: PotentialSpec, disp: np.ndarray, move: np.ndarray,
@@ -364,43 +415,20 @@ def batch_value_changes(spec: PotentialSpec, disp: np.ndarray, move: np.ndarray,
 
     ``disp`` has shape (..., D, n) and ``move`` shape (..., D): each move is
     shared by the n anchors at its leading index (for a (D, n) ``disp``, one
-    D-vector moves them all). The radial kinds take the change from r^2 and
-    dr^2 = 2 v.m + |m|^2, as :func:`line_changes` does from its own dr^2, and
-    ``gaussian_well`` far from its anchor from |v + m|^2; the README's
-    "Accuracy of value changes" bounds the error. Decreases far below one
-    ulp of the total objective remain resolvable.
+    D-vector moves them all). Decreases far below one ulp of the total
+    objective remain resolvable.
     """
-    kernel = radial(spec)
-    if kernel is not None:
-        # |v + m|^2 - |v|^2 without forming the two large squares.
-        r2 = _sq_norm(disp)
-        dr2 = 2.0 * np.einsum("...dn,...d->...n", disp, move) + np.vecdot(move, move)[..., None]
-        change = kernel.change(r2, kernel.carry(r2), dr2,
-                               lambda: _sq_norm(disp + move[..., None]))
-        return _weighted(change, weights)
-    move = move[..., None]
-    eps = _eps(spec)
-    du, far = _p_norm_changes(spec.p, eps, disp, move)
-    if far.any():
-        # Where a power sum overflows, evaluate at v / c and m / c, with
-        # eps / c, for a power of two c above every coordinate (exact
-        # scaling), and scale the change back: S^(1/p) is homogeneous.
-        v = np.moveaxis(disp, -2, -1)[far]
-        m = np.moveaxis(np.broadcast_to(move, disp.shape), -2, -1)[far]
-        top = np.maximum(np.abs(v).max(axis=-1), np.abs(v + m).max(axis=-1))
-        c = np.ldexp(1.0, np.frexp(np.maximum(top, eps))[1])
-        du[far] = c * _p_norm_changes(spec.p, eps / c, (v / c[:, None]).T,
-                                      (m / c[:, None]).T)[0]
-    return du
+    return kernel(spec, weights).changes(disp, move)
 
 
-def _as_vector(coords) -> np.ndarray:
+def as_vector(coords, field: str) -> np.ndarray:
+    """Coerce ``coords`` to a finite, non-empty 1-D float vector; errors name ``field``."""
     arr = np.asarray(coords, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise InputError(
-            f"displacement: expected a non-empty 1-D coordinate sequence, got shape {arr.shape}")
+            f"{field}: expected a non-empty 1-D coordinate sequence, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise InputError("displacement: coordinates must be finite")
+        raise InputError(f"{field}: coordinates must be finite")
     return arr
 
 
@@ -421,11 +449,11 @@ def potential_value(spec: PotentialSpec, displacement, anchor_index: int = 0) ->
     ``anchor_index`` selects the weight for ``weighted_euclidean`` and is
     ignored by the other kinds.
     """
-    v = _as_vector(displacement)
+    v = as_vector(displacement, "displacement")
     return float(batch_values(spec, v[:, None], _single_weight(spec, anchor_index))[0])
 
 
 def potential_gradient(spec: PotentialSpec, displacement, anchor_index: int = 0) -> np.ndarray:
     """Gradient of one potential term at the given displacement."""
-    v = _as_vector(displacement)
+    v = as_vector(displacement, "displacement")
     return batch_gradients(spec, v[:, None], _single_weight(spec, anchor_index))[:, 0]

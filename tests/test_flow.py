@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-import steiner.core
 import steiner.flow
+import steiner.potentials
 from steiner import (CONVERGED, MAX_STEPS, STALLED, ConfigError, FlowConfig, FlowTrace,
                      InputError, NumericalError, TestingPlan, enumerate_critical_points,
                      generate_testing_points, graph_residual, tangency_residual, trace_flow,
@@ -507,14 +507,37 @@ def test_lockstep_block_mixes_every_way_a_trace_ends():
         ends.counts, [[t.n_value_changes, t.n_gradients, t.n_backtracks] for t in block])
 
 
-def test_lockstep_block_counters_are_pinned():
+# One small instance of each kind, with the counters and sample counts of its
+# traces: gaussian_well's is the one above, the others share these anchors and
+# starts, the last of which sits on an anchor.
+_PINNED_ANCHORS = [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0], [1.0, 1.0]]
+_PINNED_STARTS = np.array([[-1.0, 2.0], [3.0, 3.0], [5.0, -1.0], [1.0, 1.0]])
+_PINNED = [
+    ("gaussian_well", None,
+     [[0, 1, 0], [1, 1, 0], [52, 41, 12], [5, 1, 4], [10, 8, 3]], [1, 1, 38, 1, 6]),
+    ("euclidean", {}, [[70, 17, 54], [78, 18, 61], [47, 20, 28], [32, 5, 28]], [16, 17, 18, 4]),
+    ("weighted_euclidean", dict(weights=(1.0, 2.0, 0.5, 1.5)),
+     [[134, 76, 59], [150, 65, 86], [127, 72, 56], [33, 6, 28]], [69, 54, 66, 5]),
+    ("squared", {}, [[4, 2, 3], [4, 2, 3], [4, 2, 3], [5, 2, 4]], [2, 2, 2, 2]),
+    ("p_norm", dict(p=3.0), [[48, 27, 22], [44, 23, 22], [46, 23, 24], [33, 6, 28]],
+     [25, 22, 21, 4]),
+]
+
+
+@pytest.mark.parametrize("kind, kwargs, counts, samples",
+                         [pytest.param(*case, id=case[0]) for case in _PINNED])
+def test_lockstep_block_counters_are_pinned(kind, kwargs, counts, samples):
     # The comparisons with trace_flow above run the same loop on both sides,
     # so they cannot see a change that alters both alike. Literal counters
     # (value changes, gradients, backtracks) and sample counts can.
-    obj, cfg, starts = _every_way_a_trace_ends()
+    if kwargs is None:
+        obj, cfg, starts = _every_way_a_trace_ends()
+    else:
+        obj = make_objective(_PINNED_ANCHORS, kind, **kwargs)
+        cfg, starts = FlowConfig(), _PINNED_STARTS
     ends = rest_points(obj, starts, cfg, True)
-    assert ends.counts.tolist() == [[0, 1, 0], [1, 1, 0], [52, 41, 12], [5, 1, 4], [10, 8, 3]]
-    assert [len(t) for t in ends.traces] == [1, 1, 38, 1, 6]
+    assert ends.counts.tolist() == counts
+    assert [len(t) for t in ends.traces] == samples
 
 
 def test_barzilai_borwein_trial_skips_coordinates_the_step_left_unchanged():
@@ -532,14 +555,14 @@ def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
     # Corrupt the gradient right of x = 0.5 near the anchor: starts 1 and 3
     # walk into that region (start 3 after fewer steps), 0 and 2 never do.
     obj = make_objective([[0.0, -2.0]])
-    exact = steiner.core.radial_gradients
+    exact = steiner.potentials._Radial.descent_state
 
-    def corrupted(kernel, disp, weights=None):
-        g, *rest = exact(kernel, disp, weights)
+    def corrupted(kernel, disp):
+        g, state = exact(kernel, disp)
         near = (np.linalg.norm(disp, axis=-2) < 3.0) & (disp[..., 0, :] > 0.5)
-        return (np.where(near.any(axis=-1)[..., None], np.nan, g), *rest)
+        return np.where(near.any(axis=-1)[..., None], np.nan, g), state
 
-    monkeypatch.setattr(steiner.core, "radial_gradients", corrupted)
+    monkeypatch.setattr(steiner.potentials._Radial, "descent_state", corrupted)
     starts = np.array([[-3.0, 4.0], [5.0, 6.0], [-1.0, 1.0], [6.0, 0.5]])
     with pytest.raises(NumericalError) as alone:
         trace_flow(obj, starts[1])

@@ -12,8 +12,7 @@ from hypothesis import strategies as hst
 from steiner import (ConfigError, InputError, NonSmoothEvaluationWarning, PotentialSpec,
                      potential_gradient, potential_value)
 
-from steiner.potentials import (batch_gradients, batch_value_changes, batch_values,
-                                line_changes, radial, radial_gradients)
+from steiner.potentials import batch_gradients, batch_value_changes, batch_values, kernel
 from util import make_objective, random_rotation
 
 ISOTROPIC = [
@@ -242,17 +241,18 @@ def test_carried_root_changes_no_bit(kind, kwargs, epsilon):
     disp = rng.normal(scale=[[[1.0], [1e-8], [1e6]]], size=(5, 3, 7))
     disp[0, :, 0] = 0.0  # at its anchor: the kink; unmoved, a zero denominator at eps = 0
     moves = rng.normal(size=(5, 3)) * np.array([[0.0], [1e-12], [1e3], [1.0], [1.0]])
-    kernel = radial(spec)
+    kern = kernel(spec, weights)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonSmoothEvaluationWarning)
-        g, r2, root = radial_gradients(kernel, disp, weights)
+        g, (r2, root, _) = kern.descent_state(disp)
         per_anchor = batch_gradients(spec, disp, weights)
+        total = kern.gradient(disp)
     assert root.shape == (5, 7)
     np.testing.assert_array_equal(
         root, np.sqrt(np.einsum("...dn,...dn->...n", disp, disp) + epsilon * epsilon),
         strict=True)
     dr2 = 2.0 * np.einsum("...dn,...d->...n", disp, moves) + np.vecdot(moves, moves)[:, None]
-    carried = kernel.change(r2, root, dr2)
+    carried = kern.change(r2, root, dr2)
     np.testing.assert_array_equal(
         carried if weights is None else carried * weights,
         batch_value_changes(spec, disp, moves, weights), strict=True)
@@ -262,6 +262,7 @@ def test_carried_root_changes_no_bit(kind, kwargs, epsilon):
         slope = slope * weights
     np.testing.assert_array_equal(per_anchor, disp * slope[:, None, :], strict=True)
     np.testing.assert_array_equal(g, np.einsum("...dn,...n->...d", disp, slope), strict=True)
+    np.testing.assert_array_equal(total, g, strict=True)
 
 
 @pytest.mark.parametrize("kind, kwargs", [
@@ -343,6 +344,32 @@ def test_p_norm_far_from_the_anchor_is_finite_and_right():
         after = batch_values(spec, new)
         np.testing.assert_array_less(np.abs(changes - (after - values))[far],
                                      4.0 * np.finfo(float).eps * np.maximum(after, values)[far])
+        # Up to the float maximum, where the power of two that rescales the
+        # power sums would itself overflow (the change was nan here): all three
+        # are finite wherever the true ones are, and a move of -v/2 changes U
+        # by -U(v)/2.
+        for p in (1.0, 3.0):
+            near_max = make_objective([[0.0, -2.0]], "p_norm", p=p)
+            for point in ([1.5e308, 0.0], [9e307, 9e307]):
+                v = np.array(point) - [0.0, -2.0]
+                with localcontext() as ctx:
+                    ctx.prec = 60
+                    norm = sum(Decimal(x) ** Decimal(p) for x in v.tolist()) ** (1 / Decimal(p))
+                    grad = [float((Decimal(x) / norm) ** Decimal(p - 1)) for x in v.tolist()]
+                value = near_max.value(point)
+                if norm < Decimal(np.finfo(float).max):
+                    assert value == pytest.approx(float(norm), rel=1e-14)
+                else:
+                    assert value == np.inf
+                # For p < 2 a coordinate 1e-162 times the largest loses its
+                # component to underflow, as one below 1e-162 does at eps = 0.
+                assert np.isfinite(near_max.gradient(point)).all()
+                if p == 3.0:
+                    np.testing.assert_allclose(near_max.gradient(point), grad, rtol=1e-14)
+                for move in ([-1e300, -1e300], [-1.0, -1.0]):
+                    assert np.isfinite(near_max.value_change(point, move))
+                assert near_max.value_change(point, -v / 2) == pytest.approx(
+                    float(-norm / 2), rel=1e-13)
 
 
 # The accuracy of the radial kinds' value changes, against 50-digit decimal
@@ -458,14 +485,13 @@ def test_radial_value_change_accuracy_property(case, line_search, t_exponent):
         # with t a power of two so that -t g is exactly ``move``.
         t = 2.0 ** t_exponent
         g = -move / t
-        kernel = radial(spec)
+        kern = kernel(spec, weights)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonSmoothEvaluationWarning)
-            _, r2, carry = radial_gradients(kernel, disp[None], weights)
+            _, (r2, carry, _) = kern.descent_state(disp[None])
         proj2 = 2.0 * np.einsum("...dn,...d->...n", disp[None], g[None])
         gn = np.sqrt(np.vecdot(g, g))
-        got = line_changes(kernel, r2, carry, proj2, np.array([t]), np.array([gn * gn]),
-                           weights)[0]
+        got = kern.trials([r2, carry, proj2], np.array([t]), np.array([gn * gn]))[0]
     else:
         got = batch_value_changes(spec, disp, move, weights)
     for i in range(disp.shape[1]):
