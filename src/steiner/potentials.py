@@ -280,13 +280,11 @@ class _Gaussian(_Radial):
 class _PNorm:
     """U_i = S^(1/p) - D^(1/p) eps with S = sum_k (v_k^2 + eps^2)^(p/2).
 
-    Where a power sum S overflows though its root need not, the kernels
-    take those anchors at v / 2^e, m / 2^e and eps / 2^e, for 2^e above eps
-    and every coordinate of v and v + m: S^(1/p) is homogeneous of degree 1
-    in (v, eps), so a value or change scales back by 2^e and a gradient
-    needs no scaling. Scaling by a power of two is exact, so a change stays
-    cancellation-free. The descent state is the displacements and g; a
-    trial forms about a dozen (rows, D, n) arrays.
+    Where a power sum S overflows though its root need not, values and
+    gradients are taken from the sum normalised by its largest term (see
+    :meth:`_far`), and changes at v / 2^e, m / 2^e and eps / 2^e (see
+    :meth:`changes`). The descent state is the displacements and g; a trial
+    forms about a dozen (rows, D, n) arrays.
     """
 
     def __init__(self, p, eps):
@@ -295,42 +293,49 @@ class _PNorm:
     def row_floats(self, n, d):
         return 12 * d * n
 
-    def _mend(self, out, far, fn, degree, disp, *moves):
-        """Set ``out`` at the ``far`` anchors to ``fn(eps, v, m...)`` times 2^(degree e),
-        taken at v / 2^e, m / 2^e and eps / 2^e as above, each v and m (D, k)."""
-        if not far.any():
-            return
-        cols = [np.moveaxis(np.broadcast_to(a, disp.shape), -2, -1)[far] for a in (disp, *moves)]
-        top = np.maximum(np.abs(cols[0]), np.abs(sum(cols))).max(axis=-1)
-        # ldexp, not a division by 2^e: 2^e overflows once top reaches 2^1023.
-        e = np.frexp(np.maximum(top, self.eps))[1]
-        scaled = fn(np.ldexp(self.eps, -e), *(np.ldexp(c, -e[:, None]).T for c in cols))[0]
+    def _sums(self, disp):
+        """t_k = v_k^2 + eps^2 per coordinate, S per anchor and where S overflowed."""
         with np.errstate(over="ignore"):
-            out[far] = np.ldexp(scaled, degree * e).T
+            t = disp * disp + self.eps * self.eps
+            s = np.power(t, self.p / 2.0).sum(axis=-2)
+        return t, s, s == np.inf
 
-    def _roots(self, eps, disp):
-        """S^(1/p) per anchor and where S overflowed."""
+    def _far(self, disp, far):
+        """S^(1/p) and its gradient at the ``far`` anchors of ``disp``, one row (D,) each.
+
+        With r_k = hypot(v_k, eps), R = max_k r_k, q = r / R and S' = sum_k
+        q_k^p, the root is R S'^(1/p) and the gradient S'^(1/p-1) q_j^(p-1)
+        v_j / r_j, 0 where r_j = 0. The largest q is 1, so S' neither
+        overflows nor underflows whatever p is; and no coordinate is squared,
+        so a small one keeps its gradient component.
+        """
+        v = np.moveaxis(disp, -2, -1)[far]
         with np.errstate(over="ignore", invalid="ignore"):
-            s = np.power(disp * disp + eps * eps, self.p / 2.0).sum(axis=-2)
-            return np.power(s, 1.0 / self.p), s == np.inf
+            r = np.hypot(v, self.eps)
+            top = r.max(axis=-1)
+            q = r / top[:, None]
+            s = np.power(q, self.p).sum(axis=-1)
+            norm = np.where(top == np.inf, np.inf, top * np.power(s, 1.0 / self.p))
+            unit = np.divide(v, r, out=np.zeros_like(v), where=r != 0.0)
+            grad = np.power(s, 1.0 / self.p - 1.0)[:, None] * np.power(q, self.p - 1.0) * unit
+        return norm, grad
 
     def values(self, disp):
-        norm, far = self._roots(self.eps, disp)
-        self._mend(norm, far, self._roots, 1, disp)
+        _, s, far = self._sums(disp)
+        norm = np.power(s, 1.0 / self.p)
+        if far.any():
+            norm[far] = self._far(disp, far)[0]
         return np.maximum(norm - (disp.shape[-2] ** (1.0 / self.p)) * self.eps, 0.0)
 
-    def _gradients(self, eps, disp):
-        """Per-anchor gradients S^(1/p-1) t_j^(p/2-1) v_j of S^(1/p), 0 where t_j = 0, and S."""
-        p = self.p
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = disp * disp + eps * eps
-            s = np.power(t, p / 2.0).sum(axis=-2)
-            g = np.power(s, 1.0 / p - 1.0)[..., None, :] * np.power(t, p / 2.0 - 1.0) * disp
-        return np.where(t == 0.0, 0.0, g), s
-
     def gradients(self, disp):
-        g, s = self._gradients(self.eps, disp)
-        self._mend(np.moveaxis(g, -2, -1), s == np.inf, self._gradients, 0, disp)
+        # d/dv_j (sum_k t_k^(p/2))^(1/p) = S^(1/p-1) t_j^(p/2-1) v_j, 0 where t_j = 0
+        p = self.p
+        t, s, far = self._sums(disp)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g = np.power(s, 1.0 / p - 1.0)[..., None, :] * np.power(t, p / 2.0 - 1.0) * disp
+        g = np.where(t == 0.0, 0.0, g)
+        if far.any():
+            np.moveaxis(g, -2, -1)[far] = self._far(disp, far)[1]
         at_kink = s == 0.0
         if np.any(at_kink):
             warnings.warn(_NONSMOOTH_MSG, NonSmoothEvaluationWarning, stacklevel=3)
@@ -365,7 +370,19 @@ class _PNorm:
     def changes(self, disp, move):
         move = move[..., None]
         du, far = self._changes(self.eps, disp, move)
-        self._mend(du, far, self._changes, 1, disp, move)
+        if far.any():
+            # Take it at v / 2^e, m / 2^e and eps / 2^e, for 2^e above eps and
+            # every coordinate of v and v + m, and scale back by 2^e: S^(1/p) is
+            # homogeneous of degree 1 in (v, eps), and a power of two scales
+            # exactly, so the change stays cancellation-free.
+            v, m = (np.moveaxis(np.broadcast_to(a, disp.shape), -2, -1)[far] for a in (disp, move))
+            top = np.maximum(np.abs(v), np.abs(v + m)).max(axis=-1)
+            # ldexp, not a division by 2^e: 2^e overflows once top reaches 2^1023.
+            e = np.frexp(np.maximum(top, self.eps))[1]
+            scaled = self._changes(np.ldexp(self.eps, -e), np.ldexp(v, -e[:, None]).T,
+                                   np.ldexp(m, -e[:, None]).T)[0]
+            with np.errstate(over="ignore"):
+                du[far] = np.ldexp(scaled, e)
         return du
 
     def descent_state(self, disp):

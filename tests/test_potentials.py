@@ -361,15 +361,20 @@ def test_p_norm_far_from_the_anchor_is_finite_and_right():
                     assert value == pytest.approx(float(norm), rel=1e-14)
                 else:
                     assert value == np.inf
-                # For p < 2 a coordinate 1e-162 times the largest loses its
-                # component to underflow, as one below 1e-162 does at eps = 0.
-                assert np.isfinite(near_max.gradient(point)).all()
-                if p == 3.0:
-                    np.testing.assert_allclose(near_max.gradient(point), grad, rtol=1e-14)
+                np.testing.assert_allclose(near_max.gradient(point), grad, rtol=1e-14)
                 for move in ([-1e300, -1e300], [-1.0, -1.0]):
                     assert np.isfinite(near_max.value_change(point, move))
                 assert near_max.value_change(point, -v / 2) == pytest.approx(
                     float(-norm / 2), rel=1e-13)
+        # Normalised by its largest term the far power sum holds for every p,
+        # also past p = 1 074, where 2^-p underflows, and a coordinate whose
+        # square underflows keeps its gradient component.
+        spec = PotentialSpec("p_norm", p=5000.0, epsilon=0.0)
+        assert potential_value(spec, [10.0, 0.0]) == 10.0
+        assert potential_value(spec, [10.0, 3.0]) == 10.0
+        np.testing.assert_array_equal(potential_gradient(spec, [10.0, 3.0]), [1.0, 0.0])
+        spec = PotentialSpec("p_norm", p=1.0, epsilon=0.0)
+        np.testing.assert_array_equal(potential_gradient(spec, [1e200, 1e-170]), [1.0, 1.0])
 
 
 # The accuracy of the radial kinds' value changes, against 50-digit decimal
