@@ -41,6 +41,19 @@ def as_point(coords) -> np.ndarray:
     return as_vector(coords, "point")
 
 
+def box_diagonal(lo: np.ndarray, hi: np.ndarray) -> float:
+    """|hi - lo|: bit for bit ``np.linalg.norm(hi - lo)`` where the squared sum
+    is normal, else from the gaps scaled by their largest magnitude, so that
+    it is 0 or inf only where the length itself is."""
+    with np.errstate(over="ignore"):
+        gap = hi - lo
+        sq, top = gap.dot(gap), np.abs(gap).max()
+        if np.finfo(float).tiny <= sq < np.inf or top in (0.0, np.inf):
+            return float(np.sqrt(sq))
+        unit = gap / top
+        return float(top * np.sqrt(unit.dot(unit)))
+
+
 @dataclass(frozen=True, eq=False)
 class AnchorSet:
     """The n fixed points the objective sums distance potentials to.
@@ -80,8 +93,7 @@ class AnchorSet:
         return self._box
 
     def diagonal(self) -> float:
-        lo, hi = self._box
-        return float(np.linalg.norm(hi - lo))
+        return box_diagonal(*self._box)
 
 
 @dataclass(frozen=True, eq=False)

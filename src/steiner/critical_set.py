@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import AnchorSet, Objective, is_integer
+from .core import AnchorSet, Objective, box_diagonal, is_integer
 from .errors import ConfigError, InputError, NoCriticalPointError
 from .flow import CONVERGED, MAX_STEPS, STALLED, FlowConfig, FlowTrace, rest_points
 from .flow import trace_flow  # noqa: F401  (benchmarks/spans.py wraps it here)
@@ -124,7 +124,7 @@ def plan_domain_box(plan: TestingPlan | None,
 def box_geometry(box) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-axis lower and upper bounds of ``box`` and its diagonal length."""
     lo, hi = np.array(box, dtype=float).T
-    return lo, hi, float(np.linalg.norm(hi - lo))
+    return lo, hi, box_diagonal(lo, hi)
 
 
 def generate_testing_points(plan: TestingPlan, anchors: AnchorSet | None = None) -> np.ndarray:

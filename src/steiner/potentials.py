@@ -278,13 +278,16 @@ class _Gaussian(_Radial):
 
 
 class _PNorm:
-    """U_i = S^(1/p) - D^(1/p) eps with S = sum_k (v_k^2 + eps^2)^(p/2).
+    """U_i = N - D^(1/p) eps with N = (sum_k r_k^p)^(1/p) and r_k = hypot(v_k, eps).
 
-    Where a power sum S overflows though its root need not, values and
-    gradients are taken from the sum normalised by its largest term (see
-    :meth:`_far`), and changes at v / 2^e, m / 2^e and eps / 2^e (see
-    :meth:`changes`). The descent state is the displacements and g; a trial
-    forms about a dozen (rows, D, n) arrays.
+    Values, gradients and changes all come from the terms normalised by their
+    largest (Blue, ACM TOMS 4, 1978; Anderson, ACM TOMS 44, 2017): with
+    R = max_k r_k and q = r / R, N = R S^(1/p) for S = sum_k q_k^p, whose
+    largest term is exactly 1. So S lies in [1, D] for any p >= 1 or
+    magnitude, no coordinate is squared, and R multiplies last: a result is
+    finite wherever it is representable. The descent state is the start side
+    of a change (v, r, R, q^p and S) and g, so a trial normalises only the
+    side where it lands.
     """
 
     def __init__(self, p, eps):
@@ -293,105 +296,89 @@ class _PNorm:
     def row_floats(self, n, d):
         return 12 * d * n
 
-    def _sums(self, disp):
-        """t_k = v_k^2 + eps^2 per coordinate, S per anchor and where S overflowed."""
-        with np.errstate(over="ignore"):
-            t = disp * disp + self.eps * self.eps
-            s = np.power(t, self.p / 2.0).sum(axis=-2)
-        return t, s, s == np.inf
-
-    def _far(self, disp, far):
-        """S^(1/p) and its gradient at the ``far`` anchors of ``disp``, one row (D,) each.
-
-        With r_k = hypot(v_k, eps), R = max_k r_k, q = r / R and S' = sum_k
-        q_k^p, the root is R S'^(1/p) and the gradient S'^(1/p-1) q_j^(p-1)
-        v_j / r_j, 0 where r_j = 0. The largest q is 1, so S' neither
-        overflows nor underflows whatever p is; and no coordinate is squared,
-        so a small one keeps its gradient component.
-        """
-        v = np.moveaxis(disp, -2, -1)[far]
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = np.hypot(v, self.eps)
-            top = r.max(axis=-1)
-            q = r / top[:, None]
-            s = np.power(q, self.p).sum(axis=-1)
-            norm = np.where(top == np.inf, np.inf, top * np.power(s, 1.0 / self.p))
-            unit = np.divide(v, r, out=np.zeros_like(v), where=r != 0.0)
-            grad = np.power(s, 1.0 / self.p - 1.0)[:, None] * np.power(q, self.p - 1.0) * unit
-        return norm, grad
+    def _normalised(self, disp):
+        """r, R, q^(p-1), q^p and S at ``disp``. R = 0 (v = 0 at eps = 0) reads
+        as the least positive float, so that every q and S are 0 there."""
+        with np.errstate(over="ignore", invalid="ignore"):  # nan where hypot overflows
+            r = np.hypot(disp, self.eps)
+            top = np.maximum(r.max(axis=-2), 5e-324)
+            q = r / top[..., None, :]
+        qm = np.power(q, self.p - 1.0)
+        q *= qm
+        return r, top, qm, q, q.sum(axis=-2)
 
     def values(self, disp):
-        _, s, far = self._sums(disp)
-        norm = np.power(s, 1.0 / self.p)
-        if far.any():
-            norm[far] = self._far(disp, far)[0]
-        return np.maximum(norm - (disp.shape[-2] ** (1.0 / self.p)) * self.eps, 0.0)
+        _, top, _, _, s = self._normalised(disp)
+        with np.errstate(over="ignore"):  # R multiplies last
+            norm = np.power(s, 1.0 / self.p) - disp.shape[-2] ** (1.0 / self.p) * (self.eps / top)
+            return np.maximum(top * norm, 0.0)
+
+    def _gradients(self, disp, r, qm, s):
+        # d/dv_j R S^(1/p) = S^(1/p-1) q_j^(p-1) v_j / r_j, 0 where r_j = 0
+        g = np.divide(disp, r, out=np.zeros_like(r), where=r > 0.0)
+        g *= qm
+        if not s.all():  # S is 0 at the kink and at least 1 elsewhere
+            warnings.warn(_NONSMOOTH_MSG, NonSmoothEvaluationWarning, stacklevel=4)
+        g *= np.power(np.maximum(s, 1.0), 1.0 / self.p - 1.0)[..., None, :]
+        return g
 
     def gradients(self, disp):
-        # d/dv_j (sum_k t_k^(p/2))^(1/p) = S^(1/p-1) t_j^(p/2-1) v_j, 0 where t_j = 0
-        p = self.p
-        t, s, far = self._sums(disp)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g = np.power(s, 1.0 / p - 1.0)[..., None, :] * np.power(t, p / 2.0 - 1.0) * disp
-        g = np.where(t == 0.0, 0.0, g)
-        if far.any():
-            np.moveaxis(g, -2, -1)[far] = self._far(disp, far)[1]
-        at_kink = s == 0.0
-        if np.any(at_kink):
-            warnings.warn(_NONSMOOTH_MSG, NonSmoothEvaluationWarning, stacklevel=3)
-            g = np.where(at_kink[..., None, :], 0.0, g)
-        return g
+        r, _, qm, _, s = self._normalised(disp)
+        return self._gradients(disp, r, qm, s)
 
     def gradient(self, disp):
         return self.gradients(disp).sum(axis=-1)
 
-    def _changes(self, eps, disp, move):
-        """S(v + m)^(1/p) - S(v)^(1/p) per anchor and where S(v) or S(v + m) overflows.
-
-        Each per-coordinate change t_k^(p/2) goes through expm1/log1p of its
-        relative change, and so does the root of the sum, whenever those are
-        small; elsewhere a plain difference is exact enough.
+    def _change(self, disp, r, top, qp, s, move):
+        """N(v + m) - N(v) per anchor from the start side's r, R, q^p and S, for
+        ``move`` of shape (..., D, 1). The landing side is normalised by its own
+        R'. Where its power sum R'^p S' is within a factor of two of R^p S, R
+        serves both: a term's change (r'_k / R)^p - q_k^p is q_k^p
+        expm1(p/2 log1p(rho_k)), rho_k = (2 v_k m_k + m_k^2) / r_k^2, where that
+        step is below 1, and the root of the sum goes through expm1/log1p too,
+        free of cancellation. Elsewhere the powers, or the norms, differ by a
+        factor e, or 2^(1/p), and their plain difference loses little to it.
         """
-        p, halfp = self.p, self.p / 2.0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            new = disp + move
-            t = disp * disp + eps * eps
-            pow_t, pow_tn = np.power(t, halfp), np.power(new * new + eps * eps, halfp)
-            ratio = np.maximum((2.0 * disp * move + move * move) / t, -1.0)
-            dpow_small = pow_t * np.expm1(halfp * np.log1p(ratio))
-            dpow = np.where((t > 0.0) & (np.abs(ratio) < 0.5), dpow_small, pow_tn - pow_t)
-            s, sn = pow_t.sum(axis=-2), pow_tn.sum(axis=-2)
-            sratio = np.maximum(dpow.sum(axis=-2) / s, -1.0)
-            du_small = np.power(s, 1.0 / p) * np.expm1(np.log1p(sratio) / p)
-            du_direct = np.power(sn, 1.0 / p) - np.power(s, 1.0 / p)
-        du = np.where((s > 0.0) & (np.abs(sratio) < 0.5), du_small, du_direct)
-        return du, ~(np.isfinite(s) & np.isfinite(sn))
+        p = self.p
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rho = disp + move  # v + m, then rho in place
+            qpn = np.hypot(rho, self.eps)
+            top_new = np.maximum(qpn.max(axis=-2), 5e-324)
+            qpn = np.power(qpn / top_new[..., None, :], p)
+            s_new = qpn.sum(axis=-2)
+            rise = np.power(top_new / top, p)  # (R' / R)^p
+            near = np.abs(np.log2(rise * s_new / s)) <= 1.0
+            # rho_k as (m_k / r_k) ((2 v_k + m_k) / r_k): no square to leave
+            # the float range.
+            rho += disp
+            rho /= r
+            rho *= move / r
+            step = np.log1p(rho, out=rho)
+            step *= p / 2.0
+            small = np.abs(step) < 1.0
+            np.expm1(step, out=step)
+            step *= qp
+            qpn = np.where(small, step, qpn * rise[..., None, :] - qp)
+            root = np.power(s, 1.0 / p)
+            change = top * (root * np.expm1(np.log1p(qpn.sum(axis=-2) / s) / p))
+            if near.all():
+                return change
+            big = np.maximum(top, top_new)
+            far = big * ((top_new / big) * np.power(s_new, 1.0 / p) - (top / big) * root)
+        return np.where(near, change, far)
 
     def changes(self, disp, move):
-        move = move[..., None]
-        du, far = self._changes(self.eps, disp, move)
-        if far.any():
-            # Take it at v / 2^e, m / 2^e and eps / 2^e, for 2^e above eps and
-            # every coordinate of v and v + m, and scale back by 2^e: S^(1/p) is
-            # homogeneous of degree 1 in (v, eps), and a power of two scales
-            # exactly, so the change stays cancellation-free.
-            v, m = (np.moveaxis(np.broadcast_to(a, disp.shape), -2, -1)[far] for a in (disp, move))
-            top = np.maximum(np.abs(v), np.abs(v + m)).max(axis=-1)
-            # ldexp, not a division by 2^e: 2^e overflows once top reaches 2^1023.
-            e = np.frexp(np.maximum(top, self.eps))[1]
-            scaled = self._changes(np.ldexp(self.eps, -e), np.ldexp(v, -e[:, None]).T,
-                                   np.ldexp(m, -e[:, None]).T)[0]
-            with np.errstate(over="ignore"):
-                du[far] = np.ldexp(scaled, e)
-        return du
+        r, top, _, qp, s = self._normalised(disp)
+        return self._change(disp, r, top, qp, s, move[..., None])
 
     def descent_state(self, disp):
-        g = self.gradient(disp)
-        return g, [disp, g]
+        r, top, qm, qp, s = self._normalised(disp)
+        g = self._gradients(disp, r, qm, s).sum(axis=-1)
+        return g, [disp, r, top, qp, s, g]
 
     def trials(self, state, t, gsq):
-        disp, g = state
-        return self.changes(disp, -(t[:, None] * g))
+        *start, g = state
+        return self._change(*start, -(t[:, None] * g)[..., None])
 
 
 def kernel(spec: PotentialSpec, weights=None):

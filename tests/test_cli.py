@@ -204,7 +204,7 @@ PINNED_SOLVES = {
         "anchors": [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]],
         "potential": {"kind": "p_norm", "p": 3},
         "testing_plan": {"strategy": "uniform_random", "count": 6, "seed": 2},
-    }, False, "b6e91b98df784aa749c109c164de0539bab9f0bf845e02136d531713a2c27dd7"),
+    }, False, "2974dcc56138473dcc088bd57aa2b56bf81d2894565989f79408a0ef02db15de"),
 }
 
 

@@ -1,6 +1,8 @@
 """Objective evaluation, analytic gradients, and the finite-difference check."""
 
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from steiner import (AnchorSet, InputError, Objective, PotentialSpec,
                      finite_difference_gradient, gradient, max_relative_gradient_error,
                      objective_value, weiszfeld)
 
+from steiner.core import box_diagonal
+from steiner.critical_set import box_geometry, default_domain_box
 from util import make_objective
 
 # Computed once with the Weiszfeld oracle (tol 1e-12) on the 3-4-5 right
@@ -35,6 +39,33 @@ def test_anchorset_validation():
     assert a.n == 2 and a.dimension == 2
     with pytest.raises(ValueError):
         a.points[0, 0] = 9.0  # read-only storage
+
+
+@pytest.mark.parametrize("k", [200, -200])
+def test_diagonals_neither_overflow_nor_underflow(k):
+    # Squared, these gaps overflow (at 1e200 the automatic epsilon became inf)
+    # or underflow (at 1e-200 the diagonal read 0).
+    def exact(lo, hi):
+        with localcontext() as ctx:
+            ctx.prec = 40
+            return float(sum((Decimal(b) - Decimal(a)) ** 2 for a, b in zip(lo, hi)).sqrt())
+
+    anchors = AnchorSet(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0], [1.0, 1.0]]) * 10.0 ** k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert anchors.diagonal() == pytest.approx(exact(*anchors.bounding_box()), rel=1e-15)
+        lo, hi, diagonal = box_geometry(default_domain_box(anchors))
+        assert diagonal == pytest.approx(exact(lo, hi), rel=1e-15)
+        obj = Objective(anchors, PotentialSpec("euclidean"))
+        assert obj.length_scale == anchors.diagonal()
+        assert obj.potential.epsilon == 1e-9 * anchors.diagonal()
+    # Wherever the squared sum is normal, every bit of np.linalg.norm stays.
+    rng = np.random.default_rng(2)
+    for d in (1, 2, 3, 8):
+        lo = rng.normal(size=(200, d)) * 10.0 ** rng.integers(-150, 150, size=(200, 1))
+        hi = lo + rng.exponential(size=(200, d)) * 10.0 ** rng.integers(-150, 150, size=(200, 1))
+        assert [box_diagonal(a, b) for a, b in zip(lo, hi)] == [
+            float(np.linalg.norm(b - a)) for a, b in zip(lo, hi)]
 
 
 def test_dimension_mismatch_is_rejected():

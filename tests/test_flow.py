@@ -626,15 +626,22 @@ def test_rest_points_splits_large_problems_into_blocks():
         _assert_same_trace(trace, trace_flow(obj, start, cfg))
 
 
-def test_lockstep_blocks_stay_within_the_footprint_that_sizes_them(monkeypatch):
-    # block_rows divides a float budget by a row's peak footprint, (D + 6) n
-    # floats for the radial kinds. Each block of a 2048-start, n = 16, D = 3
-    # solve must peak within its rows' footprints and a fixed slack; a step
-    # that kept the searched state alive while forming the next one would
-    # hold about 3 n more per row.
+@pytest.mark.parametrize("kind, kwargs, blocks", [
+    ("euclidean", {}, 2),
+    ("p_norm", dict(p=3.0), 9),
+], ids=["euclidean", "p_norm"])
+def test_lockstep_blocks_stay_within_the_footprint_that_sizes_them(monkeypatch, kind, kwargs,
+                                                                   blocks):
+    # block_rows divides a float budget by a row's peak footprint, the
+    # kernel's row_floats: (D + 6) n floats for the radial kinds and 12 D n
+    # for p_norm. Each block of a 2048-start, n = 16, D = 3 solve must peak
+    # within its rows' footprints and a fixed slack; a step that kept the
+    # searched state alive while forming the next one would hold about 3 n
+    # more per row.
     n, d = 16, 3
     rng = np.random.default_rng(0)
-    obj = make_objective(rng.uniform(0.0, 10.0, size=(n, d)))
+    obj = make_objective(rng.uniform(0.0, 10.0, size=(n, d)), kind, **kwargs)
+    footprint = obj._kernel.row_floats(n, d)
     starts = rng.uniform(-2.0, 12.0, size=(2048, d))
     peaks = []
     descend = steiner.flow._descend
@@ -652,9 +659,10 @@ def test_lockstep_blocks_stay_within_the_footprint_that_sizes_them(monkeypatch):
         rest_points(obj, starts, FlowConfig(), False)
     finally:
         tracemalloc.stop()
-    assert [rows for rows, _ in peaks] == [1024, 1024]
+    assert [rows for rows, _ in peaks] == [2048 * (k + 1) // blocks - 2048 * k // blocks
+                                           for k in range(blocks)]
     for rows, peak in peaks:
-        assert peak <= rows * (d + 6) * n * 8 + 16 * 1024, (rows, peak / (rows * n * 8))
+        assert peak <= rows * footprint * 8 + 16 * 1024, (rows, peak / (rows * n * 8))
 
 
 @pytest.mark.parametrize("d, m, sizes", [

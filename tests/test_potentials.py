@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -304,40 +304,25 @@ def test_p_norm_far_from_the_anchor_is_finite_and_right():
         # Far below one ulp of U, where a difference of values reads 0.
         change = obj.value_change([1e103, 1e103], [-1.0, -1.0])
         assert change == pytest.approx(-(2 ** (1 / 3)), rel=1e-13)
-        # Wherever the power sums are finite, all three keep every bit of the
-        # formula. The (400, 5, 2) draw is laid out (rows, D, n).
+        # Across magnitudes, where the power sums of (v_k^2 + eps^2)^(p/2)
+        # overflow and where they do not, all three are finite. The (400, 5, 2)
+        # draw is laid out (rows, D, n).
         spec = PotentialSpec("p_norm", p=3.0, epsilon=1e-3)
         rng = np.random.default_rng(4)
         size = 10.0 ** rng.uniform(-8, 200, size=(400, 1, 1))
         disp = np.swapaxes(rng.normal(size=(400, 5, 2)) * size, -1, -2)
         moves = rng.normal(size=(400, 2)) * size[:, 0] * rng.choice([1e-9, 1.0], size=(400, 1))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            t = disp * disp + 1e-6
-            s = np.power(t, 1.5).sum(axis=-2)
-            value = np.maximum(np.power(s, 1.0 / 3.0) - 2 ** (1.0 / 3.0) * 1e-3, 0.0)
-            grad = np.power(s, 1.0 / 3.0 - 1.0)[..., None, :] * np.power(t, 0.5) * disp
-            new = disp + moves[..., None]
-            tn = new * new + 1e-6
-            sn = np.power(tn, 1.5).sum(axis=-2)
-            ratio = np.maximum((2.0 * disp * moves[..., None] + moves[..., None] ** 2) / t, -1.0)
-            dpow = np.where((t > 0.0) & (np.abs(ratio) < 0.5),
-                            np.power(t, 1.5) * np.expm1(1.5 * np.log1p(ratio)),
-                            np.power(tn, 1.5) - np.power(t, 1.5))
-            sratio = np.maximum(dpow.sum(axis=-2) / s, -1.0)
-            change = np.where((s > 0.0) & (np.abs(sratio) < 0.5),
-                              np.power(s, 1.0 / 3.0) * np.expm1(np.log1p(sratio) / 3.0),
-                              np.power(sn, 1.0 / 3.0) - np.power(s, 1.0 / 3.0))
+        new = disp + moves[..., None]
+        with np.errstate(over="ignore"):
+            s = np.power(disp * disp + 1e-6, 1.5).sum(axis=-2)
+            sn = np.power(new * new + 1e-6, 1.5).sum(axis=-2)
         plain = np.isfinite(s)
         assert 0 < plain.sum() < plain.size
         values, grads = batch_values(spec, disp), batch_gradients(spec, disp)
         changes = batch_value_changes(spec, disp, moves)
         assert np.isfinite(values).all() and np.isfinite(grads).all()
         assert np.isfinite(changes).all()
-        np.testing.assert_array_equal(values[plain], value[plain])
-        np.testing.assert_array_equal(np.moveaxis(grads, -2, -1)[plain],
-                                      np.moveaxis(grad, -2, -1)[plain])
         plain &= np.isfinite(sn)
-        np.testing.assert_array_equal(changes[plain], change[plain])
         # The far ones agree with the difference of the (far-field) values to
         # its roundoff, a few ulps of the larger value.
         far = ~plain
@@ -375,6 +360,33 @@ def test_p_norm_far_from_the_anchor_is_finite_and_right():
         np.testing.assert_array_equal(potential_gradient(spec, [10.0, 3.0]), [1.0, 0.0])
         spec = PotentialSpec("p_norm", p=1.0, epsilon=0.0)
         np.testing.assert_array_equal(potential_gradient(spec, [1e200, 1e-170]), [1.0, 1.0])
+
+
+def test_p_norm_is_right_where_a_power_underflows():
+    # Each of these read wrong while a power (v_k^2 + eps^2)^(p/2), or 0.5^p
+    # after a power-of-two rescale, underflowed.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = PotentialSpec("p_norm", p=100.0, epsilon=1e-9)
+        assert potential_value(spec, [1e-4, 0.0]) == pytest.approx(9.99989930e-05, rel=1e-9)
+        assert potential_value(spec, [1e-4, 0.0]) == pytest.approx(
+            _p_norm_exact(100.0, 1e-9, np.array([1e-4, 0.0]), np.zeros(2))[0], rel=1e-14)
+        np.testing.assert_allclose(potential_gradient(spec, [1e-4, 0.0]), [1.0, 0.0], rtol=1e-9)
+        obj = make_objective([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]], "p_norm", p=100.0)
+        np.testing.assert_allclose(obj.gradient([1e-4, 0.0]), [-1.25e-9, -1.0], rtol=1e-6)
+        for p in (1500.0, 5000.0):
+            spec = PotentialSpec("p_norm", p=p, epsilon=0.0)
+            change = batch_value_changes(spec, np.array([[10.0], [0.0]]), np.array([-1.0, 0.0]))
+            assert change.tolist() == [pytest.approx(-1.0, rel=1e-14)]
+        assert potential_value(PotentialSpec("p_norm", p=8.0, epsilon=0.0), [1e-50, 0.0]) == 1e-50
+        spec = PotentialSpec("p_norm", p=1.0, epsilon=0.0)
+        np.testing.assert_array_equal(potential_gradient(spec, [1.0, 1e-170]), [1.0, 1.0])
+    # Exactly at the anchor without smoothing it still warns and returns 0.
+    for p in (1.0, 100.0):
+        spec = PotentialSpec("p_norm", p=p, epsilon=0.0)
+        with pytest.warns(NonSmoothEvaluationWarning):
+            np.testing.assert_array_equal(potential_gradient(spec, [0.0, 0.0]), [0.0, 0.0])
+        assert potential_value(spec, [0.0, 0.0]) == 0.0
 
 
 # The accuracy of the radial kinds' value changes, against 50-digit decimal
@@ -509,6 +521,100 @@ def test_radial_value_change_accuracy_property(case, line_search, t_exponent):
         scale = np.linalg.norm(move) * (2.0 * np.linalg.norm(v) + np.linalg.norm(move))
         bound = CHANGE_ERROR_K * (_ULP * (scale * q + a * abs(delta)) + 5e-324)
         assert abs(got[i] - delta) <= bound, (i, got[i], delta, q, a)
+
+
+# The p_norm kernel against 80-digit decimal arithmetic. It takes every term
+# from r_k = hypot(v_k, eps) over R = max_k r_k, and q_k^p carries p times
+# the rounding of q_k, so each bound has (p + 1) ulps where the radial ones
+# have 1. A change sums the changes Delta_k of the coordinates' powers, each
+# as conditioned as 2 v_k m_k + m_k^2 is (c), and their sum can cancel
+# (kappa).
+def _log1p(x):
+    """log(1 + x) in decimal, free of cancellation for small x."""
+    if abs(x) >= Decimal("0.1"):
+        return (1 + x).ln()
+    term = total = x
+    k = 1
+    while abs(term) > Decimal("1e-60") * abs(total):
+        k += 1
+        term = -term * x
+        total += term / k
+    return total
+
+
+def _p_norm_exact(p, eps, v, m):
+    """U(v), N(v), grad U(v), N(v + m) - N(v), kappa |N(v + m) - N(v)| and c of
+    one p_norm term. kappa |Delta N| is sum_k |Delta_k| |Delta N / Delta S|, its
+    limit sum_k |Delta_k| S^(1/p-1) / p where the Delta_k cancel exactly."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 80, MAX_EMAX, MIN_EMIN
+        pd, e2 = Decimal(p), Decimal(eps) ** 2
+        vd, md = [Decimal(x) for x in v.tolist()], [Decimal(x) for x in m.tolist()]
+        r2 = [x * x + e2 for x in vd]
+        d2 = [(2 * x + y) * y for x, y in zip(vd, md)]  # r_k'^2 - r_k^2
+        power = [a ** (pd / 2) if a else Decimal(0) for a in r2]
+        landing = [((x + y) ** 2 + e2) ** (pd / 2) if x + y or e2 else Decimal(0)
+                   for x, y in zip(vd, md)]
+        deltas = []
+        for a, b, start, end in zip(r2, d2, power, landing):
+            step = pd / 2 * _log1p(b / a) if a and b / a > -1 else None
+            small = step is not None and abs(step) < 1
+            deltas.append(start * step * _expm1_over_x(step) if small else end - start)
+        s, ds = sum(power), sum(deltas)
+        norm = s ** (1 / pd) if s else Decimal(0)
+        grad = [(a.sqrt() / norm) ** (pd - 1) * x / a.sqrt() if a else Decimal(0)
+                for a, x in zip(r2, vd)]
+        if s and abs(ds / s) < Decimal("0.5"):
+            step = _log1p(ds / s) / pd
+            change = norm * step * _expm1_over_x(step)
+        else:
+            change = sum(landing) ** (1 / pd) - norm
+        slope = abs(change / ds) if ds else s ** (1 / pd - 1) / pd if s else Decimal(0)
+        spread = sum(abs(x) for x in deltas) * slope
+        c = max(abs(y) * (2 * abs(x) + abs(y)) / abs(b) if y else Decimal(1)
+                for x, y, b in zip(vd, md, d2))
+        value = max(norm - Decimal(len(vd)) ** (1 / pd) * Decimal(eps), Decimal(0))
+        return (float(value), float(norm), np.array([float(x) for x in grad]), float(change),
+                float(spread), float(c))
+
+
+@hst.composite
+def _p_norm_moves(draw):
+    """p in [1, 1e4], a displacement v of D <= 3 coordinates at a scale
+    10^k, |k| <= 300, some of them 0, eps 0 or 1e-9, 1e-3 or 1e3 times that
+    scale, and a move of 1e-12 to 1 times |v| along every coordinate."""
+    p = draw(hst.floats(0.0, 4.0).map(lambda k: 10.0 ** k))
+    d = draw(hst.integers(1, 3))
+    signed = hst.floats(1e-20, 1.0).flatmap(lambda x: hst.sampled_from([x, -x]))
+    unit = np.array(draw(hst.lists(hst.just(0.0) | signed, min_size=d, max_size=d)))
+    direction = np.array(draw(hst.lists(signed, min_size=d, max_size=d)))
+    scale = 10.0 ** draw(hst.integers(-280, 300))
+    eps = draw(hst.sampled_from([0.0, 1e-9, 1e-3, 1e3])) * scale
+    size = 10.0 ** draw(hst.floats(-12.0, 0.0)) * np.linalg.norm(unit)
+    move = direction / np.linalg.norm(direction) * size * scale
+    return p, eps, unit * scale, move
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_p_norm_moves())
+@example(case=(5000.0, 0.0, np.array([10.0, 0.0]), np.array([-1.0, 1e-300])))
+@example(case=(1.0, 0.0, np.array([1.0, 1e-170]), np.array([-1e-12, 1e-180])))
+@example(case=(1.0, 0.0, np.array([-7.53682164e-273, 0.0]), np.array([1.29684721e-276] * 2)))
+def test_p_norm_accuracy_property(case):
+    p, eps, v, m = case
+    spec = PotentialSpec("p_norm", p=p, epsilon=eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", NonSmoothEvaluationWarning)  # at v = 0, eps = 0
+        value = batch_values(spec, v[:, None])[0]
+        grad = batch_gradients(spec, v[:, None])[:, 0]
+        change = batch_value_changes(spec, v[:, None], m)[0]
+    exact, norm, exact_grad, exact_change, spread, c = _p_norm_exact(p, eps, v, m)
+    units = CHANGE_ERROR_K * (p + 1.0) * _ULP
+    assert abs(value - exact) <= units * norm, (value, exact)
+    assert np.abs(grad - exact_grad).max() <= units * np.abs(exact_grad).max(), (grad, exact_grad)
+    bound = units * spread * c + CHANGE_ERROR_K * 5e-324
+    assert abs(change - exact_change) <= bound, (change, exact_change, spread, c)
 
 
 def test_gaussian_change_far_out_lands_by_the_moved_radius():
