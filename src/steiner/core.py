@@ -41,6 +41,13 @@ def as_point(coords) -> np.ndarray:
     return as_vector(coords, "point")
 
 
+def _check_finite_rows(rows: np.ndarray, name: str) -> None:
+    """Raise :class:`InputError` naming ``name[k]``, k the first row of ``rows`` not finite."""
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if len(bad):
+        raise InputError(f"{name}[{bad[0]}]: coordinates must be finite")
+
+
 def box_diagonal(lo: np.ndarray, hi: np.ndarray) -> float:
     """|hi - lo|: bit for bit ``np.linalg.norm(hi - lo)`` where the squared sum
     is normal, else from the gaps scaled by their largest magnitude, so that
@@ -70,10 +77,7 @@ class AnchorSet:
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InputError(
                 f"anchors: expected shape (n >= 1, dimension >= 1), got {arr.shape}")
-        finite_rows = np.isfinite(arr).all(axis=1)
-        if not finite_rows.all():
-            bad = int(np.flatnonzero(~finite_rows)[0])
-            raise InputError(f"anchors[{bad}]: coordinates must be finite")
+        _check_finite_rows(arr, "anchors")
         arr.flags.writeable = False
         object.__setattr__(self, "points", arr)
         lo, hi = arr.min(axis=0), arr.max(axis=0)
@@ -105,9 +109,9 @@ class Objective:
     per-anchor weights are length-checked. ``length_scale`` keeps that
     diagonal (or, when all anchors coincide, the magnitude fallback that
     stands in for it); the descent tracer caps its steps with it.
-    ``block_rows`` is how many points the batched ``*_many`` methods, and
-    the lockstep tracer, evaluate per block. Instances are immutable and
-    all evaluation methods are pure.
+    ``block_rows`` sizes :meth:`block_spans`, the one rule by which batches
+    are split into blocks. Public methods check their input, the kernels
+    do not. Instances are immutable and all evaluation methods are pure.
     """
 
     anchors: AnchorSet
@@ -170,19 +174,20 @@ class Objective:
 
     def check_points(self, points) -> np.ndarray:
         """Coerce ``points`` to a finite (m, D) float array, as :meth:`check_point` does one."""
-        pts = self._rows(points)
-        finite_rows = np.isfinite(pts).all(axis=1)
-        if not finite_rows.all():
-            bad = int(np.flatnonzero(~finite_rows)[0])
-            raise InputError(f"points[{bad}]: coordinates must be finite")
-        return pts
-
-    def _rows(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.anchors.dimension:
             raise InputError(
                 f"points: expected shape (m, {self.anchors.dimension}), got {pts.shape}")
+        _check_finite_rows(pts, "points")
         return pts
+
+    def block_spans(self, m: int):
+        """Rows [lo, hi) of each block of a batch of ``m`` rows: max(1, m //
+        ``block_rows``) consecutive blocks of near-equal size, so each holds
+        fewer than 2 * ``block_rows`` rows and none is a short tail. An empty
+        batch is one empty span."""
+        count = max(1, m // self.block_rows)
+        return ((m * k // count, m * (k + 1) // count) for k in range(count))
 
     # Unchecked kernels on displacements x - a_i of shape (rows, D, n): the
     # single-point and batched methods evaluate through these, and the descent
@@ -207,21 +212,17 @@ class Objective:
         return self._kernel.trials(state, t, gsq).sum(axis=-1)
 
     def _per_row(self, kernel, points, *moves) -> np.ndarray:
-        """Evaluate ``kernel`` for each row of ``points`` (shape (m, D)).
-
-        Rows go through in blocks of ``block_rows``, so each (rows, D, n)
-        displacement array stays within the block budget. Each row's result
-        is bit for bit what the single-point method gives for it. Shapes are
-        checked; coordinates are not (see :meth:`check_points`).
-        """
-        pts = self._rows(points)
+        """Check ``points`` (shape (m, D)) and ``moves`` (each one move per
+        row), then evaluate ``kernel`` over the spans of :meth:`block_spans`:
+        each row's result is bit for bit what the single-point method gives."""
+        pts = self.check_points(points)
         moves = [np.asarray(mv, dtype=float) for mv in moves]
         for mv in moves:
             if mv.shape != pts.shape:
                 raise InputError(f"moves: expected shape {pts.shape}, got {mv.shape}")
-        step = self.block_rows
-        out = [kernel(self._displacements(pts[lo:lo + step]), *(mv[lo:lo + step] for mv in moves))
-               for lo in range(0, max(len(pts), 1), step)]
+            _check_finite_rows(mv, "moves")
+        out = [kernel(self._displacements(pts[lo:hi]), *(mv[lo:hi] for mv in moves))
+               for lo, hi in self.block_spans(len(pts))]
         return out[0] if len(out) == 1 else np.concatenate(out)
 
     def value_many(self, points) -> np.ndarray:

@@ -232,7 +232,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 
 def _probe_negative_curvature(obj: Objective, points: np.ndarray, scale: float,
-                              rng: np.random.Generator) -> np.ndarray:
+                              rng: "np.random.Generator") -> np.ndarray:
     """Second-difference probes along the axes and D random directions at each
     row of ``points``; True where some probe curves downward."""
     k, d = points.shape

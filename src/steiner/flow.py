@@ -195,14 +195,14 @@ class RestPoints(NamedTuple):
 
 def rest_points(obj: Objective, starts: np.ndarray, cfg: FlowConfig,
                 keep_traces: bool) -> RestPoints:
-    """Trace descent from every row of ``starts`` (shape (m >= 1, D)) and
-    return where each came to rest, with the traces when ``keep_traces`` is set.
+    """Trace descent from every row of ``starts``, a checked (m >= 1, D)
+    array (see :meth:`Objective.check_points`), and return where each came
+    to rest, with the traces when ``keep_traces`` is set.
 
-    The m starts advance in lockstep blocks: max(1, m // ``obj.block_rows``)
-    consecutive blocks of near-equal size, so each holds fewer than
-    2 * ``obj.block_rows`` rows and none is a short tail. A block runs until
-    its slowest row stops, so a tail of a few rows would pay the per-step
-    cost of a whole block for them. Rows do not interact: each trace, its
+    The m starts advance in lockstep blocks, the spans of
+    :meth:`Objective.block_spans`. A block runs until its slowest row stops,
+    so a tail of a few rows would pay the per-step cost of a whole block for
+    them; the spans have none. Rows do not interact: each trace, its
     status and its counters equal those of :func:`trace_flow` from the same
     start bit for bit. Without traces a block logs only each row's terminal
     sample. A start whose U or grad U turns non-finite stops only its own
@@ -211,12 +211,8 @@ def rest_points(obj: Objective, starts: np.ndarray, cfg: FlowConfig,
     message, k its index among all the starts, and its partial trace
     (traced again alone when the block kept no samples).
     """
-    starts = obj.check_points(starts)
-    m = len(starts)
-    count = max(1, m // obj.block_rows)
-    edges = [m * k // count for k in range(count + 1)]
     blocks = []
-    for lo, hi in zip(edges, edges[1:]):
+    for lo, hi in obj.block_spans(len(starts)):
         block, failure = _descend(obj, starts[lo:hi], cfg, keep_traces)
         if failure is not None:
             row, message, partial = failure
@@ -446,7 +442,7 @@ def tangency_residual(obj: Objective, trace: FlowTrace) -> float:
         raise InputError("trace: tangency residual needs at least 2 samples")
     use_stored = trace.step_vectors is not None and len(trace.step_vectors) == len(trace) - 1
     steps = trace.step_vectors if use_stored else np.diff(pts, axis=0)
-    forces = -obj.gradient_many(obj.check_points(pts[:-1]))
+    forces = -obj.gradient_many(pts[:-1])
     ns = np.sqrt(np.vecdot(steps, steps))
     nd = np.sqrt(np.vecdot(forces, forces))
     keep = (ns != 0.0) & (nd != 0.0)
@@ -497,7 +493,7 @@ def graph_residual(obj: Objective, trace: FlowTrace, axis: int = 0,
     if m < 2:
         return None
 
-    grads = obj.gradient_many(obj.check_points(pts))
+    grads = obj.gradient_many(pts)
     ga = grads[:, axis]
     if slope_floor is None:
         peak = float(np.abs(ga).max())

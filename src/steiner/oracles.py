@@ -127,12 +127,13 @@ def centroid(anchors: AnchorSet) -> OracleReport:
                         method="centroid")
 
 
-def grid_search(obj: Objective, box, spacing: float, chunk_elems: int = 4_000_000) -> OracleReport:
+def grid_search(obj: Objective, box, spacing: float) -> OracleReport:
     """Brute-force scan of a regular lattice over ``box``.
 
     The lattice runs from each axis ``lo`` in steps of ``spacing`` up to
     ``hi``; scan order is lexicographic in the coordinates and value ties
-    keep the lexicographically smallest point. Refuses lattices above
+    keep the lexicographically smallest point. The cells are evaluated in
+    the spans of :meth:`Objective.block_spans`. Refuses lattices above
     ``GRID_CELL_LIMIT`` cells.
     """
     if not (np.isfinite(spacing) and spacing > 0.0):
@@ -152,11 +153,10 @@ def grid_search(obj: Objective, box, spacing: float, chunk_elems: int = 4_000_00
             f"box: lattice of {total} cells exceeds the {GRID_CELL_LIMIT} cell guard")
 
     axes = [lo + np.arange(c) * spacing for (lo, _), c in zip(box, counts)]
-    chunk = max(1, chunk_elems // max(1, obj.anchors.n * d))
     best_val = np.inf
     best_flat = -1
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total))
+    for lo, hi in obj.block_spans(total):
+        flat = np.arange(lo, hi)
         multi = np.unravel_index(flat, counts)
         pts = np.column_stack([axes[k][multi[k]] for k in range(d)])
         vals = obj.value_many(pts)

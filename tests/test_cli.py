@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import json
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -737,3 +739,13 @@ def test_load_instance_validates(tmp_path):
     path.write_bytes(b'{"dimension": 2, "anchors": [[0, 0]], "potential": {"kind": "\xff"}}')
     with pytest.raises(InputError, match="not UTF-8"):
         load_instance(path)
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use; the CLI's import should not
+    # pay for it (about 9 ms) before a solve needs random draws.
+    code = "import sys, steiner.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

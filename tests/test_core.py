@@ -296,6 +296,40 @@ def test_many_methods_check_shapes():
     assert obj.gradient_many(np.empty((0, 2))).shape == (0, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("method, where", [
+    ("value_many", "points"),
+    ("gradient_many", "points"),
+    ("value_change_many", "points"),
+    ("value_change_many", "moves"),
+])
+def test_many_methods_reject_non_finite_coordinates(method, where, bad):
+    # The batched methods check coordinates as the single-point methods do,
+    # and name the first bad row.
+    obj = make_objective([[0.0, 0.0], [1.0, 1.0]])
+    rows = {"points": np.array([[1.0, 2.0], [0.5, 0.5], [3.0, 1.0]]),
+            "moves": np.full((3, 2), 0.25)}
+    rows[where][1, 1] = bad
+    rows[where][2, 0] = bad
+    args = [rows["points"], rows["moves"]] if method == "value_change_many" else [rows["points"]]
+    with pytest.raises(InputError, match=rf"^{where}\[1\]: coordinates must be finite$"):
+        getattr(obj, method)(*args)
+
+
+def test_block_spans_split_batches_into_near_equal_blocks():
+    obj = make_objective([[0.0, 0.0], [1.0, 1.0]])
+    object.__setattr__(obj, "block_rows", 5)
+    assert list(obj.block_spans(0)) == [(0, 0)]
+    assert list(obj.block_spans(9)) == [(0, 9)]
+    assert list(obj.block_spans(17)) == [(0, 5), (5, 11), (11, 17)]
+    for m in range(60):
+        spans = list(obj.block_spans(m))
+        assert spans[0][0] == 0 and spans[-1][1] == m
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        sizes = [hi - lo for lo, hi in spans]
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) < 2 * obj.block_rows
+
+
 @pytest.mark.parametrize("move, message", [
     pytest.param(0.5, r"move: expected shape \(2,\), got \(\)", id="scalar"),
     pytest.param([1.0, 2.0, 3.0], r"move: expected shape \(2,\), got \(3,\)", id="3-vector"),

@@ -142,6 +142,20 @@ def test_grid_search_tie_breaks_lexicographically():
     np.testing.assert_array_equal(report.location, [0.0, 0.0])
 
 
+def test_grid_search_report_does_not_depend_on_the_block_size():
+    # About 900 cells over 3 anchors: one block at the default block_rows,
+    # 131 blocks at 7. The scan keeps the first lowest cell either way.
+    anchors = [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]
+    box = [(-0.5, 4.5), (-0.5, 3.5)]
+    default = grid_search(make_objective(anchors), box, spacing=0.15)
+    obj = make_objective(anchors)
+    object.__setattr__(obj, "block_rows", 7)
+    small = grid_search(obj, box, spacing=0.15)
+    assert default.iterations == small.iterations == 34 * 27
+    np.testing.assert_array_equal(small.location, default.location, strict=True)
+    assert small.value == default.value
+
+
 def test_grid_search_lattice_guard():
     obj = make_objective([[0.0, 0.0]], kind="squared")
     with pytest.raises(ConfigError, match="cells"):
