@@ -190,8 +190,8 @@ class Objective:
         return ((m * k // count, m * (k + 1) // count) for k in range(count))
 
     # Unchecked kernels on displacements x - a_i of shape (rows, D, n): the
-    # single-point and batched methods evaluate through these, and the descent
-    # through the last two (see ``potentials.kernel``).
+    # single-point and batched methods and the curvature test evaluate through
+    # these, and the descent through the last two (see ``potentials.kernel``).
 
     def _displacements(self, points: np.ndarray) -> np.ndarray:
         return points[:, :, None] - self._anchor_columns
@@ -204,6 +204,9 @@ class Objective:
 
     def _value_changes(self, disp: np.ndarray, moves: np.ndarray) -> np.ndarray:
         return self._kernel.changes(disp, moves).sum(axis=-1)
+
+    def _hessians(self, disp: np.ndarray) -> np.ndarray:
+        return self._kernel.hessian(disp)
 
     def _descent_state(self, points: np.ndarray):
         return self._kernel.descent_state(self._displacements(points))
@@ -274,10 +277,10 @@ def _central_differences(obj: Objective, points: np.ndarray, h: float) -> np.nda
 def max_relative_gradient_error(obj: Objective, points, h: float) -> float:
     """Worst relative disagreement between analytic and central-difference gradients.
 
-    The denominator is floored at 1e-5 of the largest gradient magnitude in
-    the batch (and at 1e-5 absolute) so that regions where the field is
-    numerically flat, and the finite difference therefore measures only
-    roundoff, do not dominate the statistic.
+    Each point's disagreement first loses sqrt(D) 2^-52 U(x) / h, the central
+    difference's own rounding (U >= 0 for every kind). The denominator is
+    floored at 1e-5 of the largest gradient magnitude in the batch (and at
+    1e-5 absolute) so that numerically flat regions do not dominate.
     """
     pts = obj.check_points(points)
     ga = obj.gradient_many(pts)
@@ -286,4 +289,6 @@ def max_relative_gradient_error(obj: Objective, points, h: float) -> float:
     norms_f = np.linalg.norm(gf, axis=1)
     scale = max(1.0, float(norms_a.max()), float(norms_f.max()))
     denom = np.maximum(np.maximum(norms_a, norms_f), 1e-5 * scale)
-    return float((np.linalg.norm(ga - gf, axis=1) / denom).max())
+    rounding = np.sqrt(pts.shape[1]) * 2.0 ** -52 * obj.value_many(pts) / h
+    error = np.maximum(np.linalg.norm(ga - gf, axis=1) - rounding, 0.0)
+    return float((error / denom).max())

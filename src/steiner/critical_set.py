@@ -5,8 +5,8 @@ running traces from a whole plan of testing points, clustering the rest
 points they reach, and comparing cluster values identifies the Steiner
 point as the argmin. Saddles and maxima reached from symmetric starts are
 legitimate members of the set: they stay in the reported critical set,
-flagged by a negative-curvature probe, and lose the value comparison
-unless they genuinely are the minimum.
+flagged where the analytic Hessian of U has a negative eigenvalue, and
+lose the value comparison unless they genuinely are the minimum.
 """
 
 from dataclasses import dataclass, replace
@@ -66,9 +66,9 @@ class CriticalPoint:
     """One deduplicated rest point.
 
     ``basin_count`` is the number of testing points whose traces ended in
-    this cluster; ``negative_curvature`` flags points where a second
-    difference probe found a descent direction (saddle or maximum). A
-    convex kind has none, so its points are not probed.
+    this cluster; ``negative_curvature`` flags a saddle or maximum: the
+    Hessian of U has an eigenvalue below -1e-7 of its largest magnitude (or
+    of 1). A convex kind has none, so its points are not tested.
     """
 
     location: np.ndarray
@@ -231,21 +231,11 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
-def _probe_negative_curvature(obj: Objective, points: np.ndarray, scale: float,
-                              rng: "np.random.Generator") -> np.ndarray:
-    """Second-difference probes along the axes and D random directions at each
-    row of ``points``; True where some probe curves downward."""
-    k, d = points.shape
-    delta = max(1e-5 * scale, 1e-9)
-    v = rng.normal(size=(k, d, d))
-    dirs = np.concatenate([np.broadcast_to(np.eye(d), (k, d, d)),
-                           v / _row_norms(v)[..., None]], axis=1)
-    x, steps = points[:, None, :], delta * dirs
-    probes = np.concatenate([x, x + steps, x - steps], axis=1)
-    u = obj.value_many(probes.reshape(-1, d)).reshape(k, 1 + 4 * d)
-    u0, plus, minus = u[:, :1], u[:, 1:2 * d + 1], u[:, 2 * d + 1:]
-    diffs = (plus - 2.0 * u0 + minus) / (delta * delta)
-    return diffs.min(axis=1) < -1e-7 * np.maximum(1.0, np.abs(diffs).max(axis=1))
+def _negative_curvature(obj: Objective, points: np.ndarray) -> np.ndarray:
+    """True at each row of ``points`` where the smallest eigenvalue of the
+    Hessian of U is below -1e-7 of the largest magnitude (or of 1)."""
+    eig = np.linalg.eigvalsh(obj._per_row(obj._hessians, points))
+    return eig[:, 0] < -1e-7 * np.maximum(1.0, np.abs(eig).max(axis=1))
 
 
 def _degenerate(values: list[float]) -> bool:
@@ -263,14 +253,14 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
                               keep_traces: bool = False) -> SteinerResult:
     """Trace descent from every testing point and reduce to the critical set.
 
-    Converged terminals are sorted, clustered by single linkage at
+    Converged terminals are clustered by single linkage at
     ``cluster_radius`` (default 1e-4 of the box diagonal), and each
     cluster's lowest-value member is re-polished by continuing descent at
     a tenth of the gradient tolerance; the same single linkage then merges
     polished representatives that came within the radius. Raises
     :class:`NoCriticalPointError` when no trace converges. ``points``
-    overrides the generated testing points (the plan still supplies box
-    and seed), which callers use to transform start sets consistently.
+    overrides the generated testing points (the plan still supplies the
+    box), which callers use to transform start sets consistently.
     The testing points, and then the cluster representatives, are traced
     in lockstep blocks (:func:`~steiner.flow.rest_points`).
     """
@@ -320,11 +310,6 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
             "no descent run reached a rest point; see diagnostics", diagnostics)
 
     terminals, values = ends.points[converged], ends.values[converged]
-    # Sorted terminals order the clusters, and so the kept points, by their
-    # lexicographically smallest member; the curvature probe draws its random
-    # directions in that order.
-    order = np.lexsort(terminals.T[::-1])
-    terminals, values = terminals[order], values[order]
 
     polish_cfg = replace(cfg, grad_tol=cfg.grad_tol / 10.0)
     clusters = _single_linkage(terminals, cluster_radius)
@@ -349,8 +334,7 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
     if obj.potential.kind in CONVEX_KINDS:
         flags = np.zeros(len(keep), dtype=bool)
     else:
-        probe_rng = np.random.default_rng(plan.seed + 0x5EED)
-        flags = _probe_negative_curvature(obj, locs[keep], diagonal, probe_rng)
+        flags = _negative_curvature(obj, locs[keep])
     crit = [CriticalPoint(location=locs[r], value=float(fresh[r]),
                           grad_norm=float(grad_norms[r]), basin_count=count,
                           negative_curvature=bool(flag))

@@ -133,7 +133,8 @@ class _Radial:
     cancellation, with r^2 + dr^2 clamped at 0, where ``landing``, if given,
     returns |v + m|^2 for a kind that needs it. The README's "Accuracy of value
     changes" bounds the error. The descent state is r^2, the carry and 2 g.v:
-    a trial, with dr^2 = t (t |g|^2 - 2 g.v), costs O(n) whatever D is.
+    a trial, with dr^2 = t (t |g|^2 - 2 g.v), costs O(n) whatever D is. A
+    non-convex kind also gives ``bend(r2, c)`` = 4 phi''(r^2) for the Hessian.
     """
 
     def __init__(self, weights):
@@ -160,6 +161,12 @@ class _Radial:
     def gradient(self, disp):
         # One contraction, so each row of a batch gets the bits it gets alone.
         return np.einsum("...dn,...n->...d", disp, self._slopes(disp)[2])
+
+    def hessian(self, disp):
+        """Hessian of U, (..., D, D): sum_i w_i [2 phi'(r_i^2) I + 4 phi''(r_i^2) v_i v_i^T]."""
+        r2, carry, slope = self._slopes(disp)
+        h = (disp * self._weighted(self.bend(r2, carry))[..., None, :]) @ disp.swapaxes(-1, -2)
+        return h + slope.sum(axis=-1)[..., None, None] * np.eye(disp.shape[-2])
 
     def changes(self, disp, move):
         # |v + m|^2 - |v|^2 without forming the two large squares.
@@ -253,6 +260,9 @@ class _Gaussian(_Radial):
 
     def slope(self, r2, damp):
         return self.two_over_s2 * damp
+
+    def bend(self, r2, damp):
+        return -self.two_over_s2 * self.slope(r2, damp)
 
     def change(self, r2, damp, dr2, landing=None):
         # -damp expm1(-dr^2 / sigma^2) where |dr^2| < sigma^2; elsewhere (nan

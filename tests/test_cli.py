@@ -525,6 +525,38 @@ def test_gradcheck_detects_corrupted_gradient(tmp_path, monkeypatch):
     assert json.loads(rep.read_text())["pass"] is False
 
 
+# 50 wells of width 0.5 in [0, 10]^2: most of the box is a plateau with U near 50.
+NARROW_WELLS_INSTANCE = {
+    "dimension": 2,
+    "anchors": np.random.default_rng([0, 3]).uniform(0.0, 10.0, (50, 2)).tolist(),
+    "potential": {"kind": "gaussian_well", "sigma": 0.5},
+}
+
+
+def test_gradcheck_passes_on_a_plateau_of_narrow_wells(tmp_path):
+    # On the plateau the central difference rounds U ~ 50 to an error near
+    # ulp(U) / h, larger than the gradient; that rounding is not a gradient error.
+    inp = write_instance(tmp_path, NARROW_WELLS_INSTANCE)
+    rep = tmp_path / "gradcheck.json"
+    assert main(["gradcheck", "--input", str(inp), "--report", str(rep)]) == EXIT_OK
+    assert json.loads(rep.read_text())["max_rel_error"] <= 1e-8
+
+
+@pytest.mark.parametrize("instance", [RIGHT_TRIANGLE_INSTANCE, NARROW_WELLS_INSTANCE],
+                         ids=["right-triangle", "narrow-wells"])
+def test_gradcheck_detects_a_gradient_scaled_by_1e_4(tmp_path, monkeypatch, instance):
+    exact = Objective.gradient_many
+    monkeypatch.setattr(Objective, "gradient_many",
+                        lambda self, points: exact(self, points) * (1.0 + 1e-4))
+    inp = write_instance(tmp_path, instance)
+    rep = tmp_path / "gradcheck.json"
+    code = main(["gradcheck", "--input", str(inp), "--samples", "50", "--report", str(rep)])
+    assert code != EXIT_OK
+    report = json.loads(rep.read_text())
+    assert report["pass"] is False
+    assert report["max_rel_error"] == pytest.approx(1e-4, rel=0.02)
+
+
 def test_gradcheck_without_room_away_from_the_anchors_is_input_error(tmp_path, capsys):
     # Samples within 10 epsilon of an anchor are skipped; here that is the whole box.
     inp = write_instance(tmp_path, dict(RIGHT_TRIANGLE_INSTANCE,

@@ -60,6 +60,24 @@ def test_gaussian_gradient_matches_analytic_form():
     assert abs(g[0] - 0.38940) < 5e-6
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_hessian_matches_central_differences_of_the_gradient(d):
+    # Column k of the Hessian is (g(x + h e_k) - g(x - h e_k)) / 2h up to
+    # O(h^2). Random points, a well (an anchor) and a plateau point, where
+    # every entry is below 1e-12.
+    rng = np.random.default_rng(20 + d)
+    obj = make_objective(rng.uniform(0.0, 4.0, size=(6, d)), kind="gaussian_well", sigma=0.8)
+    points = np.concatenate([rng.uniform(-1.0, 5.0, size=(8, d)), obj.anchors.points[:1],
+                             np.full((1, d), 9.0)])
+    hessians = obj._per_row(obj._hessians, points)
+    h = 1e-5
+    columns = [(obj.gradient_many(points + h * e) - obj.gradient_many(points - h * e)) / (2 * h)
+               for e in np.eye(d)]
+    for hess, ref in zip(hessians, np.stack(columns, axis=-1)):
+        assert np.abs(hess - ref).max() <= 1e-7 * np.abs(hess).max()
+    assert 0.0 < np.abs(hessians[-1]).max() < 1e-12
+
+
 def test_weighted_gradient_scales_by_anchor_weight():
     spec = PotentialSpec("weighted_euclidean", epsilon=0.0, weights=(2.0, 5.0))
     g = potential_gradient(spec, [3.0, 4.0], anchor_index=1)
