@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -48,23 +49,27 @@ GRADCHECK_TOLERANCE = 1e-5
 # ---------------------------------------------------------------------------
 # Canonical JSON: insertion-ordered keys, floats at 17 significant digits.
 
-def _fmt_json(value, indent=0):
+def _fmt_json(value, indent=0, key="result"):
+    """``value`` as canonical JSON; a non-finite float, which JSON cannot
+    hold, raises an :class:`InputError` naming the key it sits under."""
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_fmt_json(v, indent + 1)}"
+            f"{pad}  {json.dumps(str(k))}: {_fmt_json(v, indent + 1, k)}"
             for k, v in value.items())
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(value, (list, tuple, np.ndarray)):
-        items = [_fmt_json(v, indent) for v in value]
+        items = [_fmt_json(v, indent, key) for v in value]
         return "[" + ", ".join(items) + "]"
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise InputError(f"{key}: result is {float(value)}, which JSON cannot hold")
         return format(float(value), ".17g")
     if value is None:
         return "null"
@@ -76,8 +81,9 @@ def dumps_result(data: dict) -> str:
 
 
 def _write_json(path, data: dict):
+    text = dumps_result(data)  # before opening: a result that cannot be written leaves no file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_result(data))
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +91,14 @@ def _write_json(path, data: dict):
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """Parsed instance file: anchors plus solver configuration."""
+    """Parsed instance file: anchors plus solver configuration. Every
+    section is present; one the file leaves out holds its defaults."""
 
     dimension: int
     anchors: AnchorSet
     potential: PotentialSpec
-    testing_plan: TestingPlan | None = None
-    flow: FlowConfig | None = None
+    testing_plan: TestingPlan
+    flow: FlowConfig
 
 
 def _expect_object(value, field):
@@ -112,37 +119,6 @@ def _expect_number(value, field):
     return number
 
 
-def _plain_numbers(values) -> bool:
-    """Whether every entry is a plain int or float with a finite value.
-
-    The fast path for long coordinate lists: callers fall back to
-    :func:`_expect_number` per entry, formatting its field path, only when
-    this is false.
-    """
-    try:
-        return all((type(v) is float or type(v) is int) and math.isfinite(v) for v in values)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _plain_rows(rows, dimension):
-    """``rows`` as one float array when each is a list of ``dimension`` plain
-    ints and floats with finite values, else None.
-
-    The fast path for the anchor list: one type scan and one array check in
-    place of a check per entry; callers fall back to those, with their field
-    paths, only when this is None.
-    """
-    if (set(map(type, rows)) != {list} or set(map(len, rows)) != {dimension}
-            or not set(map(type, chain.from_iterable(rows))) <= {int, float}):
-        return None
-    try:
-        arr = np.array(rows, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return arr if np.isfinite(arr).all() else None
-
-
 def _expect_int(value, field):
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{field}: expected an integer")
@@ -155,25 +131,37 @@ def _expect_str(value, field):
     return value
 
 
-def _expect_numbers(value, field):
+def _expect_array(value, field, expected="a non-empty list", width=None, bad_row=None):
+    """``value`` as one float array: a non-empty list of finite plain
+    numbers or, given ``width``, of rows of ``width`` of them.
+
+    The fast path is one type scan, one ``np.array`` and one finiteness
+    check. Only input that fails it is walked entry by entry, and the walk
+    raises an :class:`InputError` naming ``field`` (``expected`` says what
+    it should be), ``field[i]`` (``bad_row(row)`` says what is wrong with a
+    row that is not a list of ``width`` entries) or the entry itself.
+    """
     if not isinstance(value, list) or not value:
-        raise InputError(f"{field}: expected a non-empty list")
-    if _plain_numbers(value):
-        return tuple(map(float, value))
-    return tuple(_expect_number(x, f"{field}[{j}]") for j, x in enumerate(value))
-
-
-def _expect_box(value, field):
-    if value is None:
-        return None
-    if not isinstance(value, list):
-        raise InputError(f"{field}: expected a list of [lo, hi] pairs")
-    pairs = []
-    for k, pair in enumerate(value):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InputError(f"{field}[{k}]: expected [lo, hi]")
-        pairs.append(_expect_numbers(pair, f"{field}[{k}]"))
-    return tuple(pairs)
+        raise InputError(f"{field}: expected {expected}")
+    shaped = width is None or (set(map(type, value)) == {list}
+                               and set(map(len, value)) == {width})
+    entries = value if width is None else chain.from_iterable(value)
+    if shaped and set(map(type, entries)) <= {int, float}:
+        try:
+            arr = np.array(value, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            arr = None
+        if arr is not None and np.isfinite(arr).all():
+            return arr
+    parsed = []
+    for i, row in enumerate(value):
+        if width is None:
+            parsed.append(_expect_number(row, f"{field}[{i}]"))
+            continue
+        if not isinstance(row, list) or len(row) != width:
+            raise InputError(f"{field}[{i}]: {bad_row(row)}")
+        parsed.append([_expect_number(x, f"{field}[{i}][{j}]") for j, x in enumerate(row)])
+    return np.array(parsed, dtype=float)
 
 
 def _reject_unknown(data, known, field):
@@ -186,22 +174,28 @@ def _reject_unknown(data, known, field):
 # and the JSON coercer of every field that is not a plain number. Field
 # names, order and defaults come from the dataclass itself.
 _SECTIONS = {
-    "potential": (PotentialSpec, {"kind": _expect_str, "weights": _expect_numbers}),
-    "testing_plan": (TestingPlan, {"strategy": _expect_str, "count": _expect_int,
-                                   "domain_box": _expect_box, "seed": _expect_int}),
+    "potential": (PotentialSpec, {"kind": _expect_str, "weights": _expect_array}),
+    "testing_plan": (TestingPlan, {
+        "strategy": _expect_str, "count": _expect_int, "seed": _expect_int,
+        "domain_box": partial(_expect_array, expected="a list of [lo, hi] pairs", width=2,
+                              bad_row=lambda row: "expected [lo, hi]")}),
     "flow": (FlowConfig, {"max_steps": _expect_int}),
 }
 
 
 def _parse_section(raw, section):
-    """Validate one section's JSON object into its dataclass."""
+    """Validate one section's JSON object into its dataclass.
+
+    A field given as ``null`` whose default is ``None`` keeps that default,
+    as if absent: serialization leaves such fields out.
+    """
     cls, coercers = _SECTIONS[section]
     raw = _expect_object(raw, section)
     _reject_unknown(raw, {f.name for f in fields(cls)}, section)
     kwargs = {}
     for f in fields(cls):
         path = f"{section}.{f.name}"
-        if f.name in raw:
+        if f.name in raw and not (raw[f.name] is None and f.default is None):
             kwargs[f.name] = coercers.get(f.name, _expect_number)(raw[f.name], path)
         elif f.default is MISSING:
             raise InputError(f"{path}: missing required field")
@@ -229,7 +223,9 @@ def _as_lists(value):
 def parse_instance(data) -> Instance:
     """Validate raw JSON data into an :class:`Instance`.
 
-    Errors name the offending field, down to the anchor row index.
+    Errors name the offending field, down to the entry of a number list.
+    An absent or ``null`` ``testing_plan`` or ``flow`` section gets its
+    defaults here; the domain box stays unresolved until a command needs it.
     """
     data = _expect_object(data, "instance")
     _reject_unknown(data, {"dimension", "anchors", *_SECTIONS}, "instance")
@@ -240,27 +236,15 @@ def parse_instance(data) -> Instance:
     if dimension < 1:
         raise InputError(f"dimension: must be >= 1, got {dimension}")
 
-    rows = data["anchors"]
-    if not isinstance(rows, list) or not rows:
-        raise InputError("anchors: expected a non-empty list of coordinate rows")
-    parsed_rows = _plain_rows(rows, dimension)
-    if parsed_rows is None:
-        parsed_rows = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, list):
-                raise InputError(f"anchors[{i}]: expected a coordinate list")
-            if len(row) != dimension:
-                raise InputError(
-                    f"anchors[{i}]: expected {dimension} coordinates, got {len(row)}")
-            if not _plain_numbers(row):
-                row = [_expect_number(c, f"anchors[{i}][{j}]") for j, c in enumerate(row)]
-            parsed_rows.append(row)
-    anchors = AnchorSet(parsed_rows)
+    anchors = AnchorSet(_expect_array(
+        data["anchors"], "anchors", "a non-empty list of coordinate rows", dimension,
+        lambda row: (f"expected {dimension} coordinates, got {len(row)}"
+                     if isinstance(row, list) else "expected a coordinate list")))
 
     potential = _parse_section(data["potential"], "potential")
-    plan, flow = (_parse_section(data[s], s) if data.get(s) is not None else None
+    plan, flow = (_parse_section({} if data.get(s) is None else data[s], s)
                   for s in ("testing_plan", "flow"))
-    if plan is not None and plan.domain_box is not None:
+    if plan.domain_box is not None:
         plan_domain_box(plan, anchors)  # rejects a box of another axis count
     return Instance(dimension, anchors, potential, plan, flow)
 
@@ -277,12 +261,11 @@ def load_instance(path) -> Instance:
 
 
 def serialize_instance(inst: Instance) -> dict:
-    """Inverse of :func:`parse_instance` on semantic content."""
+    """Inverse of :func:`parse_instance` on semantic content; writes every
+    section, defaults included."""
     data = {"dimension": inst.dimension, "anchors": inst.anchors.points.tolist()}
     for section in _SECTIONS:
-        config = getattr(inst, section)
-        if config is not None:
-            data[section] = _section_json(config)
+        data[section] = _section_json(getattr(inst, section))
     return data
 
 
@@ -302,9 +285,9 @@ def cmd_solve(args) -> int:
     overrides = {key: value for key, value in
                  (("strategy", args.strategy), ("count", args.starts), ("seed", args.seed))
                  if value is not None}
-    plan = replace(inst.testing_plan or TestingPlan(), **overrides)
+    plan = replace(inst.testing_plan, **overrides)
     plan = replace(plan, domain_box=plan_domain_box(plan, obj.anchors))
-    cfg = inst.flow or FlowConfig()
+    cfg = inst.flow
     if args.grad_tol is not None:
         cfg = replace(cfg, grad_tol=args.grad_tol)
 

@@ -17,6 +17,7 @@ from .core import AnchorSet, Objective, box_diagonal, is_integer
 from .errors import ConfigError, InputError, NoCriticalPointError
 from .flow import CONVERGED, MAX_STEPS, STALLED, FlowConfig, FlowTrace, rest_points
 from .flow import trace_flow  # noqa: F401  (benchmarks/spans.py wraps it here)
+from .oracles import GRID_CELL_LIMIT
 from .potentials import CONVEX_KINDS
 
 STRATEGIES = ("grid", "uniform_random", "anchors_jittered")
@@ -109,10 +110,10 @@ def default_domain_box(anchors: AnchorSet, margin: float = 0.2) -> tuple[tuple[f
     return tuple((float(l - p), float(h + p)) for l, h, p in zip(lo, hi, pad))
 
 
-def plan_domain_box(plan: TestingPlan | None,
+def plan_domain_box(plan: TestingPlan,
                     anchors: AnchorSet | None) -> tuple[tuple[float, float], ...]:
     """The plan's domain box, else the anchor box with its margin."""
-    if plan is not None and plan.domain_box is not None:
+    if plan.domain_box is not None:
         if anchors is None or len(plan.domain_box) == anchors.dimension:
             return plan.domain_box
         raise ConfigError(f"testing_plan.domain_box: expected {anchors.dimension} [lo, hi] pairs")
@@ -132,15 +133,24 @@ def generate_testing_points(plan: TestingPlan, anchors: AnchorSet | None = None)
 
     ``anchors`` supplies the default box and the jitter centers, so it is
     required when the plan has no explicit box or uses the
-    ``anchors_jittered`` strategy.
+    ``anchors_jittered`` strategy. A ``grid`` or ``uniform_random`` plan of
+    more than ``GRID_CELL_LIMIT`` points is refused before any is made.
     """
     lo, hi, diagonal = box_geometry(plan_domain_box(plan, anchors))
     d = len(lo)
+    size = plan.count
+    if plan.strategy == "grid":
+        # The smallest side whose lattice holds count points: below the
+        # guard, the rounded float root falls at most one short of it.
+        per_axis = round(min(plan.count, GRID_CELL_LIMIT + 1) ** (1.0 / d))
+        per_axis += per_axis ** d < plan.count
+        size = per_axis ** d
+    if plan.strategy != "anchors_jittered" and size > GRID_CELL_LIMIT:
+        raise ConfigError(
+            f"testing_plan.count: a {plan.strategy} plan of {plan.count} over {d} axes "
+            f"makes more than {GRID_CELL_LIMIT} testing points")
     rng = np.random.default_rng(plan.seed)
     if plan.strategy == "grid":
-        per_axis = 1
-        while per_axis ** d < plan.count:
-            per_axis += 1
         axes = [np.linspace(a, b, per_axis) if per_axis > 1 else np.array([(a + b) / 2.0])
                 for a, b in zip(lo, hi)]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -223,12 +233,6 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             unit = diff[redo] / scale[:, None]
             dist[redo] = scale * np.sqrt(np.add.reduce(unit * unit, axis=1))
     return dist
-
-
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Norm of each row of ``v``, bit for bit ``np.linalg.norm(row)`` (the same
-    BLAS dot product; ``np.linalg.norm(v, axis=-1)`` sums differently)."""
-    return np.sqrt(np.vecdot(v, v))
 
 
 def _negative_curvature(obj: Objective, points: np.ndarray) -> np.ndarray:
@@ -315,12 +319,13 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
     clusters = _single_linkage(terminals, cluster_radius)
     # Members come in lexicographic order, so an exact value tie picks the
     # lexicographically smallest terminal.
-    starts = terminals[[members[int(np.argmin(values[members]))] for members in clusters]]
+    reps = [members[int(np.argmin(values[members]))] for members in clusters]
+    starts = terminals[reps]
     polished = rest_points(obj, starts, polish_cfg, False)
     locs, grad_norms = polished.points, polished.grad_norms
     failed = grad_norms > cfg.grad_tol
     locs[failed] = starts[failed]
-    grad_norms[failed] = _row_norms(obj.gradient_many(starts[failed]))
+    grad_norms[failed] = ends.grad_norms[converged][reps][failed]
     fresh = obj.value_many(locs)
 
     # Polishing can pull formerly distinct clusters together: re-cluster the

@@ -6,13 +6,15 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from steiner import KINDS, InputError, Objective, SteinerError, weiszfeld
+from steiner import (KINDS, FlowConfig, InputError, Objective, SteinerError, TestingPlan,
+                     weiszfeld)
 from steiner.cli import (EXIT_INPUT, EXIT_NO_CRITICAL_POINT, EXIT_OK, load_instance,
                          main, parse_instance, serialize_instance)
 from steiner.critical_set import STRATEGIES
@@ -470,6 +472,22 @@ def test_oracle_weiszfeld_uses_instance_weights(tmp_path):
     assert json.loads(out.read_text())["location"] == [0.0, 0.0]
 
 
+def test_a_result_that_json_cannot_hold_is_input_error(tmp_path, capsys):
+    # The anchor (0, 1) is the median, and its distances sum past the float
+    # range: the value is inf, which a JSON file cannot carry.
+    inp = write_instance(tmp_path, {
+        "dimension": 2,
+        "anchors": [[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]],
+        "potential": {"kind": "euclidean"},
+    })
+    out = tmp_path / "oracle.json"
+    with np.errstate(over="ignore"):  # the oracle's own distances overflow too
+        code = main(["oracle", "weiszfeld", "--input", str(inp), "--output", str(out)])
+    assert code == EXIT_INPUT
+    assert "value: result is inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_grid_respects_cell_guard(tmp_path, capsys):
     inp = write_instance(tmp_path, {
         "dimension": 2,
@@ -658,19 +676,30 @@ def test_parse_instance_field_errors(mutate, field):
         parse_instance(data)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(data=hst.data(), n=hst.integers(1, 5), d=hst.integers(1, 4))
-def test_parse_instance_names_a_bad_anchor_entry_wherever_it_sits(data, n, d):
-    # The anchor list is checked as one array first; an entry that fails
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=hst.data(), n=hst.integers(1, 5), d=hst.integers(1, 4),
+       where=hst.sampled_from(["anchors", "testing_plan.domain_box", "potential.weights"]))
+def test_parse_instance_names_a_bad_number_list_entry_wherever_it_sits(data, n, d, where):
+    # Each number list is checked as one array first; an entry that fails
     # must still be named by its own path.
     entry = hst.one_of(hst.integers(-10 ** 6, 10 ** 6),
                        hst.floats(allow_nan=False, allow_infinity=False))
     rows = data.draw(hst.lists(hst.lists(entry, min_size=d, max_size=d), min_size=n, max_size=n))
-    i, j = data.draw(hst.integers(0, n - 1)), data.draw(hst.integers(0, d - 1))
-    rows[i][j] = data.draw(hst.sampled_from(
+    box = data.draw(hst.lists(hst.lists(entry, min_size=2, max_size=2), min_size=d, max_size=d))
+    weight = hst.one_of(hst.integers(1, 10 ** 6), hst.floats(min_value=1e-300, max_value=1e300))
+    weights = data.draw(hst.lists(weight, min_size=n, max_size=n))
+    target = {"anchors": rows, "testing_plan.domain_box": box, "potential.weights": weights}[where]
+    path = where
+    if where != "potential.weights":  # a list of rows: pick the row first
+        i = data.draw(hst.integers(0, len(target) - 1))
+        target, path = target[i], f"{path}[{i}]"
+    j = data.draw(hst.integers(0, len(target) - 1))
+    target[j] = data.draw(hst.sampled_from(
         [True, False, "1.5", None, [1.0], 10 ** 400, -(10 ** 400), float("nan"), float("inf")]))
-    text = json.dumps({"dimension": d, "anchors": rows, "potential": {"kind": "euclidean"}})
-    with pytest.raises(InputError, match=re.escape(f"anchors[{i}][{j}]: ")):
+    text = json.dumps({"dimension": d, "anchors": rows,
+                       "potential": {"kind": "weighted_euclidean", "weights": weights},
+                       "testing_plan": {"domain_box": box}})
+    with pytest.raises(InputError, match=re.escape(f"{path}[{j}]: ")):
         parse_instance(json.loads(text))
 
 
@@ -693,6 +722,22 @@ def test_instance_round_trip_is_identity(tmp_path):
     assert second.potential == first.potential
     assert second.testing_plan == first.testing_plan
     assert second.flow == first.flow
+
+
+@pytest.mark.parametrize("sections", [{}, {"testing_plan": None, "flow": None},
+                                      {"testing_plan": {"domain_box": None}, "flow": {}}])
+def test_absent_sections_parse_to_their_defaults(sections):
+    # The anchors' default box runs past the float range; parsing leaves
+    # the box to the commands that need one.
+    anchors = [[1e308, 0.0], [1.7e308, 0.0], [1.3e308, 1.0]]
+    inst = parse_instance({"dimension": 2, "anchors": anchors,
+                           "potential": {"kind": "euclidean"}, **sections})
+    assert inst.testing_plan == TestingPlan()
+    assert inst.flow == FlowConfig()
+    assert serialize_instance(inst) == {
+        "dimension": 2, "anchors": anchors, "potential": {"kind": "euclidean"},
+        "testing_plan": {"strategy": "grid", "count": 16, "seed": 0},
+        "flow": {f.name: getattr(FlowConfig(), f.name) for f in fields(FlowConfig)}}
 
 
 _positive = hst.floats(min_value=1e-6, max_value=1e6)

@@ -1,5 +1,7 @@
 """Testing-point generation, multi-start enumeration, and Steiner selection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,8 +13,7 @@ from steiner import (MAX_STEPS, STALLED, AnchorSet, ConfigError, CriticalPoint, 
                      select_steiner, weiszfeld)
 
 import steiner.critical_set
-from steiner.critical_set import (DEGENERACY_RTOL, _degenerate, _distances, _row_norms,
-                                  _single_linkage)
+from steiner.critical_set import DEGENERACY_RTOL, _degenerate, _distances, _single_linkage
 from steiner.flow import trace_flow
 from util import make_objective, random_rotation
 
@@ -94,6 +95,23 @@ def test_bad_strategy_count_and_seed_are_rejected():
             TestingPlan("grid", count=4, seed=seed)
     plan = TestingPlan("uniform_random", count=np.int64(4), seed=np.uint64(3))
     assert len(generate_testing_points(plan, AnchorSet([[0.0, 0.0], [1.0, 1.0]]))) == 4
+
+
+
+@pytest.mark.parametrize("plan, dimension", [
+    (TestingPlan("grid", count=10 ** 12), 1),
+    (TestingPlan("uniform_random", count=10 ** 12), 1),
+    (TestingPlan(), 30),  # 16 rounds up to 2**30 lattice points
+])
+def test_a_plan_above_the_point_guard_fails_before_allocating(plan, dimension):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"^testing_plan\.count: "):
+            generate_testing_points(plan, AnchorSet(np.eye(2, dimension)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_default_domain_box_adds_margin_and_contains_anchors():
@@ -617,6 +635,19 @@ def test_chain_of_polished_representatives_merges_into_one():
     np.testing.assert_array_equal(merged.location, reps[2])
 
 
+
+def test_a_polish_that_ends_above_the_tolerance_keeps_the_unpolished_terminal():
+    # The start is at rest for grad_tol 0.05 (|grad U| = 0.030), and three
+    # steps do not bring the polish below 0.005: the representative stays
+    # where the first pass left it, with the norm that pass measured there.
+    obj = make_objective([[0.0, 0.0], [10.0, 0.0]], kind="gaussian_well", sigma=0.5)
+    result = enumerate_critical_points(obj, TestingPlan(), FlowConfig(grad_tol=0.05, max_steps=3),
+                                       points=np.array([[1.2, 0.0]]))
+    [point] = result.critical_set
+    np.testing.assert_array_equal(point.location, [1.2, 0.0])
+    assert point.grad_norm == np.linalg.norm(obj.gradient(point.location))
+
+
 def _degenerate_all_pairs(values):
     return any(abs(a - b) <= DEGENERACY_RTOL * max(abs(a), abs(b))
                for i, a in enumerate(values) for b in values[i + 1:])
@@ -630,11 +661,3 @@ def test_adjacent_degeneracy_rule_matches_all_pairs(values, near):
                        for i, k in near if values]
     values.sort()
     assert _degenerate(values) == _degenerate_all_pairs(values)
-
-
-def test_row_norms_match_norm_of_each_row_bit_for_bit():
-    rng = np.random.default_rng(5)
-    for d in range(1, 9):
-        v = rng.normal(size=(50, d, d)) * 10.0 ** rng.uniform(-5.0, 5.0, size=(50, d, 1))
-        expected = np.array([[np.linalg.norm(row) for row in block] for block in v])
-        np.testing.assert_array_equal(_row_norms(v), expected)
