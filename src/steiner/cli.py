@@ -17,6 +17,7 @@ configuration error, 2 no critical point found.
 """
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -25,6 +26,7 @@ from functools import partial
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .core import AnchorSet, Objective, max_relative_gradient_error
 from .critical_set import TestingPlan, box_geometry, enumerate_critical_points, plan_domain_box
@@ -249,15 +251,33 @@ def parse_instance(data) -> Instance:
     return Instance(dimension, anchors, potential, plan, flow)
 
 
+def _decode_json(path):
+    """The JSON data in the file at ``path``.
+
+    orjson decodes the file's bytes; its floats are correctly rounded, so
+    they are the ones ``json`` gives. Bytes it rejects are read again as a
+    text file is (UTF-8, universal newlines) and decoded by ``json``. That
+    decoder accepts ``NaN``, ``Infinity`` and numbers past the float range,
+    so these reach the field checks, and it words every other error.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        return json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: malformed JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply: {exc}") from exc
+
+
 def load_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: malformed JSON: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
-    return parse_instance(data)
+    return parse_instance(_decode_json(path))
 
 
 def serialize_instance(inst: Instance) -> dict:

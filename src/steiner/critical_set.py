@@ -96,7 +96,8 @@ class SteinerResult:
 
 
 def default_domain_box(anchors: AnchorSet, margin: float = 0.2) -> tuple[tuple[float, float], ...]:
-    """Anchor bounding box expanded by ``margin`` of each side length.
+    """Anchor bounding box expanded by ``margin`` of each side length,
+    clamped to the finite float range.
 
     Axes on which all anchors coincide fall back to the overall diagonal
     (or 1.0 for a single point), or to 2**-20 of the coordinate's magnitude
@@ -104,10 +105,13 @@ def default_domain_box(anchors: AnchorSet, margin: float = 0.2) -> tuple[tuple[f
     the fallback is below one ulp of the coordinate.
     """
     lo, hi = anchors.bounding_box()
-    span = hi - lo
     fallback = anchors.diagonal() or 1.0
-    pad = margin * np.where(span > 0.0, span, np.maximum(fallback, 2.0 ** -20 * np.abs(lo)))
-    return tuple((float(l - p), float(h + p)) for l, h, p in zip(lo, hi, pad))
+    top = np.finfo(float).max
+    with np.errstate(over="ignore"):  # a margin past the float range stops at its end
+        span = hi - lo
+        pad = margin * np.where(span > 0.0, span, np.maximum(fallback, 2.0 ** -20 * np.abs(lo)))
+        lo, hi = np.maximum(lo - pad, -top), np.minimum(hi + pad, top)
+    return tuple((float(l), float(h)) for l, h in zip(lo, hi))
 
 
 def plan_domain_box(plan: TestingPlan,
@@ -151,8 +155,11 @@ def generate_testing_points(plan: TestingPlan, anchors: AnchorSet | None = None)
             f"makes more than {GRID_CELL_LIMIT} testing points")
     rng = np.random.default_rng(plan.seed)
     if plan.strategy == "grid":
-        axes = [np.linspace(a, b, per_axis) if per_axis > 1 else np.array([(a + b) / 2.0])
-                for a, b in zip(lo, hi)]
+        # Near the float maximum linspace's last sum may round past it;
+        # linspace then sets that point to b.
+        with np.errstate(over="ignore"):
+            axes = [np.linspace(a, b, per_axis) if per_axis > 1 else np.array([(a + b) / 2.0])
+                    for a, b in zip(lo, hi)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1).reshape(-1, d)
     if plan.strategy == "uniform_random":

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import re
 import subprocess
 import sys
@@ -727,8 +728,7 @@ def test_instance_round_trip_is_identity(tmp_path):
 @pytest.mark.parametrize("sections", [{}, {"testing_plan": None, "flow": None},
                                       {"testing_plan": {"domain_box": None}, "flow": {}}])
 def test_absent_sections_parse_to_their_defaults(sections):
-    # The anchors' default box runs past the float range; parsing leaves
-    # the box to the commands that need one.
+    # Parsing leaves the box to the commands that need one.
     anchors = [[1e308, 0.0], [1.7e308, 0.0], [1.3e308, 1.0]]
     inst = parse_instance({"dimension": 2, "anchors": anchors,
                            "potential": {"kind": "euclidean"}, **sections})
@@ -816,6 +816,82 @@ def test_load_instance_validates(tmp_path):
     path.write_bytes(b'{"dimension": 2, "anchors": [[0, 0]], "potential": {"kind": "\xff"}}')
     with pytest.raises(InputError, match="not UTF-8"):
         load_instance(path)
+    # Text outside strict JSON reaches the field checks, and every other
+    # rejection keeps the json module's message, positions included.
+    text = '{"dimension": 2,\n"anchors": [[0, 0], [4, %s]],\n"potential": {"kind": "euclidean"}}'
+    malformed = f"{path}: malformed JSON: "
+    for content, message in [
+        (text % "NaN", "anchors[1][1]: not a finite number"),
+        (text % "Infinity", "anchors[1][1]: not a finite number"),
+        (text % "-Infinity", "anchors[1][1]: not a finite number"),
+        (text % "1e400", "anchors[1][1]: not a finite number"),
+        (text % ("9" * 400), "anchors[1][1]: not a finite number"),
+        ("\ufeff" + text % "0", malformed + "Unexpected UTF-8 BOM (decode using utf-8-sig): "
+         "line 1 column 1 (char 0)"),
+        ((text % "0")[:40], malformed + "Expecting value: line 2 column 24 (char 40)"),
+        ((text % "0,").replace("\n", "\r\n"),  # as with "\n": char 43, not 44
+         malformed + "Expecting value: line 2 column 27 (char 43)"),
+    ]:
+        path.write_bytes(content.encode())
+        with pytest.raises(InputError) as caught:
+            load_instance(path)
+        assert str(caught.value) == message
+
+
+_DEEP = "[" * 100_000
+
+
+@pytest.mark.parametrize("content, named", [
+    ('{"dimension": 2, "anchors": ' + _DEEP, None),
+    ('{"dimension": 2, "anchors": [[0, NaN]], "potential": {"kind": ' + _DEEP + "]" * 100_000
+     + "}}", None),
+    # orjson reads an integer beyond the 64-bit range as a float.
+    ('{"dimension": 2, "anchors": [[0, 0]], "potential": {"kind": "euclidean"}, '
+     '"testing_plan": {"seed": 18446744073709551616}}', "testing_plan.seed"),
+], ids=["deep", "deep-with-nan", "seed-2**64"])
+def test_deep_nesting_and_integers_past_64_bits_are_input_errors(tmp_path, capsys, content, named):
+    inp = tmp_path / "instance.json"
+    inp.write_text(content)
+    code = main(["solve", "--input", str(inp), "--output", str(tmp_path / "o.json")])
+    assert code == EXIT_INPUT
+    assert (named or str(inp)) in capsys.readouterr().err
+
+
+def test_solve_near_the_float_maximum_reaches_the_descent(tmp_path, capsys):
+    # The default box stops at the float maximum instead of failing its own
+    # finiteness check; U itself overflows at every start.
+    inp = write_instance(tmp_path, {"dimension": 2,
+                                    "anchors": [[1e308, 0.0], [1.7e308, 0.0], [1.3e308, 1.0]],
+                                    "potential": {"kind": "euclidean"}})
+    code = main(["solve", "--input", str(inp), "--output", str(tmp_path / "o.json")])
+    assert code == EXIT_NO_CRITICAL_POINT
+    assert "objective is non-finite at the starting point" in capsys.readouterr().err
+
+
+def _number_texts():
+    """JSON number texts: random doubles written three ways, long decimals
+    and integers beyond 2**64."""
+    doubles = hst.integers(0, 2 ** 64 - 1).map(
+        lambda bits: np.array(bits, dtype=np.uint64).view(np.float64).item()).filter(math.isfinite)
+    decimals = hst.builds(
+        lambda sign, digits, exponent: f"{sign}{digits[0]}.{digits[1:]}e{exponent}",
+        hst.sampled_from(["", "-"]), hst.text("0123456789", min_size=15, max_size=40),
+        hst.integers(-320, 300))
+    return hst.one_of(
+        doubles.map(repr), doubles.map(lambda x: "%.17g" % x), doubles.map(lambda x: "%.40e" % x),
+        decimals, hst.integers(2 ** 64, 10 ** 300).map(str),
+        hst.integers(-10 ** 300, -2 ** 64).map(str))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(numbers=hst.lists(_number_texts(), min_size=1, max_size=50))
+def test_load_instance_reads_the_bits_json_reads(tmp_path_factory, numbers):
+    text = '{"dimension": 1, "anchors": [[%s]], "potential": {"kind": "euclidean"}}' % (
+        "], [".join(numbers))
+    path = tmp_path_factory.mktemp("decode") / "instance.json"
+    path.write_text(text)
+    expected = np.array(json.loads(text)["anchors"], dtype=float)
+    assert load_instance(path).anchors.points.tobytes() == expected.tobytes()
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():

@@ -121,6 +121,10 @@ def test_default_domain_box_adds_margin_and_contains_anchors():
     single = default_domain_box(AnchorSet([[3.0, 3.0]]))
     lo, hi = np.array([b[0] for b in single]), np.array([b[1] for b in single])
     assert np.all(lo < 3.0) and np.all(hi > 3.0)
+    # A margin past the float range stops at its end.
+    top = np.finfo(float).max
+    huge = default_domain_box(AnchorSet([[1e308, 0.0], [1.7e308, 0.0], [-1.3e308, 1.0]]))
+    assert huge == ((-top, top), (-0.2, 1.2))
     with pytest.raises(ConfigError, match="domain_box: required when no anchors"):
         generate_testing_points(TestingPlan())
 
