@@ -29,7 +29,8 @@ import numpy as np
 import orjson
 
 from .core import AnchorSet, Objective, max_relative_gradient_error
-from .critical_set import TestingPlan, box_geometry, enumerate_critical_points, plan_domain_box
+from .critical_set import (STRATEGIES, TestingPlan, box_geometry, enumerate_critical_points,
+                           plan_domain_box)
 from .errors import ConfigError, InputError, NoCriticalPointError, NumericalError
 from .flow import FlowConfig
 from .oracles import centroid, grid_search, weiszfeld
@@ -424,8 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--grad-tol", type=float, default=None, dest="grad_tol")
     p_solve.add_argument("--starts", type=int, default=None,
                          help="override the testing-point count")
-    p_solve.add_argument("--strategy", default=None,
-                         choices=["grid", "uniform_random", "anchors_jittered"])
+    p_solve.add_argument("--strategy", default=None, choices=STRATEGIES)
     p_solve.add_argument("--seed", type=int, default=None)
     p_solve.add_argument("--cluster-radius", type=float, default=None,
                          dest="cluster_radius")

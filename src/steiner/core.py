@@ -48,17 +48,24 @@ def _check_finite_rows(rows: np.ndarray, name: str) -> None:
         raise InputError(f"{name}[{bad[0]}]: coordinates must be finite")
 
 
-def box_diagonal(lo: np.ndarray, hi: np.ndarray) -> float:
-    """|hi - lo|: bit for bit ``np.linalg.norm(hi - lo)`` where the squared sum
-    is normal, else from the gaps scaled by their largest magnitude, so that
-    it is 0 or inf only where the length itself is."""
+def distances(a, b) -> np.ndarray:
+    """|a - b| for each row (a pair of points is one row): bit for bit
+    ``np.linalg.norm`` of the row where its squared sum is normal or the gap
+    is 0, else from the gaps scaled by their largest magnitude, so that a
+    length is 0 or inf only where it is itself; inf, without a warning, past
+    the float range."""
     with np.errstate(over="ignore"):
-        gap = hi - lo
-        sq, top = gap.dot(gap), np.abs(gap).max()
-        if np.finfo(float).tiny <= sq < np.inf or top in (0.0, np.inf):
-            return float(np.sqrt(sq))
-        unit = gap / top
-        return float(top * np.sqrt(unit.dot(unit)))
+        diff = np.atleast_2d(np.subtract(a, b, dtype=float))
+        sq = np.vecdot(diff, diff)
+        dist = np.sqrt(sq)
+        redo = np.flatnonzero((sq < np.finfo(float).tiny) | (sq == np.inf))
+        if redo.size:
+            scale = np.abs(diff[redo]).max(axis=1)
+            usable = (scale > 0.0) & (scale < np.inf)
+            redo, scale = redo[usable], scale[usable]
+            unit = diff[redo] / scale[:, None]
+            dist[redo] = scale * np.sqrt(np.vecdot(unit, unit))
+    return dist
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +104,7 @@ class AnchorSet:
         return self._box
 
     def diagonal(self) -> float:
-        return box_diagonal(*self._box)
+        return float(distances(*self._box)[0])
 
 
 @dataclass(frozen=True, eq=False)

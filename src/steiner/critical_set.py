@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import AnchorSet, Objective, box_diagonal, is_integer
+from .core import AnchorSet, Objective, distances, is_integer
 from .errors import ConfigError, InputError, NoCriticalPointError
 from .flow import CONVERGED, MAX_STEPS, STALLED, FlowConfig, FlowTrace, rest_points
 from .flow import trace_flow  # noqa: F401  (benchmarks/spans.py wraps it here)
@@ -129,7 +129,7 @@ def plan_domain_box(plan: TestingPlan,
 def box_geometry(box) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-axis lower and upper bounds of ``box`` and its diagonal length."""
     lo, hi = np.array(box, dtype=float).T
-    return lo, hi, box_diagonal(lo, hi)
+    return lo, hi, float(distances(lo, hi)[0])
 
 
 def generate_testing_points(plan: TestingPlan, anchors: AnchorSet | None = None) -> np.ndarray:
@@ -177,9 +177,9 @@ def _single_linkage(points: np.ndarray, radius: float) -> list[list[int]]:
     Two points are linked when, lexsorted, the later one's axis-0
     coordinate lies within ``2 * radius`` of the earlier one's (twice, so
     that rounding in this window bound never hides a pair the distance test
-    accepts) and their Euclidean distance, as :func:`_distances` computes it
-    without under- or overflow, is at most ``radius``. The clusters are the
-    components of the links.
+    accepts) and their Euclidean distance, as :func:`~steiner.core.distances`
+    computes it without under- or overflow, is at most ``radius``. The
+    clusters are the components of the links.
 
     One vectorised pass links each lexsorted point to its successor, and
     each maximal run of linked points starts as one component. A point
@@ -198,7 +198,7 @@ def _single_linkage(points: np.ndarray, radius: float) -> list[list[int]]:
     with np.errstate(over="ignore"):
         ends = np.searchsorted(points[:, 0], points[:, 0] + 2.0 * radius, side="right")
     linked = ((np.arange(1, len(points)) < ends[:-1])
-              & (_distances(points[1:], points[:-1]) <= radius))
+              & (distances(points[1:], points[:-1]) <= radius))
     run = np.append(0, np.cumsum(~linked))
     stops = np.append(np.flatnonzero(~linked) + 1, len(points))
     label = np.arange(len(stops))
@@ -208,7 +208,7 @@ def _single_linkage(points: np.ndarray, radius: float) -> list[list[int]]:
         later = stop + np.flatnonzero(label[run[stop:end]] != label[own])
         if not later.size:
             continue
-        near = later[_distances(points[later], points[i]) <= radius]
+        near = later[distances(points[later], points[i]) <= radius]
         if near.size:
             merged = np.append(label[run[near]], label[own])
             last = run[end - 1] + 1
@@ -221,25 +221,6 @@ def _single_linkage(points: np.ndarray, radius: float) -> list[list[int]]:
     order = np.argsort(label, kind="stable")
     clusters = np.split(perm[order], np.flatnonzero(np.diff(label[order])) + 1)
     return sorted((c.tolist() for c in clusters), key=min)
-
-
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance between the rows of ``a`` and ``b``: bit for bit
-    ``np.linalg.norm(a - b, axis=1)`` where the squared sum is normal or the
-    gap is 0, else from the gaps scaled by their largest magnitude; inf,
-    without a warning, past the float range."""
-    with np.errstate(over="ignore"):
-        diff = a - b
-        sq = np.add.reduce(diff * diff, axis=1)
-        dist = np.sqrt(sq)
-        redo = np.flatnonzero((sq < np.finfo(float).tiny) | (sq == np.inf))
-        if redo.size:
-            scale = np.abs(diff[redo]).max(axis=1)
-            usable = (scale > 0.0) & (scale < np.inf)
-            redo, scale = redo[usable], scale[usable]
-            unit = diff[redo] / scale[:, None]
-            dist[redo] = scale * np.sqrt(np.add.reduce(unit * unit, axis=1))
-    return dist
 
 
 def _negative_curvature(obj: Objective, points: np.ndarray) -> np.ndarray:

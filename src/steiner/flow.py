@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Objective, is_integer
+from .core import Objective, distances, is_integer
 from .errors import ConfigError, InputError, NumericalError
 
 CONVERGED = "converged"
@@ -151,12 +151,13 @@ def trace_flow(obj: Objective, start, cfg: FlowConfig | None = None) -> FlowTrac
     """Trace the descent curve from ``start`` until rest, stall, or step budget.
 
     Each iteration backtracks t until the Armijo decrease
-    U(x - t g) <= U(x) - c t |g|^2 holds; the decrease is measured with
-    :meth:`Objective.value_change` so acceptance stays resolvable even when
-    it is far below one ulp of U. The search's first trial is the
-    Barzilai-Borwein multiplier s.s / s.y of the previous step s, on the
-    coordinates it moved, and the change y of the gradient along it, where
-    s.y > 0. Elsewhere it is the warm start: the previous accepted
+    U(x - t g) <= U(x) - c t |g|^2 holds; the decrease is the kernel's
+    cancellation-free change in line-search form (``trials``, through
+    ``Objective._trials``), the change :meth:`Objective.value_change` takes,
+    so acceptance stays resolvable even when it is far below one ulp of U.
+    The search's first trial is the Barzilai-Borwein multiplier s.s / s.y of
+    the previous step s, on the coordinates it moved, and the change y of
+    the gradient along it, where s.y > 0. Elsewhere it is the warm start: the previous accepted
     multiplier divided by ``backtrack_factor`` (``initial_step`` standing in
     for it before the first step), so t grows on flat ground while Armijo
     keeps accepting. Either trial is capped at max(``initial_step``,
@@ -443,8 +444,7 @@ def tangency_residual(obj: Objective, trace: FlowTrace) -> float:
     use_stored = trace.step_vectors is not None and len(trace.step_vectors) == len(trace) - 1
     steps = trace.step_vectors if use_stored else np.diff(pts, axis=0)
     forces = -obj.gradient_many(pts[:-1])
-    ns = np.sqrt(np.vecdot(steps, steps))
-    nd = np.sqrt(np.vecdot(forces, forces))
+    ns, nd = distances(steps, 0.0), distances(forces, 0.0)
     keep = (ns != 0.0) & (nd != 0.0)
     s_hat = steps[keep] / ns[keep, None]
     d_hat = forces[keep] / nd[keep, None]

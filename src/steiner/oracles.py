@@ -5,6 +5,7 @@ evaluation, so agreement between a flow result and an oracle is a genuine
 cross-check rather than a tautology.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,11 +147,17 @@ def grid_search(obj: Objective, box, spacing: float) -> OracleReport:
     for k, (lo, hi) in enumerate(box):
         if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
             raise ConfigError(f"box[{k}]: expected finite lo <= hi, got [{lo}, {hi}]")
-        counts.append(int(np.floor((hi - lo) / spacing * (1.0 + 1e-12))) + 1)
-    total = int(np.prod(counts, dtype=np.int64))
+        cells = (hi - lo) / spacing * (1.0 + 1e-12)
+        if not np.isfinite(cells):
+            raise ConfigError(f"box[{k}]: [{lo}, {hi}] in steps of {spacing} exceeds "
+                              f"the {GRID_CELL_LIMIT} cell guard")
+        counts.append(math.floor(cells) + 1)
+    total = math.prod(counts)
     if total > GRID_CELL_LIMIT:
+        # str() of an int stops at 4300 digits.
+        shown = total if total < 10 ** 20 else f"about 10^{math.log10(total):.0f}"
         raise ConfigError(
-            f"box: lattice of {total} cells exceeds the {GRID_CELL_LIMIT} cell guard")
+            f"box: lattice of {shown} cells exceeds the {GRID_CELL_LIMIT} cell guard")
 
     axes = [lo + np.arange(c) * spacing for (lo, _), c in zip(box, counts)]
     best_val = np.inf

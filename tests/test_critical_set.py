@@ -13,7 +13,8 @@ from steiner import (MAX_STEPS, STALLED, AnchorSet, ConfigError, CriticalPoint, 
                      select_steiner, weiszfeld)
 
 import steiner.critical_set
-from steiner.critical_set import DEGENERACY_RTOL, _degenerate, _distances, _single_linkage
+from steiner.core import distances
+from steiner.critical_set import DEGENERACY_RTOL, _degenerate, _single_linkage
 from steiner.flow import trace_flow
 from util import make_objective, random_rotation
 
@@ -450,7 +451,7 @@ def _connected_components(points, radius):
     m, x = len(points), points[:, 0]
     first, second = np.repeat(points, m, axis=0), np.tile(points, (m, 1))
     with np.errstate(over="ignore"):
-        near = ((_distances(first, second).reshape(m, m) <= radius)
+        near = ((distances(first, second).reshape(m, m) <= radius)
                 & (x[:, None] <= x[None, :] + 2.0 * radius)
                 & (x[None, :] <= x[:, None] + 2.0 * radius))
     label = np.arange(len(points))
@@ -548,14 +549,14 @@ def test_single_linkage_links_a_pair_whose_squared_gap_overflows():
 def test_distances_keep_the_norm_in_range_and_scale_outside_it():
     rng = np.random.default_rng(5)
     a, b = rng.normal(size=(2, 500, 3)) * 10.0 ** rng.integers(-100, 100, size=(2, 500, 1))
-    np.testing.assert_array_equal(_distances(a, b), np.linalg.norm(a - b, axis=1),
+    np.testing.assert_array_equal(distances(a, b), [np.linalg.norm(row) for row in a - b],
                                   strict=True)
     gaps = np.array([[1e-170, 0.0], [3e-200, 4e-200], [5e-324, 0.0], [2e160, 0.0],
                      [3e200, 4e200], [1.5e308, 1.5e308], [0.0, 0.0]])
     exact = [1e-170, 5e-200, 5e-324, 2e160, 5e200, np.inf, 0.0]
-    np.testing.assert_allclose(_distances(gaps, np.zeros_like(gaps)), exact, rtol=1e-15)
+    np.testing.assert_allclose(distances(gaps, np.zeros_like(gaps)), exact, rtol=1e-15)
     far = np.array([[1e308, 0.0]])
-    assert _distances(far, -far).tolist() == [np.inf]
+    assert distances(far, -far).tolist() == [np.inf]
 
 
 @hst.composite

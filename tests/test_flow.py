@@ -128,10 +128,12 @@ def test_tangency_residual_of_produced_traces_is_tiny():
             assert tangency_residual(obj, trace) <= 1e-12
 
 
-def test_tangency_residual_perpendicular_step_is_one():
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+def test_tangency_residual_perpendicular_step_is_one(scale):
     obj = make_objective([[0.0, 0.0]], kind="squared")
-    # At (1, 0) the force is (-2, 0); step due +y is perpendicular.
-    pts = np.array([[1.0, 0.0], [1.0, 0.5]])
+    # At (1, 0) the force is (-2, 0); step due +y is perpendicular. Squared,
+    # the step and force lengths under- or overflow at the two extremes.
+    pts = np.array([[1.0, 0.0], [1.0, 0.5]]) * scale
     trace = FlowTrace(pts, [1.0, 0.9], [2.0, 2.0], [0.0, 0.5], CONVERGED)
     assert tangency_residual(obj, trace) == pytest.approx(1.0, abs=1e-12)
 

@@ -1,6 +1,7 @@
 """Reference solvers: Weiszfeld iteration, centroid, brute-force grid scan."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from steiner import (AnchorSet, ConfigError, InputError, PotentialSpec, centroid,
                      grid_search, weiszfeld)
 
+from steiner.critical_set import default_domain_box
 from util import make_objective
 
 
@@ -160,6 +162,26 @@ def test_grid_search_lattice_guard():
     obj = make_objective([[0.0, 0.0]], kind="squared")
     with pytest.raises(ConfigError, match="cells"):
         grid_search(obj, [(0.0, 1e6), (0.0, 1e6)], spacing=1e-3)
+
+
+@pytest.mark.parametrize("anchors, spacing", [
+    ([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]], 1e-9),  # 2.35e19 cells: past int64
+    ([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]], 1.5e-9),  # an int64 product wraps below 0
+    ([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]], 1e-300),  # each axis past int64
+    ([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]], 1e-320),  # each axis past the float range
+    (np.eye(3, 30), 0.01),  # D = 30: an int64 product wraps
+    (np.eye(3, 15), 1e-300),  # a count of more digits than str() writes
+], ids=["1e-9", "1.5e-9", "1e-300", "1e-320", "D30", "D15-1e-300"])
+def test_grid_search_counts_the_lattice_exactly_before_allocating(anchors, spacing):
+    obj = make_objective(anchors)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"^box.* exceeds the 100000000 cell guard$"):
+            grid_search(obj, default_domain_box(obj.anchors), spacing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_grid_search_rejects_bad_spacing():
