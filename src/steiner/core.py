@@ -215,8 +215,8 @@ class Objective:
     def _hessians(self, disp: np.ndarray) -> np.ndarray:
         return self._kernel.hessian(disp)
 
-    def _descent_state(self, points: np.ndarray):
-        return self._kernel.descent_state(self._displacements(points))
+    def _descent_state(self, points: np.ndarray, majorizer: bool = False):
+        return self._kernel.descent_state(self._displacements(points), majorizer)
 
     def _trials(self, state, t: np.ndarray, gsq: np.ndarray) -> np.ndarray:
         return self._kernel.trials(state, t, gsq).sum(axis=-1)

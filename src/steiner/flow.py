@@ -7,11 +7,12 @@ and the trajectory is realized as first-order descent
     x <- x - t * grad U(x)
 
 with a backtracking Armijo line search choosing t; each search first tries
-the Barzilai-Borwein two-point multiplier of the previous step. The
-accepted iterates form a polyline (the iterative curve) ending at a rest
-point where the gradient norm falls below the configured tolerance. Many
-starts are traced in lockstep blocks (:func:`rest_points`), bit for bit as
-one at a time.
+the Barzilai-Borwein two-point multiplier of the previous step, and for the
+euclidean kinds and ``squared`` the first search tries at most a step the
+majorizer guarantees (see :func:`trace_flow`). The accepted iterates form a
+polyline (the iterative curve) ending at a rest point where the gradient
+norm falls below the configured tolerance. Many starts are traced in
+lockstep blocks (:func:`rest_points`), bit for bit as one at a time.
 
 Two residual operations verify traced curves against the defining
 properties of flow lines: every step parallel to the local force
@@ -41,7 +42,8 @@ class FlowConfig:
     ``grad_tol`` is the rest criterion on |grad U|; a step multiplier
     shrinking below ``min_step`` without an Armijo acceptance stalls the
     trace. ``initial_step`` is the first trial multiplier's seed (the first
-    search tries up to ``initial_step / backtrack_factor``) and the floor of
+    search tries up to ``initial_step / backtrack_factor``, or less where the
+    kind guarantees a shorter step, see :func:`trace_flow`) and the floor of
     the growth cap, so steps of ``initial_step * |grad U|`` stay allowed
     however short the anchor set is; later searches start from the
     Barzilai-Borwein multiplier of the previous step, or from the last
@@ -99,11 +101,12 @@ class FlowTrace:
     The counters record the tracer's work: ``n_value_changes`` and
     ``n_gradients`` count objective evaluations, ``n_backtracks`` the trial
     multipliers the Armijo test rejected. Every value change is one trial,
-    whether a Barzilai-Borwein, warm-start or backtracked one, and a trial
-    made from the state the gradient at x left still counts one. A trace
-    stopping in step s (from 0) has 1 + s gradients, one more if the
-    gradient of step s turned non-finite, and its backtracks are its value
-    changes less its accepted steps. Hand-built traces leave the counters 0.
+    whether a Barzilai-Borwein, warm-start, guaranteed (see
+    :func:`trace_flow`) or backtracked one, and a trial made from the state
+    the gradient at x left still counts one. A trace stopping in step s (from 0) has 1 + s
+    gradients, one more if the gradient of step s turned non-finite, and its
+    backtracks are its value changes less its accepted steps. Hand-built
+    traces leave the counters 0.
     """
 
     points: np.ndarray
@@ -162,7 +165,19 @@ def trace_flow(obj: Objective, start, cfg: FlowConfig | None = None) -> FlowTrac
     for it before the first step), so t grows on flat ground while Armijo
     keeps accepting. Either trial is capped at max(``initial_step``,
     L / |g|), where L is the objective's ``length_scale``: no step is longer
-    than the anchor set unless ``initial_step`` asks for that. The Armijo
+    than the anchor set unless ``initial_step`` asks for that.
+
+    For the euclidean kinds and ``squared``, phi is concave in r^2, so
+    U(x - t g) <= U(x) - t (1 - t S / 2) |g|^2 with S = sum_i w_i 2 phi'(r_i^2),
+    and in exact arithmetic every t <= 2 (1 - c) / S passes Armijo. There the
+    guaranteed step t_safe = (5/3) (1 - c) / S at the start, 5/6 of that
+    bound so that the trial's rounding keeps clear of the Armijo line
+    (Weiszfeld's step 1/S times 5/4 at the default c), caps the first
+    search's first trial: a guaranteed trial, which is still tested and
+    counts as a value change. It applies only where ``min_step`` <= t_safe <
+    inf (not where S is 0, inf or nan, or t_safe is too short). Later
+    searches start from the Barzilai-Borwein or warm-start trial, and every
+    rejected trial t is followed by ``backtrack_factor`` t. The Armijo
     test keeps every step monotone, and every step is a multiple of -grad U.
     The gradient at x leaves the state every trial from x reuses, so a
     radial kind's trial costs O(n) instead of O(nD). Raises
@@ -292,7 +307,8 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
     if bad.any():
         fail(bad, [f"objective is non-finite at the starting point (U={v})"
                    for v in u[bad].tolist()], 0, 0)
-    g, state = obj._descent_state(x)
+    g, state, inv_s = obj._descent_state(x, majorizer=True)
+    t = np.minimum(t, _guaranteed_step(cfg, inv_s))  # the first search's cap
     gn = np.sqrt(np.vecdot(g, g))
     if not np.isfinite(gn).all():  # else every component is finite
         bad = ~np.isfinite(g).all(axis=1)
@@ -325,7 +341,7 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
             x_new, w, same, t_ok, delta, gsq = stop(
                 still, STALLED, 1 + step, step + (delta[still] < 0.0),
                 x_new, w, same, t_ok, delta, gsq)
-        g_new, state = obj._descent_state(x_new)
+        g_new, state, _ = obj._descent_state(x_new)
         gn_new = np.sqrt(np.vecdot(g_new, g_new))
         if not np.isfinite(gn_new).all():
             bad = ~np.isfinite(g_new).all(axis=1)
@@ -419,6 +435,17 @@ def _line_search(obj: Objective, cfg: FlowConfig, t, gsq, state, tries):
         pos, ts, gq, *rows = _rows_of((pos, ts, gq, *rows), ~ok & (ts >= cfg.min_step))
         tries[pos] += 1
     return t_ok, delta
+
+
+def _guaranteed_step(cfg: FlowConfig, inv_s):
+    """Each row's guaranteed step t_safe from 1/S (see :func:`trace_flow`):
+    inf, so that it caps nothing, where S is 0, inf or nan or t_safe is
+    below ``min_step``, and for a kind without one (``inv_s`` None)."""
+    if inv_s is None:
+        return np.inf
+    with np.errstate(over="ignore"):
+        safe = inv_s * (5.0 / 3.0 * (1.0 - cfg.armijo_c))
+    return np.where((safe >= cfg.min_step) & (safe < np.inf), safe, np.inf)
 
 
 def _rows_of(arrays, mask):

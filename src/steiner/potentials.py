@@ -135,7 +135,18 @@ class _Radial:
     changes" bounds the error. The descent state is r^2, the carry and 2 g.v:
     a trial, with dr^2 = t (t |g|^2 - 2 g.v), costs O(n) whatever D is. A
     non-convex kind also gives ``bend(r2, c)`` = 4 phi''(r^2) for the Hessian.
+
+    Where phi is concave in r^2, each term lies below its tangent in r^2, so
+    U(x - t g) <= U(x) - t (1 - t S / 2) |g|^2 with S = sum_i w_i 2 phi'(r_i^2),
+    the slope sum; 1/S is the step of that majorizer, Weiszfeld's for the
+    euclidean kinds. Asked for it (``majorizer``), a kind that ``majorizes``
+    returns 1/S per row with its descent state; else that is None.
     """
+
+    # gaussian_well's phi is concave in r^2 too, but a changed step moves
+    # which well its traces reach, and on a landscape of many wells one start
+    # may carry the answer; it keeps plain backtracking.
+    majorizes = True
 
     def __init__(self, weights):
         self.weights = weights
@@ -175,13 +186,17 @@ class _Radial:
         change = self.change(r2, self.carry(r2), dr2, lambda: _sq_norm(disp + move[..., None]))
         return self._weighted(change)
 
-    def descent_state(self, disp):
+    def descent_state(self, disp, majorizer=False):
         r2, carry, slope = self._slopes(disp)
         g = np.einsum("...dn,...n->...d", disp, slope)
+        inv_s = None
+        if majorizer and self.majorizes:
+            with np.errstate(over="ignore", divide="ignore"):
+                inv_s = 1.0 / slope.sum(axis=-1)
         del slope  # before 2 g.v is formed: row_floats counts on it
         proj2 = np.einsum("...dn,...d->...n", disp, g)
         proj2 *= 2.0
-        return g, [r2, carry, proj2]
+        return g, [r2, carry, proj2], inv_s
 
     def trials(self, state, t, gsq):
         r2, carry, proj2 = state
@@ -246,6 +261,8 @@ class _Squared(_Radial):
 
 class _Gaussian(_Radial):
     """phi(s) = 1 - exp(-s / sigma^2); carries the damping exp(-s / sigma^2)."""
+
+    majorizes = False
 
     def __init__(self, sigma, weights):
         super().__init__(weights)
@@ -381,10 +398,10 @@ class _PNorm:
         r, top, _, qp, s = self._normalised(disp)
         return self._change(disp, r, top, qp, s, move[..., None])
 
-    def descent_state(self, disp):
+    def descent_state(self, disp, majorizer=False):
         r, top, qm, qp, s = self._normalised(disp)
         g = self._gradients(disp, r, qm, s).sum(axis=-1)
-        return g, [disp, r, top, qp, s, g]
+        return g, [disp, r, top, qp, s, g], None
 
     def trials(self, state, t, gsq):
         *start, g = state
@@ -395,10 +412,15 @@ def kernel(spec: PotentialSpec, weights=None):
     """The kernels of ``spec``'s kind, on displacements of shape (..., D, n):
     ``values``, ``gradients`` and ``changes`` per anchor, as the ``batch_*``
     functions below; ``gradient``, of the sum over anchors; ``descent_state``,
-    that gradient g and a list of per-row arrays from which
+    that gradient g, a list of per-row arrays from which
     ``trials(state, t, gsq)`` gives U_i(x - t g) - U_i(x) per anchor for one t
-    per row (``gsq`` = |g|^2); and ``row_floats(n, d)``, the floats one row
-    holds at the peak of a descent step, as traced with tracemalloc.
+    per row (``gsq`` = |g|^2), and, with ``majorizer`` set, for euclidean,
+    weighted_euclidean and squared, 1/S per row, S the slope sum of
+    :class:`_Radial` (inf, 0 or nan where S is 0, inf or nan; None unasked
+    and for the other kinds): in exact arithmetic every t <= 2 (1 - c) / S
+    passes the Armijo test with constant c; and ``row_floats(n, d)``, the
+    floats one row holds at the peak of a descent step, as traced with
+    tracemalloc.
     ``weights`` (one per anchor, broadcast against the last axis of a
     per-anchor result) multiply the terms of a radial kind; only
     ``weighted_euclidean`` has them.

@@ -197,7 +197,7 @@ def test_solve_deterministic_output_bytes(tmp_path):
 # digits for gaussian_well and p_norm.
 PINNED_SOLVES = {
     "euclidean_grid": (RIGHT_TRIANGLE_INSTANCE, False,
-                       "5febd32c4ada5f9ec05313c8e16999f3e35cb9ecc3cd1bc78262896e6a4800fd"),
+                       "57788351364cf525728b3f332d53206f3206b826d26e1ee18edffb261a34b67d"),
     "gaussian_well_traced": ({
         "dimension": 2,
         "anchors": [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]],

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 import steiner.flow
@@ -14,7 +14,7 @@ from steiner import (CONVERGED, MAX_STEPS, STALLED, ConfigError, FlowConfig, Flo
                      InputError, NumericalError, TestingPlan, enumerate_critical_points,
                      generate_testing_points, graph_residual, tangency_residual, trace_flow,
                      weiszfeld)
-from steiner.flow import _longest_monotone_run, rest_points
+from steiner.flow import _guaranteed_step, _longest_monotone_run, rest_points
 
 from util import curve_trace, make_objective
 
@@ -368,6 +368,69 @@ def test_warm_started_search_needs_few_value_changes_per_step():
     assert sum(t.n_value_changes for t in traces) <= 4 * steps
 
 
+def test_guaranteed_steps_leave_few_backtracks():
+    # The first search tries at most the guaranteed step: without it, these 8
+    # traces backtracked 57 times.
+    anchors = np.random.default_rng(2000).uniform(0.0, 10.0, size=(2_000, 8))
+    obj = make_objective(anchors)
+    starts = generate_testing_points(TestingPlan("uniform_random", count=8, seed=3),
+                                     obj.anchors)
+    ends = rest_points(obj, starts, FlowConfig(), False)
+    assert ends.statuses == [CONVERGED] * len(starts)
+    assert ends.counts[:, 2].sum() <= len(starts)
+
+
+@hst.composite
+def _majorized_points(draw):
+    d, n = draw(hst.integers(1, 4)), draw(hst.integers(1, 6))
+    scale = 2.0 ** draw(hst.sampled_from([-300, 300]) | hst.integers(-300, 300))
+    coord = hst.floats(-10.0, 10.0, allow_nan=False)
+    anchors = np.array(draw(hst.lists(hst.lists(coord, min_size=d, max_size=d),
+                                      min_size=n, max_size=n))) * scale
+    point = np.array(draw(hst.lists(coord, min_size=d, max_size=d))) * scale
+    assume(not (anchors == point).all(axis=1).any())
+    kind = draw(hst.sampled_from(["euclidean", "weighted_euclidean", "squared"]))
+    kwargs = {}
+    if kind != "squared":
+        kwargs["epsilon"] = draw(hst.sampled_from([None, 0.7]))
+    if kind == "weighted_euclidean":
+        kwargs["weights"] = tuple(draw(hst.lists(hst.floats(0.1, 10.0), min_size=n,
+                                                 max_size=n)))
+    return make_objective(anchors, kind, **kwargs), point
+
+
+@pytest.mark.parametrize("anchors, kwargs, x, cfg", [
+    # r^2 and eps^2 underflow: S = 0.
+    ([[0.0], [1.69e-199]], dict(epsilon=1.69e-208), [0.0], FlowConfig()),
+    # t_safe = 1.25 / 2 is below min_step.
+    ([[0.0, 0.0]], dict(kind="squared"), [4.0, 4.0], FlowConfig(min_step=0.9)),
+])
+def test_guaranteed_step_caps_nothing_where_it_cannot_apply(anchors, kwargs, x, cfg):
+    inv_s = make_objective(anchors, **kwargs)._descent_state(np.array([x]), majorizer=True)[2]
+    assert _guaranteed_step(cfg, inv_s).tolist() == [np.inf]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_majorized_points(), armijo_c=hst.sampled_from([0.25, 1e-4, 0.9]))
+def test_guaranteed_step_passes_the_armijo_test_property(case, armijo_c):
+    obj, x = case
+    cfg = FlowConfig(armijo_c=armijo_c, min_step=5e-324)
+    g, state, inv_s = obj._descent_state(x[None], majorizer=True)
+    safe = _guaranteed_step(cfg, inv_s)
+    terms = obj._kernel.gradients(obj._displacements(x[None]))
+    gn = np.sqrt(np.vecdot(g, g))
+    # The bound holds in exact arithmetic. Where the terms' gradients cancel
+    # almost to 0 (near a rest point), the trial's rounding, about ulp(1)
+    # t |g| sum_i |grad U_i|, outgrows the margin t |g|^2 (1 - c) / 6 that
+    # 5/6 of the bound leaves, and the line search backtracks as before.
+    assume(gn[0] > 1e-9 * np.sqrt(np.vecdot(terms, terms)).sum())
+    assert 0.0 < safe[0] < np.inf
+    gsq = gn * gn
+    trial = obj._trials(state, safe, gsq)
+    assert np.isfinite(trial[0]) and trial[0] < 0.0
+    assert trial[0] <= -cfg.armijo_c * safe[0] * gsq[0]
+
+
 def test_steps_grow_across_a_plateau():
     # Between two narrow wells the field is nearly flat; with t capped at
     # initial_step this trace crawls through its whole step budget.
@@ -466,6 +529,10 @@ def _blocks(draw):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(case=_blocks())
+# r^2 and eps^2 underflow, so both slopes, and their sum S, are 0: the
+# guaranteed step 1/S is inf and the search backtracks as without it.
+@example(case=(make_objective([[0.0], [1.69e-199]], epsilon=1.69e-208), np.array([[0.0]]),
+               FlowConfig(max_steps=1)))
 def test_lockstep_block_equals_single_traces_property(case):
     obj, starts, cfg = case
     assert len(starts) <= obj.block_rows  # one lockstep block
@@ -517,10 +584,10 @@ _PINNED_STARTS = np.array([[-1.0, 2.0], [3.0, 3.0], [5.0, -1.0], [1.0, 1.0]])
 _PINNED = [
     ("gaussian_well", None,
      [[0, 1, 0], [1, 1, 0], [52, 41, 12], [5, 1, 4], [10, 8, 3]], [1, 1, 38, 1, 6]),
-    ("euclidean", {}, [[70, 17, 54], [78, 18, 61], [47, 20, 28], [32, 5, 28]], [16, 17, 18, 4]),
+    ("euclidean", {}, [[39, 22, 18], [38, 21, 18], [42, 21, 22], [4, 5, 0]], [20, 20, 19, 4]),
     ("weighted_euclidean", dict(weights=(1.0, 2.0, 0.5, 1.5)),
-     [[134, 76, 59], [150, 65, 86], [127, 72, 56], [33, 6, 28]], [69, 54, 66, 5]),
-    ("squared", {}, [[4, 2, 3], [4, 2, 3], [4, 2, 3], [5, 2, 4]], [2, 2, 2, 2]),
+     [[125, 62, 64], [124, 54, 71], [143, 62, 82], [10, 9, 2]], [57, 52, 57, 7]),
+    ("squared", {}, [[2, 3, 0], [2, 3, 0], [2, 3, 0], [2, 3, 0]], [3, 3, 3, 3]),
     ("p_norm", dict(p=3.0), [[48, 27, 22], [44, 23, 22], [46, 23, 24], [33, 6, 28]],
      [25, 22, 21, 4]),
 ]
@@ -559,10 +626,10 @@ def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
     obj = make_objective([[0.0, -2.0]])
     exact = steiner.potentials._Radial.descent_state
 
-    def corrupted(kernel, disp):
-        g, state = exact(kernel, disp)
+    def corrupted(kernel, disp, majorizer=False):
+        g, state, inv_s = exact(kernel, disp, majorizer)
         near = (np.linalg.norm(disp, axis=-2) < 3.0) & (disp[..., 0, :] > 0.5)
-        return np.where(near.any(axis=-1)[..., None], np.nan, g), state
+        return np.where(near.any(axis=-1)[..., None], np.nan, g), state, inv_s
 
     monkeypatch.setattr(steiner.potentials._Radial, "descent_state", corrupted)
     starts = np.array([[-3.0, 4.0], [5.0, 6.0], [-1.0, 1.0], [6.0, 0.5]])

@@ -262,7 +262,7 @@ def test_carried_root_changes_no_bit(kind, kwargs, epsilon):
     kern = kernel(spec, weights)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonSmoothEvaluationWarning)
-        g, (r2, root, _) = kern.descent_state(disp)
+        g, (r2, root, _), inv_s = kern.descent_state(disp, majorizer=True)
         per_anchor = batch_gradients(spec, disp, weights)
         total = kern.gradient(disp)
     assert root.shape == (5, 7)
@@ -281,6 +281,8 @@ def test_carried_root_changes_no_bit(kind, kwargs, epsilon):
     np.testing.assert_array_equal(per_anchor, disp * slope[:, None, :], strict=True)
     np.testing.assert_array_equal(g, np.einsum("...dn,...n->...d", disp, slope), strict=True)
     np.testing.assert_array_equal(total, g, strict=True)
+    # 1/S, S the sum of those slopes, sets the line search's guaranteed step.
+    np.testing.assert_array_equal(inv_s, 1.0 / slope.sum(axis=-1), strict=True)
 
 
 @pytest.mark.parametrize("kind, kwargs", [
@@ -523,7 +525,7 @@ def test_radial_value_change_accuracy_property(case, line_search, t_exponent):
         kern = kernel(spec, weights)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonSmoothEvaluationWarning)
-            _, (r2, carry, _) = kern.descent_state(disp[None])
+            _, (r2, carry, _), _ = kern.descent_state(disp[None])
         proj2 = 2.0 * np.einsum("...dn,...d->...n", disp[None], g[None])
         gn = np.sqrt(np.vecdot(g, g))
         got = kern.trials([r2, carry, proj2], np.array([t]), np.array([gn * gn]))[0]
