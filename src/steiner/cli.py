@@ -138,24 +138,28 @@ def _expect_array(value, field, expected="a non-empty list", width=None, bad_row
     """``value`` as one float array: a non-empty list of finite plain
     numbers or, given ``width``, of rows of ``width`` of them.
 
-    The fast path is one type scan, one ``np.array`` and one finiteness
-    check. Only input that fails it is walked entry by entry, and the walk
-    raises an :class:`InputError` naming ``field`` (``expected`` says what
-    it should be), ``field[i]`` (``bad_row(row)`` says what is wrong with a
-    row that is not a list of ``width`` entries) or the entry itself.
+    numpy reads the list's type in one ``np.array``. The result stands when
+    it holds float64 or int64 (no string, ``null``, nested list or integer
+    past int64 got in), has the list's shape, is finite and took no bool
+    for a 0 or 1 (see :func:`_plain_entries`); int64 becomes float as
+    ``float(int)`` rounds it. Only input that fails is walked entry by entry,
+    and the walk raises an :class:`InputError` naming ``field`` (``expected``
+    says what it should be), ``field[i]`` (``bad_row(row)`` says what is
+    wrong with a row that is not a list of ``width`` entries) or the entry
+    itself. On JSON data both give the same bits and the same errors; other
+    Python values (tuples, numpy scalars) numpy may read where the walk
+    would not.
     """
     if not isinstance(value, list) or not value:
         raise InputError(f"{field}: expected {expected}")
-    shaped = width is None or (set(map(type, value)) == {list}
-                               and set(map(len, value)) == {width})
-    entries = value if width is None else chain.from_iterable(value)
-    if shaped and set(map(type, entries)) <= {int, float}:
-        try:
-            arr = np.array(value, dtype=float)
-        except OverflowError:  # an integer beyond the float range
-            arr = None
-        if arr is not None and np.isfinite(arr).all():
-            return arr
+    try:
+        arr = np.array(value)
+    except (ValueError, OverflowError):  # ragged or too deep, or an integer numpy refuses
+        arr = None
+    shape = (len(value),) if width is None else (len(value), width)
+    if (arr is not None and arr.dtype in (np.float64, np.int64) and arr.shape == shape
+            and _plain_entries(arr, value, width)):
+        return arr.astype(float, copy=False)
     parsed = []
     for i, row in enumerate(value):
         if width is None:
@@ -165,6 +169,20 @@ def _expect_array(value, field, expected="a non-empty list", width=None, bad_row
             raise InputError(f"{field}[{i}]: {bad_row(row)}")
         parsed.append([_expect_number(x, f"{field}[{i}][{j}]") for j, x in enumerate(row)])
     return np.array(parsed, dtype=float)
+
+
+def _plain_entries(arr, value, width):
+    """Whether ``arr``, numpy's reading of the list ``value``, is finite and
+    took no bool: numpy reads ``true`` and ``false`` as 1 and 0. The list is
+    type-scanned only when ``arr`` holds a 0 or 1, and one bool buffer
+    serves the three tests of ``arr``."""
+    flags = np.isfinite(arr)
+    if not flags.all():
+        return False
+    if not (np.equal(arr, 0, out=flags).any() or np.equal(arr, 1, out=flags).any()):
+        return True
+    entries = value if width is None else chain.from_iterable(value)
+    return set(map(type, entries)) <= {int, float}
 
 
 def _reject_unknown(data, known, field):

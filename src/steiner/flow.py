@@ -174,8 +174,10 @@ def trace_flow(obj: Objective, start, cfg: FlowConfig | None = None) -> FlowTrac
     bound so that the trial's rounding keeps clear of the Armijo line
     (Weiszfeld's step 1/S times 5/4 at the default c), caps the first
     search's first trial: a guaranteed trial, which is still tested and
-    counts as a value change. It applies only where ``min_step`` <= t_safe <
-    inf (not where S is 0, inf or nan, or t_safe is too short). Later
+    counts as a value change. For ``squared`` the bound is U itself and 1/S
+    its exact line minimum, so t_safe is min(1, (5/3) (1 - c)) / S: 1/S
+    passes with margin for c <= 1/2. It applies only where ``min_step`` <=
+    t_safe < inf (not where S is 0, inf or nan, or t_safe is too short). Later
     searches start from the Barzilai-Borwein or warm-start trial, and every
     rejected trial t is followed by ``backtrack_factor`` t. The Armijo
     test keeps every step monotone, and every step is a multiple of -grad U.
@@ -308,7 +310,7 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
         fail(bad, [f"objective is non-finite at the starting point (U={v})"
                    for v in u[bad].tolist()], 0, 0)
     g, state, inv_s = obj._descent_state(x, majorizer=True)
-    t = np.minimum(t, _guaranteed_step(cfg, inv_s))  # the first search's cap
+    t = np.minimum(t, _guaranteed_step(cfg, inv_s, obj._kernel.exact))  # the first search's cap
     gn = np.sqrt(np.vecdot(g, g))
     if not np.isfinite(gn).all():  # else every component is finite
         bad = ~np.isfinite(g).all(axis=1)
@@ -437,14 +439,16 @@ def _line_search(obj: Objective, cfg: FlowConfig, t, gsq, state, tries):
     return t_ok, delta
 
 
-def _guaranteed_step(cfg: FlowConfig, inv_s):
+def _guaranteed_step(cfg: FlowConfig, inv_s, exact: bool):
     """Each row's guaranteed step t_safe from 1/S (see :func:`trace_flow`):
     inf, so that it caps nothing, where S is 0, inf or nan or t_safe is
-    below ``min_step``, and for a kind without one (``inv_s`` None)."""
+    below ``min_step``, and for a kind without one (``inv_s`` None). Where
+    1/S is ``exact``, the line minimum, t_safe is at most 1/S."""
     if inv_s is None:
         return np.inf
+    factor = 5.0 / 3.0 * (1.0 - cfg.armijo_c)
     with np.errstate(over="ignore"):
-        safe = inv_s * (5.0 / 3.0 * (1.0 - cfg.armijo_c))
+        safe = inv_s * (min(1.0, factor) if exact else factor)
     return np.where((safe >= cfg.min_step) & (safe < np.inf), safe, np.inf)
 
 

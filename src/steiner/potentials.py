@@ -140,13 +140,16 @@ class _Radial:
     U(x - t g) <= U(x) - t (1 - t S / 2) |g|^2 with S = sum_i w_i 2 phi'(r_i^2),
     the slope sum; 1/S is the step of that majorizer, Weiszfeld's for the
     euclidean kinds. Asked for it (``majorizer``), a kind that ``majorizes``
-    returns 1/S per row with its descent state; else that is None.
+    returns 1/S per row with its descent state; else that is None. Where phi
+    is linear in r^2 (``squared``) the majorizer is U itself, ``exact``, and
+    1/S is the exact minimum along -g.
     """
 
     # gaussian_well's phi is concave in r^2 too, but a changed step moves
     # which well its traces reach, and on a landscape of many wells one start
     # may carry the answer; it keeps plain backtracking.
     majorizes = True
+    exact = False
 
     def __init__(self, weights):
         self.weights = weights
@@ -246,6 +249,8 @@ class _Hyperbolic(_Radial):
 class _Squared(_Radial):
     """phi(s) = s; carries nothing."""
 
+    exact = True
+
     def value(self, r2):
         return r2
 
@@ -316,6 +321,8 @@ class _PNorm:
     of a change (v, r, R, q^p and S) and g, so a trial normalises only the
     side where it lands.
     """
+
+    exact = False  # it gives no 1/S (see kernel())
 
     def __init__(self, p, eps):
         self.p, self.eps = p, eps
@@ -418,9 +425,10 @@ def kernel(spec: PotentialSpec, weights=None):
     weighted_euclidean and squared, 1/S per row, S the slope sum of
     :class:`_Radial` (inf, 0 or nan where S is 0, inf or nan; None unasked
     and for the other kinds): in exact arithmetic every t <= 2 (1 - c) / S
-    passes the Armijo test with constant c; and ``row_floats(n, d)``, the
-    floats one row holds at the peak of a descent step, as traced with
-    tracemalloc.
+    passes the Armijo test with constant c; ``exact``, whether 1/S is the
+    exact minimum along -g (squared, whose majorizer is U itself); and
+    ``row_floats(n, d)``, the floats one row holds at the peak of a descent
+    step, as traced with tracemalloc.
     ``weights`` (one per anchor, broadcast against the last axis of a
     per-anchor result) multiply the terms of a radial kind; only
     ``weighted_euclidean`` has them.

@@ -16,8 +16,9 @@ from hypothesis import strategies as hst
 
 from steiner import (KINDS, FlowConfig, InputError, Objective, SteinerError, TestingPlan,
                      weiszfeld)
-from steiner.cli import (EXIT_INPUT, EXIT_NO_CRITICAL_POINT, EXIT_OK, load_instance,
-                         main, parse_instance, serialize_instance)
+from steiner.cli import (EXIT_INPUT, EXIT_NO_CRITICAL_POINT, EXIT_OK, _expect_array,
+                         _expect_number, load_instance, main, parse_instance,
+                         serialize_instance)
 from steiner.critical_set import STRATEGIES
 
 RIGHT_TRIANGLE_INSTANCE = {
@@ -702,6 +703,86 @@ def test_parse_instance_names_a_bad_number_list_entry_wherever_it_sits(data, n, 
                        "testing_plan": {"domain_box": box}})
     with pytest.raises(InputError, match=re.escape(f"{path}[{j}]: ")):
         parse_instance(json.loads(text))
+
+
+def _walked_array(value, field, width):
+    """What the number-list coercer must give: a walk that sends every entry
+    through ``_expect_number``, with the row messages of the anchors."""
+    if not isinstance(value, list) or not value:
+        raise InputError(f"{field}: expected a non-empty list")
+    if width is None:
+        return np.array([_expect_number(x, f"{field}[{i}]") for i, x in enumerate(value)])
+    rows = []
+    for i, row in enumerate(value):
+        if not isinstance(row, list):
+            raise InputError(f"{field}[{i}]: expected a coordinate list")
+        if len(row) != width:
+            raise InputError(f"{field}[{i}]: expected {width} coordinates, got {len(row)}")
+        rows.append([_expect_number(x, f"{field}[{i}][{j}]") for j, x in enumerate(row)])
+    return np.array(rows, dtype=float)
+
+
+# Entries as JSON decodes them: plain numbers, mostly, and every kind numpy
+# reads into a number array on its own (bools as 0 and 1, integers as int64
+# or float64), reads as something else (strings, null, lists, integers past
+# 64 bits) or cannot read.
+_ODD_ENTRIES = [True, False, None, "1.5", "0", [], [1.0], [[0.0]], {}, 0, 1, -0.0, 0.0, 1.0,
+                2 ** 53 + 1, -(2 ** 53 + 1), 2 ** 63 - 1, 2 ** 63, -(2 ** 63), -(2 ** 63) - 1,
+                2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, 10 ** 400, -(10 ** 400),
+                float("nan"), float("inf"), float("-inf")]
+_ENTRIES = hst.one_of(hst.sampled_from(_ODD_ENTRIES), hst.floats(),
+                      hst.integers(-(2 ** 66), 2 ** 66))
+
+
+@hst.composite
+def _number_lists(draw):
+    """A number list of every shape the parser takes, flat or rows of 1 to 3
+    entries, of plain numbers but for one to three drawn from ``_ENTRIES``
+    or, in a list of rows, rows of any length or none."""
+    width = draw(hst.sampled_from([None, 1, 2, 3]))
+    plain = hst.one_of(hst.floats(-1e300, 1e300), hst.integers(-5, 5))
+    n = draw(hst.integers(1, 12))
+    item = plain if width is None else hst.lists(plain, min_size=width, max_size=width)
+    value = draw(hst.lists(item, min_size=n, max_size=n))
+    for _ in range(draw(hst.integers(1, 3))):
+        i = draw(hst.integers(0, n - 1))
+        row = value[i]
+        if width is None:
+            value[i] = draw(_ENTRIES)
+        elif draw(hst.integers(0, 3)) and isinstance(row, list) and row:
+            row[draw(hst.integers(0, len(row) - 1))] = draw(_ENTRIES)
+        else:  # a row of another length, or no row at all
+            value[i] = draw(hst.one_of(hst.lists(plain, max_size=4), _ENTRIES))
+    return value, width
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(case=_number_lists())
+def test_number_list_coercer_equals_the_entry_walk_property(case):
+    value, width = case
+    bad_row = lambda row: (f"expected {width} coordinates, got {len(row)}"  # noqa: E731
+                           if isinstance(row, list) else "expected a coordinate list")
+    try:
+        want = _walked_array(value, "anchors", width)
+    except InputError as exc:
+        with pytest.raises(InputError) as caught:
+            _expect_array(value, "anchors", width=width, bad_row=bad_row)
+        assert str(caught.value) == str(exc)
+        return
+    got = _expect_array(value, "anchors", width=width, bad_row=bad_row)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("last", [True, "1.5"])
+def test_a_bad_last_entry_of_a_large_anchor_list_is_named(last):
+    anchors = np.random.default_rng(5).uniform(0.0, 10.0, size=(10_000, 8)).tolist()
+    anchors[-1][-1] = last
+    data = json.loads(json.dumps({"dimension": 8, "anchors": anchors,
+                                  "potential": {"kind": "euclidean"}}))
+    with pytest.raises(InputError) as caught:
+        parse_instance(data)
+    assert str(caught.value) == "anchors[9999][7]: expected a number"
 
 
 def test_instance_round_trip_is_identity(tmp_path):

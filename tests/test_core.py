@@ -41,6 +41,17 @@ def test_anchorset_validation():
         a.points[0, 0] = 9.0  # read-only storage
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 4_321, 9_999])
+def test_anchorset_names_the_first_row_not_finite(bad, row):
+    pts = np.random.default_rng(3).uniform(0.0, 10.0, size=(10_000, 8))
+    pts[row, 5] = bad
+    pts[row + 1:, 0] = np.nan  # later rows do not count
+    with pytest.raises(InputError) as caught:
+        AnchorSet(pts)
+    assert str(caught.value) == f"anchors[{row}]: coordinates must be finite"
+
+
 @pytest.mark.parametrize("k", [200, -200])
 def test_diagonals_neither_overflow_nor_underflow(k):
     # Squared, these gaps overflow (at 1e200 the automatic epsilon became inf)

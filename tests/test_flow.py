@@ -402,12 +402,27 @@ def _majorized_points(draw):
 @pytest.mark.parametrize("anchors, kwargs, x, cfg", [
     # r^2 and eps^2 underflow: S = 0.
     ([[0.0], [1.69e-199]], dict(epsilon=1.69e-208), [0.0], FlowConfig()),
-    # t_safe = 1.25 / 2 is below min_step.
+    # t_safe = 1 / 2 is below min_step.
     ([[0.0, 0.0]], dict(kind="squared"), [4.0, 4.0], FlowConfig(min_step=0.9)),
 ])
 def test_guaranteed_step_caps_nothing_where_it_cannot_apply(anchors, kwargs, x, cfg):
-    inv_s = make_objective(anchors, **kwargs)._descent_state(np.array([x]), majorizer=True)[2]
-    assert _guaranteed_step(cfg, inv_s).tolist() == [np.inf]
+    obj = make_objective(anchors, **kwargs)
+    inv_s = obj._descent_state(np.array([x]), majorizer=True)[2]
+    assert _guaranteed_step(cfg, inv_s, obj._kernel.exact).tolist() == [np.inf]
+
+
+@pytest.mark.parametrize("kind, armijo_c, factor", [
+    # squared's majorizer is U itself: 1/S, its line minimum, passes with
+    # margin for c <= 1/2, and (5/3) (1 - c) is the smaller above c = 0.4.
+    ("squared", 0.25, 1.0), ("squared", 1e-4, 1.0), ("squared", 0.9, 5.0 / 3.0 * (1.0 - 0.9)),
+    ("euclidean", 0.25, 1.25), ("weighted_euclidean", 1e-4, 5.0 / 3.0 * (1.0 - 1e-4)),
+])
+def test_guaranteed_step_is_at_most_the_exact_line_minimum(kind, armijo_c, factor):
+    kwargs = dict(weights=(1.0, 2.0, 0.5, 1.5)) if kind == "weighted_euclidean" else {}
+    obj = make_objective(_PINNED_ANCHORS, kind, **kwargs)
+    inv_s = obj._descent_state(_PINNED_STARTS[:3], majorizer=True)[2]
+    safe = _guaranteed_step(FlowConfig(armijo_c=armijo_c), inv_s, obj._kernel.exact)
+    assert safe.tobytes() == (inv_s * factor).tobytes()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -416,7 +431,7 @@ def test_guaranteed_step_passes_the_armijo_test_property(case, armijo_c):
     obj, x = case
     cfg = FlowConfig(armijo_c=armijo_c, min_step=5e-324)
     g, state, inv_s = obj._descent_state(x[None], majorizer=True)
-    safe = _guaranteed_step(cfg, inv_s)
+    safe = _guaranteed_step(cfg, inv_s, obj._kernel.exact)
     terms = obj._kernel.gradients(obj._displacements(x[None]))
     gn = np.sqrt(np.vecdot(g, g))
     # The bound holds in exact arithmetic. Where the terms' gradients cancel
@@ -587,7 +602,7 @@ _PINNED = [
     ("euclidean", {}, [[39, 22, 18], [38, 21, 18], [42, 21, 22], [4, 5, 0]], [20, 20, 19, 4]),
     ("weighted_euclidean", dict(weights=(1.0, 2.0, 0.5, 1.5)),
      [[125, 62, 64], [124, 54, 71], [143, 62, 82], [10, 9, 2]], [57, 52, 57, 7]),
-    ("squared", {}, [[2, 3, 0], [2, 3, 0], [2, 3, 0], [2, 3, 0]], [3, 3, 3, 3]),
+    ("squared", {}, [[1, 2, 0], [1, 2, 0], [1, 2, 0], [1, 2, 0]], [2, 2, 2, 2]),
     ("p_norm", dict(p=3.0), [[48, 27, 22], [44, 23, 22], [46, 23, 24], [33, 6, 28]],
      [25, 22, 21, 4]),
 ]
