@@ -165,7 +165,7 @@ class Objective:
     def gradient(self, point) -> np.ndarray:
         """Gradient of U at ``point`` (the force on a test particle is its negative)."""
         x = self.check_point(point)
-        return self._gradients(self._displacements(x[None, :]))[0]
+        return self._kernel.gradient(self._displacements(x[None, :]))[0]
 
     def value_change(self, point, move) -> float:
         """U(point + move) - U(point) from per-anchor cancellation-free changes.
@@ -199,9 +199,10 @@ class Objective:
         count = max(1, m // self.block_rows)
         return ((m * k // count, m * (k + 1) // count) for k in range(count))
 
-    # Unchecked kernels on displacements x - a_i of shape (rows, D, n): the
-    # single-point and batched methods and the curvature test evaluate through
-    # these, and the descent through the last two (see ``potentials.kernel``).
+    # Unchecked evaluation on displacements x - a_i, shape (rows, D, n), through
+    # ``_kernel`` (see ``potentials.kernel``): ``_values``, ``_value_changes``
+    # and ``_trials`` add the per-anchor terms up, ``_descent_state`` forms the
+    # displacements; gradients and Hessians come from ``_kernel`` directly.
 
     def _displacements(self, points: np.ndarray) -> np.ndarray:
         return points[:, :, None] - self._anchor_columns
@@ -209,14 +210,8 @@ class Objective:
     def _values(self, disp: np.ndarray) -> np.ndarray:
         return self._kernel.values(disp).sum(axis=-1)
 
-    def _gradients(self, disp: np.ndarray) -> np.ndarray:
-        return self._kernel.gradient(disp)
-
     def _value_changes(self, disp: np.ndarray, moves: np.ndarray) -> np.ndarray:
         return self._kernel.changes(disp, moves).sum(axis=-1)
-
-    def _hessians(self, disp: np.ndarray) -> np.ndarray:
-        return self._kernel.hessian(disp)
 
     def _descent_state(self, points: np.ndarray, majorizer: bool = False):
         return self._kernel.descent_state(self._displacements(points), majorizer)
@@ -244,7 +239,7 @@ class Objective:
 
     def gradient_many(self, points) -> np.ndarray:
         """Gradient of U at each row of ``points``; shape (m, D)."""
-        return self._per_row(self._gradients, points)
+        return self._per_row(self._kernel.gradient, points)
 
     def value_change_many(self, points, moves) -> np.ndarray:
         """:meth:`value_change` for each row of ``points`` and the same row of ``moves``."""

@@ -226,7 +226,7 @@ def _single_linkage(points: np.ndarray, radius: float) -> list[list[int]]:
 def _negative_curvature(obj: Objective, points: np.ndarray) -> np.ndarray:
     """True at each row of ``points`` where the smallest eigenvalue of the
     Hessian of U is below -1e-7 of the largest magnitude (or of 1)."""
-    eig = np.linalg.eigvalsh(obj._per_row(obj._hessians, points))
+    eig = np.linalg.eigvalsh(obj._per_row(obj._kernel.hessian, points))
     return eig[:, 0] < -1e-7 * np.maximum(1.0, np.abs(eig).max(axis=1))
 
 

@@ -185,13 +185,9 @@ def trace_flow(obj: Objective, start, cfg: FlowConfig | None = None) -> FlowTrac
     radial kind's trial costs O(n) instead of O(nD). Raises
     :class:`NumericalError` (carrying the partial trace) if U or grad U
     turns non-finite at an accepted point. This is the one-start case of
-    :func:`rest_points`.
+    :func:`rest_points`, with no "start k: " before the message.
     """
-    block, failure = _descend(obj, obj.check_point(start)[None, :], cfg or FlowConfig(), True)
-    if failure is not None:
-        _, message, partial = failure
-        raise NumericalError(message, trace=partial)
-    return block.traces[0]
+    return _descend(obj, obj.check_point(start)[None, :], cfg or FlowConfig(), True).traces[0]
 
 
 class RestPoints(NamedTuple):
@@ -226,16 +222,10 @@ def rest_points(obj: Objective, starts: np.ndarray, cfg: FlowConfig,
     sample. A start whose U or grad U turns non-finite stops only its own
     row; once its block is done the lowest-index failing start's
     :class:`NumericalError` is raised, with "start <k>: " before its
-    message, k its index among all the starts, and its partial trace
-    (traced again alone when the block kept no samples).
+    message, k its index among all the starts, and its partial trace.
     """
-    blocks = []
-    for lo, hi in obj.block_spans(len(starts)):
-        block, failure = _descend(obj, starts[lo:hi], cfg, keep_traces)
-        if failure is not None:
-            row, message, partial = failure
-            raise NumericalError(f"start {lo + row}: {message}", trace=partial)
-        blocks.append(block)
+    blocks = [_descend(obj, starts[lo:hi], cfg, keep_traces, lo)
+              for lo, hi in obj.block_spans(len(starts))]
 
     def joined(name):
         return np.concatenate([getattr(block, name) for block in blocks])
@@ -247,7 +237,8 @@ def rest_points(obj: Objective, starts: np.ndarray, cfg: FlowConfig,
                       else None)
 
 
-def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: bool):
+def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: bool,
+             offset: int | None = None) -> RestPoints:
     """The descent loop: trace every row of ``starts`` in lockstep.
 
     Each iteration takes one step on every running row: rows at rest
@@ -257,10 +248,11 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
     row's trace does not depend on the others. A start whose U or grad U
     turns non-finite stops only its own row. Only with ``log_samples`` set are
     the samples before each terminal logged and the traces built. Returns
-    (:class:`RestPoints`, None), or (None, (row, message, partial trace))
-    for the lowest failing row; the partial trace is None where U was
-    non-finite at the start. The counters, bar the value changes, follow
-    from the step index when a row stops (see :class:`FlowTrace`).
+    the block's :class:`RestPoints`, else raises the lowest failing row's
+    :class:`NumericalError` with its partial trace (None where U was
+    non-finite at the start) and, given the block's ``offset``, "start
+    <offset + row>: " before its message. The counters, bar the value
+    changes, follow from the step index when a row stops (see :class:`FlowTrace`).
     """
     m, d = starts.shape
     status: list[str | None] = [None] * m
@@ -400,17 +392,17 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
         traces = [FlowTrace(points[a:b], values[a:b], grad_norms[a:b], lengths[a:b], status[r],
                             steps[a:b - 1], *counts[r].tolist())
                   for r, (a, b) in enumerate(spans)]
-    if not failures:
-        last = ends - 1
-        return RestPoints(points[last], values[last], grad_norms[last], status, counts,
-                          traces), None
-    row = min(failures)
-    if traces is None:
-        # The failing start alone, its samples logged, fails as its row did
-        # here, bit for bit.
-        return None, (row, *_descend(obj, starts[row:row + 1], cfg, True)[1][1:])
-    partial = traces[row] if np.isfinite(traces[row].values[0]) else None
-    return None, (row, failures[row], partial)
+    if failures:
+        row = min(failures)
+        if traces is None:
+            # The failing start alone, its samples logged, raises as its row
+            # failed here, bit for bit.
+            _descend(obj, starts[row:row + 1], cfg, True, offset + row)
+        partial = traces[row] if np.isfinite(traces[row].values[0]) else None
+        prefix = "" if offset is None else f"start {offset + row}: "
+        raise NumericalError(prefix + failures[row], trace=partial)
+    last = ends - 1
+    return RestPoints(points[last], values[last], grad_norms[last], status, counts, traces)
 
 
 def _line_search(obj: Objective, cfg: FlowConfig, t, gsq, state, tries):

@@ -119,10 +119,17 @@ def weiszfeld(anchors: AnchorSet, weights=None, tol: float = 1e-10,
 
 
 def centroid(anchors: AnchorSet) -> OracleReport:
-    """Closed-form minimizer of the squared potential: the anchor mean."""
+    """Closed-form minimizer of the squared potential: the anchor mean. Where
+    the plain mean overflows, each axis is summed scaled by a power of 2 that
+    brings its largest magnitude into [0.5, 1)."""
     if not isinstance(anchors, AnchorSet):
         anchors = AnchorSet(anchors)
-    loc = anchors.points.mean(axis=0)
+    a = anchors.points
+    with np.errstate(over="ignore"):
+        loc = a.mean(axis=0)
+    if not np.isfinite(loc).all():
+        e = np.frexp(np.abs(a).max(axis=0))[1]
+        loc = np.ldexp(np.ldexp(a, -e).mean(axis=0), e)
     obj = Objective(anchors, PotentialSpec("squared"))
     return OracleReport(location=loc, value=obj.value(loc), iterations=0,
                         method="centroid")

@@ -96,11 +96,15 @@ class PotentialSpec:
             _require(0.0 < s2 < np.inf and 2.0 / s2 < np.inf, "sigma",
                      f"sigma^2 and 2 / sigma^2 must be finite and > 0, got sigma = {self.sigma}")
         if self.weights is not None:
-            w = tuple(float(x) for x in self.weights)
-            _require(len(w) >= 1, "weights", "must be non-empty when present")
-            _require(all(np.isfinite(x) and x > 0.0 for x in w), "weights",
+            try:
+                w = np.asarray(self.weights, dtype=float)
+            except (TypeError, ValueError):
+                w = None  # ragged or not numbers
+            _require(w is not None and w.ndim == 1, "weights", "must be a flat list of numbers")
+            _require(w.size >= 1, "weights", "must be non-empty when present")
+            _require(((w > 0.0) & (w < np.inf)).all(), "weights",
                      "all entries must be finite and > 0")
-            object.__setattr__(self, "weights", w)
+            object.__setattr__(self, "weights", tuple(w.tolist()))
 
     def bound(self, scale: float, n_anchors: int) -> "PotentialSpec":
         """Return a copy with a concrete epsilon, validated against n anchors.

@@ -638,7 +638,8 @@ def test_barzilai_borwein_trial_skips_coordinates_the_step_left_unchanged():
 def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
     # Corrupt the gradient right of x = 0.5 near the anchor: starts 1 and 3
     # walk into that region (start 3 after fewer steps), 0 and 2 never do.
-    obj = make_objective([[0.0, -2.0]])
+    obj, one_per_block = make_objective([[0.0, -2.0]]), make_objective([[0.0, -2.0]])
+    object.__setattr__(one_per_block, "block_rows", 1)
     exact = steiner.potentials._Radial.descent_state
 
     def corrupted(kernel, disp, majorizer=False):
@@ -650,33 +651,36 @@ def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
     starts = np.array([[-3.0, 4.0], [5.0, 6.0], [-1.0, 1.0], [6.0, 0.5]])
     with pytest.raises(NumericalError) as alone:
         trace_flow(obj, starts[1])
-    with pytest.raises(NumericalError) as info:
-        rest_points(obj, starts, FlowConfig(), True)
-    assert str(info.value) == f"start 1: {alone.value}"
-    assert str(alone.value) == "gradient turned non-finite during descent"
-    assert len(info.value.trace) > 1
-    _assert_same_trace(info.value.trace, alone.value.trace)
-    # Without traces the block logs only terminals; the failing start is
-    # traced again alone for its partial trace.
-    with pytest.raises(NumericalError) as rest:
-        enumerate_critical_points(obj, points=starts)
-    assert str(rest.value) == str(info.value)
-    _assert_same_trace(rest.value.trace, alone.value.trace)
-    with pytest.raises(NumericalError, match="^start 3: "):
-        rest_points(obj, starts[[0, 2, 2, 3]], FlowConfig(), True)
-    # A higher start whose U is non-finite where it starts does not hide a
-    # lower one that fails later, nor the other way round.
-    far = [1e300, 1e300]
-    with pytest.raises(NumericalError, match="^start 1: gradient turned") as info:
-        rest_points(obj, np.array([starts[0], starts[1], far, starts[2]]), FlowConfig(), True)
-    _assert_same_trace(info.value.trace, alone.value.trace)
-    message = r"^start 1: objective is non-finite .*\(U=inf\)$"
-    with pytest.raises(NumericalError, match=message) as info:
-        rest_points(obj, np.array([starts[0], far, starts[1], starts[2]]), FlowConfig(), True)
-    assert info.value.trace is None
-    with pytest.raises(NumericalError, match=message) as info:
-        enumerate_critical_points(obj, points=np.array([starts[0], far, starts[1], starts[2]]))
-    assert info.value.trace is None
+    # Once more with one start per block, so that a later block raises, with
+    # traces and without (where the failing start is traced again alone).
+    for obj in (obj, one_per_block):
+        with pytest.raises(NumericalError) as info:
+            rest_points(obj, starts, FlowConfig(), True)
+        assert str(info.value) == f"start 1: {alone.value}"
+        assert str(alone.value) == "gradient turned non-finite during descent"
+        assert len(info.value.trace) > 1
+        _assert_same_trace(info.value.trace, alone.value.trace)
+        # Without traces the block logs only terminals; the failing start is
+        # traced again alone for its partial trace.
+        with pytest.raises(NumericalError) as rest:
+            enumerate_critical_points(obj, points=starts)
+        assert str(rest.value) == str(info.value)
+        _assert_same_trace(rest.value.trace, alone.value.trace)
+        with pytest.raises(NumericalError, match="^start 3: "):
+            rest_points(obj, starts[[0, 2, 2, 3]], FlowConfig(), True)
+        # A higher start whose U is non-finite where it starts does not hide a
+        # lower one that fails later, nor the other way round.
+        far = [1e300, 1e300]
+        with pytest.raises(NumericalError, match="^start 1: gradient turned") as info:
+            rest_points(obj, np.array([starts[0], starts[1], far, starts[2]]), FlowConfig(), True)
+        _assert_same_trace(info.value.trace, alone.value.trace)
+        message = r"^start 1: objective is non-finite .*\(U=inf\)$"
+        with pytest.raises(NumericalError, match=message) as info:
+            rest_points(obj, np.array([starts[0], far, starts[1], starts[2]]), FlowConfig(), True)
+        assert info.value.trace is None
+        with pytest.raises(NumericalError, match=message) as info:
+            enumerate_critical_points(obj, points=np.array([starts[0], far, starts[1], starts[2]]))
+        assert info.value.trace is None
 
 
 def test_p_norm_descent_from_far_away_reaches_the_anchor():

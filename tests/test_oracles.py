@@ -111,6 +111,18 @@ def test_centroid_examples():
         centroid(AnchorSet([[-1.0, -1.0], [1.0, 1.0]])).location, [0.0, 0.0])
 
 
+def test_centroid_of_anchors_whose_sum_overflows():
+    # The plain sum of each first coordinate overflows; the mean does not.
+    report = centroid(AnchorSet([[1.7e308, 0.0], [1.7e308, 2.0]]))
+    assert report.location.tolist() == [1.7e308, 1.0] and report.value == 2.0
+    # Here U ~ 1e616 overflows too; whether numpy warns of that depends on its
+    # summation loop, so only the value is checked.
+    with np.errstate(over="ignore"):
+        report = centroid(AnchorSet([[1e308, 0.0], [1.7e308, 0.0], [1.3e308, 1.0]]))
+    assert report.location.tolist() == [1.3333333333333333e308, 0.3333333333333333]
+    assert report.value == math.inf
+
+
 def test_centroid_is_a_local_minimum_of_squared_objective():
     rng = np.random.default_rng(13)
     anchors = AnchorSet(rng.uniform(0.0, 10.0, size=(6, 3)))

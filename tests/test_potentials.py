@@ -69,7 +69,7 @@ def test_gaussian_hessian_matches_central_differences_of_the_gradient(d):
     obj = make_objective(rng.uniform(0.0, 4.0, size=(6, d)), kind="gaussian_well", sigma=0.8)
     points = np.concatenate([rng.uniform(-1.0, 5.0, size=(8, d)), obj.anchors.points[:1],
                              np.full((1, d), 9.0)])
-    hessians = obj._per_row(obj._hessians, points)
+    hessians = obj._per_row(obj._kernel.hessian, points)
     h = 1e-5
     columns = [(obj.gradient_many(points + h * e) - obj.gradient_many(points - h * e)) / (2 * h)
                for e in np.eye(d)]
@@ -164,6 +164,22 @@ def test_weights_are_bound_to_anchor_count():
     with pytest.raises(ConfigError, match="weights"):
         spec.bound(1.0, 3)
     assert spec.bound(1.0, 2).epsilon == 1e-9
+
+
+def test_weights_are_checked_as_one_array():
+    given = [1, 2.5, 0.5]
+    specs = [PotentialSpec("weighted_euclidean", weights=w)
+             for w in (np.array(given), given, tuple(given))]
+    assert specs[0] == specs[1] == specs[2]
+    assert specs[0].weights == (1.0, 2.5, 0.5)
+    for weights, message in [([], "must be non-empty when present"),
+                             ([1.0, math.inf], "all entries must be finite and > 0"),
+                             ([1.0, math.nan], "all entries must be finite and > 0"),
+                             ([1.0, 0.0], "all entries must be finite and > 0"),
+                             ([[1.0, 2.0]], "must be a flat list of numbers"),
+                             ([[1.0], [2.0, 3.0]], "must be a flat list of numbers")]:
+        with pytest.raises(ConfigError, match=f"^potential.weights: {message}$"):
+            PotentialSpec("weighted_euclidean", weights=weights)
 
 
 @pytest.mark.parametrize("spec", ISOTROPIC)
