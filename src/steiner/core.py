@@ -159,13 +159,11 @@ class Objective:
 
     def value(self, point) -> float:
         """U at ``point``."""
-        x = self.check_point(point)
-        return float(self._values(self._displacements(x[None, :]))[0])
+        return float(self.value_many(self.check_point(point)[None, :])[0])
 
     def gradient(self, point) -> np.ndarray:
         """Gradient of U at ``point`` (the force on a test particle is its negative)."""
-        x = self.check_point(point)
-        return self._kernel.gradient(self._displacements(x[None, :]))[0]
+        return self.gradient_many(self.check_point(point)[None, :])[0]
 
     def value_change(self, point, move) -> float:
         """U(point + move) - U(point) from per-anchor cancellation-free changes.
@@ -180,7 +178,7 @@ class Objective:
             raise InputError(f"move: expected shape {x.shape}, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise InputError("move: coordinates must be finite")
-        return float(self._value_changes(self._displacements(x[None, :]), m[None, :])[0])
+        return float(self.value_change_many(x[None, :], m[None, :])[0])
 
     def check_points(self, points) -> np.ndarray:
         """Coerce ``points`` to a finite (m, D) float array, as :meth:`check_point` does one."""
@@ -208,7 +206,8 @@ class Objective:
         return points[:, :, None] - self._anchor_columns
 
     def _values(self, disp: np.ndarray) -> np.ndarray:
-        return self._kernel.values(disp).sum(axis=-1)
+        with np.errstate(over="ignore"):  # the tracer checks U for inf
+            return self._kernel.values(disp).sum(axis=-1)
 
     def _value_changes(self, disp: np.ndarray, moves: np.ndarray) -> np.ndarray:
         return self._kernel.changes(disp, moves).sum(axis=-1)

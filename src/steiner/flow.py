@@ -271,7 +271,7 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
     # first trial t before the cap and the value changes so far. ``carry``
     # keeps sub-ulp decreases until they add up to a drop of u (Kahan); a
     # ``tie`` is a terminal repeating the starting value.
-    row, x, u = np.arange(m), starts, obj._values(obj._displacements(starts))
+    row, x, u = np.arange(m), starts, obj.value_many(starts)
     gn = carry = np.zeros(m)
     g, state = np.zeros((m, d)), []
     t, tries = np.full(m, cfg.initial_step / cfg.backtrack_factor), np.zeros(m, dtype=int)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AnchorSet, Objective, is_integer
+from .core import AnchorSet, Objective, distances, is_integer
 from .errors import ConfigError, InputError
 from .potentials import PotentialSpec
 
@@ -45,15 +45,19 @@ def _euclidean_objective(anchors: AnchorSet, weights) -> Objective:
 
 def weiszfeld(anchors: AnchorSet, weights=None, tol: float = 1e-10,
               max_iter: int = 10_000, collect_history: bool = False) -> OracleReport:
-    """Geometric-median fixed-point iteration, started from the centroid.
+    """Geometric-median fixed-point iteration, started from the weighted mean.
 
-    x <- (sum w_i a_i / |x - a_i|) / (sum w_i / |x - a_i|)
+    Each iteration is one Vardi-Zhang step (Vardi & Zhang, PNAS 97, 2000):
+    with d_j = |x - a_j|, eta the weight of the anchors within ``tol`` of x
+    (x first snapped to the nearest of them) and R = sum_j (w_j / d_j)(a_j - x)
+    the pull of the others,
 
-    When an iterate lands within ``tol`` of an anchor, the anchor optimality
-    condition |sum_{j != i} w_j (a_i - a_j)/|a_i - a_j|| <= w_i decides
-    whether to return that anchor; otherwise a Vardi-Zhang pull-away step
-    keeps the iteration total. Stops when the step norm drops to ``tol``;
-    if the budget runs out the best iterate is returned flagged unconverged.
+    x <- x if |R| <= eta, else x + (1 - eta / |R|) R / sum_j (w_j / d_j)
+
+    Away from the anchors that is Weiszfeld's map; at an anchor, |R| <= eta
+    is Kuhn's optimality test, so an optimal anchor is returned exactly.
+    Stops when the step length drops to ``tol``; if the budget runs out the
+    last iterate is returned flagged unconverged.
     """
     if not isinstance(anchors, AnchorSet):
         anchors = AnchorSet(anchors)
@@ -82,34 +86,20 @@ def weiszfeld(anchors: AnchorSet, weights=None, tol: float = 1e-10,
     if n == 1:
         return report(a[0], 0, True)
 
-    x = (w[:, None] * a).sum(axis=0) / w.sum()
+    x = _mean(a, w)
     if collect_history:
         history.append(obj.value(x))
     for it in range(1, max_iter + 1):
-        d = np.linalg.norm(x - a, axis=1)
-        near = d < tol
-        if np.any(near):
-            i = int(np.argmin(d))
-            at_i = np.linalg.norm(a[i] - a, axis=1)
-            same = at_i < tol
-            w_here = float(w[same].sum())
-            diff = a[i] - a[~same]
-            r = (w[~same, None] * diff / at_i[~same, None]).sum(axis=0)
-            rn = float(np.linalg.norm(r))
-            if rn <= w_here:
-                if collect_history:
-                    history.append(obj.value(a[i]))
-                return report(a[i], it, True)
-            # Vardi-Zhang: blend the anchor with the Weiszfeld map that
-            # excludes it, weighted by how far from optimal the anchor is.
-            inv = w[~same] / at_i[~same]
-            t_map = (inv[:, None] * a[~same]).sum(axis=0) / inv.sum()
-            frac = w_here / rn
-            x_new = (1.0 - frac) * t_map + frac * a[i]
-        else:
-            inv = w / d
-            x_new = (inv[:, None] * a).sum(axis=0) / inv.sum()
-        step = float(np.linalg.norm(x_new - x))
+        d = distances(x, a)
+        i = int(np.argmin(d))
+        if d[i] < tol:
+            x = a[i]
+        far = d >= tol
+        inv = w[far] / d[far]
+        pull = inv @ (a[far] - x)
+        r, eta = distances(pull, 0.0)[0], w[~far].sum()
+        x_new = x if r <= eta else x + (1.0 - eta / r) * pull / inv.sum()
+        step = distances(x_new, x)[0]
         x = x_new
         if collect_history:
             history.append(obj.value(x))
@@ -118,18 +108,24 @@ def weiszfeld(anchors: AnchorSet, weights=None, tol: float = 1e-10,
     return report(x, max_iter, False)
 
 
+def _mean(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The ``w``-weighted mean of the rows of ``a``. Where the plain one
+    overflows, each axis is summed scaled by a power of 2 that brings its
+    largest magnitude into [0.5, 1); only there, as a scaled sum drops terms
+    that survive cancellation in the plain one."""
+    with np.errstate(over="ignore"):
+        mean = (w[:, None] * a).sum(axis=0) / w.sum()
+    if np.isfinite(mean).all():
+        return mean
+    e = np.frexp(np.abs(a).max(axis=0))[1]
+    return np.ldexp((w[:, None] * np.ldexp(a, -e)).sum(axis=0) / w.sum(), e)
+
+
 def centroid(anchors: AnchorSet) -> OracleReport:
-    """Closed-form minimizer of the squared potential: the anchor mean. Where
-    the plain mean overflows, each axis is summed scaled by a power of 2 that
-    brings its largest magnitude into [0.5, 1)."""
+    """Closed-form minimizer of the squared potential: the anchor mean (see :func:`_mean`)."""
     if not isinstance(anchors, AnchorSet):
         anchors = AnchorSet(anchors)
-    a = anchors.points
-    with np.errstate(over="ignore"):
-        loc = a.mean(axis=0)
-    if not np.isfinite(loc).all():
-        e = np.frexp(np.abs(a).max(axis=0))[1]
-        loc = np.ldexp(np.ldexp(a, -e).mean(axis=0), e)
+    loc = _mean(anchors.points, np.ones(anchors.n))
     obj = Objective(anchors, PotentialSpec("squared"))
     return OracleReport(location=loc, value=obj.value(loc), iterations=0,
                         method="centroid")

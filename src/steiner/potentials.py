@@ -159,7 +159,10 @@ class _Radial:
         self.weights = weights
 
     def _weighted(self, per_anchor):
-        return per_anchor if self.weights is None else per_anchor * self.weights
+        if self.weights is None:
+            return per_anchor
+        with np.errstate(over="ignore"):  # the tracer checks U, grad U and trials for inf
+            return per_anchor * self.weights
 
     def row_floats(self, n, d):
         return (d + 6) * n

@@ -475,19 +475,18 @@ def test_oracle_weiszfeld_uses_instance_weights(tmp_path):
 
 
 def test_a_result_that_json_cannot_hold_is_input_error(tmp_path, capsys):
-    # The anchor (0, 1) is the median, and its distances sum past the float
-    # range: the value is inf, which a JSON file cannot carry.
-    inp = write_instance(tmp_path, {
-        "dimension": 2,
-        "anchors": [[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]],
-        "potential": {"kind": "euclidean"},
-    })
-    out = tmp_path / "oracle.json"
-    with np.errstate(over="ignore"):  # the oracle's own distances overflow too
+    # The anchors (0, 1) and (1.3e308, 1) are the medians, and their distances
+    # sum past the float range: the value is inf, which a JSON file cannot
+    # carry. The plain mean of the second set overflows too.
+    for anchors in ([[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]],
+                    [[1e308, 0.0], [1.7e308, 0.0], [1.3e308, 1.0]]):
+        inp = write_instance(tmp_path, {"dimension": 2, "anchors": anchors,
+                                        "potential": {"kind": "euclidean"}})
+        out = tmp_path / "oracle.json"
         code = main(["oracle", "weiszfeld", "--input", str(inp), "--output", str(out)])
-    assert code == EXIT_INPUT
-    assert "value: result is inf" in capsys.readouterr().err
-    assert not out.exists()
+        assert code == EXIT_INPUT
+        assert "value: result is inf, which JSON cannot hold" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_oracle_grid_respects_cell_guard(tmp_path, capsys):
@@ -940,13 +939,20 @@ def test_deep_nesting_and_integers_past_64_bits_are_input_errors(tmp_path, capsy
 
 def test_solve_near_the_float_maximum_reaches_the_descent(tmp_path, capsys):
     # The default box stops at the float maximum instead of failing its own
-    # finiteness check; U itself overflows at every start.
-    inp = write_instance(tmp_path, {"dimension": 2,
-                                    "anchors": [[1e308, 0.0], [1.7e308, 0.0], [1.3e308, 1.0]],
-                                    "potential": {"kind": "euclidean"}})
-    code = main(["solve", "--input", str(inp), "--output", str(tmp_path / "o.json")])
-    assert code == EXIT_NO_CRITICAL_POINT
-    assert "objective is non-finite at the starting point" in capsys.readouterr().err
+    # finiteness check; U itself overflows at every start. In the second
+    # instance a weight times a distance, and the sum of the terms, overflow
+    # at the outer starts, and numpy warns of neither.
+    for instance in (
+            {"dimension": 2, "anchors": [[1e308, 0.0], [1.7e308, 0.0], [1.3e308, 1.0]],
+             "potential": {"kind": "euclidean"}},
+            {"dimension": 1, "anchors": [[0], [0.1]],
+             "potential": {"kind": "weighted_euclidean", "weights": [1e308, 1e308]},
+             "testing_plan": {"strategy": "grid", "count": 3, "domain_box": [[-1, 2]]}}):
+        inp = write_instance(tmp_path, instance)
+        code = main(["solve", "--input", str(inp), "--output", str(tmp_path / "o.json")])
+        assert code == EXIT_NO_CRITICAL_POINT
+        assert ("start 0: objective is non-finite at the starting point (U=inf)"
+                in capsys.readouterr().err)
 
 
 def _number_texts():

@@ -701,6 +701,23 @@ def test_lockstep_failure_at_a_start_without_trace():
     assert info.value.trace is None
 
 
+def test_a_start_whose_gradient_overflows_is_named():
+    # U ~ 1.3e308 is finite at 0.7 and 0.8, but each anchor pulls with its
+    # weight, 1e308, and the two pulls add past the float range: the start's
+    # own gradient stops the trace.
+    obj = make_objective([[0.0], [0.1]], "weighted_euclidean", weights=(1e308, 1e308))
+    message = "gradient is non-finite at the starting point"
+    with pytest.raises(NumericalError, match=f"^{message}$") as info:
+        trace_flow(obj, [0.7])
+    trace = info.value.trace
+    assert len(trace) == 1 and trace.status == STALLED
+    assert (trace.n_value_changes, trace.n_gradients, trace.n_backtracks) == (0, 1, 0)
+    for keep_traces in (True, False):
+        with pytest.raises(NumericalError, match=f"^start 0: {message}$") as info:
+            rest_points(obj, np.array([[0.7], [0.8]]), FlowConfig(), keep_traces)
+        _assert_same_trace(info.value.trace, trace)
+
+
 def test_rest_points_splits_large_problems_into_blocks():
     # A row's footprint above the block budget: one row per block, same traces.
     anchors = np.random.default_rng(8).uniform(0.0, 10.0, size=(10_000, 8))

@@ -103,6 +103,14 @@ def test_weiszfeld_value_is_reevaluated_objective():
     assert report.value == pytest.approx(obj.value(report.location), rel=1e-12)
 
 
+def test_weiszfeld_near_the_float_maximum():
+    # The plain anchor mean overflows here, and so do |x - a_j|^2; the median
+    # is the anchor (1.3e308, 1), though its distances sum past the float range.
+    report = weiszfeld(AnchorSet([[1e308, 0.0], [1.7e308, 0.0], [1.3e308, 1.0]]))
+    assert report.location.tolist() == [1.3e308, 1.0] and report.converged
+    assert report.value == math.inf
+
+
 def test_centroid_examples():
     np.testing.assert_array_equal(
         centroid(AnchorSet([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]])).location, [1.0, 1.0])
