@@ -13,18 +13,22 @@ from .potentials import batch_gradients, batch_value_changes, batch_values  # no
 Point = np.ndarray
 """A D-dimensional coordinate vector (1-D float array)."""
 
-# Floats one lockstep block may hold at its peak. ``Objective.block_rows`` is
+# Floats one kernel call may hold at its peak. ``Objective.block_rows`` is
 # this budget over a row's footprint, which each kind's kernel gives: the
 # floats one row holds at the peak of a descent step, as traced with
 # tracemalloc (the displacements while the gradient is formed, the state the
-# line search reuses, a trial's temporaries and the row's bookkeeping). A
-# problem whose one row is over budget runs one row at a time, exactly like
-# the single-point methods. On the benchmark's 2048-start, n = 16, D = 3
-# euclidean workload (2-core x86 VM, medians of 6 runs) a solve took 0.034,
-# 0.029 and 0.032 s at 2**16, 2**17 and 2**18, in 4, 2 and 1 blocks, at a
-# peak RSS of 39.1, 39.5 and 41.1 MiB: one block of all 2048 rows is both
-# slower and larger.
+# line search reuses, a trial's temporaries and the row's bookkeeping). Kernel
+# calls take ``block_rows`` rows; a lockstep block (``flow.rest_points``)
+# takes as many, but never fewer than a small floor, so a problem whose one
+# row is over budget forms each row's state in its own kernel call, exactly
+# like the single-point methods, while its starts still step together. On
+# the benchmark's 2048-start, n = 16, D = 3 euclidean workload (2-core x86
+# VM, medians of 6 runs) a solve took 0.034, 0.029 and 0.032 s at 2**16,
+# 2**17 and 2**18, in 4, 2 and 1 blocks, at a peak RSS of 39.1, 39.5 and
+# 41.1 MiB: one block of all 2048 rows is both slower and larger.
 _BLOCK_FLOATS = 2 ** 17
+
+_TINY = np.finfo(float).tiny  # the least normal float
 
 
 def is_integer(value) -> bool:
@@ -60,7 +64,9 @@ def distances(a, b) -> np.ndarray:
         diff = np.atleast_2d(np.subtract(a, b, dtype=float))
         sq = np.vecdot(diff, diff)
         dist = np.sqrt(sq)
-        redo = np.flatnonzero((sq < np.finfo(float).tiny) | (sq == np.inf))
+        if sq.min(initial=np.inf) >= _TINY and sq.max(initial=0.0) < np.inf:  # all normal
+            return dist
+        redo = np.flatnonzero((sq < _TINY) | (sq == np.inf))
         if redo.size:
             scale = np.abs(diff[redo]).max(axis=1)
             usable = (scale > 0.0) & (scale < np.inf)
@@ -119,9 +125,12 @@ class Objective:
     per-anchor weights are length-checked. ``length_scale`` keeps that
     diagonal (or, when all anchors coincide, the magnitude fallback that
     stands in for it); the descent tracer caps its steps with it.
-    ``block_rows`` sizes :meth:`block_spans`, the one rule by which batches
-    are split into blocks. Public methods check their input, the kernels
-    do not. Instances are immutable and all evaluation methods are pure.
+    ``block_rows`` is the default width of :meth:`block_spans`, the one rule
+    by which batches are split into blocks: the width of one kernel call's
+    rows and, floored at 8, of the lockstep blocks of
+    :func:`~steiner.flow.rest_points`. Public methods check their input, the
+    kernels do not. Instances are immutable and all evaluation methods are
+    pure.
     """
 
     anchors: AnchorSet
@@ -189,12 +198,12 @@ class Objective:
         _check_finite_rows(pts, "points")
         return pts
 
-    def block_spans(self, m: int):
+    def block_spans(self, m: int, width: int | None = None):
         """Rows [lo, hi) of each block of a batch of ``m`` rows: max(1, m //
-        ``block_rows``) consecutive blocks of near-equal size, so each holds
-        fewer than 2 * ``block_rows`` rows and none is a short tail. An empty
-        batch is one empty span."""
-        count = max(1, m // self.block_rows)
+        ``width``) consecutive blocks of near-equal size, so each holds fewer
+        than 2 * ``width`` rows and none is a short tail. ``width`` is
+        ``block_rows`` unless given. An empty batch is one empty span."""
+        count = max(1, m // (width or self.block_rows))
         return ((m * k // count, m * (k + 1) // count) for k in range(count))
 
     # Unchecked evaluation on displacements x - a_i, shape (rows, D, n), through
@@ -213,7 +222,21 @@ class Objective:
         return self._kernel.changes(disp, moves).sum(axis=-1)
 
     def _descent_state(self, points: np.ndarray, majorizer: bool = False):
-        return self._kernel.descent_state(self._displacements(points), majorizer)
+        """The kernel's ``descent_state`` over the spans of :meth:`block_spans`,
+        joined row-wise (a None column stays None), so a lockstep block wider
+        than ``block_rows`` holds one span's displacements at a time. Each
+        joined column frees its pieces before the next is formed."""
+        spans = [self._kernel.descent_state(self._displacements(points[lo:hi]), majorizer)
+                 for lo, hi in self.block_spans(len(points))]
+        if len(spans) == 1:
+            return spans[0]
+        columns = list(zip(*((g, *state, inv_s) for g, state, inv_s in spans)))
+        del spans
+        joined = []
+        while columns:
+            pieces = columns.pop(0)
+            joined.append(None if pieces[0] is None else np.concatenate(pieces))
+        return joined[0], joined[1:-1], joined[-1]
 
     def _trials(self, state, t: np.ndarray, gsq: np.ndarray) -> np.ndarray:
         return self._kernel.trials(state, t, gsq).sum(axis=-1)

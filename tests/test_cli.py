@@ -17,7 +17,7 @@ from hypothesis import strategies as hst
 from steiner import (KINDS, FlowConfig, InputError, Objective, SteinerError, TestingPlan,
                      weiszfeld)
 from steiner.cli import (EXIT_INPUT, EXIT_NO_CRITICAL_POINT, EXIT_OK, _expect_array,
-                         _expect_number, load_instance, main, parse_instance,
+                         _expect_number, _fmt_json, load_instance, main, parse_instance,
                          serialize_instance)
 from steiner.critical_set import STRATEGIES
 
@@ -211,6 +211,14 @@ PINNED_SOLVES = {
         "potential": {"kind": "p_norm", "p": 3},
         "testing_plan": {"strategy": "uniform_random", "count": 6, "seed": 2},
     }, False, "2974dcc56138473dcc088bd57aa2b56bf81d2894565989f79408a0ef02db15de"),
+    # A row's footprint, 14 x 3 000 floats, leaves block_rows 3: fewer rows
+    # than the lockstep block of 12 starts.
+    "euclidean_over_budget": ({
+        "dimension": 8,
+        "anchors": np.random.default_rng(26).uniform(0.0, 10.0, size=(3_000, 8)).tolist(),
+        "potential": {"kind": "euclidean"},
+        "testing_plan": {"strategy": "uniform_random", "count": 12, "seed": 0},
+    }, False, "964425738c24205f0aaa26619aee8948a97892c1ef5383fd5730403f65488e24"),
 }
 
 
@@ -871,6 +879,12 @@ def test_instance_round_trip_property(data):
     assert second.potential == first.potential
     assert second.testing_plan == first.testing_plan
     assert second.flow == first.flow
+
+
+def test_an_empty_object_is_written_on_one_line():
+    assert _fmt_json({}) == "{}"
+    assert _fmt_json({"echo": {}, "n": 1}) == '{\n  "echo": {},\n  "n": 1\n}'
+    assert json.loads(_fmt_json({"echo": {}})) == {"echo": {}}
 
 
 def test_result_floats_survive_json_round_trip(tmp_path):

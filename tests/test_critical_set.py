@@ -559,6 +559,42 @@ def test_distances_keep_the_norm_in_range_and_scale_outside_it():
     assert distances(far, -far).tolist() == [np.inf]
 
 
+def _distances_checking_every_row(a, b):
+    """The reference for :func:`distances`: each row whose squared sum is not
+    normal is looked for and redone, whatever the others are."""
+    with np.errstate(over="ignore"):
+        diff = np.atleast_2d(np.subtract(a, b, dtype=float))
+        sq = np.vecdot(diff, diff)
+        dist = np.sqrt(sq)
+        redo = np.flatnonzero((sq < np.finfo(float).tiny) | (sq == np.inf))
+        if redo.size:
+            scale = np.abs(diff[redo]).max(axis=1)
+            usable = (scale > 0.0) & (scale < np.inf)
+            redo, scale = redo[usable], scale[usable]
+            unit = diff[redo] / scale[:, None]
+            dist[redo] = scale * np.sqrt(np.vecdot(unit, unit))
+    return dist
+
+
+def test_distances_equal_the_row_by_row_reference_bit_for_bit():
+    # Batches of all-normal squared sums take the plain root; one subnormal,
+    # huge or zero gap anywhere sends a batch through the rows to redo.
+    rng = np.random.default_rng(26)
+    special = np.array([0.0, 5e-324, 3e-310, 1e-160, 1e155, 1e200, 1.7e308])
+    for size in [0, 1, 2, 16, 16, 100] * 40:
+        d = int(rng.integers(1, 5))
+        a = rng.normal(size=(size, d)) * 10.0 ** rng.integers(-150, 150, size=(size, 1))
+        b = rng.normal(size=(size, d)) * 10.0 ** rng.integers(-150, 150, size=(size, 1))
+        if size and rng.random() < 0.5:
+            rows = rng.integers(0, size, size=int(rng.integers(1, size + 1)))
+            a[rows] = rng.choice(special, size=(len(rows), d)) \
+                * rng.choice([-1.0, 1.0], size=(len(rows), d))
+            b[rows] = 0.0
+        np.testing.assert_array_equal(distances(a, b), _distances_checking_every_row(a, b),
+                                      strict=True)
+    assert distances(np.empty((0, 3)), np.zeros(3)).shape == (0,)
+
+
 @hst.composite
 def _linkage_cases(draw):
     """Tight clusters, lattices with ties at exactly the radius, or long

@@ -11,7 +11,7 @@ from hypothesis import strategies as hst
 import steiner.flow
 import steiner.potentials
 from steiner import (CONVERGED, MAX_STEPS, STALLED, ConfigError, FlowConfig, FlowTrace,
-                     InputError, NumericalError, TestingPlan, enumerate_critical_points,
+                     InputError, NumericalError, Objective, TestingPlan, enumerate_critical_points,
                      generate_testing_points, graph_residual, tangency_residual, trace_flow,
                      weiszfeld)
 from steiner.flow import _guaranteed_step, _longest_monotone_run, rest_points
@@ -638,8 +638,8 @@ def test_barzilai_borwein_trial_skips_coordinates_the_step_left_unchanged():
 def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
     # Corrupt the gradient right of x = 0.5 near the anchor: starts 1 and 3
     # walk into that region (start 3 after fewer steps), 0 and 2 never do.
-    obj, one_per_block = make_objective([[0.0, -2.0]]), make_objective([[0.0, -2.0]])
-    object.__setattr__(one_per_block, "block_rows", 1)
+    obj, one_row_spans = make_objective([[0.0, -2.0]]), make_objective([[0.0, -2.0]])
+    object.__setattr__(one_row_spans, "block_rows", 1)
     exact = steiner.potentials._Radial.descent_state
 
     def corrupted(kernel, disp, majorizer=False):
@@ -651,9 +651,11 @@ def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
     starts = np.array([[-3.0, 4.0], [5.0, 6.0], [-1.0, 1.0], [6.0, 0.5]])
     with pytest.raises(NumericalError) as alone:
         trace_flow(obj, starts[1])
-    # Once more with one start per block, so that a later block raises, with
-    # traces and without (where the failing start is traced again alone).
-    for obj in (obj, one_per_block):
+    # Once more with kernel spans of one row, and with one start per block as
+    # well, so that a later block raises, with traces and without (where the
+    # failing start is traced again alone).
+    for obj, lockstep in ((obj, 8), (one_row_spans, 8), (one_row_spans, 1)):
+        monkeypatch.setattr(steiner.flow, "_LOCKSTEP_ROWS", lockstep)
         with pytest.raises(NumericalError) as info:
             rest_points(obj, starts, FlowConfig(), True)
         assert str(info.value) == f"start 1: {alone.value}"
@@ -718,36 +720,55 @@ def test_a_start_whose_gradient_overflows_is_named():
         _assert_same_trace(info.value.trace, trace)
 
 
-def test_rest_points_splits_large_problems_into_blocks():
-    # A row's footprint above the block budget: one row per block, same traces.
-    anchors = np.random.default_rng(8).uniform(0.0, 10.0, size=(10_000, 8))
-    obj = make_objective(anchors)
-    assert obj.block_rows == 1
-    starts = np.random.default_rng(9).uniform(0.0, 10.0, size=(3, 8))
-    cfg = FlowConfig(max_steps=5)
-    traces = rest_points(obj, starts, cfg, True).traces
-    assert len(traces) == len(starts)
-    for start, trace in zip(starts, traces):
-        _assert_same_trace(trace, trace_flow(obj, start, cfg))
+@pytest.mark.parametrize("kind, kwargs, n", [
+    ("euclidean", {}, 5_000),
+    ("squared", {}, 5_000),  # its carry is None in every span
+    ("gaussian_well", dict(sigma=2.0), 5_000),
+    ("p_norm", dict(p=3.0), 1_700),
+], ids=["euclidean", "squared", "gaussian_well", "p_norm"])
+def test_kernel_spans_narrower_than_the_block_keep_single_traces(kind, kwargs, n):
+    # A row's footprint, 8 n floats for the radial kinds and 24 n for p_norm
+    # at D = 2, leaves block_rows 3: the 11 starts are one lockstep block
+    # whose state is formed in spans of 3 and 4 rows, fewer as rows stop.
+    rng = np.random.default_rng(26)
+    obj = make_objective(rng.uniform(0.0, 10.0, size=(n, 2)), kind, **kwargs)
+    assert obj.block_rows == 3
+    starts = rng.uniform(-2.0, 12.0, size=(11, 2))
+    starts[-1] = obj.anchors.points[0]
+    cfg = FlowConfig(max_steps=200)
+    singles = [trace_flow(obj, start, cfg) for start in starts]
+    block = rest_points(obj, starts, cfg, True)
+    for trace, single in zip(block.traces, singles, strict=True):
+        _assert_same_trace(trace, single)
+    ends = rest_points(obj, starts, cfg, False)
+    assert ends.statuses == block.statuses == [t.status for t in singles]
+    np.testing.assert_array_equal(ends.points, [t.terminal_point for t in singles], strict=True)
+    np.testing.assert_array_equal(
+        ends.counts, [[t.n_value_changes, t.n_gradients, t.n_backtracks] for t in singles])
 
 
-@pytest.mark.parametrize("kind, kwargs, blocks", [
-    ("euclidean", {}, 2),
-    ("p_norm", dict(p=3.0), 9),
-], ids=["euclidean", "p_norm"])
+@pytest.mark.parametrize("kind, kwargs, n, d, m, blocks", [
+    ("euclidean", {}, 16, 3, 2048, 2),
+    ("p_norm", dict(p=3.0), 16, 3, 2048, 9),
+    ("euclidean", {}, 10_000, 8, 8, 1),
+], ids=["euclidean", "p_norm", "euclidean-large-n"])
 def test_lockstep_blocks_stay_within_the_footprint_that_sizes_them(monkeypatch, kind, kwargs,
-                                                                   blocks):
+                                                                   n, d, m, blocks):
     # block_rows divides a float budget by a row's peak footprint, the
     # kernel's row_floats: (D + 6) n floats for the radial kinds and 12 D n
     # for p_norm. Each block of a 2048-start, n = 16, D = 3 solve must peak
     # within its rows' footprints and a fixed slack; a step that kept the
     # searched state alive while forming the next one would hold about 3 n
-    # more per row.
-    n, d = 16, 3
+    # more per row. At n = 10 000, D = 8, block_rows is 1, so the 8 starts
+    # are one block formed one row per kernel span: only the widest span
+    # peaks at its footprint, and every other row holds its line-search state
+    # (r^2, the root and 2 g.v, 3 n floats) and a trial's two temporaries. A
+    # block that kept all its rows' displacements alive would hold 8 n more
+    # per row.
     rng = np.random.default_rng(0)
     obj = make_objective(rng.uniform(0.0, 10.0, size=(n, d)), kind, **kwargs)
     footprint = obj._kernel.row_floats(n, d)
-    starts = rng.uniform(-2.0, 12.0, size=(2048, d))
+    starts = rng.uniform(-2.0, 12.0, size=(m, d))
     peaks = []
     descend = steiner.flow._descend
 
@@ -764,35 +785,54 @@ def test_lockstep_blocks_stay_within_the_footprint_that_sizes_them(monkeypatch, 
         rest_points(obj, starts, FlowConfig(), False)
     finally:
         tracemalloc.stop()
-    assert [rows for rows, _ in peaks] == [2048 * (k + 1) // blocks - 2048 * k // blocks
+    assert [rows for rows, _ in peaks] == [m * (k + 1) // blocks - m * k // blocks
                                            for k in range(blocks)]
     for rows, peak in peaks:
-        assert peak <= rows * footprint * 8 + 16 * 1024, (rows, peak / (rows * n * 8))
+        widest = max(hi - lo for lo, hi in obj.block_spans(rows))
+        bound = widest * footprint + (rows - widest) * 5 * n
+        assert peak <= bound * 8 + 16 * 1024, (rows, peak / (rows * n * 8))
 
 
 @pytest.mark.parametrize("d, m, sizes", [
-    (2, 17, [5, 6, 6]),   # 3 * block_rows + 2 starts: no 2-row tail block
-    (2, 4, [4]),          # fewer starts than block_rows: one block
-    (8, 3, [1, 1, 1]),    # block_rows 1: one block per start
+    (2, 17, [8, 9]),      # 2 * 8 + 1 starts: no 1-row tail block
+    (2, 4, [4]),          # fewer starts than the lockstep width: one block
+    (8, 3, [3]),          # block_rows 1: one block, one row per kernel span
 ])
 def test_rest_points_splits_starts_into_near_equal_blocks(monkeypatch, d, m, sizes):
     # block_rows is 2^17 // ((D + 6) n): 5 for D = 2 at 3 000 anchors and 1
-    # for D = 8 at 10 000.
+    # for D = 8 at 10 000. A lockstep block is max(8, block_rows) wide; its
+    # kernel calls are block_rows wide.
     n = {2: 3_000, 8: 10_000}[d]
     obj = make_objective(np.random.default_rng(8).uniform(0.0, 10.0, size=(n, d)))
     assert obj.block_rows == {2: 5, 8: 1}[d]
     starts = np.random.default_rng(9).uniform(0.0, 10.0, size=(m, d))
     cfg = FlowConfig(max_steps=30)
-    blocks = []
-    descend = steiner.flow._descend
+    blocks, steps = [], []
+    descend, state_of = steiner.flow._descend, Objective._descent_state
+    descent_state = steiner.potentials._Radial.descent_state
 
     def counted(obj, starts, *args):
         blocks.append(len(starts))
         return descend(obj, starts, *args)
 
+    def spanned(kernel, disp, majorizer=False):
+        steps[-1][1].append(len(disp))
+        return descent_state(kernel, disp, majorizer)
+
+    def stepped(obj, points, majorizer=False):
+        steps.append((len(points), []))
+        return state_of(obj, points, majorizer)
+
     monkeypatch.setattr(steiner.flow, "_descend", counted)
+    monkeypatch.setattr(steiner.potentials._Radial, "descent_state", spanned)
+    monkeypatch.setattr(Objective, "_descent_state", stepped)
     ends = rest_points(obj, starts, cfg, True)
     assert blocks == sizes
+    # Each step forms the running rows' state in kernel calls of one row at
+    # D = 8 and of all of them at D = 2, where a block is under 2 * block_rows.
+    assert len(steps) > len(sizes)
+    for rows, spans in steps:
+        assert spans == ([1] * rows if d == 8 else [rows])
     monkeypatch.undo()
     singles = [trace_flow(obj, start, cfg) for start in starts]
     for trace, single in zip(ends.traces, singles):

@@ -117,6 +117,12 @@ def test_centroid_examples():
     np.testing.assert_array_equal(centroid(AnchorSet([[4.0, 5.0]])).location, [4.0, 5.0])
     np.testing.assert_array_equal(
         centroid(AnchorSet([[-1.0, -1.0], [1.0, 1.0]])).location, [0.0, 0.0])
+    # A raw array is read as the anchor set it makes.
+    raw = [[0.1, 0.7], [2.0, 0.3], [1.0, 3.0]]
+    report, expected = centroid(np.array(raw)), centroid(AnchorSet(raw))
+    np.testing.assert_array_equal(report.location, expected.location, strict=True)
+    assert (report.value, report.iterations, report.method) == \
+        (expected.value, expected.iterations, expected.method)
 
 
 def test_centroid_of_anchors_whose_sum_overflows():
