@@ -19,9 +19,10 @@ Point = np.ndarray
 # tracemalloc (the displacements while the gradient is formed, the state the
 # line search reuses, a trial's temporaries and the row's bookkeeping). Kernel
 # calls take ``block_rows`` rows; a lockstep block (``flow.rest_points``)
-# takes as many, but never fewer than a small floor, so a problem whose one
-# row is over budget forms each row's state in its own kernel call, exactly
-# like the single-point methods, while its starts still step together. On
+# takes as many, but no fewer than a small floor that its rows' kept state
+# caps in turn, so a problem whose one row is over budget forms each row's
+# state in its own kernel call, exactly like the single-point methods, while
+# its starts still step together up to a large n. On
 # the benchmark's 2048-start, n = 16, D = 3 euclidean workload (2-core x86
 # VM, medians of 6 runs) a solve took 0.034, 0.029 and 0.032 s at 2**16,
 # 2**17 and 2**18, in 4, 2 and 1 blocks, at a peak RSS of 39.1, 39.5 and
@@ -127,10 +128,10 @@ class Objective:
     stands in for it); the descent tracer caps its steps with it.
     ``block_rows`` is the default width of :meth:`block_spans`, the one rule
     by which batches are split into blocks: the width of one kernel call's
-    rows and, floored at 8, of the lockstep blocks of
-    :func:`~steiner.flow.rest_points`. Public methods check their input, the
-    kernels do not. Instances are immutable and all evaluation methods are
-    pure.
+    rows and, raised to a floor of at most 8 that memory caps, of the
+    lockstep blocks of :func:`~steiner.flow.rest_points`. Public methods
+    check their input, the kernels do not. Instances are immutable and all
+    evaluation methods are pure.
     """
 
     anchors: AnchorSet
@@ -223,19 +224,25 @@ class Objective:
 
     def _descent_state(self, points: np.ndarray, majorizer: bool = False):
         """The kernel's ``descent_state`` over the spans of :meth:`block_spans`,
-        joined row-wise (a None column stays None), so a lockstep block wider
-        than ``block_rows`` holds one span's displacements at a time. Each
-        joined column frees its pieces before the next is formed."""
-        spans = [self._kernel.descent_state(self._displacements(points[lo:hi]), majorizer)
-                 for lo, hi in self.block_spans(len(points))]
-        if len(spans) == 1:
-            return spans[0]
-        columns = list(zip(*((g, *state, inv_s) for g, state, inv_s in spans)))
-        del spans
-        joined = []
-        while columns:
-            pieces = columns.pop(0)
-            joined.append(None if pieces[0] is None else np.concatenate(pieces))
+        so a lockstep block wider than ``block_rows`` holds one span's
+        displacements at a time. The first span's results shape arrays for
+        the whole block (a None column stays None), and the kernel writes
+        each later span's rows into them."""
+        spans = self.block_spans(len(points))
+        lo, hi = next(spans)
+        g, state, inv_s = self._kernel.descent_state(self._displacements(points[lo:hi]),
+                                                     majorizer)
+        if hi == len(points):
+            return g, state, inv_s
+        joined = [None if c is None else np.empty((len(points), *c.shape[1:]), c.dtype)
+                  for c in (g, *state, inv_s)]
+        for out, column in zip(joined, (g, *state, inv_s)):
+            if out is not None:
+                out[lo:hi] = column
+        del g, state, inv_s
+        for lo, hi in spans:
+            self._kernel.descent_state(self._displacements(points[lo:hi]), majorizer,
+                                       [None if out is None else out[lo:hi] for out in joined])
         return joined[0], joined[1:-1], joined[-1]
 
     def _trials(self, state, t: np.ndarray, gsq: np.ndarray) -> np.ndarray:

@@ -124,8 +124,8 @@ class PotentialSpec:
         return replace(self, epsilon=eps)
 
 
-def _sq_norm(arr):
-    return np.einsum("...dn,...dn->...n", arr, arr)
+def _sq_norm(arr, out=None):
+    return np.einsum("...dn,...dn->...n", arr, arr, out=out)
 
 
 class _Radial:
@@ -167,13 +167,17 @@ class _Radial:
     def row_floats(self, n, d):
         return (d + 6) * n
 
+    def kept_floats(self, n, d):
+        return 8 * n
+
     def values(self, disp):
         return self._weighted(self.value(_sq_norm(disp)))
 
-    def _slopes(self, disp):
-        """r^2, the carry and the weighted slopes at ``disp``."""
-        r2 = _sq_norm(disp)
-        carry = self.carry(r2)
+    def _slopes(self, disp, r2_out=None, carry_out=None):
+        """r^2, the carry and the weighted slopes at ``disp``; r^2 and the
+        carry are written to the arrays given for them."""
+        r2 = _sq_norm(disp, r2_out)
+        carry = self.carry(r2, carry_out)
         return r2, carry, self._weighted(self.slope(r2, carry))
 
     def gradients(self, disp):
@@ -196,15 +200,16 @@ class _Radial:
         change = self.change(r2, self.carry(r2), dr2, lambda: _sq_norm(disp + move[..., None]))
         return self._weighted(change)
 
-    def descent_state(self, disp, majorizer=False):
-        r2, carry, slope = self._slopes(disp)
-        g = np.einsum("...dn,...n->...d", disp, slope)
+    def descent_state(self, disp, majorizer=False, out=None):
+        g_out, r2_out, carry_out, proj2_out, inv_s_out = (None,) * 5 if out is None else out
+        r2, carry, slope = self._slopes(disp, r2_out, carry_out)
+        g = np.einsum("...dn,...n->...d", disp, slope, out=g_out)
         inv_s = None
         if majorizer and self.majorizes:
             with np.errstate(over="ignore", divide="ignore"):
-                inv_s = 1.0 / slope.sum(axis=-1)
+                inv_s = np.divide(1.0, slope.sum(axis=-1), out=inv_s_out)
         del slope  # before 2 g.v is formed: row_floats counts on it
-        proj2 = np.einsum("...dn,...d->...n", disp, g)
+        proj2 = np.einsum("...dn,...d->...n", disp, g, out=proj2_out)
         proj2 *= 2.0
         return g, [r2, carry, proj2], inv_s
 
@@ -231,8 +236,8 @@ class _Hyperbolic(_Radial):
                              out=np.full_like(r2, np.inf), where=r2 != np.inf)
         return np.sqrt(r2)
 
-    def carry(self, r2):
-        root = r2 + self.eps2
+    def carry(self, r2, out=None):
+        root = np.add(r2, self.eps2, out=out)
         return np.sqrt(root, out=root)
 
     def slope(self, r2, root):
@@ -261,7 +266,7 @@ class _Squared(_Radial):
     def value(self, r2):
         return r2
 
-    def carry(self, r2):
+    def carry(self, r2, out=None):
         return None
 
     def slope(self, r2, _):
@@ -284,8 +289,8 @@ class _Gaussian(_Radial):
     def value(self, r2):
         return -np.expm1(-r2 / self.s2)
 
-    def carry(self, r2):
-        return np.exp(-r2 / self.s2)
+    def carry(self, r2, out=None):
+        return np.exp(-r2 / self.s2, out=out)
 
     def slope(self, r2, damp):
         return self.two_over_s2 * damp
@@ -336,6 +341,9 @@ class _PNorm:
 
     def row_floats(self, n, d):
         return 12 * d * n
+
+    def kept_floats(self, n, d):
+        return 8 * (d + 1) * n
 
     def _normalised(self, disp):
         """r, R, q^(p-1), q^p and S at ``disp``. R = 0 (v = 0 at eps = 0) reads
@@ -412,9 +420,12 @@ class _PNorm:
         r, top, _, qp, s = self._normalised(disp)
         return self._change(disp, r, top, qp, s, move[..., None])
 
-    def descent_state(self, disp, majorizer=False):
+    def descent_state(self, disp, majorizer=False, out=None):
         r, top, qm, qp, s = self._normalised(disp)
         g = self._gradients(disp, r, qm, s).sum(axis=-1)
+        if out is not None:  # a copy costs little beside forming (rows, D, n) arrays
+            for dest, column in zip(out, (g, disp, r, top, qp, s, g)):
+                dest[...] = column
         return g, [disp, r, top, qp, s, g], None
 
     def trials(self, state, t, gsq):
@@ -432,10 +443,14 @@ def kernel(spec: PotentialSpec, weights=None):
     weighted_euclidean and squared, 1/S per row, S the slope sum of
     :class:`_Radial` (inf, 0 or nan where S is 0, inf or nan; None unasked
     and for the other kinds): in exact arithmetic every t <= 2 (1 - c) / S
-    passes the Armijo test with constant c; ``exact``, whether 1/S is the
-    exact minimum along -g (squared, whose majorizer is U itself); and
+    passes the Armijo test with constant c (given ``out``, a list of arrays
+    shaped like g, the state's arrays and 1/S, None where those are None,
+    ``descent_state`` also writes them there); ``exact``, whether 1/S is the
+    exact minimum along -g (squared, whose majorizer is U itself);
     ``row_floats(n, d)``, the floats one row holds at the peak of a descent
-    step, as traced with tracemalloc.
+    step; and ``kept_floats(n, d)``, the floats each further row of a lockstep
+    block adds to that peak (its line-search state and a trial's
+    temporaries), both from tracemalloc traces, the latter with a margin.
     ``weights`` (one per anchor, broadcast against the last axis of a
     per-anchor result) multiply the terms of a radial kind; only
     ``weighted_euclidean`` has them.

@@ -642,10 +642,11 @@ def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
     object.__setattr__(one_row_spans, "block_rows", 1)
     exact = steiner.potentials._Radial.descent_state
 
-    def corrupted(kernel, disp, majorizer=False):
-        g, state, inv_s = exact(kernel, disp, majorizer)
+    def corrupted(kernel, disp, majorizer=False, out=None):
+        g, state, inv_s = exact(kernel, disp, majorizer, out)
         near = (np.linalg.norm(disp, axis=-2) < 3.0) & (disp[..., 0, :] > 0.5)
-        return np.where(near.any(axis=-1)[..., None], np.nan, g), state, inv_s
+        g[near.any(axis=-1)] = np.nan  # in place, so that it reaches ``out`` too
+        return g, state, inv_s
 
     monkeypatch.setattr(steiner.potentials._Radial, "descent_state", corrupted)
     starts = np.array([[-3.0, 4.0], [5.0, 6.0], [-1.0, 1.0], [6.0, 0.5]])
@@ -751,7 +752,12 @@ def test_kernel_spans_narrower_than_the_block_keep_single_traces(kind, kwargs, n
     ("euclidean", {}, 16, 3, 2048, 2),
     ("p_norm", dict(p=3.0), 16, 3, 2048, 9),
     ("euclidean", {}, 10_000, 8, 8, 1),
-], ids=["euclidean", "p_norm", "euclidean-large-n"])
+    ("gaussian_well", dict(sigma=2.0), 10_000, 8, 8, 1),
+    ("p_norm", dict(p=3.0), 2_000, 8, 8, 2),
+    ("p_norm", dict(p=3.0), 10_000, 8, 2, 2),
+    ("euclidean", {}, 100_000, 3, 4, 4),
+], ids=["euclidean", "p_norm", "euclidean-large-n", "gaussian_well-large-n", "p_norm-large-n",
+        "p_norm-huge-n", "euclidean-huge-n"])
 def test_lockstep_blocks_stay_within_the_footprint_that_sizes_them(monkeypatch, kind, kwargs,
                                                                    n, d, m, blocks):
     # block_rows divides a float budget by a row's peak footprint, the
@@ -759,15 +765,19 @@ def test_lockstep_blocks_stay_within_the_footprint_that_sizes_them(monkeypatch, 
     # for p_norm. Each block of a 2048-start, n = 16, D = 3 solve must peak
     # within its rows' footprints and a fixed slack; a step that kept the
     # searched state alive while forming the next one would hold about 3 n
-    # more per row. At n = 10 000, D = 8, block_rows is 1, so the 8 starts
-    # are one block formed one row per kernel span: only the widest span
-    # peaks at its footprint, and every other row holds its line-search state
-    # (r^2, the root and 2 g.v, 3 n floats) and a trial's two temporaries. A
-    # block that kept all its rows' displacements alive would hold 8 n more
-    # per row.
+    # more per row. Where block_rows is 1, a block of several starts is formed
+    # one row per kernel span: only the widest span peaks at its footprint,
+    # and every other row adds its kept_floats (its line-search state and a
+    # trial's temporaries), 8 n for the radial kinds and 8 (D + 1) n for
+    # p_norm. A block that kept all its rows' displacements alive would hold
+    # D n more per row. The lockstep floor of 8 rows shrinks so that its rows
+    # keep at most 2^19 floats: to 6 at n = 10 000, D = 8 (the 8 starts are
+    # still one block), to 3 for p_norm at n = 2 000, D = 8, and to none for
+    # p_norm at 10 000 and for the radial kinds at 100 000, where each start
+    # is its own block.
     rng = np.random.default_rng(0)
     obj = make_objective(rng.uniform(0.0, 10.0, size=(n, d)), kind, **kwargs)
-    footprint = obj._kernel.row_floats(n, d)
+    footprint, kept = obj._kernel.row_floats(n, d), obj._kernel.kept_floats(n, d)
     starts = rng.uniform(-2.0, 12.0, size=(m, d))
     peaks = []
     descend = steiner.flow._descend
@@ -789,7 +799,7 @@ def test_lockstep_blocks_stay_within_the_footprint_that_sizes_them(monkeypatch, 
                                            for k in range(blocks)]
     for rows, peak in peaks:
         widest = max(hi - lo for lo, hi in obj.block_spans(rows))
-        bound = widest * footprint + (rows - widest) * 5 * n
+        bound = widest * footprint + (rows - widest) * kept
         assert peak <= bound * 8 + 16 * 1024, (rows, peak / (rows * n * 8))
 
 
@@ -800,8 +810,10 @@ def test_lockstep_blocks_stay_within_the_footprint_that_sizes_them(monkeypatch, 
 ])
 def test_rest_points_splits_starts_into_near_equal_blocks(monkeypatch, d, m, sizes):
     # block_rows is 2^17 // ((D + 6) n): 5 for D = 2 at 3 000 anchors and 1
-    # for D = 8 at 10 000. A lockstep block is max(8, block_rows) wide; its
-    # kernel calls are block_rows wide.
+    # for D = 8 at 10 000. A lockstep block is max(block_rows, L) wide, where
+    # the floor L is 8 at 3 000 anchors and 6 at 10 000 (the most rows whose
+    # kept 8 n floats each stay within 2^19); its kernel calls are
+    # block_rows wide.
     n = {2: 3_000, 8: 10_000}[d]
     obj = make_objective(np.random.default_rng(8).uniform(0.0, 10.0, size=(n, d)))
     assert obj.block_rows == {2: 5, 8: 1}[d]
@@ -815,9 +827,9 @@ def test_rest_points_splits_starts_into_near_equal_blocks(monkeypatch, d, m, siz
         blocks.append(len(starts))
         return descend(obj, starts, *args)
 
-    def spanned(kernel, disp, majorizer=False):
+    def spanned(kernel, disp, majorizer=False, out=None):
         steps[-1][1].append(len(disp))
-        return descent_state(kernel, disp, majorizer)
+        return descent_state(kernel, disp, majorizer, out)
 
     def stepped(obj, points, majorizer=False):
         steps.append((len(points), []))
