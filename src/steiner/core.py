@@ -13,21 +13,27 @@ from .potentials import batch_gradients, batch_value_changes, batch_values  # no
 Point = np.ndarray
 """A D-dimensional coordinate vector (1-D float array)."""
 
-# Floats one kernel call may hold at its peak. ``Objective.block_rows`` is
-# this budget over a row's footprint, which each kind's kernel gives: the
-# floats one row holds at the peak of a descent step, as traced with
-# tracemalloc (the displacements while the gradient is formed, the state the
-# line search reuses, a trial's temporaries and the row's bookkeeping). Kernel
-# calls take ``block_rows`` rows; a lockstep block (``flow.rest_points``)
-# takes as many, but no fewer than a small floor that its rows' kept state
-# caps in turn, so a problem whose one row is over budget forms each row's
-# state in its own kernel call, exactly like the single-point methods, while
-# its starts still step together up to a large n. On
-# the benchmark's 2048-start, n = 16, D = 3 euclidean workload (2-core x86
-# VM, medians of 6 runs) a solve took 0.034, 0.029 and 0.032 s at 2**16,
-# 2**17 and 2**18, in 4, 2 and 1 blocks, at a peak RSS of 39.1, 39.5 and
-# 41.1 MiB: one block of all 2048 rows is both slower and larger.
+# The float budget of a block, which sets both widths of
+# ``Objective.block_spans`` from the two figures each kind's kernel gives
+# (``potentials.kernel``, both traced with tracemalloc): ``row_floats``, what
+# one row holds at the peak of a descent step, and ``kept_floats``, what each
+# further row of a lockstep block adds to that peak.
+# - A kernel call takes ``block_rows`` = max(1, _BLOCK_FLOATS // row_floats)
+#   rows. On the benchmark's 2048-start, n = 16, D = 3 euclidean workload
+#   (2-core x86 VM, medians of 6 runs) a solve took 0.034, 0.029 and 0.032 s
+#   at 2**16, 2**17 and 2**18, in 4, 2 and 1 blocks, at a peak RSS of 39.1,
+#   39.5 and 41.1 MiB: one block of all 2048 rows is both slower and larger.
+# - A lockstep block (``flow.rest_points``) takes ``lockstep_rows`` =
+#   max(block_rows, min(_LOCKSTEP_ROWS, 4 * _BLOCK_FLOATS // kept_floats))
+#   starts, so where one row is over budget the starts still step together,
+#   each row's state formed in its own kernel call. The floor of 8 shrinks
+#   so that its rows keep at most four budgets (2**19 floats, 4 MiB), down
+#   to none where one row would keep more. The 8 starts of the benchmark's
+#   n = 10 000, D = 8 euclidean workload, whose block_rows is 1, took
+#   27.6 ms to enumerate as eight blocks and 24.2 ms as one (medians of 40
+#   alternating runs), at a tracemalloc peak of 0.9 and 3.1 MiB.
 _BLOCK_FLOATS = 2 ** 17
+_LOCKSTEP_ROWS = 8
 
 _TINY = np.finfo(float).tiny  # the least normal float
 
@@ -126,9 +132,10 @@ class Objective:
     per-anchor weights are length-checked. ``length_scale`` keeps that
     diagonal (or, when all anchors coincide, the magnitude fallback that
     stands in for it); the descent tracer caps its steps with it.
-    ``block_rows`` is the default width of :meth:`block_spans`, the one rule
-    by which batches are split into blocks: the width of one kernel call's
-    rows and, raised to a floor of at most 8 that memory caps, of the
+    :meth:`block_spans` is the one rule by which batches are split into
+    blocks, and construction sizes both its widths from one float budget
+    (see ``_BLOCK_FLOATS``): ``block_rows``, its default, is the width of
+    one kernel call's rows, and ``lockstep_rows``, never less, that of the
     lockstep blocks of :func:`~steiner.flow.rest_points`. Public methods
     check their input, the kernels do not. Instances are immutable and all
     evaluation methods are pure.
@@ -152,8 +159,12 @@ class Objective:
         object.__setattr__(self, "potential", spec)
         w = None if spec.weights is None else np.asarray(spec.weights, dtype=float)
         object.__setattr__(self, "_kernel", kernel(spec, w))
-        footprint = self._kernel.row_floats(anchors.n, anchors.dimension)
-        object.__setattr__(self, "block_rows", max(1, _BLOCK_FLOATS // footprint))
+        n, d = anchors.n, anchors.dimension
+        block_rows = max(1, _BLOCK_FLOATS // self._kernel.row_floats(n, d))
+        object.__setattr__(self, "block_rows", block_rows)
+        kept_cap = 4 * _BLOCK_FLOATS // self._kernel.kept_floats(n, d)
+        object.__setattr__(self, "lockstep_rows",
+                           max(block_rows, min(_LOCKSTEP_ROWS, kept_cap)))
 
     @property
     def dimension(self) -> int:
@@ -296,15 +307,25 @@ def finite_difference_gradient(obj: Objective, point, h: float) -> np.ndarray:
 
 
 def _central_differences(obj: Objective, points: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradients at each row of ``points``; shape (m, D)."""
+    """Central-difference gradients at each row of ``points``; shape (m, D).
+
+    ``h`` must move every coordinate it probes and keep U finite at every
+    probe: else a difference is 0 or nan, and checks no gradient.
+    """
     if not (np.isfinite(h) and h > 0.0):
         raise InputError(f"h: step must be finite and > 0, got {h}")
     m, d = points.shape
     probes = np.repeat(points[:, None, :], 2 * d, axis=1)
     idx = np.arange(d)
-    probes[:, 2 * idx, idx] += h
-    probes[:, 2 * idx + 1, idx] -= h
-    vals = obj.value_many(probes.reshape(-1, d)).reshape(m, 2 * d)
+    with np.errstate(over="ignore"):
+        probes[:, 2 * idx, idx] += h
+        probes[:, 2 * idx + 1, idx] -= h
+    if ((probes[:, 2 * idx, idx] == points) | (probes[:, 2 * idx + 1, idx] == points)).any():
+        raise InputError(f"h: must move each coordinate of every sampled point, got {h}")
+    flat = probes.reshape(-1, d)
+    if not (np.isfinite(flat).all() and np.isfinite(vals := obj.value_many(flat)).all()):
+        raise InputError(f"h: must keep U finite at every central-difference probe, got {h}")
+    vals = vals.reshape(m, 2 * d)
     return (vals[:, 0::2] - vals[:, 1::2]) / (2.0 * h)
 
 

@@ -34,16 +34,6 @@ CONVERGED = "converged"
 MAX_STEPS = "max_steps"
 STALLED = "stalled"
 
-# The fewest starts a lockstep block advances together (see rest_points),
-# unless that many rows would keep more than _LOCKSTEP_FLOATS floats of
-# line-search state and trial temporaries (the kernel's kept_floats each).
-# The 8 starts of the benchmark's n = 10 000, D = 8 euclidean workload, whose
-# block_rows is 1, took 27.6 ms to enumerate as eight blocks and 24.2 ms as
-# one (2-core x86 VM, medians of 40 alternating runs), at a tracemalloc peak
-# of 0.9 and 3.1 MiB.
-_LOCKSTEP_ROWS = 8
-_LOCKSTEP_FLOATS = 2 ** 19
-
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -224,19 +214,12 @@ def rest_points(obj: Objective, starts: np.ndarray, cfg: FlowConfig,
     to rest, with the traces when ``keep_traces`` is set.
 
     The m starts advance in lockstep blocks, the spans of
-    :meth:`Objective.block_spans` of width max(``block_rows``, L), while a
-    step's kernel calls take spans of ``block_rows`` rows of its block (see
-    ``Objective._descent_state``). The floor L keeps large-n starts stepping
-    together: there ``block_rows`` is 1, and one-row blocks would pay the
-    per-step Python cost once per start. L is 8, or fewer where 8 rows would
-    keep more than 2^19 floats of line-search state and trial temporaries
-    (the kernel's ``kept_floats`` a row: 8 n for the radial kinds,
-    8 (D + 1) n for ``p_norm``), down to none. So the floor costs a block of
-    fewer than 2 L rows under 2^20 such floats (8 MiB) beside one span's
-    kernel call, and is gone at the n where a row's own kernel work dwarfs
-    the Python cost. A block runs until its slowest row stops, so a tail of
-    a few rows would pay the per-step cost of a whole block for them; the
-    spans have none. Rows do not interact: each trace, its status and its
+    :meth:`Objective.block_spans` of width ``Objective.lockstep_rows``,
+    while a step's kernel calls take ``block_rows``-wide spans of its block
+    (see ``Objective._descent_state``); :class:`Objective` sizes both
+    widths. A block runs until its slowest row stops, so a tail of a few
+    rows would pay the per-step cost of a whole block for them; the spans
+    have none. Rows do not interact: each trace, its status and its
     counters equal those of :func:`trace_flow` from the same start bit for
     bit. Without traces a block logs only each row's terminal sample. A
     start whose U or grad U turns non-finite stops only its own row; once
@@ -244,10 +227,8 @@ def rest_points(obj: Objective, starts: np.ndarray, cfg: FlowConfig,
     :class:`NumericalError` is raised, with "start <k>: " before its
     message, k its index among all the starts, and its partial trace.
     """
-    kept = obj._kernel.kept_floats(obj.anchors.n, obj.dimension)
-    width = max(obj.block_rows, min(_LOCKSTEP_ROWS, _LOCKSTEP_FLOATS // kept))
     blocks = [_descend(obj, starts[lo:hi], cfg, keep_traces, lo)
-              for lo, hi in obj.block_spans(len(starts), width)]
+              for lo, hi in obj.block_spans(len(starts), obj.lockstep_rows)]
 
     def joined(name):
         return np.concatenate([getattr(block, name) for block in blocks])

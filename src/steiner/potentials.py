@@ -450,7 +450,8 @@ def kernel(spec: PotentialSpec, weights=None):
     ``row_floats(n, d)``, the floats one row holds at the peak of a descent
     step; and ``kept_floats(n, d)``, the floats each further row of a lockstep
     block adds to that peak (its line-search state and a trial's
-    temporaries), both from tracemalloc traces, the latter with a margin.
+    temporaries), both from tracemalloc traces, the latter with a margin;
+    ``Objective`` sizes ``block_rows`` and ``lockstep_rows`` from them.
     ``weights`` (one per anchor, broadcast against the last axis of a
     per-anchor result) multiply the terms of a radial kind; only
     ``weighted_euclidean`` has them.

@@ -211,8 +211,9 @@ PINNED_SOLVES = {
         "potential": {"kind": "p_norm", "p": 3},
         "testing_plan": {"strategy": "uniform_random", "count": 6, "seed": 2},
     }, False, "2974dcc56138473dcc088bd57aa2b56bf81d2894565989f79408a0ef02db15de"),
-    # A row's footprint, 14 x 3 000 floats, leaves block_rows 3: fewer rows
-    # than the lockstep block of 12 starts.
+    # A row's footprint, 14 x 3 000 floats, leaves block_rows 3, and
+    # lockstep_rows is 8: the 12 starts are one lockstep block whose kernel
+    # calls take 3 rows each.
     "euclidean_over_budget": ({
         "dimension": 8,
         "anchors": np.random.default_rng(26).uniform(0.0, 10.0, size=(3_000, 8)).tolist(),
@@ -605,6 +606,8 @@ def test_missing_input_file_is_input_error(tmp_path, capsys):
     ("gradcheck", "--seed", "-1", "seed"),
     ("gradcheck", "--samples", "0", "samples"),
     ("oracle weiszfeld", "--max-iter", "-5", "max_iter"),
+    ("gradcheck", "--h", "1e-300", "h"),  # x + h == x: every difference is 0
+    ("gradcheck", "--h", "1e300", "h"),   # U overflows: a difference is nan
 ])
 def test_out_of_range_flag_is_input_error(tmp_path, capsys, command, flag, value, field):
     inp = write_instance(tmp_path, RIGHT_TRIANGLE_INSTANCE)
@@ -612,7 +615,8 @@ def test_out_of_range_flag_is_input_error(tmp_path, capsys, command, flag, value
     sink = "--report" if command == "gradcheck" else "--output"
     code = main([*command.split(), "--input", str(inp), sink, str(out), flag, value])
     assert code == EXIT_INPUT
-    assert f"{field}: must be" in capsys.readouterr().err
+    must = {"1e-300": "must move each coordinate", "1e300": "must keep U finite"}
+    assert f"{field}: {must.get(value, 'must be')}" in capsys.readouterr().err
     assert not out.exists()
 
 

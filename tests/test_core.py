@@ -157,9 +157,14 @@ def test_finite_difference_on_gaussian_matches_analytic():
 
 
 def test_finite_difference_rejects_bad_step():
+    # 1 + 1e-300 == 1, so every difference would be 0; 1e300 squared
+    # overflows, so U is inf at every probe and a difference would be nan.
     obj = make_objective([[0.0, 0.0]])
-    with pytest.raises(InputError, match="h"):
-        finite_difference_gradient(obj, [1.0, 1.0], h=0.0)
+    for h, message in ((0.0, "h: step must be finite and > 0"),
+                       (1e-300, "h: must move each coordinate of every sampled point"),
+                       (1e300, "h: must keep U finite at every central-difference probe")):
+        with pytest.raises(InputError, match=f"^{message}, got "):
+            finite_difference_gradient(obj, [1.0, 1.0], h=h)
 
 
 def _random_instance(rng, kind):
@@ -262,11 +267,21 @@ def test_value_change_resolves_below_one_ulp_of_the_value():
     assert abs(change - exact) <= 1e-6 * abs(exact)
 
 
-# Rows per block at n anchors in D = 3, for the radial kinds and for p_norm:
-# at n = 4 000 a radial block holds 3 rows and at n = 1 500 a p_norm block
-# 2, at n = 100 000 a block holds one, and each anchor sum runs over more
-# than 8192 anchors.
-BLOCK_ROWS = {5: (2912, 728), 1_500: (9, 2), 2_000: (7, 1), 4_000: (3, 1), 100_000: (1, 1)}
+# (block_rows, lockstep_rows) at n anchors in D = 3, for the radial kinds
+# and for p_norm: at n = 4 000 a radial kernel call holds 3 rows and at
+# n = 1 500 a p_norm one 2, at n = 100 000 a kernel call holds one, and each
+# anchor sum runs over more than 8192 anchors. A lockstep block is no
+# narrower than a kernel call (n = 5), is raised to the floor of 8 where a
+# kernel call is narrower (n = 2 000), has that floor capped by its rows'
+# kept floats, 32 n each for p_norm (n = 4 000), and has no floor where one
+# row keeps more than 2^19 floats (n = 100 000).
+BLOCK_ROWS = {
+    5: ((2912, 2912), (728, 728)),
+    1_500: ((9, 9), (2, 8)),
+    2_000: ((7, 8), (1, 8)),
+    4_000: ((3, 8), (1, 4)),
+    100_000: ((1, 1), (1, 1)),
+}
 
 
 @pytest.mark.parametrize("kind, kwargs", [
@@ -283,7 +298,7 @@ def test_many_methods_match_single_point_methods_bit_for_bit(kind, kwargs, n):
     if kind == "weighted_euclidean":
         kwargs = dict(weights=tuple(rng.uniform(0.5, 2.0, size=n)))
     obj = make_objective(anchors, kind=kind, **kwargs)
-    assert obj.block_rows == BLOCK_ROWS[n][kind == "p_norm"]
+    assert (obj.block_rows, obj.lockstep_rows) == BLOCK_ROWS[n][kind == "p_norm"]
     points = rng.uniform(-2.0, 12.0, size=(7, 3))
     points[0] = anchors[0]
     moves = rng.normal(size=(7, 3)) * 10.0 ** rng.uniform(-12.0, 0.0, size=(7, 1))

@@ -638,8 +638,10 @@ def test_barzilai_borwein_trial_skips_coordinates_the_step_left_unchanged():
 def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
     # Corrupt the gradient right of x = 0.5 near the anchor: starts 1 and 3
     # walk into that region (start 3 after fewer steps), 0 and 2 never do.
-    obj, one_row_spans = make_objective([[0.0, -2.0]]), make_objective([[0.0, -2.0]])
-    object.__setattr__(one_row_spans, "block_rows", 1)
+    obj, one_row_spans, one_row_blocks = (make_objective([[0.0, -2.0]]) for _ in range(3))
+    for narrowed, lockstep in ((one_row_spans, 8), (one_row_blocks, 1)):
+        object.__setattr__(narrowed, "block_rows", 1)
+        object.__setattr__(narrowed, "lockstep_rows", lockstep)
     exact = steiner.potentials._Radial.descent_state
 
     def corrupted(kernel, disp, majorizer=False, out=None):
@@ -655,8 +657,7 @@ def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
     # Once more with kernel spans of one row, and with one start per block as
     # well, so that a later block raises, with traces and without (where the
     # failing start is traced again alone).
-    for obj, lockstep in ((obj, 8), (one_row_spans, 8), (one_row_spans, 1)):
-        monkeypatch.setattr(steiner.flow, "_LOCKSTEP_ROWS", lockstep)
+    for obj in (obj, one_row_spans, one_row_blocks):
         with pytest.raises(NumericalError) as info:
             rest_points(obj, starts, FlowConfig(), True)
         assert str(info.value) == f"start 1: {alone.value}"
@@ -760,21 +761,19 @@ def test_kernel_spans_narrower_than_the_block_keep_single_traces(kind, kwargs, n
         "p_norm-huge-n", "euclidean-huge-n"])
 def test_lockstep_blocks_stay_within_the_footprint_that_sizes_them(monkeypatch, kind, kwargs,
                                                                    n, d, m, blocks):
-    # block_rows divides a float budget by a row's peak footprint, the
-    # kernel's row_floats: (D + 6) n floats for the radial kinds and 12 D n
-    # for p_norm. Each block of a 2048-start, n = 16, D = 3 solve must peak
-    # within its rows' footprints and a fixed slack; a step that kept the
-    # searched state alive while forming the next one would hold about 3 n
-    # more per row. Where block_rows is 1, a block of several starts is formed
-    # one row per kernel span: only the widest span peaks at its footprint,
-    # and every other row adds its kept_floats (its line-search state and a
-    # trial's temporaries), 8 n for the radial kinds and 8 (D + 1) n for
-    # p_norm. A block that kept all its rows' displacements alive would hold
-    # D n more per row. The lockstep floor of 8 rows shrinks so that its rows
-    # keep at most 2^19 floats: to 6 at n = 10 000, D = 8 (the 8 starts are
-    # still one block), to 3 for p_norm at n = 2 000, D = 8, and to none for
-    # p_norm at 10 000 and for the radial kinds at 100 000, where each start
-    # is its own block.
+    # Objective sizes block_rows and lockstep_rows from one float budget and
+    # the kernel's two figures, row_floats (a row's peak footprint) and
+    # kept_floats (what each further row of a lockstep block adds). Each
+    # block of a 2048-start, n = 16, D = 3 solve must peak within its rows'
+    # footprints and a fixed slack; a step that kept the searched state alive
+    # while forming the next one would hold about 3 n more per row. Where
+    # block_rows is 1, a block of several starts is formed one row per kernel
+    # span: only the widest span peaks at its footprint, and every other row
+    # adds its kept floats. A block that kept all its rows' displacements
+    # alive would hold D n more per row. lockstep_rows is 6 at n = 10 000,
+    # D = 8 (the 8 starts are still one block), 3 for p_norm at n = 2 000,
+    # D = 8, and 1 for p_norm at 10 000 and for the radial kinds at 100 000,
+    # where each start is its own block.
     rng = np.random.default_rng(0)
     obj = make_objective(rng.uniform(0.0, 10.0, size=(n, d)), kind, **kwargs)
     footprint, kept = obj._kernel.row_floats(n, d), obj._kernel.kept_floats(n, d)
@@ -809,14 +808,12 @@ def test_lockstep_blocks_stay_within_the_footprint_that_sizes_them(monkeypatch, 
     (8, 3, [3]),          # block_rows 1: one block, one row per kernel span
 ])
 def test_rest_points_splits_starts_into_near_equal_blocks(monkeypatch, d, m, sizes):
-    # block_rows is 2^17 // ((D + 6) n): 5 for D = 2 at 3 000 anchors and 1
-    # for D = 8 at 10 000. A lockstep block is max(block_rows, L) wide, where
-    # the floor L is 8 at 3 000 anchors and 6 at 10 000 (the most rows whose
-    # kept 8 n floats each stay within 2^19); its kernel calls are
-    # block_rows wide.
+    # A lockstep block is Objective.lockstep_rows wide and its kernel calls
+    # block_rows: 8 and 5 for D = 2 at 3 000 anchors, 6 and 1 for D = 8 at
+    # 10 000.
     n = {2: 3_000, 8: 10_000}[d]
     obj = make_objective(np.random.default_rng(8).uniform(0.0, 10.0, size=(n, d)))
-    assert obj.block_rows == {2: 5, 8: 1}[d]
+    assert (obj.lockstep_rows, obj.block_rows) == {2: (8, 5), 8: (6, 1)}[d]
     starts = np.random.default_rng(9).uniform(0.0, 10.0, size=(m, d))
     cfg = FlowConfig(max_steps=30)
     blocks, steps = [], []
