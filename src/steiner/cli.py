@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 import orjson
 
-from .core import AnchorSet, Objective, max_relative_gradient_error
+from .core import AnchorSet, Objective, distances, max_relative_gradient_error
 from .critical_set import (STRATEGIES, TestingPlan, box_geometry, enumerate_critical_points,
                            plan_domain_box)
 from .errors import ConfigError, InputError, NoCriticalPointError, NumericalError
@@ -393,7 +393,7 @@ def run_gradcheck(obj: Objective, box, samples: int, h: float, seed: int) -> dic
         attempts += 1
         x = rng.uniform(lo, hi)
         if exclusion > 0.0:
-            if np.min(np.linalg.norm(obj.anchors.points - x, axis=1)) < exclusion:
+            if np.min(distances(obj.anchors.points, x)) < exclusion:
                 continue
         points.append(x)
     if len(points) < samples:

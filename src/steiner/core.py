@@ -157,8 +157,7 @@ class Objective:
         object.__setattr__(self, "_anchor_columns", np.ascontiguousarray(anchors.points.T))
         spec = self.potential.bound(scale, anchors.n)
         object.__setattr__(self, "potential", spec)
-        w = None if spec.weights is None else np.asarray(spec.weights, dtype=float)
-        object.__setattr__(self, "_kernel", kernel(spec, w))
+        object.__setattr__(self, "_kernel", kernel(spec))
         n, d = anchors.n, anchors.dimension
         block_rows = max(1, _BLOCK_FLOATS // self._kernel.row_floats(n, d))
         object.__setattr__(self, "block_rows", block_rows)
@@ -221,7 +220,8 @@ class Objective:
     # Unchecked evaluation on displacements x - a_i, shape (rows, D, n), through
     # ``_kernel`` (see ``potentials.kernel``): ``_values``, ``_value_changes``
     # and ``_trials`` add the per-anchor terms up, ``_descent_state`` forms the
-    # displacements; gradients and Hessians come from ``_kernel`` directly.
+    # displacements; gradients (``descent_state``'s g) and Hessians come from
+    # ``_kernel`` directly.
 
     def _displacements(self, points: np.ndarray) -> np.ndarray:
         return points[:, :, None] - self._anchor_columns
@@ -279,7 +279,7 @@ class Objective:
 
     def gradient_many(self, points) -> np.ndarray:
         """Gradient of U at each row of ``points``; shape (m, D)."""
-        return self._per_row(self._kernel.gradient, points)
+        return self._per_row(lambda disp: self._kernel.descent_state(disp)[0], points)
 
     def value_change_many(self, points, moves) -> np.ndarray:
         """:meth:`value_change` for each row of ``points`` and the same row of ``moves``."""
@@ -332,18 +332,25 @@ def _central_differences(obj: Objective, points: np.ndarray, h: float) -> np.nda
 def max_relative_gradient_error(obj: Objective, points, h: float) -> float:
     """Worst relative disagreement between analytic and central-difference gradients.
 
+    U must be finite and > 0 at every point (an InputError names the first
+    that is not): where it is inf or underflows to 0 no gradient is checked.
     Each point's disagreement first loses sqrt(D) 2^-52 U(x) / h, the central
-    difference's own rounding (U >= 0 for every kind). The denominator is
+    difference's own rounding. The denominator is
     floored at 1e-5 of the largest gradient magnitude in the batch (and at
-    1e-5 absolute) so that numerically flat regions do not dominate.
+    1e-5 absolute) so that numerically flat regions do not dominate. Lengths
+    are :func:`distances`, finite wherever they are representable.
     """
     pts = obj.check_points(points)
+    u = obj.value_many(pts)
+    bad = np.flatnonzero(~((u > 0.0) & (u < np.inf)))
+    if bad.size:
+        raise InputError(f"points[{bad[0]}]: U must be finite and > 0 at every sampled "
+                         f"point to check its gradient, got {u[bad[0]]}")
     ga = obj.gradient_many(pts)
     gf = _central_differences(obj, pts, h)
-    norms_a = np.linalg.norm(ga, axis=1)
-    norms_f = np.linalg.norm(gf, axis=1)
+    norms_a, norms_f = distances(ga, 0.0), distances(gf, 0.0)
     scale = max(1.0, float(norms_a.max()), float(norms_f.max()))
     denom = np.maximum(np.maximum(norms_a, norms_f), 1e-5 * scale)
-    rounding = np.sqrt(pts.shape[1]) * 2.0 ** -52 * obj.value_many(pts) / h
-    error = np.maximum(np.linalg.norm(ga - gf, axis=1) - rounding, 0.0)
+    rounding = np.sqrt(pts.shape[1]) * 2.0 ** -52 * u / h
+    error = np.maximum(distances(ga, gf) - rounding, 0.0)
     return float((error / denom).max())

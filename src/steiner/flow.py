@@ -305,7 +305,8 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
         fail(bad, [f"objective is non-finite at the starting point (U={v})"
                    for v in u[bad].tolist()], 0, 0)
     g, state, inv_s = obj._descent_state(x, majorizer=True)
-    t = np.minimum(t, _guaranteed_step(cfg, inv_s, obj._kernel.exact))  # the first search's cap
+    if inv_s is not None:  # the first search's cap
+        t = np.minimum(t, _guaranteed_step(cfg, inv_s, obj._kernel.exact))
     gn = np.sqrt(np.vecdot(g, g))
     if not np.isfinite(gn).all():  # else every component is finite
         bad = ~np.isfinite(g).all(axis=1)
@@ -437,10 +438,8 @@ def _line_search(obj: Objective, cfg: FlowConfig, t, gsq, state, tries):
 def _guaranteed_step(cfg: FlowConfig, inv_s, exact: bool):
     """Each row's guaranteed step t_safe from 1/S (see :func:`trace_flow`):
     inf, so that it caps nothing, where S is 0, inf or nan or t_safe is
-    below ``min_step``, and for a kind without one (``inv_s`` None). Where
-    1/S is ``exact``, the line minimum, t_safe is at most 1/S."""
-    if inv_s is None:
-        return np.inf
+    below ``min_step``. Where 1/S is ``exact``, the line minimum, t_safe is
+    at most 1/S."""
     factor = 5.0 / 3.0 * (1.0 - cfg.armijo_c)
     with np.errstate(over="ignore"):
         safe = inv_s * (min(1.0, factor) if exact else factor)

@@ -67,12 +67,13 @@ def weiszfeld(anchors: AnchorSet, weights=None, tol: float = 1e-10,
         raise InputError(f"max_iter: must be an integer >= 1, got {max_iter}")
     a = anchors.points
     n = anchors.n
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,) or not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise InputError(f"weights: expected {n} finite positive entries")
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (n,) or not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        raise InputError(f"weights: expected {n} finite positive entries")
+    # The iteration and _mean are homogeneous in w: a power of 2 that brings
+    # its largest entry into [0.5, 1) moves no iterate, and keeps the weight
+    # sums and w_j / d_j finite.
+    w = np.ldexp(w, -np.frexp(w.max())[1])
 
     obj = _euclidean_objective(anchors, weights)
     history: list[float] = []

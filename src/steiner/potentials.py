@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import ConfigError, InputError, NonSmoothEvaluationWarning
 
-KINDS = ("euclidean", "p_norm", "squared", "weighted_euclidean", "gaussian_well")
 # The kinds whose every term is convex (p_norm for each p >= 1 it accepts), so
 # that U curves downward in no direction.
 CONVEX_KINDS = ("euclidean", "p_norm", "squared", "weighted_euclidean")
@@ -113,9 +112,7 @@ class PotentialSpec:
         fallback when all anchors coincide, so the automatic smoothing
         length is never 0: an unsmoothed cone has no rest region at all).
         """
-        if self.kind == "weighted_euclidean":
-            _require(self.weights is not None, "weights",
-                     "required for the weighted_euclidean kind")
+        if self.weights is not None:
             _require(len(self.weights) == n_anchors, "weights",
                      f"expected {n_anchors} entries (one per anchor), got {len(self.weights)}")
         eps = self.epsilon
@@ -155,8 +152,8 @@ class _Radial:
     majorizes = True
     exact = False
 
-    def __init__(self, weights):
-        self.weights = weights
+    def __init__(self, spec):
+        self.weights = None if spec.weights is None else np.asarray(spec.weights, dtype=float)
 
     def _weighted(self, per_anchor):
         if self.weights is None:
@@ -182,10 +179,6 @@ class _Radial:
 
     def gradients(self, disp):
         return disp * self._slopes(disp)[2][..., None, :]
-
-    def gradient(self, disp):
-        # One contraction, so each row of a batch gets the bits it gets alone.
-        return np.einsum("...dn,...n->...d", disp, self._slopes(disp)[2])
 
     def hessian(self, disp):
         """Hessian of U, (..., D, D): sum_i w_i [2 phi'(r_i^2) I + 4 phi''(r_i^2) v_i v_i^T]."""
@@ -223,9 +216,10 @@ class _Radial:
 class _Hyperbolic(_Radial):
     """phi(s) = sqrt(s + eps^2) - eps, the euclidean kinds; carries the root sqrt(s + eps^2)."""
 
-    def __init__(self, eps, weights):
-        super().__init__(weights)
-        self.eps, self.eps2 = eps, eps * eps
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.eps = spec.epsilon or 0.0
+        self.eps2 = self.eps * self.eps
 
     def value(self, r2):
         if self.eps > 0.0:
@@ -281,9 +275,9 @@ class _Gaussian(_Radial):
 
     majorizes = False
 
-    def __init__(self, sigma, weights):
-        super().__init__(weights)
-        self.s2 = sigma * sigma
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.s2 = spec.sigma * spec.sigma
         self.two_over_s2 = 2.0 / self.s2
 
     def value(self, r2):
@@ -334,10 +328,8 @@ class _PNorm:
     side where it lands.
     """
 
-    exact = False  # it gives no 1/S (see kernel())
-
-    def __init__(self, p, eps):
-        self.p, self.eps = p, eps
+    def __init__(self, spec):
+        self.p, self.eps = spec.p, spec.epsilon or 0.0
 
     def row_floats(self, n, d):
         return 12 * d * n
@@ -374,9 +366,6 @@ class _PNorm:
     def gradients(self, disp):
         r, _, qm, _, s = self._normalised(disp)
         return self._gradients(disp, r, qm, s)
-
-    def gradient(self, disp):
-        return self.gradients(disp).sum(axis=-1)
 
     def _change(self, disp, r, top, qp, s, move):
         """N(v + m) - N(v) per anchor from the start side's r, R, q^p and S, for
@@ -433,11 +422,16 @@ class _PNorm:
         return self._change(*start, -(t[:, None] * g)[..., None])
 
 
-def kernel(spec: PotentialSpec, weights=None):
+_KERNELS = {"euclidean": _Hyperbolic, "p_norm": _PNorm, "squared": _Squared,
+            "weighted_euclidean": _Hyperbolic, "gaussian_well": _Gaussian}
+KINDS = tuple(_KERNELS)
+
+
+def kernel(spec: PotentialSpec):
     """The kernels of ``spec``'s kind, on displacements of shape (..., D, n):
     ``values``, ``gradients`` and ``changes`` per anchor, as the ``batch_*``
-    functions below; ``gradient``, of the sum over anchors; ``descent_state``,
-    that gradient g, a list of per-row arrays from which
+    functions below; ``descent_state``, the gradient g of the sum over
+    anchors, a list of per-row arrays from which
     ``trials(state, t, gsq)`` gives U_i(x - t g) - U_i(x) per anchor for one t
     per row (``gsq`` = |g|^2), and, with ``majorizer`` set, for euclidean,
     weighted_euclidean and squared, 1/S per row, S the slope sum of
@@ -445,39 +439,33 @@ def kernel(spec: PotentialSpec, weights=None):
     and for the other kinds): in exact arithmetic every t <= 2 (1 - c) / S
     passes the Armijo test with constant c (given ``out``, a list of arrays
     shaped like g, the state's arrays and 1/S, None where those are None,
-    ``descent_state`` also writes them there); ``exact``, whether 1/S is the
-    exact minimum along -g (squared, whose majorizer is U itself);
+    ``descent_state`` also writes them there); for those three, ``exact``,
+    whether 1/S is the exact minimum along -g (squared, whose majorizer is U
+    itself);
     ``row_floats(n, d)``, the floats one row holds at the peak of a descent
     step; and ``kept_floats(n, d)``, the floats each further row of a lockstep
     block adds to that peak (its line-search state and a trial's
     temporaries), both from tracemalloc traces, the latter with a margin;
     ``Objective`` sizes ``block_rows`` and ``lockstep_rows`` from them.
-    ``weights`` (one per anchor, broadcast against the last axis of a
-    per-anchor result) multiply the terms of a radial kind; only
-    ``weighted_euclidean`` has them.
+    The kind's parameters come from ``spec`` alone, and so do the weights
+    that multiply the terms of ``weighted_euclidean``, which requires them.
     """
-    eps = 0.0 if spec.epsilon is None else spec.epsilon
-    if spec.kind == "p_norm":
-        return _PNorm(spec.p, eps)
-    if spec.kind == "squared":
-        return _Squared(weights)
-    if spec.kind == "gaussian_well":
-        return _Gaussian(spec.sigma, weights)
-    return _Hyperbolic(eps, weights)
+    _require(spec.weights is not None or spec.kind != "weighted_euclidean", "weights",
+             "required for the weighted_euclidean kind")
+    return _KERNELS[spec.kind](spec)
 
 
-def batch_values(spec: PotentialSpec, disp: np.ndarray, weights=None) -> np.ndarray:
+def batch_values(spec: PotentialSpec, disp: np.ndarray) -> np.ndarray:
     """Potential value per anchor; ``disp`` has shape (..., D, n), the result (..., n)."""
-    return kernel(spec, weights).values(disp)
+    return kernel(spec).values(disp)
 
 
-def batch_gradients(spec: PotentialSpec, disp: np.ndarray, weights=None) -> np.ndarray:
+def batch_gradients(spec: PotentialSpec, disp: np.ndarray) -> np.ndarray:
     """Analytic gradient of :func:`batch_values` per anchor, shape (..., D, n)."""
-    return kernel(spec, weights).gradients(disp)
+    return kernel(spec).gradients(disp)
 
 
-def batch_value_changes(spec: PotentialSpec, disp: np.ndarray, move: np.ndarray,
-                        weights=None) -> np.ndarray:
+def batch_value_changes(spec: PotentialSpec, disp: np.ndarray, move: np.ndarray) -> np.ndarray:
     """U(v + move) - U(v) per anchor, computed cancellation-free.
 
     ``disp`` has shape (..., D, n) and ``move`` shape (..., D): each move is
@@ -485,7 +473,7 @@ def batch_value_changes(spec: PotentialSpec, disp: np.ndarray, move: np.ndarray,
     D-vector moves them all). Decreases far below one ulp of the total
     objective remain resolvable.
     """
-    return kernel(spec, weights).changes(disp, move)
+    return kernel(spec).changes(disp, move)
 
 
 def as_vector(coords, field: str) -> np.ndarray:
@@ -499,15 +487,13 @@ def as_vector(coords, field: str) -> np.ndarray:
     return arr
 
 
-def _single_weight(spec, anchor_index):
-    if spec.kind != "weighted_euclidean":
-        return None
-    if spec.weights is None:
-        raise ConfigError("potential.weights: required for the weighted_euclidean kind")
-    if not 0 <= anchor_index < len(spec.weights):
-        raise InputError(
-            f"anchor_index: {anchor_index} outside [0, {len(spec.weights)})")
-    return np.array([spec.weights[anchor_index]])
+def _term_kernel(spec, anchor_index):
+    """The kernel of one term: ``spec`` with only the weight of ``anchor_index``."""
+    if spec.weights is not None:
+        if not 0 <= anchor_index < len(spec.weights):
+            raise InputError(f"anchor_index: {anchor_index} outside [0, {len(spec.weights)})")
+        spec = replace(spec, weights=(spec.weights[anchor_index],))
+    return kernel(spec)
 
 
 def potential_value(spec: PotentialSpec, displacement, anchor_index: int = 0) -> float:
@@ -517,10 +503,10 @@ def potential_value(spec: PotentialSpec, displacement, anchor_index: int = 0) ->
     ignored by the other kinds.
     """
     v = as_vector(displacement, "displacement")
-    return float(batch_values(spec, v[:, None], _single_weight(spec, anchor_index))[0])
+    return float(_term_kernel(spec, anchor_index).values(v[:, None])[0])
 
 
 def potential_gradient(spec: PotentialSpec, displacement, anchor_index: int = 0) -> np.ndarray:
     """Gradient of one potential term at the given displacement."""
     v = as_vector(displacement, "displacement")
-    return batch_gradients(spec, v[:, None], _single_weight(spec, anchor_index))[:, 0]
+    return _term_kernel(spec, anchor_index).gradients(v[:, None])[:, 0]

@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -486,11 +487,15 @@ def test_oracle_weiszfeld_uses_instance_weights(tmp_path):
 def test_a_result_that_json_cannot_hold_is_input_error(tmp_path, capsys):
     # The anchors (0, 1) and (1.3e308, 1) are the medians, and their distances
     # sum past the float range: the value is inf, which a JSON file cannot
-    # carry. The plain mean of the second set overflows too.
-    for anchors in ([[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]],
-                    [[1e308, 0.0], [1.7e308, 0.0], [1.3e308, 1.0]]):
-        inp = write_instance(tmp_path, {"dimension": 2, "anchors": anchors,
-                                        "potential": {"kind": "euclidean"}})
+    # carry. The plain mean of the second set overflows too. In the third the
+    # median is 0.1, and its weighted distances sum past the float range.
+    euclidean = {"kind": "euclidean"}
+    for dimension, anchors, potential in (
+            (2, [[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]], euclidean),
+            (2, [[1e308, 0.0], [1.7e308, 0.0], [1.3e308, 1.0]], euclidean),
+            (1, [[0.0], [0.1], [5.0]], {"kind": "weighted_euclidean", "weights": [1e308] * 3})):
+        inp = write_instance(tmp_path, {"dimension": dimension, "anchors": anchors,
+                                        "potential": potential})
         out = tmp_path / "oracle.json"
         code = main(["oracle", "weiszfeld", "--input", str(inp), "--output", str(out)])
         assert code == EXIT_INPUT
@@ -527,14 +532,21 @@ def test_oracle_grid_two_well_fixture(tmp_path):
 
 
 def test_gradcheck_passes_and_reports(tmp_path):
-    inp = write_instance(tmp_path, RIGHT_TRIANGLE_INSTANCE)
-    rep = tmp_path / "gradcheck.json"
-    code = main(["gradcheck", "--input", str(inp), "--samples", "200",
-                 "--report", str(rep)])
-    assert code == EXIT_OK
-    report = json.loads(rep.read_text())
-    assert report["pass"] is True
-    assert report["max_rel_error"] <= 1e-5
+    # The second instance's gradients are near 1e300: their squared norms
+    # overflow, their lengths do not.
+    heavy = {"dimension": 2, "anchors": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+             "potential": {"kind": "weighted_euclidean", "weights": [1e300, 1e300, 1e300]}}
+    for instance in (RIGHT_TRIANGLE_INSTANCE, heavy):
+        inp = write_instance(tmp_path, instance)
+        rep = tmp_path / "gradcheck.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["gradcheck", "--input", str(inp), "--samples", "200",
+                         "--report", str(rep)])
+        assert code == EXIT_OK
+        report = json.loads(rep.read_text())
+        assert report["pass"] is True
+        assert report["max_rel_error"] <= 1e-5
 
 
 def test_gradcheck_detects_corrupted_gradient(tmp_path, monkeypatch):
@@ -593,6 +605,25 @@ def test_gradcheck_without_room_away_from_the_anchors_is_input_error(tmp_path, c
     code = main(["gradcheck", "--input", str(inp), "--samples", "5", "--report", str(rep)])
     assert code == EXIT_INPUT
     assert "could not sample enough points away from the anchors" in capsys.readouterr().err
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("anchors, got", [
+    ([[1.7e308], [1.6e308]], "inf"),  # r^2 overflows: U is inf
+    ([[0.0, 0.0], [4e-200, 0.0], [0.0, 3e-200], [1e-200, 1e-200]], "0.0"),  # r^2 underflows
+])
+def test_gradcheck_where_U_cannot_be_checked_is_input_error(tmp_path, capsys, anchors, got):
+    # Whatever h is, such a point checks no gradient; the samples themselves
+    # are found away from the anchors, without a warning.
+    inp = write_instance(tmp_path, {"dimension": len(anchors[0]), "anchors": anchors,
+                                    "potential": {"kind": "euclidean"}})
+    rep = tmp_path / "gradcheck.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["gradcheck", "--input", str(inp), "--samples", "5", "--report", str(rep)])
+    assert code == EXIT_INPUT
+    assert (f"points[0]: U must be finite and > 0 at every sampled point to check its "
+            f"gradient, got {got}") in capsys.readouterr().err
     assert not rep.exists()
 
 

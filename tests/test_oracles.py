@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,17 @@ def test_weiszfeld_near_the_float_maximum():
     report = weiszfeld(AnchorSet([[1e308, 0.0], [1.7e308, 0.0], [1.3e308, 1.0]]))
     assert report.location.tolist() == [1.3e308, 1.0] and report.converged
     assert report.value == math.inf
+    # The iteration does not depend on the weights' scale: w_j / d_j and the
+    # weight sums overflowed at these weights, whose median is that of unit weights.
+    anchors = AnchorSet([[0.0], [0.1], [5.0]])
+    unit = weiszfeld(anchors, weights=[1.0] * 3)
+    for weight, value in ((1e300, 5.0000000000000009e+300), (1e308, math.inf)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = weiszfeld(anchors, weights=[weight] * 3)
+        assert report.location.tolist() == unit.location.tolist() == [0.1]
+        assert report.iterations == unit.iterations == 11 and report.converged
+        assert report.value == value
 
 
 def test_centroid_examples():

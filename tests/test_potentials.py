@@ -84,6 +84,24 @@ def test_weighted_gradient_scales_by_anchor_weight():
     np.testing.assert_allclose(g, [3.0, 4.0], rtol=1e-15)
 
 
+def test_batch_kernels_apply_the_spec_weights():
+    # The weights of a weighted_euclidean spec scale its terms, as they do
+    # potential_value's and an Objective's.
+    spec = PotentialSpec("weighted_euclidean", epsilon=0.0, weights=(2.0,))
+    np.testing.assert_array_equal(batch_values(spec, np.array([[3.0]])), [6.0], strict=True)
+    weights = np.array([2.0, 5.0, 0.5])
+    weighted = PotentialSpec("weighted_euclidean", epsilon=0.1, weights=tuple(weights))
+    plain = PotentialSpec("euclidean", epsilon=0.1)
+    disp = np.random.default_rng(5).normal(size=(4, 2, 3))
+    move = np.random.default_rng(6).normal(size=(4, 2))
+    np.testing.assert_array_equal(batch_values(weighted, disp),
+                                  batch_values(plain, disp) * weights, strict=True)
+    np.testing.assert_allclose(batch_gradients(weighted, disp),
+                               batch_gradients(plain, disp) * weights, rtol=1e-15)
+    np.testing.assert_array_equal(batch_value_changes(weighted, disp, move),
+                                  batch_value_changes(plain, disp, move) * weights, strict=True)
+
+
 @pytest.mark.parametrize("spec", [
     PotentialSpec("euclidean", epsilon=0.0),
     PotentialSpec("weighted_euclidean", epsilon=0.0, weights=(1.0,)),
@@ -143,6 +161,9 @@ def test_well_widths_inside_the_float_range_are_accepted(sigma):
      "displacement: coordinates must be finite"),
     (lambda: potential_value(PotentialSpec("weighted_euclidean"), [1.0, 0.0]), ConfigError,
      "potential.weights: required for the weighted_euclidean kind"),
+    pytest.param(lambda: kernel(PotentialSpec("weighted_euclidean")), ConfigError,
+                 "potential.weights: required for the weighted_euclidean kind",
+                 id="kernel-without-weights"),
     (lambda: potential_gradient(PotentialSpec("weighted_euclidean", weights=(1.0, 2.0)),
                                 [1.0, 0.0], anchor_index=2), InputError,
      r"anchor_index: 2 outside \[0, 2\)"),
@@ -275,12 +296,11 @@ def test_carried_root_changes_no_bit(kind, kwargs, epsilon):
     disp = rng.normal(scale=[[[1.0], [1e-8], [1e6]]], size=(5, 3, 7))
     disp[0, :, 0] = 0.0  # at its anchor: the kink; unmoved, a zero denominator at eps = 0
     moves = rng.normal(size=(5, 3)) * np.array([[0.0], [1e-12], [1e3], [1.0], [1.0]])
-    kern = kernel(spec, weights)
+    kern = kernel(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonSmoothEvaluationWarning)
         g, (r2, root, _), inv_s = kern.descent_state(disp, majorizer=True)
-        per_anchor = batch_gradients(spec, disp, weights)
-        total = kern.gradient(disp)
+        per_anchor = batch_gradients(spec, disp)
     assert root.shape == (5, 7)
     np.testing.assert_array_equal(
         root, np.sqrt(np.einsum("...dn,...dn->...n", disp, disp) + epsilon * epsilon),
@@ -289,14 +309,13 @@ def test_carried_root_changes_no_bit(kind, kwargs, epsilon):
     carried = kern.change(r2, root, dr2)
     np.testing.assert_array_equal(
         carried if weights is None else carried * weights,
-        batch_value_changes(spec, disp, moves, weights), strict=True)
+        batch_value_changes(spec, disp, moves), strict=True)
     # The gradient is one contraction with the slopes w / root, 0 at the kink.
     slope = np.divide(1.0, root, out=np.zeros_like(root), where=root != 0.0)
     if weights is not None:
         slope = slope * weights
     np.testing.assert_array_equal(per_anchor, disp * slope[:, None, :], strict=True)
     np.testing.assert_array_equal(g, np.einsum("...dn,...n->...d", disp, slope), strict=True)
-    np.testing.assert_array_equal(total, g, strict=True)
     # 1/S, S the sum of those slopes, sets the line search's guaranteed step.
     np.testing.assert_array_equal(inv_s, 1.0 / slope.sum(axis=-1), strict=True)
 
@@ -319,7 +338,7 @@ def test_smoothed_euclidean_value_is_inf_where_the_squared_norm_overflows(kind, 
         r2 = np.einsum("...dn,...dn->...n", disp, disp)
         weights = np.asarray(spec.weights or (1.0,))
         expected = r2 / (np.sqrt(r2 + 1e-6) + 1e-3) * weights
-        np.testing.assert_array_equal(batch_values(spec, disp, weights), expected, strict=True)
+        np.testing.assert_array_equal(batch_values(spec, disp), expected, strict=True)
 
 
 def test_p_norm_far_from_the_anchor_is_finite_and_right():
@@ -532,13 +551,12 @@ _LANDING = np.array([[-39.57785651047325], [191.8669391406884], [31.427471185977
          line_search=True, t_exponent=1)
 def test_radial_value_change_accuracy_property(case, line_search, t_exponent):
     spec, disp, move = case
-    weights = None if spec.weights is None else np.asarray(spec.weights)
     if line_search:
         # The line-search form: x - t g from r^2, the carry and 2 p_i = 2 g.v,
         # with t a power of two so that -t g is exactly ``move``.
         t = 2.0 ** t_exponent
         g = -move / t
-        kern = kernel(spec, weights)
+        kern = kernel(spec)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonSmoothEvaluationWarning)
             _, (r2, carry, _), _ = kern.descent_state(disp[None])
@@ -546,10 +564,10 @@ def test_radial_value_change_accuracy_property(case, line_search, t_exponent):
         gn = np.sqrt(np.vecdot(g, g))
         got = kern.trials([r2, carry, proj2], np.array([t]), np.array([gn * gn]))[0]
     else:
-        got = batch_value_changes(spec, disp, move, weights)
+        got = batch_value_changes(spec, disp, move)
     for i in range(disp.shape[1]):
         v = disp[:, i]
-        weight = 1.0 if weights is None else weights[i]
+        weight = 1.0 if spec.weights is None else spec.weights[i]
         delta, q, a = _exact_change(spec, weight, v, move)
         if spec.kind == "gaussian_well" and _ULP * a > 1e-2:
             assert abs(got[i] - delta) <= weight
