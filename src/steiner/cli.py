@@ -84,7 +84,11 @@ def dumps_result(data: dict) -> str:
 
 
 def _write_json(path, data: dict):
-    text = dumps_result(data)  # before opening: a result that cannot be written leaves no file
+    # Formatted before opening: a result that cannot be written leaves no file.
+    _write_text(path, dumps_result(data))
+
+
+def _write_text(path, text: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -355,10 +359,13 @@ def cmd_solve(args) -> int:
             "threads": args.threads,
         },
     }
-    _write_json(args.output, payload)
+    # The result is formatted first and written last, so that neither a value
+    # JSON cannot hold nor a failed trace write leaves a result file.
+    text = dumps_result(payload)
     if args.trace is not None:
         for k, tr in enumerate(result.traces):
             tr.write_csv(f"{args.trace}.{k}.csv")
+    _write_text(args.output, text)
     return EXIT_OK
 
 

@@ -179,11 +179,11 @@ class Objective:
 
     def value(self, point) -> float:
         """U at ``point``."""
-        return float(self.value_many(self.check_point(point)[None, :])[0])
+        return float(self._per_row(self._values, self.check_point(point)[None, :])[0])
 
     def gradient(self, point) -> np.ndarray:
         """Gradient of U at ``point`` (the force on a test particle is its negative)."""
-        return self.gradient_many(self.check_point(point)[None, :])[0]
+        return self._per_row(self._gradients, self.check_point(point)[None, :])[0]
 
     def value_change(self, point, move) -> float:
         """U(point + move) - U(point) from per-anchor cancellation-free changes.
@@ -198,7 +198,7 @@ class Objective:
             raise InputError(f"move: expected shape {x.shape}, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise InputError("move: coordinates must be finite")
-        return float(self.value_change_many(x[None, :], m[None, :])[0])
+        return float(self._per_row(self._value_changes, x[None, :], m[None, :])[0])
 
     def check_points(self, points) -> np.ndarray:
         """Coerce ``points`` to a finite (m, D) float array, as :meth:`check_point` does one."""
@@ -219,9 +219,9 @@ class Objective:
 
     # Unchecked evaluation on displacements x - a_i, shape (rows, D, n), through
     # ``_kernel`` (see ``potentials.kernel``): ``_values``, ``_value_changes``
-    # and ``_trials`` add the per-anchor terms up, ``_descent_state`` forms the
-    # displacements; gradients (``descent_state``'s g) and Hessians come from
-    # ``_kernel`` directly.
+    # and ``_trials`` add the per-anchor terms up, ``_gradients`` is
+    # ``descent_state``'s g, ``_descent_state`` forms the displacements;
+    # Hessians come from ``_kernel`` directly.
 
     def _displacements(self, points: np.ndarray) -> np.ndarray:
         return points[:, :, None] - self._anchor_columns
@@ -233,7 +233,7 @@ class Objective:
     def _value_changes(self, disp: np.ndarray, moves: np.ndarray) -> np.ndarray:
         return self._kernel.changes(disp, moves).sum(axis=-1)
 
-    def _descent_state(self, points: np.ndarray, majorizer: bool = False):
+    def _descent_state(self, points: np.ndarray, armijo_c: float | None = None):
         """The kernel's ``descent_state`` over the spans of :meth:`block_spans`,
         so a lockstep block wider than ``block_rows`` holds one span's
         displacements at a time. The first span's results shape arrays for
@@ -241,49 +241,51 @@ class Objective:
         each later span's rows into them."""
         spans = self.block_spans(len(points))
         lo, hi = next(spans)
-        g, state, inv_s = self._kernel.descent_state(self._displacements(points[lo:hi]),
-                                                     majorizer)
+        g, state, safe = self._kernel.descent_state(self._displacements(points[lo:hi]),
+                                                    armijo_c)
         if hi == len(points):
-            return g, state, inv_s
+            return g, state, safe
         joined = [None if c is None else np.empty((len(points), *c.shape[1:]), c.dtype)
-                  for c in (g, *state, inv_s)]
-        for out, column in zip(joined, (g, *state, inv_s)):
+                  for c in (g, *state, safe)]
+        for out, column in zip(joined, (g, *state, safe)):
             if out is not None:
                 out[lo:hi] = column
-        del g, state, inv_s
+        del g, state, safe
         for lo, hi in spans:
-            self._kernel.descent_state(self._displacements(points[lo:hi]), majorizer,
+            self._kernel.descent_state(self._displacements(points[lo:hi]), armijo_c,
                                        [None if out is None else out[lo:hi] for out in joined])
         return joined[0], joined[1:-1], joined[-1]
 
     def _trials(self, state, t: np.ndarray, gsq: np.ndarray) -> np.ndarray:
         return self._kernel.trials(state, t, gsq).sum(axis=-1)
 
+    def _gradients(self, disp: np.ndarray) -> np.ndarray:
+        return self._kernel.descent_state(disp)[0]
+
     def _per_row(self, kernel, points, *moves) -> np.ndarray:
-        """Check ``points`` (shape (m, D)) and ``moves`` (each one move per
-        row), then evaluate ``kernel`` over the spans of :meth:`block_spans`:
-        each row's result is bit for bit what the single-point method gives."""
-        pts = self.check_points(points)
-        moves = [np.asarray(mv, dtype=float) for mv in moves]
-        for mv in moves:
-            if mv.shape != pts.shape:
-                raise InputError(f"moves: expected shape {pts.shape}, got {mv.shape}")
-            _check_finite_rows(mv, "moves")
-        out = [kernel(self._displacements(pts[lo:hi]), *(mv[lo:hi] for mv in moves))
-               for lo, hi in self.block_spans(len(pts))]
+        """Evaluate ``kernel`` at checked ``points`` (shape (m, D)) and
+        ``moves`` (each one move per row) over the spans of
+        :meth:`block_spans`: each row's result is bit for bit what the
+        single-point method gives."""
+        out = [kernel(self._displacements(points[lo:hi]), *(mv[lo:hi] for mv in moves))
+               for lo, hi in self.block_spans(len(points))]
         return out[0] if len(out) == 1 else np.concatenate(out)
 
     def value_many(self, points) -> np.ndarray:
         """U at each row of ``points``."""
-        return self._per_row(self._values, points)
+        return self._per_row(self._values, self.check_points(points))
 
     def gradient_many(self, points) -> np.ndarray:
         """Gradient of U at each row of ``points``; shape (m, D)."""
-        return self._per_row(lambda disp: self._kernel.descent_state(disp)[0], points)
+        return self._per_row(self._gradients, self.check_points(points))
 
     def value_change_many(self, points, moves) -> np.ndarray:
         """:meth:`value_change` for each row of ``points`` and the same row of ``moves``."""
-        return self._per_row(self._value_changes, points, moves)
+        pts, mv = self.check_points(points), np.asarray(moves, dtype=float)
+        if mv.shape != pts.shape:
+            raise InputError(f"moves: expected shape {pts.shape}, got {mv.shape}")
+        _check_finite_rows(mv, "moves")
+        return self._per_row(self._value_changes, pts, mv)
 
 
 def objective_value(obj: Objective, point) -> float:

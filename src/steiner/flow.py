@@ -9,7 +9,7 @@ and the trajectory is realized as first-order descent
 with a backtracking Armijo line search choosing t; each search first tries
 the Barzilai-Borwein two-point multiplier of the previous step, and for the
 euclidean kinds and ``squared`` the first search tries at most a step the
-majorizer guarantees (see :func:`trace_flow`). The accepted iterates form a
+potential guarantees (see ``potentials._Radial``). The accepted iterates form a
 polyline (the iterative curve) ending at a rest point where the gradient
 norm falls below the configured tolerance. Many starts are traced in
 lockstep blocks (:func:`rest_points`), bit for bit as one at a time.
@@ -167,18 +167,11 @@ def trace_flow(obj: Objective, start, cfg: FlowConfig | None = None) -> FlowTrac
     L / |g|), where L is the objective's ``length_scale``: no step is longer
     than the anchor set unless ``initial_step`` asks for that.
 
-    For the euclidean kinds and ``squared``, phi is concave in r^2, so
-    U(x - t g) <= U(x) - t (1 - t S / 2) |g|^2 with S = sum_i w_i 2 phi'(r_i^2),
-    and in exact arithmetic every t <= 2 (1 - c) / S passes Armijo. There the
-    guaranteed step t_safe = (5/3) (1 - c) / S at the start, 5/6 of that
-    bound so that the trial's rounding keeps clear of the Armijo line
-    (Weiszfeld's step 1/S times 5/4 at the default c), caps the first
-    search's first trial: a guaranteed trial, which is still tested and
-    counts as a value change. For ``squared`` the bound is U itself and 1/S
-    its exact line minimum, so t_safe is min(1, (5/3) (1 - c)) / S: 1/S
-    passes with margin for c <= 1/2. It applies only where ``min_step`` <=
-    t_safe < inf (not where S is 0, inf or nan, or t_safe is too short). Later
-    searches start from the Barzilai-Borwein or warm-start trial, and every
+    For the euclidean kinds and ``squared``, the step the potential
+    guarantees to pass Armijo at the start, t_safe of ``potentials._Radial``,
+    caps the first search's first trial where ``min_step`` <= t_safe < inf:
+    a guaranteed trial, which is still tested and counts as a value change.
+    Later searches start from the Barzilai-Borwein or warm-start trial, and every
     rejected trial t is followed by ``backtrack_factor`` t. The Armijo
     test keeps every step monotone, and every step is a multiple of -grad U.
     The gradient at x leaves the state every trial from x reuses, so a
@@ -304,9 +297,9 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
     if bad.any():
         fail(bad, [f"objective is non-finite at the starting point (U={v})"
                    for v in u[bad].tolist()], 0, 0)
-    g, state, inv_s = obj._descent_state(x, majorizer=True)
-    if inv_s is not None:  # the first search's cap
-        t = np.minimum(t, _guaranteed_step(cfg, inv_s, obj._kernel.exact))
+    g, state, safe = obj._descent_state(x, cfg.armijo_c)
+    if safe is not None:  # the first search's cap; inf, nan and short steps cap nothing
+        t = np.minimum(t, np.where(safe >= cfg.min_step, safe, np.inf))
     gn = np.sqrt(np.vecdot(g, g))
     if not np.isfinite(gn).all():  # else every component is finite
         bad = ~np.isfinite(g).all(axis=1)
@@ -433,17 +426,6 @@ def _line_search(obj: Objective, cfg: FlowConfig, t, gsq, state, tries):
         pos, ts, gq, *rows = _rows_of((pos, ts, gq, *rows), ~ok & (ts >= cfg.min_step))
         tries[pos] += 1
     return t_ok, delta
-
-
-def _guaranteed_step(cfg: FlowConfig, inv_s, exact: bool):
-    """Each row's guaranteed step t_safe from 1/S (see :func:`trace_flow`):
-    inf, so that it caps nothing, where S is 0, inf or nan or t_safe is
-    below ``min_step``. Where 1/S is ``exact``, the line minimum, t_safe is
-    at most 1/S."""
-    factor = 5.0 / 3.0 * (1.0 - cfg.armijo_c)
-    with np.errstate(over="ignore"):
-        safe = inv_s * (min(1.0, factor) if exact else factor)
-    return np.where((safe >= cfg.min_step) & (safe < np.inf), safe, np.inf)
 
 
 def _rows_of(arrays, mask):

@@ -60,8 +60,8 @@ class PotentialSpec:
     ``epsilon=None`` means "pick automatically when bound to anchors"
     (see :meth:`bound`); unbound evaluation treats it as 0. ``p`` applies
     to ``p_norm`` only (default 2.0), ``sigma`` to ``gaussian_well`` only
-    (default 1.0), and ``weights`` to ``weighted_euclidean`` only, where it
-    must have one positive entry per anchor. Any other kind rejects a value
+    (default 1.0), and ``weights`` to ``weighted_euclidean`` only, which
+    requires one positive entry per anchor. Any other kind rejects a value
     given for them.
     """
 
@@ -77,6 +77,8 @@ class PotentialSpec:
         for name, owner in KIND_PARAMETERS.items():
             _require(getattr(self, name) is None or owner == self.kind, name,
                      f"only valid for the {owner} kind")
+        _require(self.weights is not None or self.kind != "weighted_euclidean", "weights",
+                 "required for the weighted_euclidean kind")
         if self.kind == "p_norm":
             if self.p is None:
                 object.__setattr__(self, "p", 2.0)
@@ -140,10 +142,15 @@ class _Radial:
     Where phi is concave in r^2, each term lies below its tangent in r^2, so
     U(x - t g) <= U(x) - t (1 - t S / 2) |g|^2 with S = sum_i w_i 2 phi'(r_i^2),
     the slope sum; 1/S is the step of that majorizer, Weiszfeld's for the
-    euclidean kinds. Asked for it (``majorizer``), a kind that ``majorizes``
-    returns 1/S per row with its descent state; else that is None. Where phi
-    is linear in r^2 (``squared``) the majorizer is U itself, ``exact``, and
-    1/S is the exact minimum along -g.
+    euclidean kinds, and in exact arithmetic every t <= 2 (1 - c) / S passes
+    the Armijo test with constant c. Given c (``armijo_c``), a kind that
+    ``majorizes`` returns with its descent state each row's guaranteed step
+    t_safe = (5/3) (1 - c) / S, 5/6 of that bound so that a trial's rounding
+    keeps clear of the Armijo line (Weiszfeld's step times 5/4 at c = 1/4);
+    else that is None. Where phi is linear in r^2 (``squared``) the majorizer
+    is U itself, ``exact``, and 1/S is the exact minimum along -g, so t_safe
+    is min(1, (5/3) (1 - c)) / S: 1/S passes with margin for c <= 1/2.
+    t_safe is inf, 0 or nan where S is 0, inf or nan.
     """
 
     # gaussian_well's phi is concave in r^2 too, but a changed step moves
@@ -193,18 +200,20 @@ class _Radial:
         change = self.change(r2, self.carry(r2), dr2, lambda: _sq_norm(disp + move[..., None]))
         return self._weighted(change)
 
-    def descent_state(self, disp, majorizer=False, out=None):
-        g_out, r2_out, carry_out, proj2_out, inv_s_out = (None,) * 5 if out is None else out
+    def descent_state(self, disp, armijo_c=None, out=None):
+        g_out, r2_out, carry_out, proj2_out, safe_out = (None,) * 5 if out is None else out
         r2, carry, slope = self._slopes(disp, r2_out, carry_out)
         g = np.einsum("...dn,...n->...d", disp, slope, out=g_out)
-        inv_s = None
-        if majorizer and self.majorizes:
+        safe = None
+        if armijo_c is not None and self.majorizes:
+            factor = 5.0 / 3.0 * (1.0 - armijo_c)
             with np.errstate(over="ignore", divide="ignore"):
-                inv_s = np.divide(1.0, slope.sum(axis=-1), out=inv_s_out)
+                safe = np.divide(1.0, slope.sum(axis=-1), out=safe_out)
+                safe *= min(1.0, factor) if self.exact else factor
         del slope  # before 2 g.v is formed: row_floats counts on it
         proj2 = np.einsum("...dn,...d->...n", disp, g, out=proj2_out)
         proj2 *= 2.0
-        return g, [r2, carry, proj2], inv_s
+        return g, [r2, carry, proj2], safe
 
     def trials(self, state, t, gsq):
         r2, carry, proj2 = state
@@ -409,7 +418,7 @@ class _PNorm:
         r, top, _, qp, s = self._normalised(disp)
         return self._change(disp, r, top, qp, s, move[..., None])
 
-    def descent_state(self, disp, majorizer=False, out=None):
+    def descent_state(self, disp, armijo_c=None, out=None):
         r, top, qm, qp, s = self._normalised(disp)
         g = self._gradients(disp, r, qm, s).sum(axis=-1)
         if out is not None:  # a copy costs little beside forming (rows, D, n) arrays
@@ -433,25 +442,19 @@ def kernel(spec: PotentialSpec):
     functions below; ``descent_state``, the gradient g of the sum over
     anchors, a list of per-row arrays from which
     ``trials(state, t, gsq)`` gives U_i(x - t g) - U_i(x) per anchor for one t
-    per row (``gsq`` = |g|^2), and, with ``majorizer`` set, for euclidean,
-    weighted_euclidean and squared, 1/S per row, S the slope sum of
-    :class:`_Radial` (inf, 0 or nan where S is 0, inf or nan; None unasked
-    and for the other kinds): in exact arithmetic every t <= 2 (1 - c) / S
-    passes the Armijo test with constant c (given ``out``, a list of arrays
-    shaped like g, the state's arrays and 1/S, None where those are None,
-    ``descent_state`` also writes them there); for those three, ``exact``,
-    whether 1/S is the exact minimum along -g (squared, whose majorizer is U
-    itself);
+    per row (``gsq`` = |g|^2), and, given ``armijo_c``, for euclidean,
+    weighted_euclidean and squared, the guaranteed step t_safe per row of
+    :class:`_Radial` (None unasked and for the other kinds); given ``out``, a
+    list of arrays shaped like g, the state's arrays and t_safe, None where
+    those are None, ``descent_state`` also writes them there;
     ``row_floats(n, d)``, the floats one row holds at the peak of a descent
     step; and ``kept_floats(n, d)``, the floats each further row of a lockstep
     block adds to that peak (its line-search state and a trial's
     temporaries), both from tracemalloc traces, the latter with a margin;
     ``Objective`` sizes ``block_rows`` and ``lockstep_rows`` from them.
     The kind's parameters come from ``spec`` alone, and so do the weights
-    that multiply the terms of ``weighted_euclidean``, which requires them.
+    that multiply the terms of ``weighted_euclidean``.
     """
-    _require(spec.weights is not None or spec.kind != "weighted_euclidean", "weights",
-             "required for the weighted_euclidean kind")
     return _KERNELS[spec.kind](spec)
 
 

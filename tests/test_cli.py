@@ -166,6 +166,16 @@ def test_solve_writes_trace_csvs(tmp_path):
     assert header == "step,Z_1,Z_2,U,grad_norm,step_len"
 
 
+def test_a_failed_trace_write_leaves_no_result_file(tmp_path, capsys):
+    inp = write_instance(tmp_path, RIGHT_TRIANGLE_INSTANCE)
+    out = tmp_path / "result.json"
+    code = main(["solve", "--input", str(inp), "--output", str(out),
+                 "--trace", str(tmp_path / "missing" / "tr")])
+    assert code == EXIT_INPUT
+    assert str(tmp_path / "missing" / "tr.0.csv") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_flag_overrides_echoed(tmp_path):
     inp = write_instance(tmp_path, RIGHT_TRIANGLE_INSTANCE)
     out = tmp_path / "result.json"
@@ -482,6 +492,22 @@ def test_oracle_weiszfeld_uses_instance_weights(tmp_path):
     code = main(["oracle", "weiszfeld", "--input", str(inp), "--output", str(out)])
     assert code == EXIT_OK
     assert json.loads(out.read_text())["location"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle weiszfeld", "oracle centroid",
+                                     "oracle grid", "gradcheck"])
+def test_a_weighted_instance_without_weights_is_input_error(tmp_path, capsys, command):
+    # The weiszfeld and centroid oracles build no Objective: they took the
+    # unweighted median and the centroid of this instance.
+    inp = write_instance(tmp_path, {"dimension": 1, "anchors": [[0.0], [1.0], [5.0]],
+                                    "potential": {"kind": "weighted_euclidean"}})
+    out = tmp_path / "out.json"
+    flag = "--report" if command == "gradcheck" else "--output"
+    code = main([*command.split(), "--input", str(inp), flag, str(out)])
+    assert code == EXIT_INPUT
+    assert ("potential.weights: required for the weighted_euclidean kind"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_a_result_that_json_cannot_hold_is_input_error(tmp_path, capsys):

@@ -14,7 +14,7 @@ from steiner import (CONVERGED, MAX_STEPS, STALLED, ConfigError, FlowConfig, Flo
                      InputError, NumericalError, Objective, TestingPlan, enumerate_critical_points,
                      generate_testing_points, graph_residual, tangency_residual, trace_flow,
                      weiszfeld)
-from steiner.flow import _guaranteed_step, _longest_monotone_run, rest_points
+from steiner.flow import _longest_monotone_run, rest_points
 
 from util import curve_trace, make_objective
 
@@ -405,10 +405,16 @@ def _majorized_points(draw):
     # t_safe = 1 / 2 is below min_step.
     ([[0.0, 0.0]], dict(kind="squared"), [4.0, 4.0], FlowConfig(min_step=0.9)),
 ])
-def test_guaranteed_step_caps_nothing_where_it_cannot_apply(anchors, kwargs, x, cfg):
+def test_guaranteed_step_caps_nothing_where_it_cannot_apply(monkeypatch, anchors, kwargs, x,
+                                                            cfg):
     obj = make_objective(anchors, **kwargs)
-    inv_s = obj._descent_state(np.array([x]), majorizer=True)[2]
-    assert _guaranteed_step(cfg, inv_s, obj._kernel.exact).tolist() == [np.inf]
+    safe = obj._descent_state(np.array([x]), cfg.armijo_c)[2]
+    assert safe[0] == np.inf or safe[0] < cfg.min_step
+    # So the trace is the one made without a guaranteed step.
+    trace = trace_flow(obj, x, cfg)
+    monkeypatch.setattr(type(obj._kernel), "majorizes", False)
+    assert obj._descent_state(np.array([x]), cfg.armijo_c)[2] is None
+    _assert_same_trace(trace, trace_flow(obj, x, cfg))
 
 
 @pytest.mark.parametrize("kind, armijo_c, factor", [
@@ -420,8 +426,9 @@ def test_guaranteed_step_caps_nothing_where_it_cannot_apply(anchors, kwargs, x, 
 def test_guaranteed_step_is_at_most_the_exact_line_minimum(kind, armijo_c, factor):
     kwargs = dict(weights=(1.0, 2.0, 0.5, 1.5)) if kind == "weighted_euclidean" else {}
     obj = make_objective(_PINNED_ANCHORS, kind, **kwargs)
-    inv_s = obj._descent_state(_PINNED_STARTS[:3], majorizer=True)[2]
-    safe = _guaranteed_step(FlowConfig(armijo_c=armijo_c), inv_s, obj._kernel.exact)
+    # At c = 0.4, (5/3) (1 - c) is exactly 1: t_safe is 1/S.
+    inv_s = obj._descent_state(_PINNED_STARTS[:3], 0.4)[2]
+    safe = obj._descent_state(_PINNED_STARTS[:3], armijo_c)[2]
     assert safe.tobytes() == (inv_s * factor).tobytes()
 
 
@@ -430,8 +437,7 @@ def test_guaranteed_step_is_at_most_the_exact_line_minimum(kind, armijo_c, facto
 def test_guaranteed_step_passes_the_armijo_test_property(case, armijo_c):
     obj, x = case
     cfg = FlowConfig(armijo_c=armijo_c, min_step=5e-324)
-    g, state, inv_s = obj._descent_state(x[None], majorizer=True)
-    safe = _guaranteed_step(cfg, inv_s, obj._kernel.exact)
+    g, state, safe = obj._descent_state(x[None], cfg.armijo_c)
     terms = obj._kernel.gradients(obj._displacements(x[None]))
     gn = np.sqrt(np.vecdot(g, g))
     # The bound holds in exact arithmetic. Where the terms' gradients cancel
@@ -644,8 +650,8 @@ def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
         object.__setattr__(narrowed, "lockstep_rows", lockstep)
     exact = steiner.potentials._Radial.descent_state
 
-    def corrupted(kernel, disp, majorizer=False, out=None):
-        g, state, inv_s = exact(kernel, disp, majorizer, out)
+    def corrupted(kernel, disp, armijo_c=None, out=None):
+        g, state, inv_s = exact(kernel, disp, armijo_c, out)
         near = (np.linalg.norm(disp, axis=-2) < 3.0) & (disp[..., 0, :] > 0.5)
         g[near.any(axis=-1)] = np.nan  # in place, so that it reaches ``out`` too
         return g, state, inv_s
@@ -824,13 +830,13 @@ def test_rest_points_splits_starts_into_near_equal_blocks(monkeypatch, d, m, siz
         blocks.append(len(starts))
         return descend(obj, starts, *args)
 
-    def spanned(kernel, disp, majorizer=False, out=None):
+    def spanned(kernel, disp, armijo_c=None, out=None):
         steps[-1][1].append(len(disp))
-        return descent_state(kernel, disp, majorizer, out)
+        return descent_state(kernel, disp, armijo_c, out)
 
-    def stepped(obj, points, majorizer=False):
+    def stepped(obj, points, armijo_c=None):
         steps.append((len(points), []))
-        return state_of(obj, points, majorizer)
+        return state_of(obj, points, armijo_c)
 
     monkeypatch.setattr(steiner.flow, "_descend", counted)
     monkeypatch.setattr(steiner.potentials._Radial, "descent_state", spanned)

@@ -173,6 +173,11 @@ def test_single_term_arguments_are_checked(call, error, message):
         call()
 
 
+def test_a_weighted_spec_requires_its_weights_when_built():
+    with pytest.raises(ConfigError, match="potential.weights: required for the weighted"):
+        PotentialSpec("weighted_euclidean", epsilon=0.1)
+
+
 def test_kind_parameters_default_only_for_their_kind():
     assert PotentialSpec("p_norm").p == 2.0
     assert PotentialSpec("gaussian_well").sigma == 1.0
@@ -299,7 +304,8 @@ def test_carried_root_changes_no_bit(kind, kwargs, epsilon):
     kern = kernel(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonSmoothEvaluationWarning)
-        g, (r2, root, _), inv_s = kern.descent_state(disp, majorizer=True)
+        # At c = 0.4, (5/3) (1 - c) is exactly 1: t_safe is 1/S.
+        g, (r2, root, _), inv_s = kern.descent_state(disp, armijo_c=0.4)
         per_anchor = batch_gradients(spec, disp)
     assert root.shape == (5, 7)
     np.testing.assert_array_equal(
