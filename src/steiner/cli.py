@@ -17,6 +17,7 @@ configuration error, 2 no critical point found.
 """
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -300,7 +301,24 @@ def _decode_json(path):
 
 
 def load_instance(path) -> Instance:
-    return parse_instance(_decode_json(path))
+    """The instance in the JSON file at ``path``, decoded and checked with the
+    cyclic garbage collector paused.
+
+    JSON data holds no reference cycles, so a collection in here finds
+    nothing. Yet decoding 10 000 x 8 anchors allocates 10 001 lists, which
+    set off 13 generation-0 passes and 1 generation-1 pass of the collector
+    (counted with ``gc.callbacks``). The decoded lists are freed when
+    ``parse_instance`` returns, before collection resumes, so they leave
+    the next pass nothing to walk either. The caller's collector state is
+    restored on every exit.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse_instance(_decode_json(path))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def serialize_instance(inst: Instance) -> dict:

@@ -183,7 +183,7 @@ class Objective:
 
     def gradient(self, point) -> np.ndarray:
         """Gradient of U at ``point`` (the force on a test particle is its negative)."""
-        return self._per_row(self._gradients, self.check_point(point)[None, :])[0]
+        return self._per_row(self._kernel.gradient, self.check_point(point)[None, :])[0]
 
     def value_change(self, point, move) -> float:
         """U(point + move) - U(point) from per-anchor cancellation-free changes.
@@ -218,10 +218,10 @@ class Objective:
         return ((m * k // count, m * (k + 1) // count) for k in range(count))
 
     # Unchecked evaluation on displacements x - a_i, shape (rows, D, n), through
-    # ``_kernel`` (see ``potentials.kernel``): ``_values``, ``_value_changes``
-    # and ``_trials`` add the per-anchor terms up, ``_gradients`` is
-    # ``descent_state``'s g, ``_descent_state`` forms the displacements;
-    # Hessians come from ``_kernel`` directly.
+    # ``_kernel`` (see ``potentials.kernel``): ``_values``, ``_value_changes``,
+    # ``_values_at`` and ``_trials`` add the per-anchor terms up,
+    # ``_descent_state`` forms the displacements; gradients and Hessians come
+    # from ``_kernel`` directly.
 
     def _displacements(self, points: np.ndarray) -> np.ndarray:
         return points[:, :, None] - self._anchor_columns
@@ -229,6 +229,11 @@ class Objective:
     def _values(self, disp: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):  # the tracer checks U for inf
             return self._kernel.values(disp).sum(axis=-1)
+
+    def _values_at(self, state) -> np.ndarray:
+        """U at each row of a :meth:`_descent_state`, bit for bit :meth:`_values`."""
+        with np.errstate(over="ignore"):  # the tracer checks U for inf
+            return self._kernel.values_at(state).sum(axis=-1)
 
     def _value_changes(self, disp: np.ndarray, moves: np.ndarray) -> np.ndarray:
         return self._kernel.changes(disp, moves).sum(axis=-1)
@@ -259,9 +264,6 @@ class Objective:
     def _trials(self, state, t: np.ndarray, gsq: np.ndarray) -> np.ndarray:
         return self._kernel.trials(state, t, gsq).sum(axis=-1)
 
-    def _gradients(self, disp: np.ndarray) -> np.ndarray:
-        return self._kernel.descent_state(disp)[0]
-
     def _per_row(self, kernel, points, *moves) -> np.ndarray:
         """Evaluate ``kernel`` at checked ``points`` (shape (m, D)) and
         ``moves`` (each one move per row) over the spans of
@@ -277,7 +279,7 @@ class Objective:
 
     def gradient_many(self, points) -> np.ndarray:
         """Gradient of U at each row of ``points``; shape (m, D)."""
-        return self._per_row(self._gradients, self.check_points(points))
+        return self._per_row(self._kernel.gradient, self.check_points(points))
 
     def value_change_many(self, points, moves) -> np.ndarray:
         """:meth:`value_change` for each row of ``points`` and the same row of ``moves``."""

@@ -250,7 +250,7 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
     <offset + row>: " before its message. The counters, bar the value
     changes, follow from the step index when a row stops (see :class:`FlowTrace`).
     """
-    m, d = starts.shape
+    m = len(starts)
     status: list[str | None] = [None] * m
     failures: dict[int, str] = {}
     # The samples, one list of per-step arrays per column: start index,
@@ -266,10 +266,12 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
     # gradient g at x with the state the line search from x reuses, the next
     # first trial t before the cap and the value changes so far. ``carry``
     # keeps sub-ulp decreases until they add up to a drop of u (Kahan); a
-    # ``tie`` is a terminal repeating the starting value.
-    row, x, u = np.arange(m), starts, obj.value_many(starts)
+    # ``tie`` is a terminal repeating the starting value. Each start's U comes
+    # from the state its gradient leaves, in the one pass over the anchors.
+    row, x = np.arange(m), starts
+    g, state, safe = obj._descent_state(x, cfg.armijo_c)
+    u = obj._values_at(state)
     gn = carry = np.zeros(m)
-    g, state = np.zeros((m, d)), []
     t, tries = np.full(m, cfg.initial_step / cfg.backtrack_factor), np.zeros(m, dtype=int)
     length, tie = (np.zeros(m), np.zeros(m, dtype=bool)) if log_samples else (None, None)
 
@@ -295,9 +297,8 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
 
     bad = ~np.isfinite(u)
     if bad.any():
-        fail(bad, [f"objective is non-finite at the starting point (U={v})"
-                   for v in u[bad].tolist()], 0, 0)
-    g, state, safe = obj._descent_state(x, cfg.armijo_c)
+        safe, = fail(bad, [f"objective is non-finite at the starting point (U={v})"
+                           for v in u[bad].tolist()], 0, 0, safe)
     if safe is not None:  # the first search's cap; inf, nan and short steps cap nothing
         t = np.minimum(t, np.where(safe >= cfg.min_step, safe, np.inf))
     gn = np.sqrt(np.vecdot(g, g))

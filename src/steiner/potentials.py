@@ -129,8 +129,9 @@ def _sq_norm(arr, out=None):
 
 class _Radial:
     """A radial kind, U_i = w_i phi(r_i^2) with r_i^2 = |v_i|^2 (w_i = 1 but for
-    weighted_euclidean). A subclass gives, as functions of r^2, ``value`` =
-    phi; ``carry``, what the slope and the change share; ``slope(r2, c)`` =
+    weighted_euclidean). A subclass gives, as functions of r^2, ``value(r2,
+    c)`` = phi, given the carry c where it is at hand; ``carry``, what the
+    value, the slope and the change share; ``slope(r2, c)`` =
     2 phi'(r^2), so a term's gradient is slope * v; and
     ``change(r2, c, dr2, landing)`` = phi(r^2 + dr^2) - phi(r^2) free of
     cancellation, with r^2 + dr^2 clamped at 0, where ``landing``, if given,
@@ -177,6 +178,10 @@ class _Radial:
     def values(self, disp):
         return self._weighted(self.value(_sq_norm(disp)))
 
+    def values_at(self, state):
+        r2, carry, _ = state
+        return self._weighted(self.value(r2, carry))
+
     def _slopes(self, disp, r2_out=None, carry_out=None):
         """r^2, the carry and the weighted slopes at ``disp``; r^2 and the
         carry are written to the arrays given for them."""
@@ -186,6 +191,15 @@ class _Radial:
 
     def gradients(self, disp):
         return disp * self._slopes(disp)[2][..., None, :]
+
+    def _gradient(self, disp, g_out=None, r2_out=None, carry_out=None):
+        """g, the gradient of the sum over anchors, with the r^2, carry and
+        weighted slopes it is formed from; each ``*_out`` receives its array."""
+        r2, carry, slope = self._slopes(disp, r2_out, carry_out)
+        return np.einsum("...dn,...n->...d", disp, slope, out=g_out), r2, carry, slope
+
+    def gradient(self, disp):
+        return self._gradient(disp)[0]
 
     def hessian(self, disp):
         """Hessian of U, (..., D, D): sum_i w_i [2 phi'(r_i^2) I + 4 phi''(r_i^2) v_i v_i^T]."""
@@ -202,8 +216,7 @@ class _Radial:
 
     def descent_state(self, disp, armijo_c=None, out=None):
         g_out, r2_out, carry_out, proj2_out, safe_out = (None,) * 5 if out is None else out
-        r2, carry, slope = self._slopes(disp, r2_out, carry_out)
-        g = np.einsum("...dn,...n->...d", disp, slope, out=g_out)
+        g, r2, carry, slope = self._gradient(disp, g_out, r2_out, carry_out)
         safe = None
         if armijo_c is not None and self.majorizes:
             factor = 5.0 / 3.0 * (1.0 - armijo_c)
@@ -212,7 +225,8 @@ class _Radial:
                 safe *= min(1.0, factor) if self.exact else factor
         del slope  # before 2 g.v is formed: row_floats counts on it
         proj2 = np.einsum("...dn,...d->...n", disp, g, out=proj2_out)
-        proj2 *= 2.0
+        with np.errstate(over="ignore"):  # inf makes every trial from here inf
+            proj2 *= 2.0
         return g, [r2, carry, proj2], safe
 
     def trials(self, state, t, gsq):
@@ -230,14 +244,16 @@ class _Hyperbolic(_Radial):
         self.eps = spec.epsilon or 0.0
         self.eps2 = self.eps * self.eps
 
-    def value(self, r2):
+    def value(self, r2, root=None):
+        if root is None:
+            root = self.carry(r2)
         if self.eps > 0.0:
             # r2 / (sqrt(r2 + eps^2) + eps) == sqrt(r2 + eps^2) - eps, but
             # free of cancellation for r << eps; inf, not inf / inf, once r2
             # overflows.
-            return np.divide(r2, np.sqrt(r2 + self.eps2) + self.eps,
-                             out=np.full_like(r2, np.inf), where=r2 != np.inf)
-        return np.sqrt(r2)
+            return np.divide(r2, root + self.eps, out=np.full_like(r2, np.inf),
+                             where=r2 != np.inf)
+        return root
 
     def carry(self, r2, out=None):
         root = np.add(r2, self.eps2, out=out)
@@ -246,7 +262,7 @@ class _Hyperbolic(_Radial):
     def slope(self, r2, root):
         if root.all():
             return 1.0 / root
-        warnings.warn(_NONSMOOTH_MSG, NonSmoothEvaluationWarning, stacklevel=4)
+        warnings.warn(_NONSMOOTH_MSG, NonSmoothEvaluationWarning, stacklevel=5)
         return np.divide(1.0, root, out=np.zeros_like(root), where=root != 0.0)
 
     def change(self, r2, root, dr2, landing=None):
@@ -266,7 +282,7 @@ class _Squared(_Radial):
 
     exact = True
 
-    def value(self, r2):
+    def value(self, r2, _=None):
         return r2
 
     def carry(self, r2, out=None):
@@ -289,7 +305,7 @@ class _Gaussian(_Radial):
         self.s2 = spec.sigma * spec.sigma
         self.two_over_s2 = 2.0 / self.s2
 
-    def value(self, r2):
+    def value(self, r2, _=None):
         return -np.expm1(-r2 / self.s2)
 
     def carry(self, r2, out=None):
@@ -308,9 +324,9 @@ class _Gaussian(_Radial):
         # rounding once |v| + |m| is far beyond sigma. The difference is only
         # formed when some term needs it; then for all, which at these sizes
         # costs less than picking the terms out.
-        arg = dr2 / self.s2
-        near = np.abs(arg) < 1.0
         with np.errstate(over="ignore", invalid="ignore"):
+            arg = dr2 / self.s2
+            near = np.abs(arg) < 1.0
             small = np.expm1(np.negative(arg, out=arg), out=arg)
             small *= damp
             np.negative(small, out=small)
@@ -357,11 +373,19 @@ class _PNorm:
         q *= qm
         return r, top, qm, q, q.sum(axis=-2)
 
+    def _value(self, top, s, d):
+        """U_i from R and S, in D coordinates."""
+        with np.errstate(over="ignore"):  # R multiplies last
+            norm = np.power(s, 1.0 / self.p) - d ** (1.0 / self.p) * (self.eps / top)
+            return np.maximum(top * norm, 0.0)
+
     def values(self, disp):
         _, top, _, _, s = self._normalised(disp)
-        with np.errstate(over="ignore"):  # R multiplies last
-            norm = np.power(s, 1.0 / self.p) - disp.shape[-2] ** (1.0 / self.p) * (self.eps / top)
-            return np.maximum(top * norm, 0.0)
+        return self._value(top, s, disp.shape[-2])
+
+    def values_at(self, state):
+        disp, _, top, _, s, _ = state
+        return self._value(top, s, disp.shape[-2])
 
     def _gradients(self, disp, r, qm, s):
         # d/dv_j R S^(1/p) = S^(1/p-1) q_j^(p-1) v_j / r_j, 0 where r_j = 0
@@ -375,6 +399,15 @@ class _PNorm:
     def gradients(self, disp):
         r, _, qm, _, s = self._normalised(disp)
         return self._gradients(disp, r, qm, s)
+
+    def _gradient(self, disp):
+        """g, the gradient of the sum over anchors, with the r, R, q^p and S
+        it is formed from."""
+        r, top, qm, qp, s = self._normalised(disp)
+        return self._gradients(disp, r, qm, s).sum(axis=-1), r, top, qp, s
+
+    def gradient(self, disp):
+        return self._gradient(disp)[0]
 
     def _change(self, disp, r, top, qp, s, move):
         """N(v + m) - N(v) per anchor from the start side's r, R, q^p and S, for
@@ -419,8 +452,7 @@ class _PNorm:
         return self._change(disp, r, top, qp, s, move[..., None])
 
     def descent_state(self, disp, armijo_c=None, out=None):
-        r, top, qm, qp, s = self._normalised(disp)
-        g = self._gradients(disp, r, qm, s).sum(axis=-1)
+        g, r, top, qp, s = self._gradient(disp)
         if out is not None:  # a copy costs little beside forming (rows, D, n) arrays
             for dest, column in zip(out, (g, disp, r, top, qp, s, g)):
                 dest[...] = column
@@ -439,12 +471,15 @@ KINDS = tuple(_KERNELS)
 def kernel(spec: PotentialSpec):
     """The kernels of ``spec``'s kind, on displacements of shape (..., D, n):
     ``values``, ``gradients`` and ``changes`` per anchor, as the ``batch_*``
-    functions below; ``descent_state``, the gradient g of the sum over
-    anchors, a list of per-row arrays from which
-    ``trials(state, t, gsq)`` gives U_i(x - t g) - U_i(x) per anchor for one t
-    per row (``gsq`` = |g|^2), and, given ``armijo_c``, for euclidean,
-    weighted_euclidean and squared, the guaranteed step t_safe per row of
-    :class:`_Radial` (None unasked and for the other kinds); given ``out``, a
+    functions below; ``gradient``, the gradient g of the sum over anchors
+    alone; ``descent_state``, g (bit for bit ``gradient``'s), a list of
+    per-row arrays from which ``values_at(state)`` gives the per-anchor
+    values (bit for bit ``values``', and possibly sharing the state's
+    memory) and ``trials(state, t, gsq)`` gives U_i(x - t g) - U_i(x) per
+    anchor for one t per row (``gsq`` = |g|^2), and, given ``armijo_c``,
+    for euclidean, weighted_euclidean and squared, the guaranteed step
+    t_safe per row of :class:`_Radial` (None unasked and for the other
+    kinds); given ``out``, a
     list of arrays shaped like g, the state's arrays and t_safe, None where
     those are None, ``descent_state`` also writes them there;
     ``row_floats(n, d)``, the floats one row holds at the peak of a descent

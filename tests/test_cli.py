@@ -1,5 +1,6 @@
 """Command-line interface: instance parsing, commands, exit codes, formats."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -991,6 +992,58 @@ def test_load_instance_validates(tmp_path):
         with pytest.raises(InputError) as caught:
             load_instance(path)
         assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_instance_restores_the_collector_state(tmp_path, enabled):
+    good = write_instance(tmp_path, RIGHT_TRIANGLE_INSTANCE)
+    bad = write_instance(tmp_path, {"dimension": 2}, "bad.json")
+    (gc.enable if enabled else gc.disable)()
+    try:
+        load_instance(good)
+        assert gc.isenabled() is enabled
+        with pytest.raises(InputError, match="anchors"):
+            load_instance(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_load_instance_sets_off_no_collection_on_a_large_instance(tmp_path):
+    # 10 000 x 8 anchors decode into 10 001 lists, which set off 14 passes
+    # of the cyclic collector before load_instance paused it, though JSON
+    # data holds no cycles for a pass to find.
+    rng = np.random.default_rng(0)
+    path = write_instance(tmp_path, dict(RIGHT_TRIANGLE_INSTANCE, dimension=8,
+                                         anchors=rng.uniform(0, 10, (10_000, 8)).tolist(),
+                                         testing_plan=None))
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        inst = load_instance(path)
+    finally:
+        gc.callbacks.remove(count)
+    assert inst.anchors.n == 10_000
+    assert passes == []
+
+
+def test_a_gaussian_well_below_the_float_scale_is_refused_without_warnings(tmp_path, capsys):
+    # dr^2 / sigma^2 overflowed in a value change here, and numpy warned
+    # before the precise error.
+    inp = write_instance(tmp_path, {
+        "dimension": 2, "anchors": [[0, 0], [4e-80, 0], [0, 3e-80]],
+        "potential": {"kind": "gaussian_well", "sigma": 1e-80}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["solve", "--input", str(inp), "--output", str(tmp_path / "o.json")])
+    assert code == EXIT_NO_CRITICAL_POINT
+    assert "no descent run reached a rest point" in capsys.readouterr().err
 
 
 _DEEP = "[" * 100_000

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -652,7 +653,8 @@ def test_lockstep_failure_names_lowest_failing_start(monkeypatch):
 
     def corrupted(kernel, disp, armijo_c=None, out=None):
         g, state, inv_s = exact(kernel, disp, armijo_c, out)
-        near = (np.linalg.norm(disp, axis=-2) < 3.0) & (disp[..., 0, :] > 0.5)
+        with np.errstate(over="ignore"):  # the far start below reaches the kernel too
+            near = (np.linalg.norm(disp, axis=-2) < 3.0) & (disp[..., 0, :] > 0.5)
         g[near.any(axis=-1)] = np.nan  # in place, so that it reaches ``out`` too
         return g, state, inv_s
 
@@ -726,6 +728,38 @@ def test_a_start_whose_gradient_overflows_is_named():
         with pytest.raises(NumericalError, match=f"^start 0: {message}$") as info:
             rest_points(obj, np.array([[0.7], [0.8]]), FlowConfig(), keep_traces)
         _assert_same_trace(info.value.trace, trace)
+
+
+@pytest.mark.parametrize("kind, kwargs, anchors, far, near", [
+    ("euclidean", {}, [[0.0, 0.0], [1.0, 0.0]], [1.7e308, 1.7e308], [0.3, 0.2]),
+    ("squared", {}, [[0.0, 0.0], [1.0, 0.0]], [1e200, 1e200], [0.3, 0.2]),
+    # At -0.5 the nearer pull, 2e308, is inf as well; U ~ 1.2e308 at the
+    # median 0.6, where the pulls, 1.7e308 each, cancel.
+    ("weighted_euclidean", dict(weights=(1e308, 1e308)), [[0.0], [1.2]], [-0.5], [0.6]),
+    ("p_norm", {}, [[0.0, 0.0], [1.0, 0.0]], [1.7e308, 1.7e308], [0.3, 0.2]),
+])
+def test_a_start_whose_value_is_non_finite_fails_first_without_warnings(kind, kwargs, anchors,
+                                                                         far, near):
+    # U at the starts comes from the state their gradient leaves, so the
+    # gradient at ``far`` is formed too; U still fails first, and quietly.
+    obj = make_objective(anchors, kind, **kwargs)
+    message = r"objective is non-finite at the starting point \(U=inf\)$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match=f"^{message}") as info:
+            trace_flow(obj, far)
+        assert info.value.trace is None
+        for keep_traces in (True, False):
+            for starts, k in (([near, far], 1), ([far, near], 0)):
+                with pytest.raises(NumericalError, match=f"^start {k}: {message}"):
+                    rest_points(obj, np.array(starts), FlowConfig(), keep_traces)
+        # The finite start beside it starts at value()'s U and traces as in a
+        # block of its own.
+        alone = trace_flow(obj, near)
+        together = rest_points(obj, np.array([near, near]), FlowConfig(), True).traces
+    assert alone.values[0] == obj.value(near)
+    for trace in together:
+        _assert_same_trace(trace, alone)
 
 
 @pytest.mark.parametrize("kind, kwargs, n", [

@@ -326,6 +326,72 @@ def test_carried_root_changes_no_bit(kind, kwargs, epsilon):
     np.testing.assert_array_equal(inv_s, 1.0 / slope.sum(axis=-1), strict=True)
 
 
+# Every kind over six anchors, weighted and at eps = 0 too, with weights that
+# take the terms past the float range.
+STATE_SPECS = [
+    PotentialSpec("euclidean", epsilon=1e-3),
+    PotentialSpec("euclidean", epsilon=0.0),
+    PotentialSpec("weighted_euclidean", epsilon=1e-3, weights=tuple(np.geomspace(1e-3, 1e300, 6))),
+    PotentialSpec("weighted_euclidean", epsilon=0.0, weights=(0.5, 2.0, 3.0, 1e308, 7.0, 1.0)),
+    PotentialSpec("squared"),
+    PotentialSpec("gaussian_well", sigma=1.3),
+    PotentialSpec("p_norm", p=2.0, epsilon=1e-3),
+    PotentialSpec("p_norm", p=3.5, epsilon=0.0),
+]
+STATE_IDS = ["euclidean", "euclidean-eps0", "weighted", "weighted-eps0", "squared",
+             "gaussian_well", "p_norm", "p_norm-eps0"]
+
+
+def _state_displacements():
+    """Rows of 3-D displacements to six anchors: ordinary, subnormal, near
+    1e300, and ordinary with zeros, one at an anchor and one whole row."""
+    scale = np.array([1.0, 1e-310, 1e300, 5e-324, 1.0, 1.0])[:, None, None]
+    disp = np.random.default_rng(31).normal(size=(6, 3, 6)) * scale
+    disp[4, :, 0] = 0.0
+    disp[5] = 0.0
+    return disp
+
+
+@pytest.mark.parametrize("spec", STATE_SPECS, ids=STATE_IDS)
+def test_values_at_the_descent_state_equal_the_values(spec):
+    # The tracer takes U at its starts from the state their gradient leaves:
+    # the same bits as the values from the displacements, row by row.
+    kern, disp = kernel(spec), _state_displacements()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonSmoothEvaluationWarning)
+        block = kern.descent_state(disp, armijo_c=0.25)[1]
+        rows = [kern.descent_state(disp[k:k + 1])[1] for k in range(len(disp))]
+    expected = kern.values(disp)
+    np.testing.assert_array_equal(kern.values_at(block), expected, strict=True)
+    np.testing.assert_array_equal(np.concatenate([kern.values_at(state) for state in rows]),
+                                  expected, strict=True)
+
+
+@pytest.mark.parametrize("spec", STATE_SPECS, ids=STATE_IDS)
+def test_the_gradient_alone_equals_the_descent_state_gradient(spec):
+    kern, disp = kernel(spec), _state_displacements()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonSmoothEvaluationWarning)
+        g = kern.descent_state(disp, armijo_c=0.25)[0]
+        np.testing.assert_array_equal(kern.gradient(disp), g, strict=True)
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    ("euclidean", {}), ("squared", {}), ("gaussian_well", dict(sigma=3.0)),
+    ("p_norm", dict(p=3.0)), ("weighted_euclidean", dict(weights=(1.0, 2.0, 1e300, 0.5, 3.0))),
+])
+def test_objective_values_at_a_spanned_descent_state_equal_value_many(kind, kwargs):
+    # With kernel spans of one row, the state is joined from five kernel calls.
+    rng = np.random.default_rng(8)
+    obj = make_objective(rng.normal(size=(5, 3)), kind, **kwargs)
+    object.__setattr__(obj, "block_rows", 1)
+    points = rng.normal(scale=[[1.0], [1e3], [1e150], [1e200], [1.0]], size=(5, 3))
+    state = obj._descent_state(points, 0.25)[1]
+    np.testing.assert_array_equal(obj._values_at(state), obj.value_many(points), strict=True)
+    np.testing.assert_array_equal(obj._descent_state(points)[0], obj.gradient_many(points),
+                                  strict=True)
+
+
 @pytest.mark.parametrize("kind, kwargs", [
     ("euclidean", {}),
     ("weighted_euclidean", dict(weights=(2.5,))),
