@@ -128,8 +128,9 @@ class Objective:
     """Total field over an anchor set with one potential kind.
 
     Construction binds the potential spec to the anchors: the automatic
-    smoothing length is resolved from the bounding-box diagonal and
-    per-anchor weights are length-checked. ``length_scale`` keeps that
+    smoothing length is resolved from the bounding-box diagonal (so a spec
+    without one is refused where that diagonal is past the float range)
+    and per-anchor weights are length-checked. ``length_scale`` keeps that
     diagonal (or, when all anchors coincide, the magnitude fallback that
     stands in for it); the descent tracer caps its steps with it.
     :meth:`block_spans` is the one rule by which batches are split into
@@ -150,6 +151,9 @@ class Objective:
             anchors = AnchorSet(anchors)
             object.__setattr__(self, "anchors", anchors)
         scale = anchors.diagonal()
+        if scale == np.inf and self.potential.epsilon is None:
+            raise InputError("anchors: the diagonal of their bounding box is past the float "
+                             "range, so no smoothing length can be scaled from it")
         if scale == 0.0:
             scale = max(1.0, float(np.abs(anchors.points).max()))
         object.__setattr__(self, "length_scale", scale)

@@ -116,14 +116,22 @@ def default_domain_box(anchors: AnchorSet, margin: float = 0.2) -> tuple[tuple[f
 
 def plan_domain_box(plan: TestingPlan,
                     anchors: AnchorSet | None) -> tuple[tuple[float, float], ...]:
-    """The plan's domain box, else the anchor box with its margin."""
+    """The plan's domain box, else the anchor box with its margin. Either is
+    refused where its diagonal is past the float range: no spread of points
+    over it, nor a length scaled from it, is finite."""
     if plan.domain_box is not None:
-        if anchors is None or len(plan.domain_box) == anchors.dimension:
-            return plan.domain_box
-        raise ConfigError(f"testing_plan.domain_box: expected {anchors.dimension} [lo, hi] pairs")
-    if anchors is None:
+        if anchors is not None and len(plan.domain_box) != anchors.dimension:
+            raise ConfigError(
+                f"testing_plan.domain_box: expected {anchors.dimension} [lo, hi] pairs")
+        box = plan.domain_box
+    elif anchors is None:
         raise ConfigError("testing_plan.domain_box: required when no anchors are supplied")
-    return default_domain_box(anchors)
+    else:
+        box = default_domain_box(anchors)
+    if box_geometry(box)[2] == np.inf:
+        raise ConfigError("testing_plan.domain_box: the diagonal of "
+                          f"{[list(pair) for pair in box]} is past the float range")
+    return box
 
 
 def box_geometry(box) -> tuple[np.ndarray, np.ndarray, float]:

@@ -127,7 +127,7 @@ def centroid(anchors: AnchorSet) -> OracleReport:
     if not isinstance(anchors, AnchorSet):
         anchors = AnchorSet(anchors)
     loc = _mean(anchors.points, np.ones(anchors.n))
-    obj = Objective(anchors, PotentialSpec("squared"))
+    obj = Objective(anchors, PotentialSpec("squared", epsilon=0.0))
     return OracleReport(location=loc, value=obj.value(loc), iterations=0,
                         method="centroid")
 

@@ -252,6 +252,42 @@ def test_solve_output_digest_is_pinned(tmp_path, name):
     assert digest.hexdigest() == expected
 
 
+# The first line search tries a guaranteed step for these kinds: where their
+# descents end is checked against the Weiszfeld iteration, weighted or not,
+# and the centroid. The over-budget starts step as one lockstep block whose
+# kernel calls take 3 rows each. The integer anchors, 0 and 1 among them,
+# must not be taken for the bools that the number-list reader refuses.
+_FOUR_ANCHORS = [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0], [5.0, 4.0]]
+ORACLE_SOLVES = {
+    "euclidean": ({"dimension": 2, "anchors": RIGHT_TRIANGLE_INSTANCE["anchors"],
+                   "potential": {"kind": "euclidean"}}, "weiszfeld"),
+    "squared": ({"dimension": 2, "anchors": _FOUR_ANCHORS, "potential": {"kind": "squared"}},
+                "centroid"),
+    "weighted_euclidean": ({"dimension": 2, "anchors": _FOUR_ANCHORS,
+                            "potential": {"kind": "weighted_euclidean",
+                                          "weights": [1, 2, 1.5, 1]}}, "weiszfeld"),
+    "euclidean_over_budget": (PINNED_SOLVES["euclidean_over_budget"][0], "weiszfeld"),
+    "integer_10000x8": ({
+        "dimension": 8,
+        "anchors": np.random.default_rng(0).integers(0, 10, size=(10_000, 8)).tolist(),
+        "potential": {"kind": "euclidean"},
+        "testing_plan": {"strategy": "uniform_random", "count": 2, "seed": 0},
+    }, "weiszfeld"),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SOLVES))
+def test_solve_agrees_with_its_oracle(tmp_path, name):
+    instance, method = ORACLE_SOLVES[name]
+    inp = write_instance(tmp_path, instance)
+    result, oracle = tmp_path / "result.json", tmp_path / "oracle.json"
+    assert main(["solve", "--input", str(inp), "--output", str(result)]) == EXIT_OK
+    assert main(["oracle", method, "--input", str(inp), "--output", str(oracle)]) == EXIT_OK
+    got = json.loads(result.read_text())["steiner"]["location"]
+    want = json.loads(oracle.read_text())["location"]
+    assert math.dist(got, want) <= 1e-6 * math.hypot(*want)
+
+
 # Instance sections and solve flags per case: one case per potential kind,
 # with and without testing_plan/flow, and one with every override flag.
 ECHO_CASES = {
@@ -453,7 +489,7 @@ def test_solve_config_echo_bytes(tmp_path, name):
     assert text[text.index('  "config_echo": '):] == ECHO_GOLDEN[name]
 
 
-def test_oracle_centroid(tmp_path):
+def test_oracle_centroid(tmp_path, capsys):
     inp = write_instance(tmp_path, {
         "dimension": 2,
         "anchors": [[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]],
@@ -465,6 +501,17 @@ def test_oracle_centroid(tmp_path):
     report = json.loads(out.read_text())
     assert report["location"] == [1.0, 1.0]
     assert report["method"] == "centroid"
+    # The plain sum of these anchors overflows, their mean does not; U ~ 1e616 does.
+    inp = write_instance(tmp_path, {
+        "dimension": 2,
+        "anchors": [[1e308, 0.0], [1.7e308, 0.0], [1.3e308, 1.0]],
+        "potential": {"kind": "squared"},
+    })
+    out.unlink()
+    code = main(["oracle", "centroid", "--input", str(inp), "--output", str(out)])
+    assert code == EXIT_INPUT
+    assert "value: result is inf, which JSON cannot hold" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_oracle_weiszfeld_collinear(tmp_path):
@@ -483,16 +530,21 @@ def test_oracle_weiszfeld_collinear(tmp_path):
 
 def test_oracle_weiszfeld_uses_instance_weights(tmp_path):
     # Weight 100 makes the first anchor dominant, so the weighted median is
-    # that anchor exactly; unweighted it would sit in the interior.
-    inp = write_instance(tmp_path, {
-        "dimension": 2,
-        "anchors": [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]],
-        "potential": {"kind": "weighted_euclidean", "weights": [100.0, 1.0, 1.0]},
-    })
-    out = tmp_path / "oracle.json"
-    code = main(["oracle", "weiszfeld", "--input", str(inp), "--output", str(out)])
-    assert code == EXIT_OK
-    assert json.loads(out.read_text())["location"] == [0.0, 0.0]
+    # that anchor exactly; unweighted it would sit in the interior. The
+    # iteration does not depend on the weights' scale: weights of 1e300 reach
+    # the median of unit weights.
+    for anchors, weights, median in (
+            ([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]], [100.0, 1.0, 1.0], [0.0, 0.0]),
+            ([[0.0], [0.1], [5.0]], [1e300] * 3, [0.1])):
+        inp = write_instance(tmp_path, {
+            "dimension": len(median),
+            "anchors": anchors,
+            "potential": {"kind": "weighted_euclidean", "weights": weights},
+        })
+        out = tmp_path / "oracle.json"
+        code = main(["oracle", "weiszfeld", "--input", str(inp), "--output", str(out)])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["location"] == median
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle weiszfeld", "oracle centroid",
@@ -531,15 +583,20 @@ def test_a_result_that_json_cannot_hold_is_input_error(tmp_path, capsys):
 
 
 def test_oracle_grid_respects_cell_guard(tmp_path, capsys):
-    inp = write_instance(tmp_path, {
-        "dimension": 2,
-        "anchors": [[0.0, 0.0], [1000.0, 1000.0]],
-        "potential": {"kind": "euclidean"},
-    })
-    code = main(["oracle", "grid", "--input", str(inp),
-                 "--output", str(tmp_path / "o.json"), "--spacing", "1e-4"])
-    assert code == EXIT_INPUT
-    assert "cells" in capsys.readouterr().err
+    # The second lattice has about 1e601 cells: counted in int64 it
+    # overflowed into a traceback.
+    for anchors, spacing in (([[0.0, 0.0], [1000.0, 1000.0]], "1e-4"),
+                             (RIGHT_TRIANGLE_INSTANCE["anchors"], "1e-300")):
+        inp = write_instance(tmp_path, {
+            "dimension": 2,
+            "anchors": anchors,
+            "potential": {"kind": "euclidean"},
+        })
+        code = main(["oracle", "grid", "--input", str(inp),
+                     "--output", str(tmp_path / "o.json"), "--spacing", spacing])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "cells" in err and "cell guard" in err
 
 
 def test_oracle_grid_two_well_fixture(tmp_path):
@@ -668,14 +725,16 @@ def test_missing_input_file_is_input_error(tmp_path, capsys):
     ("gradcheck", "--h", "1e300", "h"),   # U overflows: a difference is nan
 ])
 def test_out_of_range_flag_is_input_error(tmp_path, capsys, command, flag, value, field):
-    inp = write_instance(tmp_path, RIGHT_TRIANGLE_INSTANCE)
-    out = tmp_path / "o.json"
-    sink = "--report" if command == "gradcheck" else "--output"
-    code = main([*command.split(), "--input", str(inp), sink, str(out), flag, value])
-    assert code == EXIT_INPUT
-    must = {"1e-300": "must move each coordinate", "1e300": "must keep U finite"}
-    assert f"{field}: {must.get(value, 'must be')}" in capsys.readouterr().err
-    assert not out.exists()
+    one_anchor = {"dimension": 1, "anchors": [[0.0]], "potential": {"kind": "euclidean"}}
+    for instance in (RIGHT_TRIANGLE_INSTANCE, one_anchor):
+        inp = write_instance(tmp_path, instance)
+        out = tmp_path / "o.json"
+        sink = "--report" if command == "gradcheck" else "--output"
+        code = main([*command.split(), "--input", str(inp), sink, str(out), flag, value])
+        assert code == EXIT_INPUT
+        must = {"1e-300": "must move each coordinate", "1e300": "must keep U finite"}
+        assert f"{field}: {must.get(value, 'must be')}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("input_name, output_name, bad", [
@@ -977,6 +1036,7 @@ def test_load_instance_validates(tmp_path):
     text = '{"dimension": 2,\n"anchors": [[0, 0], [4, %s]],\n"potential": {"kind": "euclidean"}}'
     malformed = f"{path}: malformed JSON: "
     for content, message in [
+        (text % "true", "anchors[1][1]: expected a number"),
         (text % "NaN", "anchors[1][1]: not a finite number"),
         (text % "Infinity", "anchors[1][1]: not a finite number"),
         (text % "-Infinity", "anchors[1][1]: not a finite number"),
@@ -1069,18 +1129,72 @@ def test_solve_near_the_float_maximum_reaches_the_descent(tmp_path, capsys):
     # The default box stops at the float maximum instead of failing its own
     # finiteness check; U itself overflows at every start. In the second
     # instance a weight times a distance, and the sum of the terms, overflow
-    # at the outer starts, and numpy warns of neither.
-    for instance in (
-            {"dimension": 2, "anchors": [[1e308, 0.0], [1.7e308, 0.0], [1.3e308, 1.0]],
-             "potential": {"kind": "euclidean"}},
-            {"dimension": 1, "anchors": [[0], [0.1]],
-             "potential": {"kind": "weighted_euclidean", "weights": [1e308, 1e308]},
-             "testing_plan": {"strategy": "grid", "count": 3, "domain_box": [[-1, 2]]}}):
+    # at the outer starts, and numpy warns of neither. In the third U
+    # overflows at the second start alone.
+    for instance, start in (
+            ({"dimension": 2, "anchors": [[1e308, 0.0], [1.7e308, 0.0], [1.3e308, 1.0]],
+              "potential": {"kind": "euclidean"}}, 0),
+            ({"dimension": 1, "anchors": [[0], [0.1]],
+              "potential": {"kind": "weighted_euclidean", "weights": [1e308, 1e308]},
+              "testing_plan": {"strategy": "grid", "count": 3, "domain_box": [[-1, 2]]}}, 0),
+            ({"dimension": 1, "anchors": [[0]], "potential": {"kind": "squared"},
+              "testing_plan": {"strategy": "grid", "count": 2, "domain_box": [[-1, 1e200]]}}, 1)):
         inp = write_instance(tmp_path, instance)
         code = main(["solve", "--input", str(inp), "--output", str(tmp_path / "o.json")])
         assert code == EXIT_NO_CRITICAL_POINT
-        assert ("start 0: objective is non-finite at the starting point (U=inf)"
+        assert (f"start {start}: objective is non-finite at the starting point (U=inf)"
                 in capsys.readouterr().err)
+
+
+# Anchors 1.6e308 apart have a finite diagonal, but the default box around
+# them, with its 20% margin, has not: it is refused where it is made, under
+# every strategy, as a given box past the float range is. Anchors 2e308
+# apart leave no finite diagonal to scale a smoothing length from.
+_WIDE = {"dimension": 2, "anchors": [[-8e307, 0.0], [8e307, 0.0], [0.0, 1.0]],
+         "potential": {"kind": "euclidean"}}
+_WIDER = dict(_WIDE, anchors=[[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]])
+_GIVEN = dict(_WIDE, anchors=RIGHT_TRIANGLE_INSTANCE["anchors"],
+              testing_plan={"domain_box": [[-1.7e308, 1.7e308], [-1, 2]]})
+_BOX = "testing_plan.domain_box: the diagonal of %s is past the float range"
+_WIDE_BOX = _BOX % "[[-1.12e+308, 1.12e+308], [-0.2, 1.2]]"
+_WIDER_BOX = _BOX % "[[-1.7976931348623157e+308, 1.7976931348623157e+308], [-0.2, 1.2]]"
+_GIVEN_BOX = _BOX % "[[-1.7e+308, 1.7e+308], [-1.0, 2.0]]"
+_NO_EPSILON = ("anchors: the diagonal of their bounding box is past the float range, "
+               "so no smoothing length can be scaled from it")
+_UNHELD = "value: result is inf, which JSON cannot hold"
+PAST_THE_FLOAT_RANGE = {
+    **{f"solve-{strategy}": ("solve", dict(_WIDE, testing_plan={"strategy": strategy}),
+                             _WIDE_BOX) for strategy in STRATEGIES},
+    "solve-given-box": ("solve", _GIVEN, _GIVEN_BOX),
+    "gradcheck": ("gradcheck", _WIDE, _WIDE_BOX),
+    "gradcheck-given-box": ("gradcheck", _GIVEN, _GIVEN_BOX),
+    "oracle-grid": ("oracle grid", _WIDE, _WIDE_BOX),
+    **{f"solve-{kind}-wider": ("solve", dict(_WIDER, potential={"kind": kind}), _NO_EPSILON)
+       for kind in ("euclidean", "squared", "p_norm", "gaussian_well")},
+    "gradcheck-wider": ("gradcheck", _WIDER, _NO_EPSILON),
+    "solve-wider-epsilon-0": ("solve", dict(_WIDER, potential={"kind": "euclidean",
+                                                               "epsilon": 0}), _WIDER_BOX),
+    "gradcheck-wider-epsilon-0": ("gradcheck", dict(_WIDER, potential={"kind": "euclidean",
+                                                                       "epsilon": 0}),
+                                  _WIDER_BOX),
+    "centroid-wider": ("oracle centroid", _WIDER, _UNHELD),
+    "centroid-wider-epsilon-0": ("oracle centroid", dict(_WIDER, potential={
+        "kind": "euclidean", "epsilon": 0}), _UNHELD),
+}
+
+
+@pytest.mark.parametrize("name", list(PAST_THE_FLOAT_RANGE))
+def test_anchors_or_a_box_past_the_float_range_are_input_errors(tmp_path, capsys, name):
+    command, instance, message = PAST_THE_FLOAT_RANGE[name]
+    inp = write_instance(tmp_path, instance)
+    out = tmp_path / "out.json"
+    sink = "--report" if command == "gradcheck" else "--output"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([*command.split(), "--input", str(inp), sink, str(out)])
+    assert code == EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _number_texts():
