@@ -183,14 +183,14 @@ class Objective:
 
     def value(self, point) -> float:
         """U at ``point``."""
-        return float(self._per_row(self._values, self.check_point(point)[None, :])[0])
+        return float(self._per_row(self._kernel.values, self.check_point(point)[None, :])[0])
 
     def gradient(self, point) -> np.ndarray:
         """Gradient of U at ``point`` (the force on a test particle is its negative)."""
         return self._per_row(self._kernel.gradient, self.check_point(point)[None, :])[0]
 
     def value_change(self, point, move) -> float:
-        """U(point + move) - U(point) from per-anchor cancellation-free changes.
+        """U(point + move) - U(point), summed from each anchor's cancellation-free change.
 
         Decreases far below one ulp of U remain resolvable; plain
         subtraction of two evaluations would round them to zero. The
@@ -202,7 +202,7 @@ class Objective:
             raise InputError(f"move: expected shape {x.shape}, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise InputError("move: coordinates must be finite")
-        return float(self._per_row(self._value_changes, x[None, :], m[None, :])[0])
+        return float(self._per_row(self._kernel.changes, x[None, :], m[None, :])[0])
 
     def check_points(self, points) -> np.ndarray:
         """Coerce ``points`` to a finite (m, D) float array, as :meth:`check_point` does one."""
@@ -221,26 +221,12 @@ class Objective:
         count = max(1, m // (width or self.block_rows))
         return ((m * k // count, m * (k + 1) // count) for k in range(count))
 
-    # Unchecked evaluation on displacements x - a_i, shape (rows, D, n), through
-    # ``_kernel`` (see ``potentials.kernel``): ``_values``, ``_value_changes``,
-    # ``_values_at`` and ``_trials`` add the per-anchor terms up,
-    # ``_descent_state`` forms the displacements; gradients and Hessians come
-    # from ``_kernel`` directly.
+    # Unchecked evaluation goes to ``_kernel`` (see ``potentials.kernel``),
+    # whose methods take displacements x - a_i, shape (rows, D, n), and give
+    # per-row totals; ``_descent_state`` forms the displacements span by span.
 
     def _displacements(self, points: np.ndarray) -> np.ndarray:
         return points[:, :, None] - self._anchor_columns
-
-    def _values(self, disp: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # the tracer checks U for inf
-            return self._kernel.values(disp).sum(axis=-1)
-
-    def _values_at(self, state) -> np.ndarray:
-        """U at each row of a :meth:`_descent_state`, bit for bit :meth:`_values`."""
-        with np.errstate(over="ignore"):  # the tracer checks U for inf
-            return self._kernel.values_at(state).sum(axis=-1)
-
-    def _value_changes(self, disp: np.ndarray, moves: np.ndarray) -> np.ndarray:
-        return self._kernel.changes(disp, moves).sum(axis=-1)
 
     def _descent_state(self, points: np.ndarray, armijo_c: float | None = None):
         """The kernel's ``descent_state`` over the spans of :meth:`block_spans`,
@@ -265,9 +251,6 @@ class Objective:
                                        [None if out is None else out[lo:hi] for out in joined])
         return joined[0], joined[1:-1], joined[-1]
 
-    def _trials(self, state, t: np.ndarray, gsq: np.ndarray) -> np.ndarray:
-        return self._kernel.trials(state, t, gsq).sum(axis=-1)
-
     def _per_row(self, kernel, points, *moves) -> np.ndarray:
         """Evaluate ``kernel`` at checked ``points`` (shape (m, D)) and
         ``moves`` (each one move per row) over the spans of
@@ -279,7 +262,7 @@ class Objective:
 
     def value_many(self, points) -> np.ndarray:
         """U at each row of ``points``."""
-        return self._per_row(self._values, self.check_points(points))
+        return self._per_row(self._kernel.values, self.check_points(points))
 
     def gradient_many(self, points) -> np.ndarray:
         """Gradient of U at each row of ``points``; shape (m, D)."""
@@ -291,7 +274,7 @@ class Objective:
         if mv.shape != pts.shape:
             raise InputError(f"moves: expected shape {pts.shape}, got {mv.shape}")
         _check_finite_rows(mv, "moves")
-        return self._per_row(self._value_changes, pts, mv)
+        return self._per_row(self._kernel.changes, pts, mv)
 
 
 def objective_value(obj: Objective, point) -> float:

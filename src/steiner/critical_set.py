@@ -254,9 +254,10 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
     """Trace descent from every testing point and reduce to the critical set.
 
     Converged terminals are clustered by single linkage at
-    ``cluster_radius`` (default 1e-4 of the box diagonal), and each
-    cluster's lowest-value member is re-polished by continuing descent at
-    a tenth of the gradient tolerance; the same single linkage then merges
+    ``cluster_radius`` (default 1e-4 of the box diagonal, refused where that
+    underflows to 0), and each cluster's lowest-value member is re-polished
+    by continuing descent at a tenth of the gradient tolerance (the least
+    subnormal where that rounds to 0); the same single linkage then merges
     polished representatives that came within the radius. Raises
     :class:`NoCriticalPointError` when no trace converges. ``points``
     overrides the generated testing points (the plan still supplies the
@@ -284,6 +285,9 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
 
     if cluster_radius is None:
         cluster_radius = DEFAULT_CLUSTER_RADIUS_FACTOR * diagonal
+        if cluster_radius == 0.0:
+            raise ConfigError(f"cluster_radius: the default, {DEFAULT_CLUSTER_RADIUS_FACTOR:g} of "
+                              f"the domain box diagonal {diagonal!r}, underflows to 0")
     if not 0.0 < cluster_radius < np.inf:
         raise ConfigError(f"cluster_radius: must be finite and > 0, got {cluster_radius}")
 
@@ -311,7 +315,9 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
 
     terminals, values = ends.points[converged], ends.values[converged]
 
-    polish_cfg = replace(cfg, grad_tol=cfg.grad_tol / 10.0)
+    # A tenth of a subnormal grad_tol may round to 0, which no tolerance is.
+    polish_cfg = replace(cfg, grad_tol=max(cfg.grad_tol / 10.0,
+                                           float(np.finfo(float).smallest_subnormal)))
     clusters = _single_linkage(terminals, cluster_radius)
     # Members come in lexicographic order, so an exact value tie picks the
     # lexicographically smallest terminal.

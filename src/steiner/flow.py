@@ -155,9 +155,9 @@ def trace_flow(obj: Objective, start, cfg: FlowConfig | None = None) -> FlowTrac
 
     Each iteration backtracks t until the Armijo decrease
     U(x - t g) <= U(x) - c t |g|^2 holds; the decrease is the kernel's
-    cancellation-free change in line-search form (``trials``, through
-    ``Objective._trials``), the change :meth:`Objective.value_change` takes,
-    so acceptance stays resolvable even when it is far below one ulp of U.
+    cancellation-free change in line-search form (its ``trials``), the
+    change :meth:`Objective.value_change` takes, so acceptance stays
+    resolvable even when it is far below one ulp of U.
     The search's first trial is the Barzilai-Borwein multiplier s.s / s.y of
     the previous step s, on the coordinates it moved, and the change y of
     the gradient along it, where s.y > 0. Elsewhere it is the warm start: the previous accepted
@@ -270,7 +270,7 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
     # from the state its gradient leaves, in the one pass over the anchors.
     row, x = np.arange(m), starts
     g, state, safe = obj._descent_state(x, cfg.armijo_c)
-    u = obj._values_at(state)
+    u = obj._kernel.values_at(state)
     gn = carry = np.zeros(m)
     t, tries = np.full(m, cfg.initial_step / cfg.backtrack_factor), np.zeros(m, dtype=int)
     length, tie = (np.zeros(m), np.zeros(m, dtype=bool)) if log_samples else (None, None)
@@ -417,7 +417,7 @@ def _line_search(obj: Objective, cfg: FlowConfig, t, gsq, state, tries):
     pos, ts, gq, *rows = _rows_of((np.arange(k), t, gsq, *state), live)
     state.clear()
     while len(pos):
-        trial = obj._trials(rows, ts, gq)
+        trial = obj._kernel.trials(rows, ts, gq)
         ok = np.isfinite(trial) & (trial < 0.0) & (trial <= -cfg.armijo_c * ts * gq)
         if ok.all():
             t_ok[pos], delta[pos] = ts, trial

@@ -22,10 +22,11 @@ kinds, U_i = w_i phi(|v|^2), and a :class:`_PNorm`, which works per coordinate.
 
 The batch kernels take displacements anchor-contiguous, shape (..., D, n):
 coordinate k of the displacement from anchor i is ``disp[..., k, i]``. They
-reduce coordinates on axis -2 and return one entry per anchor on the last
-axis, so a caller sums anchors over contiguous memory.
+reduce coordinates on axis -2 and anchors, over contiguous memory, on the
+last axis, so each returns per-row totals.
 """
 
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -42,6 +43,15 @@ CONVEX_KINDS = ("euclidean", "p_norm", "squared", "weighted_euclidean")
 AUTO_EPSILON_FACTOR = 1e-9
 
 _NONSMOOTH_MSG = "gradient requested exactly at a norm kink; returning the zero subgradient"
+
+
+def _warn_nonsmooth():
+    """Warn of a gradient at a norm kink, at the first frame outside this
+    package, whichever path of it asked for the gradient."""
+    frame, level, package = sys._getframe(1), 2, f"{__package__}."
+    while frame is not None and frame.f_globals.get("__name__", "").startswith(package):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(_NONSMOOTH_MSG, NonSmoothEvaluationWarning, stacklevel=level)
 
 
 def _require(cond, field, problem):
@@ -176,11 +186,12 @@ class _Radial:
         return 8 * n
 
     def values(self, disp):
-        return self._weighted(self.value(_sq_norm(disp)))
+        return self.values_at((_sq_norm(disp), None, None))
 
     def values_at(self, state):
         r2, carry, _ = state
-        return self._weighted(self.value(r2, carry))
+        with np.errstate(over="ignore"):  # the tracer checks U for inf
+            return self._weighted(self.value(r2, carry)).sum(axis=-1)
 
     def _slopes(self, disp, r2_out=None, carry_out=None):
         """r^2, the carry and the weighted slopes at ``disp``; r^2 and the
@@ -188,9 +199,6 @@ class _Radial:
         r2 = _sq_norm(disp, r2_out)
         carry = self.carry(r2, carry_out)
         return r2, carry, self._weighted(self.slope(r2, carry))
-
-    def gradients(self, disp):
-        return disp * self._slopes(disp)[2][..., None, :]
 
     def _gradient(self, disp, g_out=None, r2_out=None, carry_out=None):
         """g, the gradient of the sum over anchors, with the r^2, carry and
@@ -212,7 +220,7 @@ class _Radial:
         r2 = _sq_norm(disp)
         dr2 = 2.0 * np.einsum("...dn,...d->...n", disp, move) + np.vecdot(move, move)[..., None]
         change = self.change(r2, self.carry(r2), dr2, lambda: _sq_norm(disp + move[..., None]))
-        return self._weighted(change)
+        return self._weighted(change).sum(axis=-1)
 
     def descent_state(self, disp, armijo_c=None, out=None):
         g_out, r2_out, carry_out, proj2_out, safe_out = (None,) * 5 if out is None else out
@@ -233,7 +241,7 @@ class _Radial:
         r2, carry, proj2 = state
         dr2 = np.subtract((t * gsq)[:, None], proj2)
         dr2 *= t[:, None]
-        return self._weighted(self.change(r2, carry, dr2))
+        return self._weighted(self.change(r2, carry, dr2)).sum(axis=-1)
 
 
 class _Hyperbolic(_Radial):
@@ -262,7 +270,7 @@ class _Hyperbolic(_Radial):
     def slope(self, r2, root):
         if root.all():
             return 1.0 / root
-        warnings.warn(_NONSMOOTH_MSG, NonSmoothEvaluationWarning, stacklevel=5)
+        _warn_nonsmooth()
         return np.divide(1.0, root, out=np.zeros_like(root), where=root != 0.0)
 
     def change(self, r2, root, dr2, landing=None):
@@ -374,10 +382,10 @@ class _PNorm:
         return r, top, qm, q, q.sum(axis=-2)
 
     def _value(self, top, s, d):
-        """U_i from R and S, in D coordinates."""
-        with np.errstate(over="ignore"):  # R multiplies last
+        """U, the sum of the terms, from R and S in D coordinates."""
+        with np.errstate(over="ignore"):  # R multiplies last; the tracer checks U for inf
             norm = np.power(s, 1.0 / self.p) - d ** (1.0 / self.p) * (self.eps / top)
-            return np.maximum(top * norm, 0.0)
+            return np.maximum(top * norm, 0.0).sum(axis=-1)
 
     def values(self, disp):
         _, top, _, _, s = self._normalised(disp)
@@ -387,24 +395,17 @@ class _PNorm:
         disp, _, top, _, s, _ = state
         return self._value(top, s, disp.shape[-2])
 
-    def _gradients(self, disp, r, qm, s):
-        # d/dv_j R S^(1/p) = S^(1/p-1) q_j^(p-1) v_j / r_j, 0 where r_j = 0
-        g = np.divide(disp, r, out=np.zeros_like(r), where=r > 0.0)
-        g *= qm
-        if not s.all():  # S is 0 at the kink and at least 1 elsewhere
-            warnings.warn(_NONSMOOTH_MSG, NonSmoothEvaluationWarning, stacklevel=4)
-        g *= np.power(np.maximum(s, 1.0), 1.0 / self.p - 1.0)[..., None, :]
-        return g
-
-    def gradients(self, disp):
-        r, _, qm, _, s = self._normalised(disp)
-        return self._gradients(disp, r, qm, s)
-
     def _gradient(self, disp):
         """g, the gradient of the sum over anchors, with the r, R, q^p and S
         it is formed from."""
         r, top, qm, qp, s = self._normalised(disp)
-        return self._gradients(disp, r, qm, s).sum(axis=-1), r, top, qp, s
+        # d/dv_j R S^(1/p) = S^(1/p-1) q_j^(p-1) v_j / r_j, 0 where r_j = 0
+        g = np.divide(disp, r, out=np.zeros_like(r), where=r > 0.0)
+        g *= qm
+        if not s.all():  # S is 0 at the kink and at least 1 elsewhere
+            _warn_nonsmooth()
+        g *= np.power(np.maximum(s, 1.0), 1.0 / self.p - 1.0)[..., None, :]
+        return g.sum(axis=-1), r, top, qp, s
 
     def gradient(self, disp):
         return self._gradient(disp)[0]
@@ -449,7 +450,7 @@ class _PNorm:
 
     def changes(self, disp, move):
         r, top, _, qp, s = self._normalised(disp)
-        return self._change(disp, r, top, qp, s, move[..., None])
+        return self._change(disp, r, top, qp, s, move[..., None]).sum(axis=-1)
 
     def descent_state(self, disp, armijo_c=None, out=None):
         g, r, top, qp, s = self._gradient(disp)
@@ -460,7 +461,7 @@ class _PNorm:
 
     def trials(self, state, t, gsq):
         *start, g = state
-        return self._change(*start, -(t[:, None] * g)[..., None])
+        return self._change(*start, -(t[:, None] * g)[..., None]).sum(axis=-1)
 
 
 _KERNELS = {"euclidean": _Hyperbolic, "p_norm": _PNorm, "squared": _Squared,
@@ -469,17 +470,16 @@ KINDS = tuple(_KERNELS)
 
 
 def kernel(spec: PotentialSpec):
-    """The kernels of ``spec``'s kind, on displacements of shape (..., D, n):
-    ``values``, ``gradients`` and ``changes`` per anchor, as the ``batch_*``
-    functions below; ``gradient``, the gradient g of the sum over anchors
-    alone; ``descent_state``, g (bit for bit ``gradient``'s), a list of
-    per-row arrays from which ``values_at(state)`` gives the per-anchor
-    values (bit for bit ``values``', and possibly sharing the state's
-    memory) and ``trials(state, t, gsq)`` gives U_i(x - t g) - U_i(x) per
-    anchor for one t per row (``gsq`` = |g|^2), and, given ``armijo_c``,
-    for euclidean, weighted_euclidean and squared, the guaranteed step
-    t_safe per row of :class:`_Radial` (None unasked and for the other
-    kinds); given ``out``, a
+    """The kernels of ``spec``'s kind, on displacements of shape (..., D, n).
+    Each sums its terms over the anchors to one total per row: ``values``,
+    ``gradient`` and ``changes``, as the ``batch_*`` functions below;
+    ``hessian``, the (..., D, D) Hessian of U; ``descent_state``, g (bit for
+    bit ``gradient``'s), a list of per-row arrays from which
+    ``values_at(state)`` gives U (bit for bit ``values``') and
+    ``trials(state, t, gsq)`` gives U(x - t g) - U(x) for one t per row
+    (``gsq`` = |g|^2), and, given ``armijo_c``, for euclidean,
+    weighted_euclidean and squared, the guaranteed step t_safe per row of
+    :class:`_Radial` (None unasked and for the other kinds); given ``out``, a
     list of arrays shaped like g, the state's arrays and t_safe, None where
     those are None, ``descent_state`` also writes them there;
     ``row_floats(n, d)``, the floats one row holds at the peak of a descent
@@ -488,23 +488,26 @@ def kernel(spec: PotentialSpec):
     temporaries), both from tracemalloc traces, the latter with a margin;
     ``Objective`` sizes ``block_rows`` and ``lockstep_rows`` from them.
     The kind's parameters come from ``spec`` alone, and so do the weights
-    that multiply the terms of ``weighted_euclidean``.
+    that multiply the terms of ``weighted_euclidean``. A U past the float
+    range is inf, without a warning.
     """
     return _KERNELS[spec.kind](spec)
 
 
 def batch_values(spec: PotentialSpec, disp: np.ndarray) -> np.ndarray:
-    """Potential value per anchor; ``disp`` has shape (..., D, n), the result (..., n)."""
+    """The sum of the potential's terms over the anchors; ``disp`` has shape
+    (..., D, n), the result (...)."""
     return kernel(spec).values(disp)
 
 
 def batch_gradients(spec: PotentialSpec, disp: np.ndarray) -> np.ndarray:
-    """Analytic gradient of :func:`batch_values` per anchor, shape (..., D, n)."""
-    return kernel(spec).gradients(disp)
+    """Analytic gradient of :func:`batch_values`, shape (..., D)."""
+    return kernel(spec).gradient(disp)
 
 
 def batch_value_changes(spec: PotentialSpec, disp: np.ndarray, move: np.ndarray) -> np.ndarray:
-    """U(v + move) - U(v) per anchor, computed cancellation-free.
+    """U(v + move) - U(v) summed over the anchors from each term's
+    cancellation-free change; the result has shape (...).
 
     ``disp`` has shape (..., D, n) and ``move`` shape (..., D): each move is
     shared by the n anchors at its leading index (for a (D, n) ``disp``, one
@@ -541,10 +544,10 @@ def potential_value(spec: PotentialSpec, displacement, anchor_index: int = 0) ->
     ignored by the other kinds.
     """
     v = as_vector(displacement, "displacement")
-    return float(_term_kernel(spec, anchor_index).values(v[:, None])[0])
+    return float(_term_kernel(spec, anchor_index).values(v[:, None]))
 
 
 def potential_gradient(spec: PotentialSpec, displacement, anchor_index: int = 0) -> np.ndarray:
     """Gradient of one potential term at the given displacement."""
     v = as_vector(displacement, "displacement")
-    return _term_kernel(spec, anchor_index).gradients(v[:, None])[:, 0]
+    return _term_kernel(spec, anchor_index).gradient(v[:, None])

@@ -108,6 +108,47 @@ def test_solve_rejects_an_infinite_tolerance(tmp_path, capsys, flag, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grad_tol", [5e-324, 1e-323, 2e-323])
+@pytest.mark.parametrize("kind", ["euclidean", "squared"])
+def test_a_subnormal_tolerance_is_kept_by_the_polish_pass(tmp_path, capsys, kind, grad_tol):
+    # The polish pass traces at a tenth of grad_tol, which rounded to 0 here
+    # and was refused as "flow.grad_tol: ..., got 0.0". euclidean reaches a
+    # gradient of 0 at the Weiszfeld point; no squared trace gets below
+    # these tolerances.
+    inp = write_instance(tmp_path, dict(RIGHT_TRIANGLE_INSTANCE, potential={"kind": kind}))
+    out = tmp_path / "result.json"
+    code = main(["solve", "--input", str(inp), "--output", str(out),
+                 "--grad-tol", repr(grad_tol)])
+    err = capsys.readouterr().err
+    assert "got 0.0" not in err
+    if kind == "euclidean":
+        assert code == EXIT_OK
+        oracle = weiszfeld(np.array(RIGHT_TRIANGLE_INSTANCE["anchors"]), tol=1e-12)
+        location = json.loads(out.read_text())["steiner"]["location"]
+        np.testing.assert_allclose(location, oracle.location, atol=1e-9)
+    else:
+        assert code == EXIT_NO_CRITICAL_POINT
+        assert "no descent run reached a rest point" in err
+
+
+def test_a_default_cluster_radius_that_underflows_is_refused(tmp_path, capsys):
+    # 1e-4 of this box's diagonal is 0. The error blamed the radius the user
+    # never gave; a radius clamped above 0 instead took every start for a
+    # converged cluster of its own.
+    inp = write_instance(tmp_path, {
+        "dimension": 2, "anchors": [[0.0, 0.0], [4e-321, 0.0], [0.0, 3e-321]],
+        "potential": {"kind": "squared"}})
+    out = tmp_path / "result.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["solve", "--input", str(inp), "--output", str(out)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "cluster_radius: the default, 0.0001 of the domain box diagonal" in err
+    assert "underflows to 0" in err and "got 0.0" not in err
+    assert not out.exists()
+
+
 def test_solve_rejects_unknown_potential_kind(tmp_path, capsys):
     bad = dict(RIGHT_TRIANGLE_INSTANCE, potential={"kind": "hyperbolic"})
     inp = write_instance(tmp_path, bad)

@@ -439,7 +439,9 @@ def test_guaranteed_step_passes_the_armijo_test_property(case, armijo_c):
     obj, x = case
     cfg = FlowConfig(armijo_c=armijo_c, min_step=5e-324)
     g, state, safe = obj._descent_state(x[None], cfg.armijo_c)
-    terms = obj._kernel.gradients(obj._displacements(x[None]))
+    # Each term's gradient, w_i 2 phi'(r_i^2) v_i, from the kernel's weighted slopes.
+    disp = obj._displacements(x[None])
+    terms = disp * obj._kernel._slopes(disp)[2][..., None, :]
     gn = np.sqrt(np.vecdot(g, g))
     # The bound holds in exact arithmetic. Where the terms' gradients cancel
     # almost to 0 (near a rest point), the trial's rounding, about ulp(1)
@@ -448,7 +450,7 @@ def test_guaranteed_step_passes_the_armijo_test_property(case, armijo_c):
     assume(gn[0] > 1e-9 * np.sqrt(np.vecdot(terms, terms)).sum())
     assert 0.0 < safe[0] < np.inf
     gsq = gn * gn
-    trial = obj._trials(state, safe, gsq)
+    trial = obj._kernel.trials(state, safe, gsq)
     assert np.isfinite(trial[0]) and trial[0] < 0.0
     assert trial[0] <= -cfg.armijo_c * safe[0] * gsq[0]
 

@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from steiner import (ConfigError, InputError, NonSmoothEvaluationWarning, PotentialSpec,
-                     potential_gradient, potential_value)
+                     potential_gradient, potential_value, trace_flow)
 
-from steiner.potentials import batch_gradients, batch_value_changes, batch_values, kernel
+from steiner.potentials import (KINDS, _term_kernel, batch_gradients, batch_value_changes,
+                                batch_values, kernel)
 from util import make_objective, random_rotation
 
 ISOTROPIC = [
@@ -84,22 +85,30 @@ def test_weighted_gradient_scales_by_anchor_weight():
     np.testing.assert_allclose(g, [3.0, 4.0], rtol=1e-15)
 
 
+def _per_term(method, spec, disp, *args):
+    """Each term's result alone, the kernel ``method`` of its one-term kernel
+    on its one-anchor slice of ``disp``, stacked on the last axis."""
+    return np.stack([getattr(_term_kernel(spec, i), method)(disp[..., i:i + 1], *args)
+                     for i in range(disp.shape[-1])], axis=-1)
+
+
 def test_batch_kernels_apply_the_spec_weights():
     # The weights of a weighted_euclidean spec scale its terms, as they do
     # potential_value's and an Objective's.
     spec = PotentialSpec("weighted_euclidean", epsilon=0.0, weights=(2.0,))
-    np.testing.assert_array_equal(batch_values(spec, np.array([[3.0]])), [6.0], strict=True)
+    np.testing.assert_array_equal(batch_values(spec, np.array([[3.0]])), 6.0, strict=True)
     weights = np.array([2.0, 5.0, 0.5])
     weighted = PotentialSpec("weighted_euclidean", epsilon=0.1, weights=tuple(weights))
     plain = PotentialSpec("euclidean", epsilon=0.1)
     disp = np.random.default_rng(5).normal(size=(4, 2, 3))
     move = np.random.default_rng(6).normal(size=(4, 2))
-    np.testing.assert_array_equal(batch_values(weighted, disp),
-                                  batch_values(plain, disp) * weights, strict=True)
-    np.testing.assert_allclose(batch_gradients(weighted, disp),
-                               batch_gradients(plain, disp) * weights, rtol=1e-15)
-    np.testing.assert_array_equal(batch_value_changes(weighted, disp, move),
-                                  batch_value_changes(plain, disp, move) * weights, strict=True)
+    np.testing.assert_array_equal(_per_term("values", weighted, disp),
+                                  _per_term("values", plain, disp) * weights, strict=True)
+    np.testing.assert_allclose(_per_term("gradient", weighted, disp),
+                               _per_term("gradient", plain, disp) * weights, rtol=1e-15)
+    np.testing.assert_array_equal(_per_term("changes", weighted, disp, move),
+                                  _per_term("changes", plain, disp, move) * weights,
+                                  strict=True)
 
 
 @pytest.mark.parametrize("spec", [
@@ -111,6 +120,22 @@ def test_kink_gradient_warns_and_returns_zero(spec):
     with pytest.warns(NonSmoothEvaluationWarning):
         g = potential_gradient(spec, [0.0, 0.0])
     np.testing.assert_array_equal(g, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("kind, kwargs", [("euclidean", {}), ("p_norm", dict(p=1.5))])
+def test_the_kink_warning_names_the_line_that_asked(kind, kwargs):
+    # Each entry point reaches the kernels by its own path; the warning
+    # points past all of them, at the caller's line.
+    obj = make_objective([[0.0, 0.0], [4.0, 0.0]], kind, epsilon=0.0, **kwargs)
+    spec = PotentialSpec(kind, epsilon=0.0, **kwargs)
+    for call in (lambda: obj.gradient([0.0, 0.0]),
+                 lambda: obj.gradient_many([[0.0, 0.0], [1.0, 1.0]]),
+                 lambda: trace_flow(obj, [0.0, 0.0]),
+                 lambda: potential_gradient(spec, [0.0, 0.0])):
+        with pytest.warns(NonSmoothEvaluationWarning) as record:
+            call()
+        assert {(w.filename, w.lineno) for w in record} == {(__file__,
+                                                            call.__code__.co_firstlineno)}
 
 
 def test_smoothing_removes_the_kink():
@@ -306,7 +331,7 @@ def test_carried_root_changes_no_bit(kind, kwargs, epsilon):
         warnings.simplefilter("ignore", NonSmoothEvaluationWarning)
         # At c = 0.4, (5/3) (1 - c) is exactly 1: t_safe is 1/S.
         g, (r2, root, _), inv_s = kern.descent_state(disp, armijo_c=0.4)
-        per_anchor = batch_gradients(spec, disp)
+        per_anchor = _per_term("gradient", spec, disp)
     assert root.shape == (5, 7)
     np.testing.assert_array_equal(
         root, np.sqrt(np.einsum("...dn,...dn->...n", disp, disp) + epsilon * epsilon),
@@ -314,7 +339,7 @@ def test_carried_root_changes_no_bit(kind, kwargs, epsilon):
     dr2 = 2.0 * np.einsum("...dn,...d->...n", disp, moves) + np.vecdot(moves, moves)[:, None]
     carried = kern.change(r2, root, dr2)
     np.testing.assert_array_equal(
-        carried if weights is None else carried * weights,
+        (carried if weights is None else carried * weights).sum(axis=-1),
         batch_value_changes(spec, disp, moves), strict=True)
     # The gradient is one contraction with the slopes w / root, 0 at the kink.
     slope = np.divide(1.0, root, out=np.zeros_like(root), where=root != 0.0)
@@ -387,7 +412,8 @@ def test_objective_values_at_a_spanned_descent_state_equal_value_many(kind, kwar
     object.__setattr__(obj, "block_rows", 1)
     points = rng.normal(scale=[[1.0], [1e3], [1e150], [1e200], [1.0]], size=(5, 3))
     state = obj._descent_state(points, 0.25)[1]
-    np.testing.assert_array_equal(obj._values_at(state), obj.value_many(points), strict=True)
+    np.testing.assert_array_equal(obj._kernel.values_at(state), obj.value_many(points),
+                                  strict=True)
     np.testing.assert_array_equal(obj._descent_state(points)[0], obj.gradient_many(points),
                                   strict=True)
 
@@ -410,7 +436,9 @@ def test_smoothed_euclidean_value_is_inf_where_the_squared_norm_overflows(kind, 
         r2 = np.einsum("...dn,...dn->...n", disp, disp)
         weights = np.asarray(spec.weights or (1.0,))
         expected = r2 / (np.sqrt(r2 + 1e-6) + 1e-3) * weights
-        np.testing.assert_array_equal(batch_values(spec, disp), expected, strict=True)
+        np.testing.assert_array_equal(kernel(spec).value(r2) * weights, expected, strict=True)
+        np.testing.assert_array_equal(batch_values(spec, disp), expected.sum(axis=-1),
+                                      strict=True)
 
 
 def test_p_norm_far_from_the_anchor_is_finite_and_right():
@@ -445,15 +473,15 @@ def test_p_norm_far_from_the_anchor_is_finite_and_right():
             sn = np.power(new * new + 1e-6, 1.5).sum(axis=-2)
         plain = np.isfinite(s)
         assert 0 < plain.sum() < plain.size
-        values, grads = batch_values(spec, disp), batch_gradients(spec, disp)
-        changes = batch_value_changes(spec, disp, moves)
+        values, grads = _per_term("values", spec, disp), _per_term("gradient", spec, disp)
+        changes = _per_term("changes", spec, disp, moves)
         assert np.isfinite(values).all() and np.isfinite(grads).all()
         assert np.isfinite(changes).all()
         plain &= np.isfinite(sn)
         # The far ones agree with the difference of the (far-field) values to
         # its roundoff, a few ulps of the larger value.
         far = ~plain
-        after = batch_values(spec, new)
+        after = _per_term("values", spec, new)
         np.testing.assert_array_less(np.abs(changes - (after - values))[far],
                                      4.0 * np.finfo(float).eps * np.maximum(after, values)[far])
         # Up to the float maximum, where the power of two that rescales the
@@ -504,7 +532,7 @@ def test_p_norm_is_right_where_a_power_underflows():
         for p in (1500.0, 5000.0):
             spec = PotentialSpec("p_norm", p=p, epsilon=0.0)
             change = batch_value_changes(spec, np.array([[10.0], [0.0]]), np.array([-1.0, 0.0]))
-            assert change.tolist() == [pytest.approx(-1.0, rel=1e-14)]
+            assert change.tolist() == pytest.approx(-1.0, rel=1e-14)
         assert potential_value(PotentialSpec("p_norm", p=8.0, epsilon=0.0), [1e-50, 0.0]) == 1e-50
         spec = PotentialSpec("p_norm", p=1.0, epsilon=0.0)
         np.testing.assert_array_equal(potential_gradient(spec, [1.0, 1e-170]), [1.0, 1.0])
@@ -623,30 +651,31 @@ _LANDING = np.array([[-39.57785651047325], [191.8669391406884], [31.427471185977
          line_search=True, t_exponent=1)
 def test_radial_value_change_accuracy_property(case, line_search, t_exponent):
     spec, disp, move = case
-    if line_search:
-        # The line-search form: x - t g from r^2, the carry and 2 p_i = 2 g.v,
-        # with t a power of two so that -t g is exactly ``move``.
-        t = 2.0 ** t_exponent
-        g = -move / t
-        kern = kernel(spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NonSmoothEvaluationWarning)
-            _, (r2, carry, _), _ = kern.descent_state(disp[None])
-        proj2 = 2.0 * np.einsum("...dn,...d->...n", disp[None], g[None])
-        gn = np.sqrt(np.vecdot(g, g))
-        got = kern.trials([r2, carry, proj2], np.array([t]), np.array([gn * gn]))[0]
-    else:
-        got = batch_value_changes(spec, disp, move)
+    # The line-search form takes x - t g from r^2, the carry and 2 p_i = 2 g.v,
+    # with t a power of two so that -t g is exactly ``move``.
+    t = 2.0 ** t_exponent
+    g = -move / t
+    gn = np.sqrt(np.vecdot(g, g))
+    gsq = np.array([gn * gn])
     for i in range(disp.shape[1]):
-        v = disp[:, i]
+        # Each term alone, by its kernel on its one-anchor slice of ``disp``.
+        kern, v = _term_kernel(spec, i), disp[:, i]
+        if line_search:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NonSmoothEvaluationWarning)
+                _, (r2, carry, _), _ = kern.descent_state(v[None, :, None])
+            proj2 = 2.0 * np.einsum("...dn,...d->...n", v[None, :, None], g[None])
+            got = kern.trials([r2, carry, proj2], np.array([t]), gsq)[0]
+        else:
+            got = kern.changes(v[:, None], move)
         weight = 1.0 if spec.weights is None else spec.weights[i]
         delta, q, a = _exact_change(spec, weight, v, move)
         if spec.kind == "gaussian_well" and _ULP * a > 1e-2:
-            assert abs(got[i] - delta) <= weight
+            assert abs(got - delta) <= weight
             continue
         scale = np.linalg.norm(move) * (2.0 * np.linalg.norm(v) + np.linalg.norm(move))
         bound = CHANGE_ERROR_K * (_ULP * (scale * q + a * abs(delta)) + 5e-324)
-        assert abs(got[i] - delta) <= bound, (i, got[i], delta, q, a)
+        assert abs(got - delta) <= bound, (i, got, delta, q, a)
 
 
 # The p_norm kernel against 80-digit decimal arithmetic. It takes every term
@@ -732,9 +761,9 @@ def test_p_norm_accuracy_property(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         warnings.simplefilter("ignore", NonSmoothEvaluationWarning)  # at v = 0, eps = 0
-        value = batch_values(spec, v[:, None])[0]
-        grad = batch_gradients(spec, v[:, None])[:, 0]
-        change = batch_value_changes(spec, v[:, None], m)[0]
+        value = batch_values(spec, v[:, None])
+        grad = batch_gradients(spec, v[:, None])
+        change = batch_value_changes(spec, v[:, None], m)
     exact, norm, exact_grad, exact_change, spread, c = _p_norm_exact(p, eps, v, m)
     units = CHANGE_ERROR_K * (p + 1.0) * _ULP
     assert abs(value - exact) <= units * norm, (value, exact)
@@ -743,13 +772,76 @@ def test_p_norm_accuracy_property(case):
     assert abs(change - exact_change) <= bound, (change, exact_change, spread, c)
 
 
+@hst.composite
+def _kernel_cases(draw):
+    """A spec of any kind, weights up to 1e308 and eps = 0 included, rows of
+    displacements to several anchors with zero, subnormal, ordinary and ~1e300
+    coordinates, and a move and a trial multiplier per row."""
+    kind = draw(hst.sampled_from(KINDS))
+    rows, d, n = draw(hst.integers(1, 3)), draw(hst.integers(1, 3)), draw(hst.integers(2, 5))
+    magnitude = hst.sampled_from([0.0, 5e-324, 1e-310, 1e-3, 1.0, 1e3, 1e300])
+    coord = hst.tuples(magnitude, hst.floats(-1.0, 1.0)).map(lambda mx: mx[0] * mx[1])
+    disp = np.array(draw(hst.lists(coord, min_size=rows * d * n, max_size=rows * d * n)))
+    move = np.array(draw(hst.lists(coord, min_size=rows * d, max_size=rows * d)))
+    t = np.array(draw(hst.lists(hst.floats(1e-12, 1e3), min_size=rows, max_size=rows)))
+    kwargs = {}
+    if kind in ("euclidean", "weighted_euclidean", "p_norm"):
+        kwargs["epsilon"] = draw(hst.sampled_from([0.0, 1e-9, 0.5]))
+    if kind == "weighted_euclidean":
+        weight = hst.sampled_from([1e300, 1e308]) | hst.floats(0.1, 10.0)
+        kwargs["weights"] = tuple(draw(hst.lists(weight, min_size=n, max_size=n)))
+    if kind == "p_norm":
+        kwargs["p"] = draw(hst.sampled_from([1.0, 1.5, 2.0, 3.0, 100.0]))
+    if kind == "gaussian_well":
+        kwargs["sigma"] = draw(hst.sampled_from([1e-3, 1.3, 1e100]))
+    return PotentialSpec(kind, **kwargs), disp.reshape(rows, d, n), move.reshape(rows, d), t
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_kernel_cases())
+def test_kernels_sum_their_terms_property(case):
+    # A kernel's per-row totals add up its terms, each the one-term kernel's
+    # on its one-anchor slice: values, changes and trials bit for bit, as
+    # .sum(axis=-1) adds them; the gradient, a contraction over the anchors,
+    # within n ulps of the sum of the terms' magnitudes.
+    spec, disp, move, t = case
+    kern, n = kernel(spec), disp.shape[-1]
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", NonSmoothEvaluationWarning)
+        g, state, _ = kern.descent_state(disp)
+        gn = np.sqrt(np.vecdot(g, g))
+        gsq = gn * gn
+        totals = [kern.values(disp), kern.changes(disp, move), kern.trials(state, t, gsq)]
+        terms = [[] for _ in range(4)]
+        for i in range(n):
+            term, v = _term_kernel(spec, i), disp[..., i:i + 1]
+            # Anchor i's part of the state; p_norm's last entry, g, is shared.
+            part = [None if a is None else a[..., i:i + 1] for a in state]
+            if spec.kind == "p_norm":
+                part[-1] = g
+            for column, result in zip(terms, (term.values(v), term.changes(v, move),
+                                              term.trials(part, t, gsq), term.gradient(v))):
+                column.append(result)
+        terms = [np.stack(column, axis=-1) for column in terms]
+        for total, column in zip(totals, terms):
+            np.testing.assert_array_equal(total, column.sum(axis=-1), strict=True)
+        gradient, grads = kern.gradient(disp), terms[3]
+        magnitude = np.abs(grads).sum(axis=-1)
+    np.testing.assert_array_equal(gradient, g, strict=True)
+    finite = np.isfinite(magnitude)
+    exact = np.array([math.fsum(grads[k, j]) if finite[k, j] else 0.0
+                      for k, j in np.ndindex(finite.shape)]).reshape(finite.shape)
+    error = np.abs(gradient - exact)[finite]
+    assert (error <= n * np.spacing(magnitude[finite])).all(), (error, magnitude[finite])
+
+
 def test_gaussian_change_far_out_lands_by_the_moved_radius():
     # |v| and |m| are about 1.75e25 sigma and |v + m| still 4.8e12 sigma, so
     # the term starts and ends on its plateau: the change is 0. r^2 + dr^2
     # rounds to 0 or below instead, which lands the term on its anchor, -1.
     spec = PotentialSpec("gaussian_well", sigma=1e-39)
     v, m = -1.7532702955138192e-14, 1.75327029551334e-14
-    assert batch_value_changes(spec, np.array([[v]]), np.array([m])).tolist() == [0.0]
+    assert batch_value_changes(spec, np.array([[v]]), np.array([m])).tolist() == 0.0
     obj = make_objective([[0.0]], "gaussian_well", sigma=1e-39)
     assert obj.value_change([v], [m]) == 0.0
     assert obj.value_change_many([[v]], [[m]]).tolist() == [0.0]
