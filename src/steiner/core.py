@@ -35,6 +35,10 @@ Point = np.ndarray
 _BLOCK_FLOATS = 2 ** 17
 _LOCKSTEP_ROWS = 8
 
+# The most testing points a grid or random plan makes, and the most cells a
+# lattice scan evaluates.
+GRID_CELL_LIMIT = 100_000_000
+
 _TINY = np.finfo(float).tiny  # the least normal float
 
 

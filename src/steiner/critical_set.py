@@ -13,11 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import AnchorSet, Objective, distances, is_integer
+from .core import GRID_CELL_LIMIT, AnchorSet, Objective, distances, is_integer
 from .errors import ConfigError, InputError, NoCriticalPointError
 from .flow import CONVERGED, MAX_STEPS, STALLED, FlowConfig, FlowTrace, rest_points
 from .flow import trace_flow  # noqa: F401  (benchmarks/spans.py wraps it here)
-from .oracles import GRID_CELL_LIMIT
 from .potentials import CONVEX_KINDS
 
 STRATEGIES = ("grid", "uniform_random", "anchors_jittered")

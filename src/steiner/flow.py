@@ -22,7 +22,6 @@ coordinate (:func:`graph_residual`).
 """
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -301,11 +300,12 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
                            for v in u[bad].tolist()], 0, 0, safe)
     if safe is not None:  # the first search's cap; inf, nan and short steps cap nothing
         t = np.minimum(t, np.where(safe >= cfg.min_step, safe, np.inf))
-    gn = np.sqrt(np.vecdot(g, g))
-    if not np.isfinite(gn).all():  # else every component is finite
-        bad = ~np.isfinite(g).all(axis=1)
-        if bad.any():
-            fail(bad, repeat("gradient is non-finite at the starting point"), 1, 0)
+    with np.errstate(over="ignore"):
+        gn = np.sqrt(np.vecdot(g, g))
+    if not np.isfinite(gn).all():
+        bad = ~np.isfinite(gn)
+        fail(bad, _norm_failures(g[bad], "gradient is non-finite at the starting point",
+                                 "at the starting point"), 1, 0)
 
     for step in range(cfg.max_steps):
         at_rest = gn <= cfg.grad_tol
@@ -334,13 +334,23 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
                 still, STALLED, 1 + step, step + (delta[still] < 0.0),
                 x_new, w, same, t_ok, delta, gsq)
         g_new, state, _ = obj._descent_state(x_new)
-        gn_new = np.sqrt(np.vecdot(g_new, g_new))
+        # The next search first tries the Barzilai-Borwein multiplier
+        # s.s / s.y of this step s = -w and the gradient change y, where the
+        # slope along s grew (s.y > 0) and the quotient is finite and
+        # positive; elsewhere the warm start t / backtrack_factor. Only the
+        # coordinates the step moved count: a gradient component too small
+        # to move its coordinate would otherwise swell s.s, and the trial.
+        # |g_new| shares its errstate: a row whose |g_new| is not finite fails.
+        moved = np.where(same, 0.0, w)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            gn_new = np.sqrt(np.vecdot(g_new, g_new))
+            t_bb = np.vecdot(moved, moved) / np.vecdot(moved, g - g_new)
         if not np.isfinite(gn_new).all():
-            bad = ~np.isfinite(g_new).all(axis=1)
-            if bad.any():
-                x_new, w, same, t_ok, delta, gsq, g_new, gn_new = fail(
-                    bad, repeat("gradient turned non-finite during descent"), 2 + step,
-                    1 + step, x_new, w, same, t_ok, delta, gsq, g_new, gn_new)
+            bad = ~np.isfinite(gn_new)
+            x_new, w, t_ok, delta, gsq, g_new, gn_new, t_bb = fail(
+                bad, _norm_failures(g_new[bad], "gradient turned non-finite during descent",
+                                    "during descent"), 2 + step,
+                1 + step, x_new, w, t_ok, delta, gsq, g_new, gn_new, t_bb)
 
         pending = carry + delta
         u_new = u + pending
@@ -357,15 +367,6 @@ def _descend(obj: Objective, starts: np.ndarray, cfg: FlowConfig, log_samples: b
             step_len = t_ok * np.sqrt(gsq)
             length = np.where(append, step_len, length + step_len)
         u = np.where(drop, u_new, u)  # on step 0 too: there u_new == u elsewhere
-        # The next search first tries the Barzilai-Borwein multiplier
-        # s.s / s.y of this step s = -w and the gradient change y, where the
-        # slope along s grew (s.y > 0) and the quotient is finite and
-        # positive; elsewhere the warm start t / backtrack_factor. Only the
-        # coordinates the step moved count: a gradient component too small
-        # to move its coordinate would otherwise swell s.s, and the trial.
-        moved = np.where(same, 0.0, w)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            t_bb = np.vecdot(moved, moved) / np.vecdot(moved, g - g_new)
         t = np.where(np.isfinite(t_bb) & (t_bb > 0.0), t_bb, t_ok / cfg.backtrack_factor)
         x, g, gn = x_new, g_new, gn_new
 
@@ -435,6 +436,14 @@ def _rows_of(arrays, mask):
         return arrays
     rows = np.flatnonzero(mask)  # one index for all: take is faster than a mask
     return [None if a is None else a.take(rows, axis=0) for a in arrays]
+
+
+def _norm_failures(g, non_finite: str, where: str) -> list[str]:
+    """A message per row of ``g``, a gradient whose |g| is not finite:
+    ``non_finite`` where a component is not, else that |grad U|^2 is past
+    the float range ``where``."""
+    return [f"|grad U|^2 is past the float range {where}" if finite else non_finite
+            for finite in np.isfinite(g).all(axis=1).tolist()]
 
 
 def tangency_residual(obj: Objective, trace: FlowTrace) -> float:

@@ -1,8 +1,8 @@
 """Independent reference solvers used to validate the flow method.
 
-None of these share code with the descent tracer beyond plain objective
-evaluation, so agreement between a flow result and an oracle is a genuine
-cross-check rather than a tautology.
+Weiszfeld and the centroid measure U themselves, sharing only the anchor set
+and ``core.distances`` with the solver, so agreement with a flow result is a
+genuine cross-check. The lattice scan evaluates its caller's ``Objective``.
 """
 
 import math
@@ -10,11 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AnchorSet, Objective, distances, is_integer
+from .core import GRID_CELL_LIMIT, AnchorSet, Objective, distances, is_integer
 from .errors import ConfigError, InputError
-from .potentials import PotentialSpec
-
-GRID_CELL_LIMIT = 100_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,14 +32,6 @@ class OracleReport:
     history: tuple[float, ...] | None = None
 
 
-def _euclidean_objective(anchors: AnchorSet, weights) -> Objective:
-    if weights is None:
-        spec = PotentialSpec("euclidean", epsilon=0.0)
-    else:
-        spec = PotentialSpec("weighted_euclidean", epsilon=0.0, weights=tuple(weights))
-    return Objective(anchors, spec)
-
-
 def weiszfeld(anchors: AnchorSet, weights=None, tol: float = 1e-10,
               max_iter: int = 10_000, collect_history: bool = False) -> OracleReport:
     """Geometric-median fixed-point iteration, started from the weighted mean.
@@ -56,8 +45,11 @@ def weiszfeld(anchors: AnchorSet, weights=None, tol: float = 1e-10,
 
     Away from the anchors that is Weiszfeld's map; at an anchor, |R| <= eta
     is Kuhn's optimality test, so an optimal anchor is returned exactly.
-    Stops when the step length drops to ``tol``; if the budget runs out the
-    last iterate is returned flagged unconverged.
+    Stops when the step length drops to ``tol``, which must lie below the
+    anchors' bounding-box diagonal unless they coincide; if the budget runs
+    out the last iterate is returned flagged unconverged. The value and
+    ``history`` are sum_j w_j d_j, with the caller's weights and the lengths
+    of :func:`~steiner.core.distances`; inf past the float range.
     """
     if not isinstance(anchors, AnchorSet):
         anchors = AnchorSet(anchors)
@@ -65,45 +57,49 @@ def weiszfeld(anchors: AnchorSet, weights=None, tol: float = 1e-10,
         raise InputError(f"tol: must be finite and > 0, got {tol}")
     if not (is_integer(max_iter) and max_iter >= 1):
         raise InputError(f"max_iter: must be an integer >= 1, got {max_iter}")
-    a = anchors.points
-    n = anchors.n
+    a, n = anchors.points, anchors.n
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (n,) or not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise InputError(f"weights: expected {n} finite positive entries")
+    if 0.0 < (diagonal := anchors.diagonal()) <= tol:  # all within tol of the start
+        raise InputError(
+            f"tol: must be below the anchors' bounding-box diagonal {diagonal}, got {tol}")
     # The iteration and _mean are homogeneous in w: a power of 2 that brings
     # its largest entry into [0.5, 1) moves no iterate, and keeps the weight
     # sums and w_j / d_j finite.
-    w = np.ldexp(w, -np.frexp(w.max())[1])
-
-    obj = _euclidean_objective(anchors, weights)
+    scaled = np.ldexp(w, -np.frexp(w.max())[1])
     history: list[float] = []
+
+    def value(x):
+        with np.errstate(over="ignore"):
+            return float((w * distances(x, a)).sum())
 
     def report(x, iterations, converged):
         return OracleReport(
-            location=np.array(x), value=obj.value(x), iterations=iterations,
+            location=np.array(x), value=value(x), iterations=iterations,
             method="weiszfeld", converged=converged,
             history=tuple(history) if collect_history else None)
 
     if n == 1:
         return report(a[0], 0, True)
 
-    x = _mean(a, w)
+    x = _mean(a, scaled)
     if collect_history:
-        history.append(obj.value(x))
+        history.append(value(x))
     for it in range(1, max_iter + 1):
         d = distances(x, a)
         i = int(np.argmin(d))
         if d[i] < tol:
             x = a[i]
         far = d >= tol
-        inv = w[far] / d[far]
+        inv = scaled[far] / d[far]
         pull = inv @ (a[far] - x)
-        r, eta = distances(pull, 0.0)[0], w[~far].sum()
+        r, eta = distances(pull, 0.0)[0], scaled[~far].sum()
         x_new = x if r <= eta else x + (1.0 - eta / r) * pull / inv.sum()
         step = distances(x_new, x)[0]
         x = x_new
         if collect_history:
-            history.append(obj.value(x))
+            history.append(value(x))
         if step <= tol:
             return report(x, it, True)
     return report(x, max_iter, False)
@@ -123,13 +119,15 @@ def _mean(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def centroid(anchors: AnchorSet) -> OracleReport:
-    """Closed-form minimizer of the squared potential: the anchor mean (see :func:`_mean`)."""
+    """Closed-form minimizer of the squared potential: the anchor mean (see
+    :func:`_mean`), with value sum_j |loc - a_j|^2; inf past the float range."""
     if not isinstance(anchors, AnchorSet):
         anchors = AnchorSet(anchors)
     loc = _mean(anchors.points, np.ones(anchors.n))
-    obj = Objective(anchors, PotentialSpec("squared", epsilon=0.0))
-    return OracleReport(location=loc, value=obj.value(loc), iterations=0,
-                        method="centroid")
+    with np.errstate(over="ignore"):
+        diff = loc - anchors.points
+        value = float(np.vecdot(diff, diff).sum())
+    return OracleReport(location=loc, value=value, iterations=0, method="centroid")
 
 
 def grid_search(obj: Objective, box, spacing: float) -> OracleReport:

@@ -473,7 +473,10 @@ def kernel(spec: PotentialSpec):
     """The kernels of ``spec``'s kind, on displacements of shape (..., D, n).
     Each sums its terms over the anchors to one total per row: ``values``,
     ``gradient`` and ``changes``, as the ``batch_*`` functions below;
-    ``hessian``, the (..., D, D) Hessian of U; ``descent_state``, g (bit for
+    ``hessian``, the (..., D, D) Hessian of U, for ``gaussian_well`` alone
+    (the other radial kinds have no ``bend`` yet and ``p_norm`` no
+    ``hessian``; ``enumerate_critical_points`` probes only the non-convex
+    kinds); ``descent_state``, g (bit for
     bit ``gradient``'s), a list of per-row arrays from which
     ``values_at(state)`` gives U (bit for bit ``values``') and
     ``trials(state, t, gsq)`` gives U(x - t g) - U(x) for one t per row

@@ -21,6 +21,7 @@ from steiner import (KINDS, FlowConfig, InputError, Objective, SteinerError, Tes
 from steiner.cli import (EXIT_INPUT, EXIT_NO_CRITICAL_POINT, EXIT_OK, _expect_array,
                          _expect_number, _fmt_json, load_instance, main, parse_instance,
                          serialize_instance)
+from steiner.core import distances
 from steiner.critical_set import STRATEGIES
 
 RIGHT_TRIANGLE_INSTANCE = {
@@ -605,14 +606,12 @@ def test_a_weighted_instance_without_weights_is_input_error(tmp_path, capsys, co
 
 
 def test_a_result_that_json_cannot_hold_is_input_error(tmp_path, capsys):
-    # The anchors (0, 1) and (1.3e308, 1) are the medians, and their distances
-    # sum past the float range: the value is inf, which a JSON file cannot
-    # carry. The plain mean of the second set overflows too. In the third the
-    # median is 0.1, and its weighted distances sum past the float range.
-    euclidean = {"kind": "euclidean"}
+    # The anchor (0, 1) is the median, and its distances, 1e308 each, sum past
+    # the float range: the value is inf, which a JSON file cannot carry. In
+    # the second set the median is 0.1, and its weighted distances sum past
+    # the float range.
     for dimension, anchors, potential in (
-            (2, [[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]], euclidean),
-            (2, [[1e308, 0.0], [1.7e308, 0.0], [1.3e308, 1.0]], euclidean),
+            (2, [[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]], {"kind": "euclidean"}),
             (1, [[0.0], [0.1], [5.0]], {"kind": "weighted_euclidean", "weights": [1e308] * 3})):
         inp = write_instance(tmp_path, {"dimension": dimension, "anchors": anchors,
                                         "potential": potential})
@@ -621,6 +620,37 @@ def test_a_result_that_json_cannot_hold_is_input_error(tmp_path, capsys):
         assert code == EXIT_INPUT
         assert "value: result is inf, which JSON cannot hold" in capsys.readouterr().err
         assert not out.exists()
+    # Here the plain mean overflows, but the median (1.3e308, 1) has distances
+    # of about 3e307 and 4e307, whose sum is finite.
+    anchors = [[1e308, 0.0], [1.7e308, 0.0], [1.3e308, 1.0]]
+    inp = write_instance(tmp_path, {"dimension": 2, "anchors": anchors,
+                                    "potential": {"kind": "euclidean"}})
+    out = tmp_path / "oracle.json"
+    code = main(["oracle", "weiszfeld", "--input", str(inp), "--output", str(out)])
+    assert code == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["location"] == [1.3e308, 1.0]
+    assert report["value"] == float(distances(report["location"], anchors).sum())
+
+
+def test_oracle_weiszfeld_tol_must_resolve_the_anchors(tmp_path, capsys):
+    # The 3-4-5 triangle times 1e-300: at the default tol of 1e-10 every anchor
+    # lay within tol of the start, which snapped to the anchor (0, 0).
+    inp = write_instance(tmp_path, {"dimension": 2,
+                                    "anchors": [[0.0, 0.0], [4e-300, 0.0], [0.0, 3e-300]],
+                                    "potential": {"kind": "euclidean"}})
+    out = tmp_path / "oracle.json"
+    code = main(["oracle", "weiszfeld", "--input", str(inp), "--output", str(out)])
+    assert code == EXIT_INPUT
+    assert ("tol: must be below the anchors' bounding-box diagonal 5e-300, got 1e-10"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    code = main(["oracle", "weiszfeld", "--input", str(inp), "--output", str(out),
+                 "--tol", "1e-310"])
+    assert code == EXIT_OK
+    report = json.loads(out.read_text())
+    np.testing.assert_allclose(report["location"], [6.958e-301, 7.512e-301], rtol=1e-3)
+    assert report["value"] == 6.766432567522309e-300
 
 
 def test_oracle_grid_respects_cell_guard(tmp_path, capsys):
@@ -1145,6 +1175,23 @@ def test_a_gaussian_well_below_the_float_scale_is_refused_without_warnings(tmp_p
         code = main(["solve", "--input", str(inp), "--output", str(tmp_path / "o.json")])
     assert code == EXIT_NO_CRITICAL_POINT
     assert "no descent run reached a rest point" in capsys.readouterr().err
+
+
+def test_a_gradient_whose_square_overflows_is_named_without_warnings(tmp_path, capsys):
+    # Weights of 1e300 give gradients near 1e300 at every start: finite, but
+    # |grad U|^2 overflowed with a warning, the line search divided inf by
+    # inf, and the solve ended with "no descent run reached a rest point".
+    output = tmp_path / "o.json"
+    inp = write_instance(tmp_path, {
+        "dimension": 2, "anchors": [[0, 0], [1, 0], [0, 1]],
+        "potential": {"kind": "weighted_euclidean", "weights": [1e300, 1e300, 1e300]}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["solve", "--input", str(inp), "--output", str(output)])
+    assert code == EXIT_NO_CRITICAL_POINT
+    assert ("start 0: |grad U|^2 is past the float range at the starting point"
+            in capsys.readouterr().err)
+    assert not output.exists()
 
 
 _DEEP = "[" * 100_000

@@ -1,6 +1,7 @@
 """Descent tracing, termination statuses, and curve residual checks."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -439,9 +440,10 @@ def test_guaranteed_step_passes_the_armijo_test_property(case, armijo_c):
     obj, x = case
     cfg = FlowConfig(armijo_c=armijo_c, min_step=5e-324)
     g, state, safe = obj._descent_state(x[None], cfg.armijo_c)
-    # Each term's gradient, w_i 2 phi'(r_i^2) v_i, from the kernel's weighted slopes.
+    # Each term's gradient, w_i 2 phi'(r_i^2) v_i, from the kernel's weighted
+    # slopes, one row per anchor: (1, n, D).
     disp = obj._displacements(x[None])
-    terms = disp * obj._kernel._slopes(disp)[2][..., None, :]
+    terms = (disp * obj._kernel._slopes(disp)[2][..., None, :]).swapaxes(-1, -2)
     gn = np.sqrt(np.vecdot(g, g))
     # The bound holds in exact arithmetic. Where the terms' gradients cancel
     # almost to 0 (near a rest point), the trial's rounding, about ulp(1)
@@ -730,6 +732,46 @@ def test_a_start_whose_gradient_overflows_is_named():
         with pytest.raises(NumericalError, match=f"^start 0: {message}$") as info:
             rest_points(obj, np.array([[0.7], [0.8]]), FlowConfig(), keep_traces)
         _assert_same_trace(info.value.trace, trace)
+
+
+def test_a_gradient_whose_square_overflows_is_named(monkeypatch):
+    # Weights of 1e300 give a finite gradient near 1e300, whose square
+    # overflowed with a warning and left the row running on |g| = inf.
+    obj = make_objective([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "weighted_euclidean",
+                         weights=(1e300, 1e300, 1e300))
+    message = "|grad U|^2 is past the float range at the starting point"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$") as info:
+            trace_flow(obj, [2.0, 2.0])
+        trace = info.value.trace
+        assert len(trace) == 1 and trace.status == STALLED
+        assert (trace.n_value_changes, trace.n_gradients, trace.n_backtracks) == (0, 1, 0)
+        # Below, g is inf left of -1.5, and finite but 1e300 times too large
+        # right of 1.5 and within 0.2 of the anchor. The lowest failing start
+        # names its cause; a non-finite component keeps its old message.
+        exact = steiner.potentials._Radial.descent_state
+
+        def scaled(kernel, disp, armijo_c=None, out=None):
+            g, state, inv_s = exact(kernel, disp, armijo_c, out)
+            x = disp[..., 0, 0]
+            g[x < -1.5] = np.inf
+            g[(x > 1.5) | (np.abs(x) < 0.2)] *= 1e300  # past the float range once squared
+            return g, state, inv_s
+
+        monkeypatch.setattr(steiner.potentials._Radial, "descent_state", scaled)
+        unit = make_objective([[0.0, 0.0]])
+        for starts, message in (([[-2.0, 0.0], [2.0, 0.0]], "gradient is non-finite"),
+                                ([[2.0, 0.0], [-2.0, 0.0]], r"\|grad U\|\^2 is past the float")):
+            with pytest.raises(NumericalError, match=f"^start 0: {message}"):
+                rest_points(unit, np.array(starts), FlowConfig(), True)
+        # The first step from 0.5 lands within 0.2 of the anchor.
+        with pytest.raises(NumericalError) as info:
+            trace_flow(unit, [0.5, 0.0])
+        assert str(info.value) == "|grad U|^2 is past the float range during descent"
+        trace = info.value.trace
+        assert len(trace) == 1 and trace.status == STALLED
+        assert (trace.n_value_changes, trace.n_gradients, trace.n_backtracks) == (1, 2, 0)
 
 
 @pytest.mark.parametrize("kind, kwargs, anchors, far, near", [

@@ -90,6 +90,7 @@ def test_weiszfeld_rejects_a_budget_below_one_iteration(max_iter):
     (dict(tol=math.nan), "tol: must be finite and > 0"),
     (dict(weights=[1.0, -1.0]), "weights: expected 2 finite positive entries"),
     (dict(weights=[1.0]), "weights: expected 2 finite positive entries"),
+    (dict(tol=1.0), r"tol: must be below the anchors' bounding-box diagonal 1\.0, got 1\.0"),
 ])
 def test_weiszfeld_rejects_a_bad_tolerance_or_weights(kwargs, message):
     with pytest.raises(InputError, match=message):
@@ -106,10 +107,11 @@ def test_weiszfeld_value_is_reevaluated_objective():
 
 def test_weiszfeld_near_the_float_maximum():
     # The plain anchor mean overflows here, and so do |x - a_j|^2; the median
-    # is the anchor (1.3e308, 1), though its distances sum past the float range.
+    # is the anchor (1.3e308, 1), whose distances, about 3e307 and 4e307, sum
+    # to a finite value. The solver's kernel squared them and read inf.
     report = weiszfeld(AnchorSet([[1e308, 0.0], [1.7e308, 0.0], [1.3e308, 1.0]]))
     assert report.location.tolist() == [1.3e308, 1.0] and report.converged
-    assert report.value == math.inf
+    assert report.value == 6.999999999999999e307
     # The iteration does not depend on the weights' scale: w_j / d_j and the
     # weight sums overflowed at these weights, whose median is that of unit weights.
     anchors = AnchorSet([[0.0], [0.1], [5.0]])
@@ -121,6 +123,27 @@ def test_weiszfeld_near_the_float_maximum():
         assert report.location.tolist() == unit.location.tolist() == [0.1]
         assert report.iterations == unit.iterations == 11 and report.converged
         assert report.value == value
+
+
+def test_weiszfeld_at_a_tiny_scale():
+    # The 3-4-5 triangle times 1e-300: the squared distances underflow, their
+    # lengths do not. The kernel's squares read the value as 0.
+    anchors = AnchorSet(np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]) * 1e-300)
+    report = weiszfeld(anchors, tol=1e-310)
+    assert report.converged
+    np.testing.assert_allclose(report.location, [6.958e-301, 7.512e-301], rtol=1e-3)
+    assert report.value == 6.766432567522309e-300
+    # The default tol of 1e-10 holds every anchor within tol of the start,
+    # which then snapped to one of them.
+    with pytest.raises(InputError, match="tol: must be below the anchors' bounding-box "
+                                         "diagonal 5e-300, got 1e-10"):
+        weiszfeld(anchors)
+
+
+def test_weiszfeld_on_coincident_anchors_returns_their_point():
+    # Their diagonal is 0, which bounds no tol.
+    report = weiszfeld(AnchorSet([[1.0, 2.0], [1.0, 2.0]]), tol=5.0)
+    assert report.location.tolist() == [1.0, 2.0] and report.value == 0.0
 
 
 def test_centroid_examples():
