@@ -64,14 +64,14 @@ def _fmt_json(value, indent=0, key="result"):
             f"{pad}  {json.dumps(str(k))}: {_fmt_json(v, indent + 1, k)}"
             for k, v in value.items())
         return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, (list, tuple)):
         items = [_fmt_json(v, indent, key) for v in value]
         return "[" + ", ".join(items) + "]"
-    if isinstance(value, bool) or isinstance(value, np.bool_):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
         if not math.isfinite(value):
             raise InputError(f"{key}: result is {float(value)}, which JSON cannot hold")
         return format(float(value), ".17g")
@@ -102,7 +102,6 @@ class Instance:
     """Parsed instance file: anchors plus solver configuration. Every
     section is present; one the file leaves out holds its defaults."""
 
-    dimension: int
     anchors: AnchorSet
     potential: PotentialSpec
     testing_plan: TestingPlan
@@ -272,7 +271,7 @@ def parse_instance(data) -> Instance:
                   for s in ("testing_plan", "flow"))
     if plan.domain_box is not None:
         plan_domain_box(plan, anchors)  # rejects a box of another axis count
-    return Instance(dimension, anchors, potential, plan, flow)
+    return Instance(anchors, potential, plan, flow)
 
 
 def _decode_json(path):
@@ -324,7 +323,7 @@ def load_instance(path) -> Instance:
 def serialize_instance(inst: Instance) -> dict:
     """Inverse of :func:`parse_instance` on semantic content; writes every
     section, defaults included."""
-    data = {"dimension": inst.dimension, "anchors": inst.anchors.points.tolist()}
+    data = {"dimension": inst.anchors.dimension, "anchors": inst.anchors.points.tolist()}
     for section in _SECTIONS:
         data[section] = _section_json(getattr(inst, section))
     return data
@@ -346,8 +345,8 @@ def cmd_solve(args) -> int:
     overrides = {key: value for key, value in
                  (("strategy", args.strategy), ("count", args.starts), ("seed", args.seed))
                  if value is not None}
-    plan = replace(inst.testing_plan, **overrides)
-    plan = replace(plan, domain_box=plan_domain_box(plan, obj.anchors))
+    plan = replace(inst.testing_plan, domain_box=plan_domain_box(inst.testing_plan, obj.anchors),
+                   **overrides)
     cfg = inst.flow
     if args.grad_tol is not None:
         cfg = replace(cfg, grad_tol=args.grad_tol)
@@ -505,7 +504,3 @@ def main(argv=None) -> int:
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

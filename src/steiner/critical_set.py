@@ -273,7 +273,6 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
         outside = (obj.anchors.points < lo) | (obj.anchors.points > hi)
         bad = int(np.flatnonzero(outside.any(axis=1))[0])
         raise ConfigError(f"testing_plan.domain_box: anchor {bad} lies outside the box")
-    plan = replace(plan, domain_box=box)
 
     if points is None:
         points = generate_testing_points(plan, obj.anchors)

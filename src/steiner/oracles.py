@@ -92,9 +92,14 @@ def weiszfeld(anchors: AnchorSet, weights=None, tol: float = 1e-10,
         if d[i] < tol:
             x = a[i]
         far = d >= tol
-        inv = scaled[far] / d[far]
+        # The step is homogeneous in the w_j / d_j and eta too: where the
+        # nearest far anchor is within 0.5, a power of 2 that brings its d_j
+        # into [0.5, 1) keeps every w_j / d_j at most 2. It is exact, so it
+        # moves no iterate that was finite without it.
+        shift = int(np.frexp(d[far].min(initial=0.5))[1])
+        inv = np.ldexp(scaled[far], shift) / d[far]
         pull = inv @ (a[far] - x)
-        r, eta = distances(pull, 0.0)[0], scaled[~far].sum()
+        r, eta = distances(pull, 0.0)[0], np.ldexp(scaled[~far].sum(), shift)
         x_new = x if r <= eta else x + (1.0 - eta / r) * pull / inv.sum()
         step = distances(x_new, x)[0]
         x = x_new

@@ -148,7 +148,9 @@ class _Radial:
     returns |v + m|^2 for a kind that needs it. The README's "Accuracy of value
     changes" bounds the error. The descent state is r^2, the carry and 2 g.v:
     a trial, with dr^2 = t (t |g|^2 - 2 g.v), costs O(n) whatever D is. A
-    non-convex kind also gives ``bend(r2, c)`` = 4 phi''(r^2) for the Hessian.
+    non-convex kind also gives ``bend(r2, c)`` = b = sqrt(-4 phi''(r^2)) for the
+    Hessian: every phi here is concave in r^2, and a term's curvature along v
+    is then -(b v)(b v)^T, whose factors stay finite where 4 phi'' is not.
 
     Where phi is concave in r^2, each term lies below its tangent in r^2, so
     U(x - t g) <= U(x) - t (1 - t S / 2) |g|^2 with S = sum_i w_i 2 phi'(r_i^2),
@@ -210,10 +212,11 @@ class _Radial:
         return self._gradient(disp)[0]
 
     def hessian(self, disp):
-        """Hessian of U, (..., D, D): sum_i w_i [2 phi'(r_i^2) I + 4 phi''(r_i^2) v_i v_i^T]."""
+        """Hessian of U, (..., D, D): sum_i w_i [2 phi'(r_i^2) I - (b_i v_i)(b_i v_i)^T]."""
         r2, carry, slope = self._slopes(disp)
-        h = (disp * self._weighted(self.bend(r2, carry))[..., None, :]) @ disp.swapaxes(-1, -2)
-        return h + slope.sum(axis=-1)[..., None, None] * np.eye(disp.shape[-2])
+        bent = disp * self.bend(r2, carry)[..., None, :]
+        h = self._weighted(bent) @ bent.swapaxes(-1, -2)
+        return slope.sum(axis=-1)[..., None, None] * np.eye(disp.shape[-2]) - h
 
     def changes(self, disp, move):
         # |v + m|^2 - |v|^2 without forming the two large squares.
@@ -323,7 +326,7 @@ class _Gaussian(_Radial):
         return self.two_over_s2 * damp
 
     def bend(self, r2, damp):
-        return -self.two_over_s2 * self.slope(r2, damp)
+        return self.two_over_s2 * np.sqrt(damp)
 
     def change(self, r2, damp, dr2, landing=None):
         # -damp expm1(-dr^2 / sigma^2) where |dr^2| < sigma^2; elsewhere (nan

@@ -10,6 +10,7 @@ import pytest
 from steiner import (AnchorSet, ConfigError, InputError, PotentialSpec, centroid,
                      grid_search, weiszfeld)
 
+from steiner.core import distances
 from steiner.critical_set import default_domain_box
 from util import make_objective
 
@@ -138,6 +139,22 @@ def test_weiszfeld_at_a_tiny_scale():
     with pytest.raises(InputError, match="tol: must be below the anchors' bounding-box "
                                          "diagonal 5e-300, got 1e-10"):
         weiszfeld(anchors)
+
+
+def test_weiszfeld_near_an_anchor_below_the_float_scale():
+    # The obtuse vertex (1.065e-301, 1.892e-300), of angle about 122 degrees,
+    # is the median. Within about 1e-308 of it, but farther than tol, w_j / d_j
+    # overflowed to inf and the step to nan.
+    anchors = AnchorSet([[-3.877e-301, -7.795e-302], [-3.887e-300, 6.086e-300],
+                         [1.065e-301, 1.892e-300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = weiszfeld(anchors, tol=1e-311)
+    assert report.converged
+    vertex = anchors.points[2]
+    assert np.abs(report.location - vertex).max() <= 1e-309
+    assert report.value == pytest.approx(distances(vertex, anchors.points).sum(), rel=1e-9)
+    assert report.value == pytest.approx(7.8221664453131097e-300, rel=1e-9)
 
 
 def test_weiszfeld_on_coincident_anchors_returns_their_point():

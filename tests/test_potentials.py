@@ -12,6 +12,7 @@ from hypothesis import strategies as hst
 from steiner import (ConfigError, InputError, NonSmoothEvaluationWarning, PotentialSpec,
                      potential_gradient, potential_value, trace_flow)
 
+from steiner.critical_set import _negative_curvature
 from steiner.potentials import (KINDS, _term_kernel, batch_gradients, batch_value_changes,
                                 batch_values, kernel)
 from util import make_objective, random_rotation
@@ -77,6 +78,18 @@ def test_gaussian_hessian_matches_central_differences_of_the_gradient(d):
     for hess, ref in zip(hessians, np.stack(columns, axis=-1)):
         assert np.abs(hess - ref).max() <= 1e-7 * np.abs(hess).max()
     assert 0.0 < np.abs(hessians[-1]).max() < 1e-12
+
+
+def test_gaussian_hessian_is_finite_where_its_curvature_factor_is_not():
+    # sigma = 1e-80: 4 phi'' = -(2 / sigma^2)^2 damp overflowed, though the
+    # Hessian at 0, 2e160 (1 - 17 e^-9) from the anchors 0 and 3e-80, is finite.
+    obj = make_objective([[0.0], [3e-80]], kind="gaussian_well", sigma=1e-80)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        hessian = obj._per_row(obj._kernel.hessian, np.array([[0.0]]))
+        flags = _negative_curvature(obj, np.array([[0.0]]))
+    assert hessian[0, 0, 0] == pytest.approx(2e160 * (1.0 - 17.0 * math.exp(-9.0)), rel=1e-12)
+    assert flags.tolist() == [False]
 
 
 def test_weighted_gradient_scales_by_anchor_weight():
