@@ -23,8 +23,6 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import partial
-from itertools import chain
 
 import numpy as np
 import orjson
@@ -35,7 +33,8 @@ from .critical_set import (STRATEGIES, TestingPlan, box_geometry, enumerate_crit
 from .errors import ConfigError, InputError, NoCriticalPointError, NumericalError
 from .flow import FlowConfig
 from .oracles import centroid, grid_search, weiszfeld
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, _expect_array, _expect_int
+from .potentials import _expect_number  # noqa: F401  (tests check the list walk against it)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -114,116 +113,31 @@ def _expect_object(value, field):
     return value
 
 
-def _expect_number(value, field):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{field}: expected a number")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise InputError(f"{field}: not a finite number")
-    return number
-
-
-def _expect_int(value, field):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{field}: expected an integer")
-    return value
-
-
-def _expect_str(value, field):
-    if not isinstance(value, str):
-        raise InputError(f"{field}: expected a string")
-    return value
-
-
-def _expect_array(value, field, expected="a non-empty list", width=None, bad_row=None):
-    """``value`` as one float array: a non-empty list of finite plain
-    numbers or, given ``width``, of rows of ``width`` of them.
-
-    numpy reads the list's type in one ``np.array``. The result stands when
-    it holds float64 or int64 (no string, ``null``, nested list or integer
-    past int64 got in), has the list's shape, is finite and took no bool
-    for a 0 or 1 (see :func:`_plain_entries`); int64 becomes float as
-    ``float(int)`` rounds it. Only input that fails is walked entry by entry,
-    and the walk raises an :class:`InputError` naming ``field`` (``expected``
-    says what it should be), ``field[i]`` (``bad_row(row)`` says what is
-    wrong with a row that is not a list of ``width`` entries) or the entry
-    itself. On JSON data both give the same bits and the same errors; other
-    Python values (tuples, numpy scalars) numpy may read where the walk
-    would not.
-    """
-    if not isinstance(value, list) or not value:
-        raise InputError(f"{field}: expected {expected}")
-    try:
-        arr = np.array(value)
-    except (ValueError, OverflowError):  # ragged or too deep, or an integer numpy refuses
-        arr = None
-    shape = (len(value),) if width is None else (len(value), width)
-    if (arr is not None and arr.dtype in (np.float64, np.int64) and arr.shape == shape
-            and _plain_entries(arr, value, width)):
-        return arr.astype(float, copy=False)
-    parsed = []
-    for i, row in enumerate(value):
-        if width is None:
-            parsed.append(_expect_number(row, f"{field}[{i}]"))
-            continue
-        if not isinstance(row, list) or len(row) != width:
-            raise InputError(f"{field}[{i}]: {bad_row(row)}")
-        parsed.append([_expect_number(x, f"{field}[{i}][{j}]") for j, x in enumerate(row)])
-    return np.array(parsed, dtype=float)
-
-
-def _plain_entries(arr, value, width):
-    """Whether ``arr``, numpy's reading of the list ``value``, is finite and
-    took no bool: numpy reads ``true`` and ``false`` as 1 and 0. The list is
-    type-scanned only when ``arr`` holds a 0 or 1, and one bool buffer
-    serves the three tests of ``arr``."""
-    flags = np.isfinite(arr)
-    if not flags.all():
-        return False
-    if not (np.equal(arr, 0, out=flags).any() or np.equal(arr, 1, out=flags).any()):
-        return True
-    entries = value if width is None else chain.from_iterable(value)
-    return set(map(type, entries)) <= {int, float}
-
-
 def _reject_unknown(data, known, field):
     for key in data:
         if key not in known:
             raise InputError(f"{field}.{key}: unknown field")
 
 
-# The configuration sections of an instance: the dataclass each one builds,
-# and the JSON coercer of every field that is not a plain number. Field
-# names, order and defaults come from the dataclass itself.
-_SECTIONS = {
-    "potential": (PotentialSpec, {"kind": _expect_str, "weights": _expect_array}),
-    "testing_plan": (TestingPlan, {
-        "strategy": _expect_str, "count": _expect_int, "seed": _expect_int,
-        "domain_box": partial(_expect_array, expected="a list of [lo, hi] pairs", width=2,
-                              bad_row=lambda row: "expected [lo, hi]")}),
-    "flow": (FlowConfig, {"max_steps": _expect_int}),
-}
+# The configuration sections of an instance and the dataclass each one builds,
+# which gives its field names, order and defaults and checks every field.
+_SECTIONS = {"potential": PotentialSpec, "testing_plan": TestingPlan, "flow": FlowConfig}
 
 
 def _parse_section(raw, section):
-    """Validate one section's JSON object into its dataclass.
-
-    A field given as ``null`` whose default is ``None`` keeps that default,
-    as if absent: serialization leaves such fields out.
-    """
-    cls, coercers = _SECTIONS[section]
+    """Build one section's dataclass from its JSON object, whose keys are
+    checked here and whose values the dataclass checks. A field given as
+    ``null`` whose default is ``None`` keeps that default, as if absent:
+    serialization leaves such fields out."""
+    cls = _SECTIONS[section]
     raw = _expect_object(raw, section)
     _reject_unknown(raw, {f.name for f in fields(cls)}, section)
     kwargs = {}
     for f in fields(cls):
-        path = f"{section}.{f.name}"
         if f.name in raw and not (raw[f.name] is None and f.default is None):
-            kwargs[f.name] = coercers.get(f.name, _expect_number)(raw[f.name], path)
+            kwargs[f.name] = raw[f.name]
         elif f.default is MISSING:
-            raise InputError(f"{path}: missing required field")
+            raise InputError(f"{section}.{f.name}: missing required field")
     return cls(**kwargs)
 
 

@@ -1,12 +1,11 @@
 """Points, anchor sets, and the total potential objective U(x) = sum_i U_i(x - a_i)."""
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import InputError
-from .potentials import PotentialSpec, as_vector, kernel
+from .potentials import PotentialSpec, _expect_number, as_vector, kernel
 # benchmarks/spans.py wraps these here by name.
 from .potentials import batch_gradients, batch_value_changes, batch_values  # noqa: F401
 
@@ -40,11 +39,6 @@ _LOCKSTEP_ROWS = 8
 GRID_CELL_LIMIT = 100_000_000
 
 _TINY = np.finfo(float).tiny  # the least normal float
-
-
-def is_integer(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer (a bool is not)."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def as_point(coords) -> np.ndarray:
@@ -305,6 +299,7 @@ def _central_differences(obj: Objective, points: np.ndarray, h: float) -> np.nda
     ``h`` must move every coordinate it probes and keep U finite at every
     probe: else a difference is 0 or nan, and checks no gradient.
     """
+    h = _expect_number(h, "h", finite=False)
     if not (np.isfinite(h) and h > 0.0):
         raise InputError(f"h: step must be finite and > 0, got {h}")
     m, d = points.shape

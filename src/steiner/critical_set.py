@@ -13,11 +13,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import GRID_CELL_LIMIT, AnchorSet, Objective, distances, is_integer
+from .core import GRID_CELL_LIMIT, AnchorSet, Objective, distances
 from .errors import ConfigError, InputError, NoCriticalPointError
 from .flow import CONVERGED, MAX_STEPS, STALLED, FlowConfig, FlowTrace, rest_points
 from .flow import trace_flow  # noqa: F401  (benchmarks/spans.py wraps it here)
-from .potentials import CONVEX_KINDS
+from .potentials import CONVEX_KINDS, _expect_array, _expect_int, _expect_number
 
 STRATEGIES = ("grid", "uniform_random", "anchors_jittered")
 
@@ -41,31 +41,28 @@ class TestingPlan:
     seed: int = 0
 
     def __post_init__(self):
+        # Every field's type, in declaration order, before any range.
+        if not isinstance(self.strategy, str):
+            raise InputError("testing_plan.strategy: expected a string")
+        object.__setattr__(self, "count", _expect_int(self.count, "testing_plan.count"))
+        if self.domain_box is not None:
+            box = _expect_array(self.domain_box, "testing_plan.domain_box",
+                                "a list of [lo, hi] pairs", 2, lambda row: "expected [lo, hi]")
+            object.__setattr__(self, "domain_box", tuple(map(tuple, box.tolist())))
+        object.__setattr__(self, "seed", _expect_int(self.seed, "testing_plan.seed"))
         if self.strategy not in STRATEGIES:
             raise ConfigError(
                 f"testing_plan.strategy: unknown strategy {self.strategy!r}; "
                 f"expected one of {', '.join(STRATEGIES)}")
-        if not (is_integer(self.count) and self.count >= 1):
+        if self.count < 1:
             raise ConfigError(f"testing_plan.count: must be an integer >= 1, got {self.count}")
-        if not (is_integer(self.seed) and 0 <= self.seed < 2 ** 64):
+        if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(
                 f"testing_plan.seed: must be a non-negative 64-bit integer, got {self.seed}")
-        if self.domain_box is not None:
-            box = []
-            for k, pair in enumerate(self.domain_box):
-                where = f"testing_plan.domain_box[{k}]"
-                try:
-                    lo, hi = map(float, pair)
-                except (TypeError, ValueError):
-                    raise ConfigError(f"{where}: expected [lo, hi], got {pair!r}") from None
-                if not (np.isfinite(lo) and np.isfinite(hi)):
-                    raise ConfigError(f"{where}: bounds must be finite")
-                if lo >= hi:
-                    raise ConfigError(f"{where}: degenerate interval [{lo}, {hi}]")
-                box.append((lo, hi))
-            if not box:
-                raise ConfigError("testing_plan.domain_box: expected at least one [lo, hi] pair")
-            object.__setattr__(self, "domain_box", tuple(box))
+        for k, (lo, hi) in enumerate(self.domain_box or ()):
+            if lo >= hi:
+                raise ConfigError(
+                    f"testing_plan.domain_box[{k}]: degenerate interval [{lo}, {hi}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,20 +278,21 @@ def enumerate_critical_points(obj: Objective, plan: TestingPlan | None = None,
         bad = int(np.flatnonzero(outside.any(axis=1))[0])
         raise ConfigError(f"testing_plan.domain_box: anchor {bad} lies outside the box")
 
+    if cluster_radius is None:
+        cluster_radius = DEFAULT_CLUSTER_RADIUS_FACTOR * diagonal
+        if cluster_radius == 0.0:
+            raise ConfigError(f"cluster_radius: the default, {DEFAULT_CLUSTER_RADIUS_FACTOR:g} of "
+                              f"the domain box diagonal {diagonal!r}, underflows to 0")
+    cluster_radius = _expect_number(cluster_radius, "cluster_radius", finite=False)
+    if not 0.0 < cluster_radius < np.inf:
+        raise ConfigError(f"cluster_radius: must be finite and > 0, got {cluster_radius}")
+
     if points is None:
         points = generate_testing_points(plan, obj.anchors)
     else:
         points = obj.check_points(points)
         if not len(points):
             raise InputError("points: expected at least one row")
-
-    if cluster_radius is None:
-        cluster_radius = DEFAULT_CLUSTER_RADIUS_FACTOR * diagonal
-        if cluster_radius == 0.0:
-            raise ConfigError(f"cluster_radius: the default, {DEFAULT_CLUSTER_RADIUS_FACTOR:g} of "
-                              f"the domain box diagonal {diagonal!r}, underflows to 0")
-    if not 0.0 < cluster_radius < np.inf:
-        raise ConfigError(f"cluster_radius: must be finite and > 0, got {cluster_radius}")
 
     ends = rest_points(obj, points, cfg, keep_traces)
     statuses = ends.statuses

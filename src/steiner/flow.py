@@ -21,13 +21,14 @@ integral equations relating the remaining coordinates to the axis
 coordinate (:func:`graph_residual`).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import Objective, distances, is_integer
+from .core import Objective, distances
 from .errors import ConfigError, InputError, NumericalError
+from .potentials import _expect_int, _expect_number
 
 CONVERGED = "converged"
 MAX_STEPS = "max_steps"
@@ -66,10 +67,13 @@ class FlowConfig:
     min_step: float = 1e-18
 
     def __post_init__(self):
+        for f in fields(self):  # every field's type, in declaration order, before any range
+            value, path = getattr(self, f.name), f"flow.{f.name}"
+            object.__setattr__(self, f.name, _expect_int(value, path) if f.type is int
+                               else _expect_number(value, path, finite=False))
         checks = [
             (0.0 < self.grad_tol < np.inf, "grad_tol", "must be finite and > 0"),
-            (is_integer(self.max_steps) and self.max_steps > 0, "max_steps",
-             "must be an integer > 0"),
+            (self.max_steps > 0, "max_steps", "must be an integer > 0"),
             (0.0 < self.initial_step < np.inf, "initial_step", "must be finite and > 0"),
             (0.0 < self.armijo_c < 1.0, "armijo_c", "must lie in (0, 1)"),
             (0.0 < self.backtrack_factor < 1.0, "backtrack_factor", "must lie in (0, 1)"),

@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GRID_CELL_LIMIT, AnchorSet, Objective, distances, is_integer
+from .core import GRID_CELL_LIMIT, AnchorSet, Objective, distances
 from .errors import ConfigError, InputError
+from .potentials import _expect_array, _expect_int, _expect_number
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,13 +54,14 @@ def weiszfeld(anchors: AnchorSet, weights=None, tol: float = 1e-10,
     """
     if not isinstance(anchors, AnchorSet):
         anchors = AnchorSet(anchors)
+    tol = _expect_number(tol, "tol", finite=False)
     if not (np.isfinite(tol) and tol > 0.0):
         raise InputError(f"tol: must be finite and > 0, got {tol}")
-    if not (is_integer(max_iter) and max_iter >= 1):
+    if _expect_int(max_iter, "max_iter") < 1:
         raise InputError(f"max_iter: must be an integer >= 1, got {max_iter}")
     a, n = anchors.points, anchors.n
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (n,) or not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+    w = np.ones(n) if weights is None else _expect_array(weights, "weights")
+    if w.shape != (n,) or np.any(w <= 0.0):
         raise InputError(f"weights: expected {n} finite positive entries")
     if 0.0 < (diagonal := anchors.diagonal()) <= tol:  # all within tol of the start
         raise InputError(
@@ -145,9 +147,11 @@ def grid_search(obj: Objective, box, spacing: float) -> OracleReport:
     the spans of :meth:`Objective.block_spans`. Refuses lattices above
     ``GRID_CELL_LIMIT`` cells.
     """
+    spacing = _expect_number(spacing, "spacing", finite=False)
     if not (np.isfinite(spacing) and spacing > 0.0):
         raise ConfigError(f"spacing: must be finite and > 0, got {spacing}")
-    box = [(float(lo), float(hi)) for lo, hi in box]
+    box = _expect_array(box, "box", "a list of [lo, hi] pairs", 2,
+                        lambda row: "expected [lo, hi]", finite=False).tolist()
     d = obj.dimension
     if len(box) != d:
         raise ConfigError(f"box: expected {d} axes, got {len(box)}")

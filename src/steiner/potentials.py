@@ -26,9 +26,12 @@ reduce coordinates on axis -2 and anchors, over contiguous memory, on the
 last axis, so each returns per-row totals.
 """
 
+import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
+from itertools import chain
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -82,6 +85,16 @@ class PotentialSpec:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        # Every field's type, in declaration order, before any range.
+        if not isinstance(self.kind, str):
+            raise InputError("potential.kind: expected a string")
+        for name in ("p", "epsilon", "sigma"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, _expect_number(value, f"potential.{name}",
+                                                              finite=False))
+        if self.weights is not None:
+            object.__setattr__(self, "weights", tuple(
+                _expect_array(self.weights, "potential.weights").tolist()))
         _require(self.kind in KINDS, "kind",
                  f"unknown kind {self.kind!r}; expected one of {', '.join(KINDS)}")
         for name, owner in KIND_PARAMETERS.items():
@@ -107,15 +120,7 @@ class PotentialSpec:
             _require(0.0 < s2 < np.inf and 2.0 / s2 < np.inf, "sigma",
                      f"sigma^2 and 2 / sigma^2 must be finite and > 0, got sigma = {self.sigma}")
         if self.weights is not None:
-            try:
-                w = np.asarray(self.weights, dtype=float)
-            except (TypeError, ValueError):
-                w = None  # ragged or not numbers
-            _require(w is not None and w.ndim == 1, "weights", "must be a flat list of numbers")
-            _require(w.size >= 1, "weights", "must be non-empty when present")
-            _require(((w > 0.0) & (w < np.inf)).all(), "weights",
-                     "all entries must be finite and > 0")
-            object.__setattr__(self, "weights", tuple(w.tolist()))
+            _require(min(self.weights) > 0.0, "weights", "all entries must be finite and > 0")
 
     def bound(self, scale: float, n_anchors: int) -> "PotentialSpec":
         """Return a copy with a concrete epsilon, validated against n anchors.
@@ -523,6 +528,82 @@ def as_vector(coords, field: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{field}: coordinates must be finite")
     return arr
+
+
+def _expect_number(value, field, finite=True):
+    """``value`` as a float: a real number, Python's or numpy's, but not a
+    bool. An integer past the float range reads as inf; with ``finite``, a
+    value that is not finite is refused. Errors name ``field``."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InputError(f"{field}: expected a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf if value > 0 else -math.inf
+    if finite and not math.isfinite(number):
+        raise InputError(f"{field}: not a finite number")
+    return number
+
+
+def _expect_int(value, field):
+    """``value`` as an int: an integer, Python's or numpy's, but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InputError(f"{field}: expected an integer")
+    return int(value)
+
+
+def _expect_array(value, field, expected="a non-empty list", width=None, bad_row=None,
+                  finite=True):
+    """``value`` as one float array: a non-empty list, tuple or ndarray (read
+    as its ``tolist()``) of numbers, finite ones with ``finite``, or, given
+    ``width``, of rows of ``width`` of them.
+
+    numpy reads the list's type in one ``np.array``. The result stands when
+    it holds float64 or int64 (no string, ``None``, nested list or integer
+    past int64 got in), has the list's shape, is finite and took no bool for
+    a 0 or 1 (see :func:`_plain_entries`); int64 becomes float as
+    ``float(int)`` rounds it. Only input that fails is walked through
+    :func:`_expect_number`, and the walk raises an :class:`InputError` naming
+    ``field`` (``expected`` says what it should be), ``field[i]``
+    (``bad_row(row)`` says what is wrong with a row that is not a sequence of
+    ``width`` entries) or the entry itself. Both give the same bits and errors.
+    """
+    value = value.tolist() if isinstance(value, np.ndarray) else value
+    if not isinstance(value, (list, tuple)) or not value:
+        raise InputError(f"{field}: expected {expected}")
+    try:
+        arr = np.array(value)
+    except (ValueError, OverflowError):  # ragged or too deep, or an integer numpy refuses
+        arr = None
+    shape = (len(value),) if width is None else (len(value), width)
+    if (arr is not None and arr.dtype in (np.float64, np.int64) and arr.shape == shape
+            and _plain_entries(arr, value, width)):
+        return arr.astype(float, copy=False)
+    parsed = []
+    for i, row in enumerate(value):
+        if width is None:
+            parsed.append(_expect_number(row, f"{field}[{i}]", finite))
+            continue
+        row = row.tolist() if isinstance(row, np.ndarray) else row
+        if not isinstance(row, (list, tuple)) or len(row) != width:
+            raise InputError(f"{field}[{i}]: {bad_row(row)}")
+        parsed.append([_expect_number(x, f"{field}[{i}][{j}]", finite)
+                       for j, x in enumerate(row)])
+    return np.array(parsed, dtype=float)
+
+
+def _plain_entries(arr, value, width):
+    """Whether ``arr``, numpy's reading of the list ``value``, is finite and
+    took no bool: numpy reads ``True`` and ``False`` as 1 and 0. The list is
+    type-scanned only when ``arr`` holds a 0 or 1, and one bool buffer
+    serves the three tests of ``arr``."""
+    flags = np.isfinite(arr)
+    if not flags.all():
+        return False
+    if not (np.equal(arr, 0, out=flags).any() or np.equal(arr, 1, out=flags).any()):
+        return True
+    entries = value if width is None else chain.from_iterable(value)
+    return set(map(type, entries)) <= {int, float}
 
 
 def _term_kernel(spec, anchor_index):

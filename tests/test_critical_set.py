@@ -60,14 +60,17 @@ def test_degenerate_box_is_rejected():
     with pytest.raises(ConfigError, match="domain_box"):
         TestingPlan("grid", count=4, domain_box=((0.0, 0.0), (0.0, 1.0)))
     for bound in (np.inf, np.nan):
-        with pytest.raises(ConfigError, match=r"domain_box\[1\]: bounds must be finite"):
+        with pytest.raises(InputError,
+                           match=r"^testing_plan\.domain_box\[1\]\[0\]: not a finite number$"):
             TestingPlan("grid", count=4, domain_box=((0.0, 1.0), (-bound, 1.0)))
     # A pair of another length once raised the ValueError of its unpacking,
     # and an empty box was taken, to fail in box_geometry without anchors.
     for box, k in (([(0, 1, 2)], 0), ([(0.0, 1.0), [0]], 1)):
-        with pytest.raises(ConfigError, match=rf"^testing_plan\.domain_box\[{k}\]: expected \["):
+        with pytest.raises(InputError,
+                           match=rf"^testing_plan\.domain_box\[{k}\]: expected \[lo, hi\]$"):
             TestingPlan("grid", count=4, domain_box=box)
-    with pytest.raises(ConfigError, match=r"^testing_plan\.domain_box: expected at least one"):
+    with pytest.raises(InputError,
+                       match=r"^testing_plan\.domain_box: expected a list of \[lo, hi\] pairs$"):
         TestingPlan("grid", count=4, domain_box=[])
 
 
@@ -96,14 +99,42 @@ def test_bad_strategy_count_and_seed_are_rejected():
     with pytest.raises(ConfigError, match="seed"):
         TestingPlan("grid", count=4, seed=-1)
     for count in (2.5, True):
-        with pytest.raises(ConfigError, match="count"):
+        with pytest.raises(InputError, match="^testing_plan.count: expected an integer$"):
             TestingPlan("uniform_random", count=count)
     for seed in (1.5, True):
-        with pytest.raises(ConfigError, match="seed"):
+        with pytest.raises(InputError, match="^testing_plan.seed: expected an integer$"):
             TestingPlan("grid", count=4, seed=seed)
     plan = TestingPlan("uniform_random", count=np.int64(4), seed=np.uint64(3))
     assert len(generate_testing_points(plan, AnchorSet([[0.0, 0.0], [1.0, 1.0]]))) == 4
 
+
+
+@pytest.mark.parametrize("box, message", [
+    (["01", "23"], r"\[0\]: expected \[lo, hi\]"),
+    ([(0, True)], r"\[0\]\[1\]: expected a number"),
+    (5, r": expected a list of \[lo, hi\] pairs"),
+])
+def test_a_box_that_is_not_pairs_of_numbers_is_refused(box, message):
+    # A str is no pair even where float() reads its characters, a bool no
+    # bound, and a box that is not a list an InputError, not a TypeError.
+    with pytest.raises(InputError, match=rf"^testing_plan\.domain_box{message}$"):
+        TestingPlan(domain_box=box)
+
+
+def test_a_bad_cluster_radius_is_refused_before_the_testing_points(monkeypatch):
+    # Both radius checks need only the box diagonal, so a bad radius is
+    # refused before a plan of 10**8 points is made.
+    def generate(*args):
+        raise AssertionError("testing points generated before the radius check")
+
+    monkeypatch.setattr(steiner.critical_set, "generate_testing_points", generate)
+    obj = make_objective(RIGHT_TRIANGLE)
+    with pytest.raises(ConfigError, match="^cluster_radius: must be finite and > 0, got 0.0$"):
+        enumerate_critical_points(obj, TestingPlan(count=10 ** 8), cluster_radius=0)
+    tiny = make_objective([[0.0, 0.0]])
+    plan = TestingPlan(count=10 ** 8, domain_box=((0.0, 5e-324), (0.0, 5e-324)))
+    with pytest.raises(ConfigError, match="^cluster_radius: the default"):
+        enumerate_critical_points(tiny, plan)
 
 
 @pytest.mark.parametrize("plan, dimension", [

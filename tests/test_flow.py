@@ -36,7 +36,9 @@ from util import curve_trace, make_objective
     dict(max_steps=True),
 ])
 def test_flow_config_validation(kwargs):
-    with pytest.raises(ConfigError):
+    # A max_steps that is not an int fails its type check, every other case a range.
+    error = ConfigError if type(kwargs.get("max_steps", 0)) is int else InputError
+    with pytest.raises(error, match=f"^flow.{next(iter(kwargs))}: "):
         FlowConfig(**kwargs)
 
 

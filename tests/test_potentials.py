@@ -1,7 +1,9 @@
 """Potential values, analytic gradients, and their invariants."""
 
 import math
+import re
 import warnings
+from dataclasses import fields, replace
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
@@ -9,12 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from steiner import (ConfigError, InputError, NonSmoothEvaluationWarning, PotentialSpec,
-                     potential_gradient, potential_value, trace_flow)
+from steiner import (ConfigError, FlowConfig, InputError, NonSmoothEvaluationWarning,
+                     PotentialSpec, TestingPlan, enumerate_critical_points,
+                     finite_difference_gradient, grid_search, potential_gradient,
+                     potential_value, trace_flow, weiszfeld)
 
 from steiner.critical_set import _negative_curvature
-from steiner.potentials import (KINDS, _term_kernel, batch_gradients, batch_value_changes,
-                                batch_values, kernel)
+from steiner.potentials import (KIND_PARAMETERS, KINDS, _term_kernel, batch_gradients,
+                                batch_value_changes, batch_values, kernel)
 from util import make_objective, random_rotation
 
 ISOTROPIC = [
@@ -236,14 +240,84 @@ def test_weights_are_checked_as_one_array():
              for w in (np.array(given), given, tuple(given))]
     assert specs[0] == specs[1] == specs[2]
     assert specs[0].weights == (1.0, 2.5, 0.5)
-    for weights, message in [([], "must be non-empty when present"),
-                             ([1.0, math.inf], "all entries must be finite and > 0"),
-                             ([1.0, math.nan], "all entries must be finite and > 0"),
-                             ([1.0, 0.0], "all entries must be finite and > 0"),
-                             ([[1.0, 2.0]], "must be a flat list of numbers"),
-                             ([[1.0], [2.0, 3.0]], "must be a flat list of numbers")]:
-        with pytest.raises(ConfigError, match=f"^potential.weights: {message}$"):
+    for weights, error, message in [
+            ([], InputError, ": expected a non-empty list"),
+            ([1.0, math.inf], InputError, r"\[1\]: not a finite number"),
+            ([1.0, math.nan], InputError, r"\[1\]: not a finite number"),
+            ([1.0, 0.0], ConfigError, ": all entries must be finite and > 0"),
+            ([[1.0, 2.0]], InputError, r"\[0\]: expected a number"),
+            ([[1.0], [2.0, 3.0]], InputError, r"\[0\]: expected a number")]:
+        with pytest.raises(error, match=f"^potential.weights{message}$"):
             PotentialSpec("weighted_euclidean", weights=weights)
+
+
+def _wrong_types(name):
+    """Values of the wrong type or shape for the config field ``name``:
+    a bool, a numpy bool, a str (a number for a str field) and a list, and
+    for the number lists a str entry and a ragged row instead of the list."""
+    if name in ("weights", "domain_box"):
+        entry, ragged = (["1", 2.0], [[1.0], [2.0, 3.0]]) if name == "weights" else (
+            [["0", 1.0]], [[0.0, 1.0], [0.0]])
+        return [True, np.bool_(True), "1", entry, ragged]
+    return [True, np.bool_(False), 3 if name in ("kind", "strategy") else "1", [1]]
+
+
+_CONFIG_FIELDS = [(cls, section, f.name, bad)
+                  for cls, section in ((PotentialSpec, "potential"),
+                                       (TestingPlan, "testing_plan"), (FlowConfig, "flow"))
+                  for f in fields(cls) for bad in _wrong_types(f.name)]
+
+
+@pytest.mark.parametrize("cls, section, name, bad", _CONFIG_FIELDS)
+def test_every_config_field_refuses_a_value_of_the_wrong_type(cls, section, name, bad):
+    # Each is an InputError naming the field or its entry, never a bare
+    # TypeError or ValueError, and never taken.
+    kwargs = {name: bad}
+    if cls is PotentialSpec and name != "kind":
+        kwargs["kind"] = KIND_PARAMETERS.get(name, "euclidean")
+    path = re.escape(f"{section}.{name}")
+    with pytest.raises(InputError, match=rf"^{path}(\[\d+\])*: expected "):
+        cls(**kwargs)
+
+
+@pytest.mark.parametrize("config", [
+    PotentialSpec("euclidean"), TestingPlan(), FlowConfig(),
+    PotentialSpec("weighted_euclidean", epsilon=np.float32(0.5), weights=np.array([1, 2.5])),
+    TestingPlan("uniform_random", np.int64(9), ((-1, 2.5), (0.0, 1)), np.uint64(3)),
+    FlowConfig(grad_tol=np.float64(1e-9), max_steps=np.int32(50), initial_step=2),
+])
+def test_replace_gives_an_equal_config(config):
+    # replace() hands the stored tuples and floats back to the constructor.
+    again = replace(config)
+    assert again == config and again.__dict__ == config.__dict__
+    for f in fields(config):
+        value = getattr(config, f.name)
+        assert type(value) in (str, int, float, tuple, type(None))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda obj: enumerate_critical_points(obj, cluster_radius="0.1"), "cluster_radius"),
+    (lambda obj: enumerate_critical_points(obj, cluster_radius=True), "cluster_radius"),
+    (lambda obj: grid_search(obj, [("0", "1"), (0.0, 1.0)], 0.5), r"box\[0\]\[0\]"),
+    (lambda obj: grid_search(obj, [(False, True), (0.0, 1.0)], 0.5), r"box\[0\]\[0\]"),
+    (lambda obj: grid_search(obj, [(0.0, 1.0), (0.0, 1.0)], "0.5"), "spacing"),
+    (lambda obj: weiszfeld(obj.anchors, weights=["1", "2", "3"]), r"weights\[0\]"),
+    (lambda obj: weiszfeld(obj.anchors, weights=[True] * 3), r"weights\[0\]"),
+    (lambda obj: weiszfeld(obj.anchors, tol=True), "tol"),
+    (lambda obj: finite_difference_gradient(obj, [1.0, 1.0], "1e-6"), "h"),
+])
+def test_library_number_arguments_refuse_a_value_of_the_wrong_type(call, message):
+    obj = make_objective([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
+    with pytest.raises(InputError, match=f"^{message}: expected a number$"):
+        call(obj)
+
+
+def test_a_config_scalar_past_the_float_range_gets_its_range_message():
+    for value, sign in ((10 ** 400, ""), (-(10 ** 400), "-")):
+        with pytest.raises(ConfigError, match=f"^potential.sigma: .*, got {sign}inf$"):
+            PotentialSpec("gaussian_well", sigma=value)
+    with pytest.raises(ConfigError, match="^flow.grad_tol: must be finite and > 0, got inf$"):
+        FlowConfig(grad_tol=math.inf)
 
 
 @pytest.mark.parametrize("spec", ISOTROPIC)
